@@ -53,11 +53,11 @@ class BivariatePolynomial:
 
     @staticmethod
     def from_dict(coeffs: dict) -> "BivariatePolynomial":
-        items = [
-            ((int(n), int(m)), Fraction(c))
-            for (n, m), c in coeffs.items()
-            if Fraction(c) != 0
-        ]
+        items = []
+        for (n, m), c in coeffs.items():
+            c = Fraction(c)
+            if c:
+                items.append(((int(n), int(m)), c))
         items.sort(key=lambda t: _term_key(t[0]))
         return BivariatePolynomial(tuple(items))
 
@@ -153,15 +153,12 @@ class BivariatePolynomial:
         if self.is_zero:
             return self
         mult = lcm(*(c.denominator for _, c in self.terms))
-        ints = [c * mult for _, c in self.terms]
-        content = 0
-        for c in ints:
-            content = gcd(content, c.numerator)
-        scaled = [c / content for c in ints]
-        if scaled[-1] < 0:
-            scaled = [-c for c in scaled]
+        ints = [c.numerator * (mult // c.denominator) for _, c in self.terms]
+        content = gcd(*ints)
+        if ints[-1] < 0:
+            content = -content
         return BivariatePolynomial(
-            tuple((mon, c) for (mon, _), c in zip(self.terms, scaled))
+            tuple((mon, Fraction(c // content)) for (mon, _), c in zip(self.terms, ints))
         )
 
     def text(self) -> str:
@@ -414,10 +411,81 @@ def poly_gcd(p: BivariatePolynomial, q: BivariatePolynomial) -> BivariatePolynom
     return (cont_gcd * g).canonical()
 
 
+# prime and trial values of the squarefree certificate
+_CERT_PRIME = 2**61 - 1
+_CERT_VALUES = (0, 1, -1, 2, -2, 3)
+
+
+def _coprime_to_derivative_mod(u: list[int], q: int) -> bool:
+    """Whether gcd(u, u') = 1 in F_q[v]; u lists coefficients by degree."""
+    a = [c % q for c in u]
+    b = [(i * c) % q for i, c in enumerate(a)][1:]
+    while b and b[-1] == 0:
+        b.pop()
+    while b:
+        inv = pow(b[-1], -1, q)
+        while len(a) >= len(b):
+            f = a[-1] * inv % q
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - f * c) % q
+            a.pop()
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def _certified_squarefree(p: BivariatePolynomial) -> bool:
+    """Exact sufficient test that an integer polynomial p has no repeated factor.
+
+    For each variable v with deg_v p >= 1, the other variable w is set to a
+    trial value a, skipping any a at which the leading v-coefficient lc_v(p)
+    vanishes mod q = 2^61 - 1, and u = p(v, w=a) mod q must satisfy
+    gcd(u, u') = 1 in F_q[v].  Once one a passes for each such v, p is
+    squarefree.
+
+    Proof: suppose p = g^2 h with g irreducible of degree >= 1.  By Gauss's
+    lemma g and h can be taken in Z[x, y], and deg_v g >= 1 for some v, so
+    deg_v p >= 1 and that v was tested.  Since lc_v(p) = lc_v(g)^2 lc_v(h)
+    and lc_v(p)(a) is nonzero mod q, so is lc_v(g)(a): the image g_a of g
+    keeps its v-degree, >= 1.  Then u = g_a^2 h_a and u' = g_a (2 g_a' h_a +
+    g_a h_a') share the nonconstant factor g_a, contradicting gcd(u, u') = 1.
+    A failed trial proves nothing, so the caller falls back to the exact
+    gcd computation.
+    """
+    for idx in (0, 1):
+        deg = max(mon[idx] for mon, _ in p.terms)
+        if deg == 0:
+            continue
+        for a in _CERT_VALUES:
+            u = [0] * (deg + 1)
+            for mon, c in p.terms:
+                u[mon[idx]] += c.numerator * a ** mon[1 - idx]
+            if u[deg] % _CERT_PRIME and _coprime_to_derivative_mod(u, _CERT_PRIME):
+                break
+        else:
+            return False
+    return True
+
+
 def squarefree_radical(p: BivariatePolynomial) -> BivariatePolynomial:
-    """p / gcd(p, p_x, p_y): same zero set, squarefree, canonical."""
+    """p / gcd(p, p_x, p_y): same zero set, squarefree, canonical.
+
+    A squarefree p is recognised by `_certified_squarefree` on its canonical
+    integer form, which is then the radical; every other input takes the
+    exact pseudo-remainder gcds.
+    """
     if p.is_zero or p.is_constant:
         raise ValueError("radical requires degree >= 1")
+    canon = p.canonical()
+    if _certified_squarefree(canon):
+        return canon
+    return _radical_by_gcd(p)
+
+
+def _radical_by_gcd(p: BivariatePolynomial) -> BivariatePolynomial:
+    """p / gcd(p, p_x, p_y) through pseudo-remainder gcds: the exact fallback."""
     g = p
     for var in ("x", "y"):
         dv = p.derivative(var)

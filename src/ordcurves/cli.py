@@ -113,14 +113,15 @@ def _cmd_ordinary(args, out):
 def _cmd_richness(args, out):
     config = load_config(args.input, args.d)
     e = args.e if args.e is not None else config.d
-    size, witness = max_curve_richness(config, e)
-    payload = {"e": e, "max_richness": size, "witness": sorted(witness)}
-    if args.threshold is not None:
-        report = regularity_report(config, e, Fraction(args.threshold))
-        payload["regularity"] = report.to_json_obj()
-    else:
-        report = regularity_report(config, e)
-        payload["regularity"] = report.to_json_obj()
+    threshold = None if args.threshold is None else Fraction(args.threshold)
+    report = regularity_report(config, e, threshold)
+    # the report's witness is the richest subset max_curve_richness found
+    payload = {
+        "e": e,
+        "max_richness": len(report.witness),
+        "witness": sorted(report.witness),
+        "regularity": report.to_json_obj(),
+    }
     dump_json(payload, out)
 
 

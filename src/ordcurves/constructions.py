@@ -19,8 +19,8 @@ from math import comb
 from .bipoly import PlaneCurve, parse_poly
 from .determined import PointConfiguration, contained_in_curve
 from .errors import HypothesisViolation, InvariantViolation
-from .linalg import affine_rank
-from .veronese import lift, tau
+from .linalg import rank
+from .veronese import integer_lift
 
 
 @dataclass(frozen=True)
@@ -159,11 +159,11 @@ def construct_theorem8(
             if pt is None or pt in chosen:
                 continue
             tried += 1
-            z = lift(pt, d)
+            z = integer_lift(pt, d)
             bad = False
             for idx in obstructions:
                 rows = [chosen_lifts[i] for i in idx]
-                if affine_rank(rows + [z]) == len(rows):
+                if rank(rows + [z]) == len(rows):
                     bad = True
                     break
             if bad:
@@ -209,18 +209,13 @@ def construct_theorem8(
     )
 
 
-def carrier_hyperplane(carrier: PlaneCurve, d: int):
-    """Hyperplane of the carrier class in degree-d lift space."""
-    return tau(carrier.representative, d)
-
-
 def _passes_genericity(points, lifts_by_e, cand, g: int) -> bool:
     for e in range(1, g + 1):
-        z = lift(cand, e)
+        z = integer_lift(cand, e)
         size = min(len(points), comb(e + 2, 2) - 1)
         for idx in combinations(range(len(points)), size):
             rows = [lifts_by_e[e][i] for i in idx]
-            if affine_rank(rows + [z]) == len(rows):
+            if rank(rows + [z]) == len(rows):
                 return False
     return True
 
@@ -267,7 +262,7 @@ def sample_configuration(kind: str, seed: int = 0, **params) -> Construction:
             continue
         pts.append(cand)
         for e in range(1, g + 1):
-            lifts_by_e[e].append(lift(cand, e))
+            lifts_by_e[e].append(integer_lift(cand, e))
     return Construction(
         PointConfiguration.from_points(pts, d),
         {

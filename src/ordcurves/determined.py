@@ -4,10 +4,17 @@ A degree-d curve is determined by A when no other degree-d curve meets A in
 a superset of its incidence.  With A not contained in any curve of degree at
 most d, these are exactly the pullbacks of the hyperplanes spanned by lifted
 subsets of A, so enumeration reduces to scanning C(d+2,2)-1 sized subsets
-for affinely independent lifts, deduplicating the resulting normalized
-hyperplane forms, and pulling each back to a polynomial.  Incidences are
-always recomputed by exact evaluation, never inferred from hyperplane
-membership, so coincident lifts cannot be double counted.
+for affinely independent lifts, deduplicating the resulting hyperplanes,
+and pulling each back to a polynomial.
+
+The scan works on each point's integer row Z^d * (1, lift) (`integer_lift`):
+a subset's hyperplane is the primitive integer kernel of its rows, and dedup
+is on those integer vectors.  A curve's incidence is recomputed at every
+point of A as the integer dot product of one of its forms, denominators
+cleared, with the point's row.  The form's polynomial and the curve's
+radical have the same zero set, so this is an exact evaluation at each
+point, never inferred from which subsets spanned the hyperplane, and
+coincident lifts cannot be double counted.
 """
 
 from __future__ import annotations
@@ -16,13 +23,13 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 from .bipoly import PlaneCurve
 from .errors import HypothesisViolation, InvariantViolation
-from .linalg import nullspace, rank
+from .linalg import nullspace, primitive_kernel, rank
 from .parallel import pmap, resolve_workers
-from .veronese import HyperplaneForm, Point, as_point, homogeneous_lift, lift, tau_inverse
+from .veronese import HyperplaneForm, Point, as_point, integer_lift, lift, tau_inverse
 
 
 @dataclass(frozen=True)
@@ -56,7 +63,8 @@ class PointConfiguration:
 
     @functools.lru_cache(maxsize=None)
     def homogeneous_lifts(self, e: int) -> tuple:
-        return tuple(homogeneous_lift(p, e) for p in self.points)
+        """Integer rows Z^e * (1, lift) of the points (see `integer_lift`)."""
+        return tuple(integer_lift(p, e) for p in self.points)
 
     def subset(self, indices) -> tuple[Point, ...]:
         return tuple(self.points[i] for i in indices)
@@ -67,13 +75,12 @@ class PointConfiguration:
 
 def vanishing_dim(points, e: int) -> int:
     """Dimension of {p : deg p <= e, p(a) = 0 for all given a} incl. constants."""
-    rows = [homogeneous_lift(p, e) for p in points]
-    return comb(e + 2, 2) - rank(rows) if rows else comb(e + 2, 2)
+    return comb(e + 2, 2) - rank([integer_lift(p, e) for p in points])
 
 
 def vanishing_space(points, e: int):
     """Canonical basis of coefficient vectors (const, monomials) vanishing on points."""
-    rows = [homogeneous_lift(p, e) for p in points]
+    rows = [integer_lift(p, e) for p in points]
     return nullspace(rows, n_cols=comb(e + 2, 2))
 
 
@@ -126,16 +133,6 @@ class DeterminedCurveSet:
         }
 
 
-def _spanned_form(args):
-    rows, d = args
-    if rank(rows) != len(rows):
-        return None
-    basis = nullspace(rows)
-    if len(basis) != 1:
-        return None
-    return HyperplaneForm.from_vector(d, basis[0])
-
-
 def spanned_hyperplanes(config: PointConfiguration, workers: int = 1):
     """Normalized hyperplanes spanned by lifted subsets of the configuration.
 
@@ -145,13 +142,22 @@ def spanned_hyperplanes(config: PointConfiguration, workers: int = 1):
     d = config.d
     n_needed = comb(d + 2, 2) - 1
     hom = config.homogeneous_lifts(d)
-    tasks = (
-        ([hom[i] for i in idx], d)
-        for idx in combinations(range(len(config)), n_needed)
+    tasks = ([hom[i] for i in idx] for idx in combinations(range(len(config)), n_needed))
+    # a subset's primitive kernel vector is its hyperplane; None when rank-deficient
+    vectors = set(pmap(primitive_kernel, tasks, workers=workers))
+    vectors.discard(None)
+    forms = [HyperplaneForm.from_vector(d, v) for v in vectors]
+    return sorted(forms, key=HyperplaneForm.sort_key)
+
+
+def _zero_rows(form: HyperplaneForm, rows) -> frozenset[int]:
+    """Indices of the integer rows on which the form vanishes."""
+    vec = form.augmented()
+    mult = lcm(*(c.denominator for c in vec))
+    ints = [c.numerator * (mult // c.denominator) for c in vec]
+    return frozenset(
+        i for i, row in enumerate(rows) if sum(a * b for a, b in zip(ints, row)) == 0
     )
-    forms = pmap(_spanned_form, tasks, workers=workers)
-    return sorted({f.sort_key(): f for f in forms if f is not None}.values(),
-                  key=HyperplaneForm.sort_key)
 
 
 def enumerate_determined(config: PointConfiguration, workers=None) -> DeterminedCurveSet:
@@ -168,6 +174,7 @@ def enumerate_determined(config: PointConfiguration, workers=None) -> Determined
             "configuration not contained in a degree-<=d curve",
             f"witness curve {witness}",
         )
+    hom = config.homogeneous_lifts(d)
     by_curve: dict[PlaneCurve, list[HyperplaneForm]] = {}
     for form in spanned_hyperplanes(config, workers=workers):
         curve = tau_inverse(form)
@@ -182,7 +189,7 @@ def enumerate_determined(config: PointConfiguration, workers=None) -> Determined
                 "per-curve hyperplane fan-in exceeds d^d",
                 {"d": d, "curve": curve.representative.text(), "fan_in": len(forms)},
             )
-        incidence = config.incidence_of(curve)
+        incidence = _zero_rows(forms[0], hom)
         if len(incidence) < comb(d + 2, 2) - 1:
             raise InvariantViolation(
                 "determined curve with fewer than C(d+2,2)-1 incidences",
@@ -207,13 +214,15 @@ def max_curve_richness(config: PointConfiguration, e: int):
     """
     if e < 1:
         raise HypothesisViolation("e >= 1", f"e={e}")
-    pts = config.points
+    rows = config.homogeneous_lifts(e)
     floor_size = comb(e + 2, 2) - 1
-    if len(pts) <= floor_size:
-        return len(pts), tuple(range(len(pts)))
-    for size in range(len(pts), floor_size, -1):
-        for idx in combinations(range(len(pts)), size):
-            if vanishing_dim([pts[i] for i in idx], e) > 0:
+    if len(rows) <= floor_size:
+        return len(rows), tuple(range(len(rows)))
+    for size in range(len(rows), floor_size, -1):
+        for idx in combinations(range(len(rows)), size):
+            # some nonzero polynomial of degree <= e vanishes on the subset
+            # exactly when its rows leave the C(e+2,2) columns short of full rank
+            if rank([rows[i] for i in idx]) <= floor_size:
                 return size, idx
     return floor_size, tuple(range(floor_size))
 

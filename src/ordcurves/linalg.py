@@ -1,10 +1,15 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the integers and the rationals.
 
-Everything here works on tuples of `fractions.Fraction`.  Rank uses
-fraction-free (Bareiss) elimination on denominator-cleared rows so
-intermediate entries stay integers; nullspace and flat computations use
-plain Gauss-Jordan over Fraction, which at the matrix sizes this package
-sees (tens of rows, entries of modest height) is exact and fast enough.
+The determined-curve scan lives on integer matrices.  One fraction-free
+(Bareiss 1968) forward elimination serves both `rank` and
+`primitive_kernel`: every entry it produces is a minor of the input, so all
+of its divisions are exact and no `Fraction` is ever built.  `rank` accepts
+rational rows too and clears each row's denominators first, which keeps the
+rank.
+
+Nullspaces of general matrices and affine flats use plain Gauss-Jordan over
+`fractions.Fraction` (`rref`); at the sizes the basis and projection code
+sees (tens of rows, entries of modest height) that is exact and fast enough.
 
 Affine flats follow the convention dim(empty) = -1.  Directions of a flat
 are stored as the reduced row echelon basis of its direction space, which
@@ -15,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 
 Vector = tuple[Fraction, ...]
 
@@ -37,31 +43,78 @@ def _integer_rows(rows):
     return out
 
 
-def rank(rows) -> int:
-    """Exact rank of a rectangular matrix via Bareiss elimination."""
-    mat = _integer_rows(rows)
-    if not mat or not mat[0]:
-        return 0
-    n_rows, n_cols = len(mat), len(mat[0])
-    r = 0
+def _bareiss(mat) -> list[int]:
+    """Fraction-free row echelon form of an integer matrix, in place.
+
+    Returns the pivot columns.  After the step at pivot r, every entry of
+    the rows below is an (r+2)-minor of the row-permuted input, so the
+    division by the previous pivot is exact.
+    """
+    n_rows = len(mat)
+    pivots: list[int] = []
     prev = 1
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if mat[i][c] != 0), None)
+    for c in range(len(mat[0])):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, n_rows) if mat[i][c]), None)
         if pivot_row is None:
             continue
         if pivot_row != r:
             mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        pivot = mat[r][c]
+        top = mat[r]
+        pivot = top[c]
         for i in range(r + 1, n_rows):
-            if mat[i][c] == 0 and prev == 1:
-                continue
-            for j in range(n_cols - 1, c - 1, -1):
-                mat[i][j] = (mat[i][j] * pivot - mat[i][c] * mat[r][j]) // prev
+            a = mat[i][c]
+            if a:
+                mat[i] = [(x * pivot - a * y) // prev for x, y in zip(mat[i], top)]
+            elif pivot != prev:
+                mat[i] = [x * pivot // prev for x in mat[i]]
         prev = pivot
-        r += 1
-        if r == n_rows:
+        pivots.append(c)
+        if r + 1 == n_rows:
             break
-    return r
+    return pivots
+
+
+def rank(rows) -> int:
+    """Exact rank of a rectangular matrix via Bareiss elimination."""
+    rows = list(rows)
+    if {int}.issuperset(map(type, chain.from_iterable(rows))):
+        mat = [list(row) for row in rows]
+    else:
+        mat = _integer_rows(rows)
+    if not mat or not mat[0]:
+        return 0
+    return len(_bareiss(mat))
+
+
+def primitive_kernel(rows) -> tuple[int, ...] | None:
+    """Primitive integer kernel vector of a k x (k+1) integer matrix of rank k.
+
+    The vector has content 1 and a positive first nonzero entry, so it is
+    the canonical generator of the one-dimensional kernel.  Returns None
+    when the rank is below k.  Back-substitution starts from the last
+    Bareiss pivot D, which is +-det of the pivot columns: by Cramer's rule
+    the kernel vector with D in the free column is integral, so each
+    division below is exact.
+    """
+    mat = [list(row) for row in rows]
+    k = len(mat)
+    if not k or any(len(row) != k + 1 for row in mat):
+        raise ValueError("primitive_kernel needs a k x (k+1) matrix with k >= 1")
+    pivots = _bareiss(mat)
+    if len(pivots) < k:
+        return None
+    free = next((c for c, p in enumerate(pivots) if c != p), k)
+    v = [0] * (k + 1)
+    v[free] = mat[k - 1][pivots[-1]]
+    for i in range(k - 1, -1, -1):
+        c = pivots[i]
+        row = mat[i]
+        v[c] = -sum(row[j] * v[j] for j in range(c + 1, k + 1)) // row[c]
+    g = gcd(*v)
+    if next(x for x in v if x) < 0:
+        g = -g
+    return tuple(x // g for x in v)
 
 
 def rref(rows):
@@ -121,25 +174,12 @@ def nullspace(rows, n_cols=None) -> list[Vector]:
     return basis
 
 
-def nullspace_dim(rows, n_cols=None) -> int:
-    if not rows:
-        if n_cols is None:
-            raise ValueError("column count required for an empty matrix")
-        return n_cols
-    return len(rows[0]) - rank(rows)
-
-
 def vec_sub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b))
 
 
 def vec_add(a: Vector, b: Vector) -> Vector:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_scale(c, a: Vector) -> Vector:
-    c = Fraction(c)
-    return tuple(c * x for x in a)
 
 
 def vec_dot(a: Vector, b: Vector) -> Fraction:

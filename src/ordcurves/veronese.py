@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .bipoly import BivariatePolynomial, PlaneCurve, X, constant, monomial_order
 from .linalg import Vector, vec_dot
@@ -43,9 +43,21 @@ def lift(point, d: int) -> Vector:
     return tuple(xp[n] * yp[m] for n, m in monomial_order(d))
 
 
-def homogeneous_lift(point, d: int) -> Vector:
-    """(1, lift): the row used for rank and nullspace work on point sets."""
-    return (_ONE,) + lift(point, d)
+def integer_lift(point, d: int) -> tuple[int, ...]:
+    """Z^d * (1, lift) as integers, Z the point's common denominator.
+
+    Entries are Z^d followed by X^n Y^m Z^(d-n-m) with X = Zx, Y = Zy: a
+    positive multiple of the homogeneous row (1, lift), so rank, kernel and
+    the sign of a form's value are those of the rational row.
+    """
+    x, y = Fraction(point[0]), Fraction(point[1])
+    z = lcm(x.denominator, y.denominator)
+    xs, ys, zs = [1], [1], [1]
+    for _ in range(d):
+        xs.append(xs[-1] * x.numerator * (z // x.denominator))
+        ys.append(ys[-1] * y.numerator * (z // y.denominator))
+        zs.append(zs[-1] * z)
+    return (zs[d],) + tuple(xs[n] * ys[m] * zs[d - n - m] for n, m in monomial_order(d))
 
 
 @dataclass(frozen=True)

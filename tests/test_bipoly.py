@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from ordcurves.bipoly import (
     BivariatePolynomial,
     PlaneCurve,
+    _certified_squarefree,
+    _radical_by_gcd,
     divides,
     parse_poly,
     poly_divmod,
@@ -128,6 +130,80 @@ def test_radical_is_squarefree_and_same_vanishing():
     for _ in range(60):
         pt = (Fraction(rng.randint(-8, 8), rng.randint(1, 3)), Fraction(rng.randint(-8, 8)))
         assert (p.evaluate(pt) == 0) == (rad.evaluate(pt) == 0)
+
+
+# f vanishes at every trial value of the squarefree certificate, so
+# (x - f)(x + f) specialises to x^2 there although it is squarefree
+TRIAL_ROOTS = parse_poly("y^6 - 3*y^5 - 5*y^4 + 15*y^3 + 4*y^2 - 12*y")
+INCONCLUSIVE = (parse_poly("x") - TRIAL_ROOTS) * (parse_poly("x") + TRIAL_ROOTS)
+
+
+def _small_poly(rng, degree):
+    """Random integer polynomial of exact total degree `degree`."""
+    while True:
+        coeffs = {(n, m): rng.randint(-3, 3)
+                  for n in range(degree + 1) for m in range(degree + 1 - n)}
+        p = BivariatePolynomial.from_dict(coeffs)
+        if p.degree == degree:
+            return p
+
+
+def radical_cases():
+    """(polynomial, whether it is squarefree) pairs of every required shape."""
+    rng = random.Random(41)
+    cases = []
+    for _ in range(6):
+        line, conic = _small_poly(rng, 1), _small_poly(rng, 2)
+        other = _small_poly(rng, rng.randint(1, 2))
+        cases.append((line * line * other, False))
+        cases.append((conic * conic * _small_poly(rng, 1), False))
+        lines = [_small_poly(rng, 1) for _ in range(rng.randint(2, 4))]
+        product_of_lines = lines[0]
+        for extra in lines[1:]:
+            product_of_lines = product_of_lines * extra
+        cases.append((product_of_lines, None))
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        y_only = parse_poly(f"y - {a}" if a >= 0 else f"y + {-a}")
+        x_only = parse_poly(f"x - {b}" if b >= 0 else f"x + {-b}")
+        cases.append((y_only * y_only * parse_poly("x - y^2 + 1"), False))
+        cases.append((x_only.pow(3) * parse_poly("y - x^3 + 2*x"), False))
+    cases.append((INCONCLUSIVE, True))
+    # the repeated factor loses its x- and y-degree at the first trial value 0,
+    # where the leading coefficients vanish
+    cases.append((parse_poly("x*y + 1").pow(2) * parse_poly("x - 2") * parse_poly("y - 3"), False))
+    cases.append((parse_poly("x^2 - y^3"), True))
+    cases.append((parse_poly("x*y - 1") * parse_poly("x + y"), True))
+    return cases
+
+
+def test_radical_fast_path_matches_exact_gcd():
+    for p, squarefree in radical_cases():
+        rad = squarefree_radical(p)
+        assert rad == _radical_by_gcd(p), p.text()
+        is_squarefree = rad == p.canonical()
+        if squarefree is not None:
+            assert is_squarefree == squarefree, p.text()
+        if _certified_squarefree(p.canonical()):
+            assert is_squarefree, p.text()
+
+
+def test_radical_certificate_inconclusive_falls_back():
+    assert not _certified_squarefree(INCONCLUSIVE.canonical())
+    assert squarefree_radical(INCONCLUSIVE) == INCONCLUSIVE.canonical()
+    assert _certified_squarefree(parse_poly("y - x^2").canonical())
+
+
+def test_radical_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    for p, _ in radical_cases():
+        expr = sum(sympy.Rational(c.numerator, c.denominator) * x**n * y**m
+                   for (n, m), c in p.terms)
+        part = sympy.Poly(sympy.sqf_part(expr), x, y)
+        theirs = BivariatePolynomial.from_dict(
+            {mon: Fraction(int(c.p), int(c.q)) for mon, c in part.terms()}
+        ).canonical()
+        assert squarefree_radical(p) == theirs, p.text()
 
 
 def test_radical_rejects_constant():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -185,3 +186,26 @@ def test_invariant_violation_exit_4(square, capsys, monkeypatch):
     code, _, err = run(["determined", "--input", square], capsys)
     assert code == 4
     assert "internal invariant violated" in err and '"repro"' in err
+
+
+# stdout of the commands below on tests/golden/points.json (ten non-integer
+# points, one of height 1001), recorded with the Fraction-based enumeration
+# before the integer fast path replaced it
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_RUNS = [
+    (f"{command}_d{d}.out", [command, "--d", str(d), *extra])
+    for d, n in ((2, 5), (3, 9))
+    for command, extra in (
+        ("determined", []),
+        ("ordinary", ["--n", str(n)]),
+        ("richness", ["--threshold", "1/3"]),
+    )
+] + [("richness_e1_d2.out", ["richness", "--d", "2", "--e", "1"])]
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN_RUNS, ids=[name for name, _ in GOLDEN_RUNS])
+def test_stdout_matches_golden(name, argv, capsysbinary):
+    code = main([*argv, "--input", str(GOLDEN / "points.json")])
+    captured = capsysbinary.readouterr()
+    assert code == 0, captured.err
+    assert captured.out == (GOLDEN / name).read_bytes()

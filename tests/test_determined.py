@@ -16,6 +16,7 @@ from ordcurves.determined import (
     regularity_report,
 )
 from ordcurves.errors import HypothesisViolation
+from ordcurves.oracle import oracle_determined
 
 SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
 THREE_PLUS_ONE = [(0, 0), (1, 0), (2, 0), (0, 1)]
@@ -149,3 +150,44 @@ def test_deterministic_output_order():
     a = enumerate_determined(config).to_json_obj()
     b = enumerate_determined(config).to_json_obj()
     assert a == b
+
+
+def _rational(rng, height=10**6):
+    return Fraction(rng.randint(-height, height), rng.randint(1, height))
+
+
+def _structured_set(seed, on_line, on_parabola, free):
+    """Non-integer points of height up to 10^6: some on one rational line,
+    some on one rational parabola y = a x^2 + b x + c, the rest random."""
+    rng = random.Random(seed)
+    pts = set()
+    (px, py), (qx, qy) = [(_rational(rng), _rational(rng)) for _ in range(2)]
+    while len(pts) < on_line:
+        t = _rational(rng, 1000)
+        pts.add((px + t * (qx - px), py + t * (qy - py)))
+    a, b, c = _rational(rng, 1000), _rational(rng), _rational(rng)
+    while len(pts) < on_line + on_parabola:
+        x = _rational(rng, 1000)
+        pts.add((x, a * x * x + b * x + c))
+    while len(pts) < on_line + on_parabola + free:
+        pts.add((_rational(rng), _rational(rng)))
+    return sorted(pts)
+
+
+@pytest.mark.parametrize("d, on_line, on_parabola, free", [
+    (1, 4, 0, 3),
+    (2, 4, 3, 2),
+    (3, 5, 4, 2),
+])
+def test_enumeration_matches_oracle_on_large_heights(d, on_line, on_parabola, free):
+    config = PointConfiguration.from_points(
+        _structured_set(100 + d, on_line, on_parabola, free), d)
+    assert any(p[0].denominator > 1 for p in config.points)
+    assert not contained_in_curve(config, d)[0]
+    result = enumerate_determined(config)
+    expected = oracle_determined(config)
+    assert frozenset(rec.curve.radical for rec in result.records) == expected
+    assert len(result) == len(expected)
+    for rec in result.records:
+        assert rec.incidence == config.incidence_of(rec.curve)
+    assert max(len(rec.incidence) for rec in result.records) >= on_line

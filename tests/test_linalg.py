@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,9 @@ from ordcurves.linalg import (
     flat_membership,
     flat_span,
     nullspace,
+    primitive_kernel,
     rank,
+    rref,
     vec_dot,
 )
 
@@ -46,6 +49,80 @@ def test_rank_dependent_row():
 
 def test_rank_empty():
     assert rank([]) == 0
+
+
+def test_rank_zero_entry_under_first_pivot():
+    # a row with a zero below the first pivot still needs that pivot's scaling
+    assert rank([[2, 0, 1], [0, 1, 0], [0, 0, 1]]) == 3
+    assert affine_rank([(0, 0, 0), (2, 1, 0), (0, 1, 0), (0, 0, 1)]) == 4
+
+
+def _sparse_matrix(rng, n_rows, n_cols):
+    return [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n_cols)]
+            for _ in range(n_rows)]
+
+
+def test_rank_matches_gauss_jordan():
+    rng = random.Random(11)
+    for _ in range(400):
+        rows = _sparse_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
+        assert rank(rows) == len(rref(rows)[0]), rows
+        halves = [[Fraction(x, 2) for x in row] for row in rows]
+        assert rank(halves) == rank(rows)
+
+
+def _deficient_matrix(rng, k):
+    """k x (k+1) integer matrix of rank < k: rows combine k - 1 base rows."""
+    base = [[rng.randint(-6, 6) for _ in range(k + 1)] for _ in range(k - 1)]
+    out = []
+    for _ in range(k):
+        coeffs = [rng.randint(-2, 2) for _ in base]
+        out.append([sum(c * b[j] for c, b in zip(coeffs, base)) for j in range(k + 1)])
+    return out
+
+
+def test_primitive_kernel_matches_nullspace():
+    rng = random.Random(5)
+    for k in range(2, 10):
+        full = 0
+        for trial in range(40):
+            if trial % 2:
+                rows = _sparse_matrix(rng, k, k + 1)
+            else:
+                rows = [[rng.randint(-10**6, 10**6) for _ in range(k + 1)] for _ in range(k)]
+            v = primitive_kernel(rows)
+            basis = nullspace(rows)
+            if len(basis) != 1:
+                assert v is None, rows
+                continue
+            full += 1
+            (w,) = basis
+            assert all(isinstance(x, int) for x in v)
+            assert gcd(*v) == 1
+            first = next(x for x in v if x != 0)
+            assert first > 0
+            assert tuple(Fraction(x, first) for x in v) == w
+            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
+        assert full >= 20
+
+
+def test_primitive_kernel_rank_deficient_is_none():
+    rng = random.Random(6)
+    for k in range(2, 10):
+        for _ in range(10):
+            assert primitive_kernel(_deficient_matrix(rng, k)) is None
+    assert primitive_kernel([[0, 0, 0], [1, 2, 3]]) is None
+    assert primitive_kernel([[1, 2, 3], [2, 4, 6]]) is None
+
+
+def test_primitive_kernel_examples():
+    assert primitive_kernel([[1, 1]]) == (1, -1)
+    assert primitive_kernel([[0, 2]]) == (1, 0)
+    # free column in the middle, and a kernel that needs the sign flip
+    assert primitive_kernel([[1, 0, 0], [0, 0, 1]]) == (0, 1, 0)
+    assert primitive_kernel([[2, 4, 0], [0, 0, 3]]) == (2, -1, 0)
+    with pytest.raises(ValueError):
+        primitive_kernel([[1, 2], [3, 4]])
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -9,6 +9,7 @@ from ordcurves.linalg import affine_rank
 from ordcurves.veronese import (
     HyperplaneForm,
     ambient_dim,
+    integer_lift,
     lift,
     pad_degree,
     tau,
@@ -32,6 +33,21 @@ def test_lift_injective_on_samples():
     for d in (1, 2, 3):
         images = {lift(p, d) for p in pts}
         assert len(images) == len(pts)
+
+
+def test_integer_lift_is_scaled_homogeneous_row():
+    rng = random.Random(29)
+    pts = [(Fraction(1, 2), Fraction(-3, 7)), (Fraction(-7, 3), Fraction(7, 6)), (0, Fraction(5, 4))]
+    while len(pts) < 30:
+        pts.append((Fraction(rng.randint(-10**6, 10**6), rng.randint(2, 10**6)),
+                    Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))))
+    for p in pts:
+        z = lcm(Fraction(p[0]).denominator, Fraction(p[1]).denominator)
+        for d in (1, 2, 3, 4):
+            row = integer_lift(p, d)
+            assert all(type(c) is int for c in row)
+            assert row == tuple(z**d * c for c in (Fraction(1),) + lift(p, d))
+    assert integer_lift((Fraction(1, 2), Fraction(1, 3)), 2) == (36, 18, 12, 9, 6, 4)
 
 
 def test_monotone_dimension():
