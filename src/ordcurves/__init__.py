@@ -34,7 +34,7 @@ from .determined import (
     regularity_report,
 )
 from .errors import HypothesisViolation, InputFormatError, InvariantViolation
-from .linalg import AffineFlat, flat_membership, flat_span, nullspace, rank
+from .linalg import AffineFlat, flat_span, nullspace, rank
 from .ndfamilies import (
     BasisCandidate,
     count_spanning_subsets,
@@ -43,7 +43,13 @@ from .ndfamilies import (
     nd_quantities,
     nd_verify,
 )
-from .oracle import OracleReport, compare_determined, oracle_determined, oracle_nd
+from .oracle import (
+    OracleReport,
+    compare_determined,
+    oracle_determined,
+    oracle_max_richness,
+    oracle_nd,
+)
 from .projection import (
     HyperprojectionMap,
     ProjectivePoint,
@@ -79,7 +85,6 @@ __all__ = [
     "curves_from_basis",
     "enumerate_determined",
     "exceptional_catalog",
-    "flat_membership",
     "flat_span",
     "forbidden_region_membership",
     "grow_nd_chain",
@@ -90,6 +95,7 @@ __all__ = [
     "nd_verify",
     "nullspace",
     "oracle_determined",
+    "oracle_max_richness",
     "oracle_nd",
     "ordinary_curves",
     "pad_degree",

@@ -296,14 +296,6 @@ def _univ_degree(u: dict) -> int:
     return max(u) if u else -1
 
 
-def _univ_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for i, c in a.items():
-        for j, e in b.items():
-            out[i + j] = out.get(i + j, _ZERO) + c * e
-    return _univ_normalize(out)
-
-
 def _univ_divmod(a: dict, b: dict):
     if not b:
         raise ZeroDivisionError

@@ -10,20 +10,26 @@ and pulling each back to a polynomial.
 The scan works on each point's integer row Z^d * (1, lift) (`integer_lift`):
 a subset's hyperplane is the primitive integer kernel of its rows, and dedup
 is on those integer vectors.  A curve's incidence is recomputed at every
-point of A as the integer dot product of one of its forms, denominators
-cleared, with the point's row.  The form's polynomial and the curve's
-radical have the same zero set, so this is an exact evaluation at each
-point, never inferred from which subsets spanned the hyperplane, and
-coincident lifts cannot be double counted.
+point of A as the integer dot product of one of its primitive vectors with
+the point's row.  The vector's polynomial and the curve's radical have the
+same zero set, so this is an exact evaluation at each point, never inferred
+from which subsets spanned the hyperplane, and coincident lifts cannot be
+double counted.
+
+Curve richness (the largest section of A on a curve of degree <= e) falls
+out of the same scan at degree e: a richest section is the zero set of one
+of the scanned kernel vectors (see `max_curve_richness`), so no scan over
+all subsets of A is needed.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 
 from .bipoly import PlaneCurve
 from .errors import HypothesisViolation, InvariantViolation
@@ -52,10 +58,6 @@ class PointConfiguration:
 
     def __len__(self):
         return len(self.points)
-
-    @functools.cached_property
-    def lifted(self) -> tuple:
-        return self.lifts(self.d)
 
     @functools.lru_cache(maxsize=None)
     def lifts(self, e: int) -> tuple:
@@ -133,31 +135,37 @@ class DeterminedCurveSet:
         }
 
 
+def _kernel_vectors(rows, size: int, workers: int = 1) -> set[tuple[int, ...]]:
+    """Distinct primitive kernel vectors of the full-rank size-subsets of rows."""
+    tasks = ([rows[i] for i in idx] for idx in combinations(range(len(rows)), size))
+    # a subset's primitive kernel vector is its hyperplane; None when rank-deficient
+    vectors = set(pmap(primitive_kernel, tasks, workers=workers))
+    vectors.discard(None)
+    return vectors
+
+
+def _zero_rows(vec, rows) -> frozenset[int]:
+    """Indices of the integer rows on which the integer vector vanishes."""
+    return frozenset(i for i, row in enumerate(rows) if sum(a * b for a, b in zip(vec, row)) == 0)
+
+
+def richest(sections) -> tuple[int, tuple[int, ...]]:
+    """Largest section size, with the lexicographically first sorted section of that size."""
+    best = min((sorted(s) for s in sections), key=lambda s: (-len(s), s))
+    return len(best), tuple(best)
+
+
 def spanned_hyperplanes(config: PointConfiguration, workers: int = 1):
     """Normalized hyperplanes spanned by lifted subsets of the configuration.
 
     Every spanned hyperplane contains N = C(d+2,2)-1 affinely independent
     lifted points, so scanning N-subsets with full affine rank is complete.
+    Returns (form, primitive integer vector) pairs sorted by form.
     """
     d = config.d
-    n_needed = comb(d + 2, 2) - 1
-    hom = config.homogeneous_lifts(d)
-    tasks = ([hom[i] for i in idx] for idx in combinations(range(len(config)), n_needed))
-    # a subset's primitive kernel vector is its hyperplane; None when rank-deficient
-    vectors = set(pmap(primitive_kernel, tasks, workers=workers))
-    vectors.discard(None)
-    forms = [HyperplaneForm.from_vector(d, v) for v in vectors]
-    return sorted(forms, key=HyperplaneForm.sort_key)
-
-
-def _zero_rows(form: HyperplaneForm, rows) -> frozenset[int]:
-    """Indices of the integer rows on which the form vanishes."""
-    vec = form.augmented()
-    mult = lcm(*(c.denominator for c in vec))
-    ints = [c.numerator * (mult // c.denominator) for c in vec]
-    return frozenset(
-        i for i, row in enumerate(rows) if sum(a * b for a, b in zip(ints, row)) == 0
-    )
+    vectors = _kernel_vectors(config.homogeneous_lifts(d), comb(d + 2, 2) - 1, workers)
+    pairs = [(HyperplaneForm.from_vector(d, v), v) for v in vectors]
+    return sorted(pairs, key=lambda pair: pair[0].sort_key())
 
 
 def enumerate_determined(config: PointConfiguration, workers=None) -> DeterminedCurveSet:
@@ -175,21 +183,20 @@ def enumerate_determined(config: PointConfiguration, workers=None) -> Determined
             f"witness curve {witness}",
         )
     hom = config.homogeneous_lifts(d)
-    by_curve: dict[PlaneCurve, list[HyperplaneForm]] = {}
-    for form in spanned_hyperplanes(config, workers=workers):
-        curve = tau_inverse(form)
-        by_curve.setdefault(curve, []).append(form)
-    # output order: lexicographic on each curve's smallest normalized form
-    ordered = sorted(by_curve, key=lambda c: min(f.sort_key() for f in by_curve[c]))
+    # the pairs come sorted, so each curve's list is sorted and the dict keeps
+    # the output order: lexicographic on each curve's smallest normalized form
+    by_curve: dict[PlaneCurve, list] = {}
+    for form, vec in spanned_hyperplanes(config, workers=workers):
+        by_curve.setdefault(tau_inverse(form), []).append((form, vec))
     records = []
-    for curve in ordered:
-        forms = tuple(sorted(by_curve[curve], key=HyperplaneForm.sort_key))
+    for curve, pairs in by_curve.items():
+        forms = tuple(form for form, _ in pairs)
         if len(forms) > d**d:
             raise InvariantViolation(
                 "per-curve hyperplane fan-in exceeds d^d",
                 {"d": d, "curve": curve.representative.text(), "fan_in": len(forms)},
             )
-        incidence = _zero_rows(forms[0], hom)
+        incidence = _zero_rows(pairs[0][1], hom)
         if len(incidence) < comb(d + 2, 2) - 1:
             raise InvariantViolation(
                 "determined curve with fewer than C(d+2,2)-1 incidences",
@@ -209,27 +216,35 @@ def ordinary_curves(config: PointConfiguration, n: int, workers=None) -> Determi
 def max_curve_richness(config: PointConfiguration, e: int):
     """Largest |A & C| over curves C of degree <= e, with a witness subset.
 
-    Any C(e+2,2)-1 points lie on some curve of degree <= e, so sizes above
-    that threshold are scanned top-down for a nonzero vanishing space.
+    If the degree-e rows of A have rank below C(e+2,2), all of A lies on one
+    curve.  Otherwise let I be a richest section.  Its vanishing space is
+    one-dimensional: were it larger, passing through a point of A outside I
+    (one exists, as A lies on no curve) is one linear condition and would
+    leave a nonzero polynomial, a curve through more than |I| points.  So I
+    holds N = C(e+2,2)-1 points with independent rows, their primitive
+    kernel vector spans the vanishing space of I, and its zero rows are
+    exactly I.  Every kernel vector's zero rows are a section, so the
+    richest of them is a richest section.  The witness is the
+    lexicographically first richest section (sorted indices), the one the
+    top-down subset scan `oracle.oracle_max_richness` returns.
     """
     if e < 1:
         raise HypothesisViolation("e >= 1", f"e={e}")
     rows = config.homogeneous_lifts(e)
-    floor_size = comb(e + 2, 2) - 1
-    if len(rows) <= floor_size:
+    if rank(rows) < comb(e + 2, 2):
         return len(rows), tuple(range(len(rows)))
-    for size in range(len(rows), floor_size, -1):
-        for idx in combinations(range(len(rows)), size):
-            # some nonzero polynomial of degree <= e vanishes on the subset
-            # exactly when its rows leave the C(e+2,2) columns short of full rank
-            if rank([rows[i] for i in idx]) <= floor_size:
-                return size, idx
-    return floor_size, tuple(range(floor_size))
+    return richest(_zero_rows(v, rows) for v in _kernel_vectors(rows, comb(e + 2, 2) - 1))
 
 
 def default_regularity_threshold(d: int) -> Fraction:
     """Default richness threshold 1 / 2^(2^(3d+8)); far below any small set's reach."""
     return Fraction(1, 2 ** (2 ** (3 * d + 8)))
+
+
+def _exact_str(q: Fraction) -> str:
+    """str(q) without Python's int-to-str digit limit (Decimal keeps every digit)."""
+    text = str(Decimal(q.numerator))
+    return text if q.denominator == 1 else f"{text}/{Decimal(q.denominator)}"
 
 
 @dataclass(frozen=True)
@@ -242,8 +257,8 @@ class RegularityReport:
     def to_json_obj(self):
         return {
             "is_regular": self.is_regular,
-            "ratio": str(self.ratio),
-            "threshold": str(self.threshold),
+            "ratio": _exact_str(self.ratio),
+            "threshold": _exact_str(self.threshold),
             "witness": list(self.witness),
         }
 

@@ -278,10 +278,6 @@ def flat_span(points, ambient_dim=None) -> AffineFlat:
     return AffineFlat(n, base, tuple(dirs))
 
 
-def flat_membership(flat: AffineFlat, z) -> bool:
-    return flat.contains(z)
-
-
 def flat_from_equations(ambient_dim: int, equations) -> AffineFlat:
     """Flat cut out by affine functionals (c0, c): {z : c0 + c.z = 0 for all}."""
     equations = [(Fraction(c0), _as_fraction_vector(c)) for c0, c in equations]

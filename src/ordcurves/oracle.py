@@ -123,6 +123,22 @@ def oracle_determined(A: PointConfiguration, d: int | None = None) -> frozenset:
     return frozenset(found)
 
 
+def oracle_max_richness(A: PointConfiguration, e: int):
+    """Largest |A & C| over curves C of degree <= e, by a top-down subset scan.
+
+    A subset lies on such a curve exactly when its degree-<=e vanishing
+    space is nonzero.  Sizes are tried from |A| down and subsets in
+    `combinations` order, so the witness is the lexicographically first
+    richest section.
+    """
+    if e < 1:
+        raise HypothesisViolation("e >= 1", f"e={e}")
+    for size in range(len(A), 0, -1):
+        for idx in combinations(range(len(A)), size):
+            if _vanishing_basis([A.points[i] for i in idx], e)[1]:
+                return size, idx
+
+
 def _oracle_section_exists(points_in, points_out, e):
     """Is there a curve of degree exactly e through points_in avoiding points_out?
 

@@ -1,9 +1,12 @@
 import json
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from ordcurves.cli import main
+from ordcurves.determined import default_regularity_threshold
 
 
 def write(tmp_path, name, obj):
@@ -92,6 +95,18 @@ def test_richness_report(octet, capsys):
     assert data["regularity"]["threshold"] == "3/4"
 
 
+def test_richness_default_threshold_printed_in_full(capsys):
+    # the default threshold 1/2^(2^14) at d=2 has 4,933 digits, past the
+    # int-to-str limit of plain str()
+    golden = str(Path(__file__).resolve().parent / "golden" / "points.json")
+    code, out, err = run(["richness", "--input", golden, "--d", "2"], capsys)
+    assert code == 0, err
+    threshold = json.loads(out)["regularity"]["threshold"]
+    numerator, denominator = threshold.split("/")
+    assert numerator == "1" and len(denominator) == 4933
+    assert 1 / Fraction(Decimal(denominator)) == default_regularity_threshold(2)
+
+
 def test_nd_verify_and_grow_and_project(octet, capsys):
     code, out, _ = run(["nd-verify", "--input", octet, "--basis", "0,1,2"], capsys)
     assert code == 0 and json.loads(out)["ok"]
@@ -135,6 +150,15 @@ def test_sweep_deterministic_bytes(capsys):
     assert lines[0].startswith("#")
     assert lines[1] == "A_size,d,n,determined_count,ordinary_count,max_richness,runtime_ms"
     assert len(lines) == 4
+
+
+def test_sweep_richness_independent_of_n(capsys):
+    # with n below every incidence no curve is ordinary; the richest conic
+    # still holds the 5 points any 5 general points span
+    args = ["sweep", "--d", "2", "--n", "4", "--sizes", "6:7", "--seed", "0", "--no-timing"]
+    code, out, _ = run(args, capsys)
+    assert code == 0
+    assert out.strip().splitlines()[2:] == ["6,2,4,6,0,5,0", "7,2,4,21,0,5,0"]
 
 
 def test_command_output_deterministic_bytes(octet, capsys):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from ordcurves.linalg import (
     affine_rank,
     flat_from_equations,
-    flat_membership,
     flat_span,
     nullspace,
     primitive_kernel,
@@ -184,15 +183,15 @@ def test_flat_span_collinear_direction():
 
 def test_flat_membership_examples():
     f = flat_span([(0, 0), (1, 1)])
-    assert flat_membership(f, (2, 2))
-    assert not flat_membership(f, (1, 0))
-    assert not flat_membership(flat_span([], 2), (1, 0))
+    assert f.contains((2, 2))
+    assert not f.contains((1, 0))
+    assert not flat_span([], 2).contains((1, 0))
 
 
 def test_flat_membership_dimension_mismatch():
     f = flat_span([(0, 0), (1, 1)])
     with pytest.raises(ValueError):
-        flat_membership(f, (1, 1, 1))
+        f.contains((1, 1, 1))
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,15 +1,18 @@
 import random
+from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
-from ordcurves.determined import PointConfiguration, enumerate_determined
+from ordcurves.determined import PointConfiguration, enumerate_determined, max_curve_richness
 from ordcurves.errors import HypothesisViolation
 from ordcurves.ndfamilies import nd_verify
 from ordcurves.oracle import (
     OracleReport,
     compare_determined,
     oracle_determined,
+    oracle_max_richness,
     oracle_nd,
 )
 
@@ -68,3 +71,50 @@ def test_oracle_report_shape():
         "agree": True,
     }
     assert not OracleReport("inst", "quantity", 3, 4).agree
+
+
+def _rational(rng, height):
+    return Fraction(rng.randint(-height, height), rng.randint(1, height))
+
+
+CURVES = {
+    "line": lambda x, a, b: a * x + b,
+    "conic": lambda x, a, b: a * x * x + b * x + 1,
+    "cubic": lambda x, a, b: x**3 - x,
+}
+
+
+def _richness_set(seed, kind, on_curve, free):
+    """Shuffled non-integer points: `on_curve` on one rational line, parabola
+    or y = x^3 - x (x of height up to 1000), `free` of height up to 10^6."""
+    rng = random.Random(seed)
+    a, b = _rational(rng, 1000), _rational(rng, 10**6)
+    pts = set()
+    while len(pts) < on_curve:
+        x = _rational(rng, 1000)
+        pts.add((x, CURVES[kind](x, a, b)))
+    while len(pts) < on_curve + free:
+        pts.add((_rational(rng, 10**6), _rational(rng, 10**6)))
+    pts = sorted(pts)
+    rng.shuffle(pts)
+    return pts
+
+
+# (e, curve kind, points on it, further points): heavy sections, sets on one
+# curve of degree <= e, and sets of at most C(e+2,2)-1 points
+RICHNESS_CASES = [
+    (1, "line", 4, 4), (1, "line", 0, 7), (1, "line", 5, 0), (1, "line", 0, 2),
+    (2, "line", 4, 4), (2, "conic", 6, 3), (2, "conic", 7, 0), (2, "cubic", 5, 3),
+    (2, "line", 0, 5), (3, "cubic", 10, 2), (3, "conic", 7, 4), (3, "cubic", 8, 0),
+    (3, "line", 0, 12), (3, "line", 0, 9),
+]
+
+
+@pytest.mark.parametrize("e, kind, on_curve, free", RICHNESS_CASES)
+def test_max_richness_matches_oracle(e, kind, on_curve, free):
+    pts = _richness_set(7 * e + on_curve + free, kind, on_curve, free)
+    A = PointConfiguration.from_points(pts, e)
+    size, witness = max_curve_richness(A, e)
+    assert (size, witness) == oracle_max_richness(A, e)
+    assert size >= min(len(pts), max(on_curve, comb(e + 2, 2) - 1))
+    assert witness == tuple(sorted(witness))
