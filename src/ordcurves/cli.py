@@ -29,7 +29,6 @@ from .determined import (
 from .errors import HypothesisViolation, InputFormatError, InvariantViolation
 from .ndfamilies import grow_nd_chain, nd_verify
 from .oracle import OracleReport, compare_determined, oracle_nd
-from .parallel import resolve_workers
 from .projection import build_pipeline, curves_from_basis
 from .veronese import lift
 
@@ -88,6 +87,17 @@ def _parse_indices(text: str):
         raise InputFormatError(f"bad index list {text!r}") from exc
 
 
+def _point_indices(text: str, config: PointConfiguration):
+    """Index list into the configuration; each index must lie in [0, |A|)."""
+    indices = _parse_indices(text)
+    for i in indices:
+        if not 0 <= i < len(config):
+            raise InputFormatError(
+                f"point index {i} out of range: the input has {len(config)} points"
+            )
+    return indices
+
+
 def _cmd_lift(args, out):
     config = load_config(args.input, args.d)
     payload = {
@@ -127,7 +137,7 @@ def _cmd_richness(args, out):
 
 def _cmd_nd_verify(args, out):
     config = load_config(args.input, args.d)
-    indices = _parse_indices(args.basis)
+    indices = _point_indices(args.basis, config)
     verdict = nd_verify(config, indices, config.d)
     dump_json({"ok": verdict.ok, "failures": list(verdict.failures)}, out)
 
@@ -135,15 +145,15 @@ def _cmd_nd_verify(args, out):
 def _cmd_nd_grow(args, out):
     config = load_config(args.input, args.d)
     carrier = PlaneCurve.from_poly(parse_poly(args.carrier)) if args.carrier else None
-    b0 = _parse_indices(args.b0) if args.b0 else []
-    order = _parse_indices(args.order) if args.order else None
+    b0 = _point_indices(args.b0, config) if args.b0 else []
+    order = _point_indices(args.order, config) if args.order else None
     result = grow_nd_chain(config, b0, carrier, config.d, order=order, seed=args.seed)
     dump_json(result.to_json_obj(), out)
 
 
 def _cmd_project(args, out):
     config = load_config(args.input, args.d)
-    indices = _parse_indices(args.basis)
+    indices = _point_indices(args.basis, config)
     state = build_pipeline(config, indices, config.d)
     curves, state = curves_from_basis(config, indices, config.d, state=state)
     dump_json({"trace": state.to_json_obj(), "curves": curves.to_json_obj()}, out)
@@ -239,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ordcurves",
         description="Exact enumeration of determined and ordinary plane curves",
     )
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes (default: ORDCURVES_WORKERS or 1)")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="worker processes (default 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, needs_input=True):
@@ -327,7 +337,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    args.workers = resolve_workers(args.workers)
     if args.command in ("construct", "sweep", "sigma-count") and args.d is None:
         print(f"{args.command} requires --d", file=sys.stderr)
         return 2

@@ -34,7 +34,7 @@ from math import comb
 from .bipoly import PlaneCurve
 from .errors import HypothesisViolation, InvariantViolation
 from .linalg import nullspace, primitive_kernel, rank
-from .parallel import pmap, resolve_workers
+from .parallel import pmap
 from .veronese import HyperplaneForm, Point, as_point, integer_lift, lift, tau_inverse
 
 
@@ -168,13 +168,12 @@ def spanned_hyperplanes(config: PointConfiguration, workers: int = 1):
     return sorted(pairs, key=lambda pair: pair[0].sort_key())
 
 
-def enumerate_determined(config: PointConfiguration, workers=None) -> DeterminedCurveSet:
+def enumerate_determined(config: PointConfiguration, workers: int = 1) -> DeterminedCurveSet:
     """All curves of degree d determined by the configuration.
 
     Requires that no curve of degree <= d contains the whole set; then the
     determined curves are exactly the pullbacks of the spanned hyperplanes.
     """
-    workers = resolve_workers(workers)
     d = config.d
     contained, witness = contained_in_curve(config, d)
     if contained:
@@ -206,7 +205,7 @@ def enumerate_determined(config: PointConfiguration, workers=None) -> Determined
     return DeterminedCurveSet(d, None, tuple(records))
 
 
-def ordinary_curves(config: PointConfiguration, n: int, workers=None) -> DeterminedCurveSet:
+def ordinary_curves(config: PointConfiguration, n: int, workers: int = 1) -> DeterminedCurveSet:
     """Determined curves meeting the configuration in at most n points."""
     full = enumerate_determined(config, workers=workers)
     kept = tuple(rec for rec in full.records if len(rec.incidence) <= n)

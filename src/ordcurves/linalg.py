@@ -1,24 +1,24 @@
 """Exact linear algebra over the integers and the rationals.
 
-The determined-curve scan lives on integer matrices.  One fraction-free
-(Bareiss 1968) forward elimination serves both `rank` and
-`primitive_kernel`: every entry it produces is a minor of the input, so all
-of its divisions are exact and no `Fraction` is ever built.  `rank` accepts
-rational rows too and clears each row's denominators first, which keeps the
-rank.
+Everything rests on one fraction-free (Bareiss 1968) forward elimination,
+`_bareiss`: every entry it produces is a minor of the input, so all of its
+divisions are exact and no `Fraction` is ever built.  It gives `rank`, the
+primitive kernel vector of a k x (k+1) matrix (`primitive_kernel`, the
+determined-curve scan's hot path) and the primitive kernel basis of any
+matrix (`kernel`).  Rational rows are scaled by the lcm of their
+denominators first, which keeps the row space.  `nullspace` is the Fraction
+view of `kernel`.
 
-Nullspaces of general matrices and affine flats use plain Gauss-Jordan over
-`fractions.Fraction` (`rref`); at the sizes the basis and projection code
-sees (tens of rows, entries of modest height) that is exact and fast enough.
-
-Affine flats follow the convention dim(empty) = -1.  Directions of a flat
-are stored as the reduced row echelon basis of its direction space, which
-makes membership reduction and downstream dedup deterministic.
+An affine flat of Q^n is held as integer homogeneous data: spanning rows,
+each a positive multiple of (1, z) for a point z of the flat, and their
+primitive kernel, which are the flat's equations.  Membership is integer
+dot products with those equations.  Flats follow the convention
+dim(empty) = -1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -26,21 +26,21 @@ from math import gcd, lcm
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
-def _as_fraction_vector(row) -> Vector:
-    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
+def _integer_row(row) -> list[int]:
+    """The rational row times the lcm of its denominators."""
+    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    mult = lcm(*(x.denominator for x in row)) if row else 1
+    return [x.numerator * (mult // x.denominator) for x in row]
 
 
-def _integer_rows(rows):
-    """Scale each row by the lcm of its denominators (rank-preserving)."""
-    out = []
-    for row in rows:
-        row = _as_fraction_vector(row)
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * mult) for x in row])
-    return out
+def _integer_matrix(rows) -> list[list[int]]:
+    """Integer rows with the same row space; int rows are only copied."""
+    rows = list(rows)
+    if {int}.issuperset(map(type, chain.from_iterable(rows))):
+        return [list(row) for row in rows]
+    return [_integer_row(row) for row in rows]
 
 
 def _bareiss(mat) -> list[int]:
@@ -75,16 +75,46 @@ def _bareiss(mat) -> list[int]:
     return pivots
 
 
+def _kernel_vector(mat, pivots, free: int, n_cols: int) -> tuple[int, ...]:
+    """Primitive kernel vector of an echelon matrix for one free column.
+
+    The vector is zero on the other free columns and has a positive first
+    nonzero entry.  Back-substitution starts from the last Bareiss pivot D,
+    which is +-det of the pivot columns of independent rows: by Cramer's
+    rule the kernel vector with D in the free column is integral, so each
+    division below is exact.
+    """
+    v = [0] * n_cols
+    v[free] = mat[len(pivots) - 1][pivots[-1]] if pivots else 1
+    for i in range(len(pivots) - 1, -1, -1):
+        c = pivots[i]
+        row = mat[i]
+        v[c] = -sum(row[j] * v[j] for j in range(c + 1, n_cols)) // row[c]
+    g = gcd(*v)
+    if next(x for x in v if x) < 0:
+        g = -g
+    return tuple(x // g for x in v)
+
+
 def rank(rows) -> int:
     """Exact rank of a rectangular matrix via Bareiss elimination."""
-    rows = list(rows)
-    if {int}.issuperset(map(type, chain.from_iterable(rows))):
-        mat = [list(row) for row in rows]
-    else:
-        mat = _integer_rows(rows)
+    mat = _integer_matrix(rows)
     if not mat or not mat[0]:
         return 0
     return len(_bareiss(mat))
+
+
+def kernel(rows, n_cols: int) -> list[tuple[int, ...]]:
+    """Primitive integer basis of the right kernel of a rational matrix.
+
+    One vector per free column in ascending order: it is zero on the other
+    free columns, has content 1 and a positive first nonzero entry.
+    `n_cols` is the column count, which a matrix with no rows cannot give.
+    """
+    mat = _integer_matrix(rows)
+    pivots = _bareiss(mat) if mat and n_cols else []
+    taken = set(pivots)
+    return [_kernel_vector(mat, pivots, f, n_cols) for f in range(n_cols) if f not in taken]
 
 
 def primitive_kernel(rows) -> tuple[int, ...] | None:
@@ -92,10 +122,7 @@ def primitive_kernel(rows) -> tuple[int, ...] | None:
 
     The vector has content 1 and a positive first nonzero entry, so it is
     the canonical generator of the one-dimensional kernel.  Returns None
-    when the rank is below k.  Back-substitution starts from the last
-    Bareiss pivot D, which is +-det of the pivot columns: by Cramer's rule
-    the kernel vector with D in the free column is integral, so each
-    division below is exact.
+    when the rank is below k.
     """
     mat = [list(row) for row in rows]
     k = len(mat)
@@ -105,81 +132,26 @@ def primitive_kernel(rows) -> tuple[int, ...] | None:
     if len(pivots) < k:
         return None
     free = next((c for c, p in enumerate(pivots) if c != p), k)
-    v = [0] * (k + 1)
-    v[free] = mat[k - 1][pivots[-1]]
-    for i in range(k - 1, -1, -1):
-        c = pivots[i]
-        row = mat[i]
-        v[c] = -sum(row[j] * v[j] for j in range(c + 1, k + 1)) // row[c]
-    g = gcd(*v)
-    if next(x for x in v if x) < 0:
-        g = -g
-    return tuple(x // g for x in v)
-
-
-def rref(rows):
-    """Reduced row echelon form over Fraction.
-
-    Returns (reduced nonzero rows, pivot column list).
-    """
-    mat = [list(_as_fraction_vector(row)) for row in rows]
-    if not mat or not mat[0]:
-        return [], []
-    n_rows, n_cols = len(mat), len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if mat[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = mat[r][c]
-        mat[r] = [x / inv for x in mat[r]]
-        for i in range(n_rows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return [tuple(mat[i]) for i in range(r)], pivots
+    return _kernel_vector(mat, pivots, free, k + 1)
 
 
 def nullspace(rows, n_cols=None) -> list[Vector]:
-    """Canonical basis of the right nullspace.
+    """Canonical Fraction basis of the right nullspace.
 
-    Basis vectors are listed in ascending free-column order and scaled so
-    the first nonzero coordinate of each is 1.  `n_cols` is only needed for
-    a matrix with no rows (whose nullspace is all of Q^n_cols).
+    The vectors of `kernel`, each divided by its first nonzero entry.
+    `n_cols` is only needed for a matrix with no rows (whose nullspace is
+    all of Q^n_cols).
     """
-    rows = [_as_fraction_vector(r) for r in rows]
-    if not rows:
-        if n_cols is None:
-            raise ValueError("column count required for an empty matrix")
-    else:
+    rows = list(rows)
+    if rows:
         n_cols = len(rows[0])
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n_cols):
-        if free in pivot_set:
-            continue
-        v = [_ZERO] * n_cols
-        v[free] = _ONE
-        for r, c in enumerate(pivots):
-            v[c] = -reduced[r][free]
-        first = next(x for x in v if x != 0)
-        basis.append(tuple(x / first for x in v))
-    return basis
-
-
-def vec_sub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_add(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
+    elif n_cols is None:
+        raise ValueError("column count required for an empty matrix")
+    out = []
+    for v in kernel(rows, n_cols):
+        first = next(x for x in v if x)
+        out.append(tuple(Fraction(x, first) for x in v))
+    return out
 
 
 def vec_dot(a: Vector, b: Vector) -> Fraction:
@@ -188,84 +160,71 @@ def vec_dot(a: Vector, b: Vector) -> Fraction:
 
 @dataclass(frozen=True)
 class AffineFlat:
-    """Affine subspace of Q^n: basepoint + span(directions); empty if no basepoint.
+    """Affine subspace of Q^n as integer homogeneous data; empty if no rows.
 
-    `directions` is the RREF basis of the direction space, so reducing a
-    vector against it decides membership in one pass.
+    Each of `rows` is a positive multiple of (1, z) for a point z of the
+    flat, and they span it.  `normals` is their primitive kernel basis (see
+    `kernel`): z lies in the flat exactly when (1, z) is orthogonal to every
+    normal.  The normals depend on the flat only, so flats compare by them.
     """
 
     ambient_dim: int
-    basepoint: Vector | None
-    directions: tuple[Vector, ...]
-
-    def __post_init__(self):
-        if self.basepoint is None and self.directions:
-            raise ValueError("empty flat cannot carry directions")
+    rows: tuple[tuple[int, ...], ...] = field(compare=False)
+    normals: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
-        return -1 if self.basepoint is None else len(self.directions)
+        return self.ambient_dim - len(self.normals)
 
     @property
     def is_empty(self) -> bool:
-        return self.basepoint is None
-
-    def _reduce(self, v: Vector) -> Vector:
-        pivots = [next(j for j, x in enumerate(d) if x != 0) for d in self.directions]
-        for d, p in zip(self.directions, pivots):
-            if v[p] != 0:
-                v = tuple(a - v[p] * b for a, b in zip(v, d))
-        return v
+        return not self.rows
 
     def contains(self, z) -> bool:
-        z = _as_fraction_vector(z)
         if len(z) != self.ambient_dim:
             raise ValueError(
                 f"ambient dimension mismatch: flat lives in Q^{self.ambient_dim}, point in Q^{len(z)}"
             )
         if self.is_empty:
             return False
-        return all(x == 0 for x in self._reduce(vec_sub(z, self.basepoint)))
+        row = _integer_row((1, *z))
+        return all(sum(a * b for a, b in zip(normal, row)) == 0 for normal in self.normals)
 
     def extended(self, points) -> "AffineFlat":
         """Smallest flat containing self and the given points."""
-        points = [_as_fraction_vector(p) for p in points]
+        points = list(points)
         if not points:
             return self
-        if self.is_empty:
-            return flat_span(points, self.ambient_dim)
-        new_dirs = list(self.directions)
-        for p in points:
-            ds, _ = rref(new_dirs + [vec_sub(p, self.basepoint)])
-            new_dirs = list(ds)
-        return AffineFlat(self.ambient_dim, self.basepoint, tuple(new_dirs))
+        return _span(self.ambient_dim, self.rows + tuple(_integer_row((1, *p)) for p in points))
 
     def equations(self):
         """Basis of affine functionals (c0, c) with c0 + c.z = 0 on the flat.
 
-        Only defined for nonempty flats; returns ambient_dim - dim functionals.
+        One per normal, scaled so the first nonzero entry of c is 1; a
+        normal's c is never zero on a nonempty flat.  Only defined for
+        nonempty flats; returns ambient_dim - dim functionals.
         """
         if self.is_empty:
             raise ValueError("empty flat has no canonical equation system")
-        if self.dim == self.ambient_dim:
-            return []
-        if self.directions:
-            normals = nullspace(list(self.directions))
-        else:
-            normals = [
-                tuple(_ONE if j == i else _ZERO for j in range(self.ambient_dim))
-                for i in range(self.ambient_dim)
-            ]
-        return [(-vec_dot(c, self.basepoint), c) for c in normals]
+        out = []
+        for c0, *c in self.normals:
+            first = next(x for x in c if x)
+            out.append((Fraction(c0, first), tuple(Fraction(x, first) for x in c)))
+        return out
+
+
+def _span(ambient_dim: int, rows) -> AffineFlat:
+    rows = tuple(tuple(row) for row in rows)
+    return AffineFlat(ambient_dim, rows, tuple(kernel(rows, ambient_dim + 1)))
 
 
 def empty_flat(ambient_dim: int) -> AffineFlat:
-    return AffineFlat(ambient_dim, None, ())
+    return _span(ambient_dim, ())
 
 
 def flat_span(points, ambient_dim=None) -> AffineFlat:
     """Smallest affine flat containing the given points (Fl of the set)."""
-    points = [_as_fraction_vector(p) for p in points]
+    points = list(points)
     if not points:
         if ambient_dim is None:
             raise ValueError("ambient dimension required for the empty flat")
@@ -273,43 +232,26 @@ def flat_span(points, ambient_dim=None) -> AffineFlat:
     n = len(points[0])
     if ambient_dim is not None and ambient_dim != n:
         raise ValueError("ambient dimension mismatch")
-    base = points[0]
-    dirs, _ = rref([vec_sub(p, base) for p in points[1:]]) if len(points) > 1 else ([], [])
-    return AffineFlat(n, base, tuple(dirs))
+    return _span(n, [_integer_row((1, *p)) for p in points])
 
 
 def flat_from_equations(ambient_dim: int, equations) -> AffineFlat:
-    """Flat cut out by affine functionals (c0, c): {z : c0 + c.z = 0 for all}."""
-    equations = [(Fraction(c0), _as_fraction_vector(c)) for c0, c in equations]
-    if not equations:
-        base = tuple(_ZERO for _ in range(ambient_dim))
-        dirs = tuple(
-            tuple(_ONE if j == i else _ZERO for j in range(ambient_dim))
-            for i in range(ambient_dim)
-        )
-        return AffineFlat(ambient_dim, base, dirs)
-    aug = [tuple(c) + (c0,) for c0, c in equations]
-    reduced, pivots = rref(aug)
-    if ambient_dim in pivots:
+    """Flat cut out by affine functionals (c0, c): {z : c0 + c.z = 0 for all}.
+
+    The solutions (w0, w) of the homogeneous system are spanned by its
+    kernel basis; the flat is empty when every one has w0 = 0.  Otherwise a
+    vector u with u0 > 0 turns each w with w0 = 0 into u + w, which keeps
+    the span and makes every row a positive multiple of some (1, z).
+    """
+    basis = kernel([(c0, *c) for c0, c in equations], ambient_dim + 1)
+    base = next((w for w in basis if w[0]), None)
+    if base is None:
         return empty_flat(ambient_dim)
-    base = [_ZERO] * ambient_dim
-    for r, c in enumerate(pivots):
-        base[c] = -reduced[r][ambient_dim]
-    kernel = nullspace([tuple(c) for _, c in equations])
-    dirs, _ = rref(kernel) if kernel else ([], [])
-    return AffineFlat(ambient_dim, tuple(base), tuple(dirs))
-
-
-def flat_intersection(a: AffineFlat, b: AffineFlat) -> AffineFlat:
-    """Intersection of two flats in the same ambient space (possibly empty)."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    if a.is_empty or b.is_empty:
-        return empty_flat(a.ambient_dim)
-    return flat_from_equations(a.ambient_dim, a.equations() + b.equations())
+    return _span(
+        ambient_dim, [w if w[0] else [a + b for a, b in zip(base, w)] for w in basis]
+    )
 
 
 def affine_rank(points) -> int:
     """Number of affinely independent points = dim Fl(points) + 1."""
-    points = [_as_fraction_vector(p) for p in points]
-    return rank([(1,) + p for p in points])
+    return rank([(1, *p) for p in points])

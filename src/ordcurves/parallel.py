@@ -2,23 +2,13 @@
 
 All enumerations in this package are pure maps over index streams, so any
 worker count yields the same multiset of results; callers re-sort
-canonically, making output independent of `workers`.  The default worker
-count comes from ORDCURVES_WORKERS, else 1 (serial).
+canonically, making output independent of `workers`.  The worker count is
+an explicit argument (the CLI's `--workers`), 1 (serial) by default.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
-
-
-def resolve_workers(requested=None) -> int:
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get("ORDCURVES_WORKERS")
-    if env:
-        return max(1, int(env))
-    return 1
 
 
 def pmap(fn, items, workers=1, chunksize=64):

@@ -268,16 +268,10 @@ def build_pipeline(A: PointConfiguration, B, d: int | None = None) -> Projection
                 "exceptional span is not one above the center",
                 {"e": e, "curve": curve.representative.text(), "dim": joined.dim},
             )
-        # any point of the joined flat off the center projects to the image point
-        probe = None
-        candidates = [joined.basepoint] + [
-            tuple(b + v for b, v in zip(joined.basepoint, dirvec))
-            for dirvec in joined.directions
-        ]
-        for cand in candidates:
-            if not center.contains(cand):
-                probe = cand
-                break
+        # the forms have rank 1 on the joined span, so every point of the
+        # joined flat off the center projects to the same image point
+        probes = (tuple(Fraction(x, row[0]) for x in row[1:]) for row in joined.rows)
+        probe = next((z for z in probes if not center.contains(z)), None)
         if probe is None:
             raise InvariantViolation(
                 "exceptional flat equals the center", {"curve": curve.representative.text()}

@@ -122,6 +122,20 @@ def test_nd_verify_and_grow_and_project(octet, capsys):
     assert data["trace"]["emitted"] == len(data["curves"]["curves"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["nd-verify", "--basis", "0,1,{bad}"],
+    ["project", "--basis", "0,1,{bad}"],
+    ["nd-grow", "--b0", "3,4,{bad}", "--carrier", "y"],
+    ["nd-grow", "--order", "0,{bad},1"],
+], ids=["nd-verify", "project", "nd-grow-b0", "nd-grow-order"])
+@pytest.mark.parametrize("bad", [8, 99, -1])
+def test_point_index_out_of_range_exit_2(octet, capsys, argv, bad):
+    argv = [arg.format(bad=bad) for arg in argv]
+    code, out, err = run([*argv, "--input", octet], capsys)
+    assert code == 2 and out == ""
+    assert f"point index {bad} out of range" in err and "8 points" in err
+
+
 def test_construct_output_feeds_back(tmp_path, capsys):
     code, out, _ = run(
         ["construct", "--kind", "theorem6", "--d", "2", "--m", "7", "--seed", "1"], capsys
@@ -173,14 +187,6 @@ def test_workers_equivalence(octet, capsys):
     assert out1 == out2
 
 
-def test_workers_env_default(octet, capsys, monkeypatch):
-    monkeypatch.setenv("ORDCURVES_WORKERS", "2")
-    _, out_env, _ = run(["determined", "--input", octet], capsys)
-    monkeypatch.delenv("ORDCURVES_WORKERS")
-    _, out_serial, _ = run(["determined", "--input", octet], capsys)
-    assert out_env == out_serial
-
-
 def test_oracle_check(square, octet, capsys):
     code, out, _ = run(["oracle-check", "--input", square], capsys)
     assert code == 0
@@ -213,16 +219,22 @@ def test_invariant_violation_exit_4(square, capsys, monkeypatch):
 
 
 # stdout of the commands below on tests/golden/points.json (ten non-integer
-# points, one of height 1001), recorded with the Fraction-based enumeration
-# before the integer fast path replaced it
+# points, one of height 1001).  The enumeration files were recorded with the
+# Fraction-based enumeration before the integer fast path replaced it; the
+# nd-grow, nd-verify and project files with the Fraction Gauss-Jordan flats
+# before the integer homogeneous flats replaced them.  The project trace's
+# chart depends on how the projection forms are scaled.
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_RUNS = [
     (f"{command}_d{d}.out", [command, "--d", str(d), *extra])
-    for d, n in ((2, 5), (3, 9))
+    for d, n, chain in ((2, 5, "7,8,1"), (3, 9, "7,8,1,5,3,4,9"))
     for command, extra in (
         ("determined", []),
         ("ordinary", ["--n", str(n)]),
         ("richness", ["--threshold", "1/3"]),
+        ("nd-grow", ["--seed", "0"]),
+        ("nd-verify", ["--basis", chain]),
+        ("project", ["--basis", chain]),
     )
 ] + [("richness_e1_d2.out", ["richness", "--d", "2", "--e", "1"])]
 

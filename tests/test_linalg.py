@@ -10,12 +10,14 @@ from ordcurves.linalg import (
     affine_rank,
     flat_from_equations,
     flat_span,
+    kernel,
     nullspace,
     primitive_kernel,
     rank,
-    rref,
     vec_dot,
 )
+from ordcurves.oracle import _gauss, _monomials_upto, _row, _vanishing_basis
+from ordcurves.veronese import integer_lift
 
 rationals = st.fractions(
     min_value=-6, max_value=6, max_denominator=5
@@ -61,11 +63,26 @@ def _sparse_matrix(rng, n_rows, n_cols):
             for _ in range(n_rows)]
 
 
+def _gauss_nullspace(rows):
+    """Nullspace basis by the oracle's Gauss-Jordan, first nonzero entries 1."""
+    n_cols = len(rows[0])
+    _, reduced, pivots = _gauss([[Fraction(x) for x in row] for row in rows])
+    basis = []
+    for free in (c for c in range(n_cols) if c not in pivots):
+        v = [Fraction(0)] * n_cols
+        v[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -reduced[r][free]
+        first = next(x for x in v if x)
+        basis.append(tuple(x / first for x in v))
+    return basis
+
+
 def test_rank_matches_gauss_jordan():
     rng = random.Random(11)
     for _ in range(400):
         rows = _sparse_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
-        assert rank(rows) == len(rref(rows)[0]), rows
+        assert rank(rows) == _gauss([[Fraction(x) for x in row] for row in rows])[0], rows
         halves = [[Fraction(x, 2) for x in row] for row in rows]
         assert rank(halves) == rank(rows)
 
@@ -90,7 +107,7 @@ def test_primitive_kernel_matches_nullspace():
             else:
                 rows = [[rng.randint(-10**6, 10**6) for _ in range(k + 1)] for _ in range(k)]
             v = primitive_kernel(rows)
-            basis = nullspace(rows)
+            basis = _gauss_nullspace(rows)
             if len(basis) != 1:
                 assert v is None, rows
                 continue
@@ -177,8 +194,8 @@ def test_flat_span_triangle():
 def test_flat_span_collinear_direction():
     f = flat_span([(0, 0), (1, 1), (2, 2)])
     assert f.dim == 1
-    (d,) = f.directions
-    assert d[0] != 0 and d[1] / d[0] == 1
+    assert f.contains((Fraction(-7, 3), Fraction(-7, 3))) and f.contains((5, 5))
+    assert not f.contains((1, 2)) and not f.contains((1, 0))
 
 
 def test_flat_membership_examples():
@@ -238,15 +255,96 @@ def test_affine_rank():
 
 
 def test_flat_intersection():
-    from ordcurves.linalg import flat_intersection
+    # two flats meet in the flat cut out by both equation systems
+    def meet(a, b):
+        return flat_from_equations(a.ambient_dim, a.equations() + b.equations())
 
     xy_plane = flat_span([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
     diag = flat_span([(0, 0, 0), (1, 1, 1)])
-    meet = flat_intersection(xy_plane, diag)
-    assert meet.dim == 0 and meet.contains((0, 0, 0))
+    point = meet(xy_plane, diag)
+    assert point.dim == 0 and point.contains((0, 0, 0))
     line1 = flat_span([(0, 0), (1, 1)])
     line2 = flat_span([(0, 1), (1, 2)])  # parallel shifted copy
-    assert flat_intersection(line1, line2).is_empty
-    assert flat_intersection(line1, flat_span([], 2)).is_empty
-    same = flat_intersection(line1, line1)
+    assert meet(line1, line2).is_empty
+    with pytest.raises(ValueError):
+        flat_span([], 2).equations()
+    same = meet(line1, line1)
     assert same.dim == 1 and same.contains((5, 5))
+    assert same == line1
+
+
+def test_kernel_zero_and_empty():
+    assert kernel([[0, 0, 0], [0, 0, 0]], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert kernel([], 2) == [(1, 0), (0, 1)]
+    assert kernel([], 0) == []
+    assert kernel([[1, 2], [3, 4]], 2) == []
+    assert kernel([[Fraction(1, 2), Fraction(1, 3)]], 2) == [(2, -3)]
+
+
+def test_kernel_rank_deficient():
+    rng = random.Random(8)
+    for k in range(2, 9):
+        for _ in range(10):
+            rows = _deficient_matrix(rng, k)
+            basis = kernel(rows, k + 1)
+            assert len(basis) == k + 1 - rank(rows) >= 2
+            for v in basis:
+                assert all(isinstance(x, int) for x in v)
+                assert gcd(*v) == 1 and next(x for x in v if x) > 0
+                assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
+            scaled = [tuple(Fraction(x, next(y for y in v if y)) for x in v) for v in basis]
+            assert scaled == _gauss_nullspace(rows) == nullspace(rows)
+
+
+def test_kernel_matches_vanishing_basis():
+    # the oracle solves "degree <= e vanishes on the points" with its own
+    # rows and Gauss-Jordan; its monomial order is the lift's
+    rng = random.Random(9)
+    for e in (1, 2, 3):
+        mons = _monomials_upto(e)
+        for count in range(0, len(mons) + 2):
+            pts = [(Fraction(rng.randint(-9, 9), rng.randint(1, 4)), rng.randint(-5, 5))
+                   for _ in range(count)]
+            _, expected = _vanishing_basis(pts, e)
+            expected = [tuple(x / next(y for y in v if y) for x in v) for v in expected]
+            assert nullspace([integer_lift(p, e) for p in pts], len(mons)) == expected
+            assert nullspace([_row(p, mons) for p in pts], len(mons)) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.tuples(rationals, rationals, rationals), min_size=0, max_size=5),
+    st.tuples(rationals, rationals, rationals),
+    st.lists(rationals, min_size=5, max_size=5),
+)
+def test_flat_contains_matches_affine_rank(points, z, weights):
+    f = flat_span(points, 3)
+    inside = bool(points) and affine_rank(points + [z]) == affine_rank(points)
+    assert f.contains(z) == inside
+    if points:
+        # an affine combination of the spanning points lies in the flat
+        w = weights[: len(points) - 1]
+        w.append(1 - sum(w))
+        combo = tuple(sum(wi * p[j] for wi, p in zip(w, points)) for j in range(3))
+        assert f.contains(combo)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(rationals, rationals, rationals), min_size=1, max_size=4))
+def test_equations_scaled_to_first_nonzero_of_c(points):
+    f = flat_span(points, 3)
+    eqs = f.equations()
+    assert len(eqs) == 3 - f.dim
+    for c0, c in eqs:
+        assert next(x for x in c if x != 0) == 1
+        assert all(c0 + vec_dot(c, tuple(map(Fraction, p))) == 0 for p in points)
+
+
+def test_equations_scaling_example():
+    # the primitive normal (2, -1, 0) of {x = 2} is rescaled by c's first entry
+    f = flat_span([(2, 0), (2, 1)])
+    assert f.equations() == [(Fraction(-2), (Fraction(1), Fraction(0)))]
+    assert flat_span([(1, 2)]).equations() == [
+        (Fraction(-1), (Fraction(1), Fraction(0))),
+        (Fraction(-2), (Fraction(0), Fraction(1))),
+    ]

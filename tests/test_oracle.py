@@ -1,3 +1,4 @@
+import ast
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -5,6 +6,7 @@ from math import comb
 
 import pytest
 
+import ordcurves.oracle
 from ordcurves.determined import PointConfiguration, enumerate_determined, max_curve_richness
 from ordcurves.errors import HypothesisViolation
 from ordcurves.ndfamilies import nd_verify
@@ -118,3 +120,20 @@ def test_max_richness_matches_oracle(e, kind, on_curve, free):
     assert (size, witness) == oracle_max_richness(A, e)
     assert size >= min(len(pts), max(on_curve, comb(e + 2, 2) - 1))
     assert witness == tuple(sorted(witness))
+
+
+def test_oracle_imports_no_fast_path_module():
+    # the oracles re-derive results from the definitions; the fast path's
+    # linear algebra, lifts, basis verifier and projection stay out of reach
+    fast_path = {"linalg", "veronese", "ndfamilies", "projection"}
+    tree = ast.parse(open(ordcurves.oracle.__file__, encoding="utf-8").read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            imported.add(module.rpartition(".")[2])
+            if module in ("", "ordcurves"):
+                imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rpartition(".")[2] for alias in node.names)
+    assert not imported & fast_path, sorted(imported & fast_path)

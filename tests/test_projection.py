@@ -8,7 +8,7 @@ import pytest
 from ordcurves.bipoly import parse_poly
 from ordcurves.determined import PointConfiguration, ordinary_curves
 from ordcurves.errors import HypothesisViolation
-from ordcurves.linalg import flat_span, vec_add
+from ordcurves.linalg import flat_span
 from ordcurves.ndfamilies import grow_nd_chain, realizable_sections
 from ordcurves.projection import (
     ProjectivePoint,
@@ -40,9 +40,13 @@ def test_projection_collapses_flat_lines():
     assert not center.contains(z)
     image = hyperproject(pm, z)
     # points of Fl(center + {z}) off the center share the image
-    half = vec_add(center.basepoint, tuple(Fraction(1, 2) * (a - b) for a, b in zip(z, center.basepoint)))
-    mixed = vec_add(half, center.directions[0])
-    assert hyperproject(pm, mixed) == image
+    joined = center.extended([z])
+    a, b = lift(TRIPLE[0], 2), lift(TRIPLE[1], 2)
+    half = tuple(Fraction(1, 2) * (x + y) for x, y in zip(z, a))
+    mixed = tuple(h + y - x for h, x, y in zip(half, a, b))
+    for w in (half, mixed):
+        assert joined.contains(w) and not center.contains(w)
+        assert hyperproject(pm, w) == image
     other = lift((5, 5), 2)
     if not center.contains(other):
         assert hyperproject(pm, other) != image or True  # distinct flats may share nothing
