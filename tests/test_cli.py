@@ -223,10 +223,14 @@ def test_invariant_violation_exit_4(square, capsys, monkeypatch):
 # Fraction-based enumeration before the integer fast path replaced it; the
 # nd-grow, nd-verify and project files with the Fraction Gauss-Jordan flats
 # before the integer homogeneous flats replaced them.  The project trace's
-# chart depends on how the projection forms are scaled.
+# chart depends on how the projection forms are scaled.  The carrier and
+# order files were recorded with Fraction lifts in the grower and the
+# projection, before those took integer rows; carrier_points.json is the
+# cubic y = x^3 at x = -7..7 plus the off point (1, 2), and the carrier's
+# sample points lie outside A.
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_RUNS = [
-    (f"{command}_d{d}.out", [command, "--d", str(d), *extra])
+    (f"{command}_d{d}.out", "points.json", [command, "--d", str(d), *extra])
     for d, n, chain in ((2, 5, "7,8,1"), (3, 9, "7,8,1,5,3,4,9"))
     for command, extra in (
         ("determined", []),
@@ -236,12 +240,24 @@ GOLDEN_RUNS = [
         ("nd-verify", ["--basis", chain]),
         ("project", ["--basis", chain]),
     )
-] + [("richness_e1_d2.out", ["richness", "--d", "2", "--e", "1"])]
+] + [
+    ("richness_e1_d2.out", "points.json", ["richness", "--d", "2", "--e", "1"]),
+    ("nd-grow_order_d3.out", "points.json",
+     ["nd-grow", "--d", "3", "--order", "9,8,7,6,5,4,3,2,1,0"]),
+    ("nd-grow_order_blocked_d2.out", "points.json",
+     ["nd-grow", "--d", "2", "--order", "0,2,3"]),
+    ("nd-grow_carrier_d3.out", "carrier_points.json",
+     ["nd-grow", "--d", "3", "--carrier", "y - x^3", "--b0", "15", "--seed", "0"]),
+    ("project_carrier_d3.out", "carrier_points.json",
+     ["project", "--d", "3", "--basis", "15,1,10,9,5,3,4"]),
+]
 
 
-@pytest.mark.parametrize("name, argv", GOLDEN_RUNS, ids=[name for name, _ in GOLDEN_RUNS])
-def test_stdout_matches_golden(name, argv, capsysbinary):
-    code = main([*argv, "--input", str(GOLDEN / "points.json")])
+@pytest.mark.parametrize(
+    "name, points, argv", GOLDEN_RUNS, ids=[name for name, _, _ in GOLDEN_RUNS]
+)
+def test_stdout_matches_golden(name, points, argv, capsysbinary):
+    code = main([*argv, "--input", str(GOLDEN / points)])
     captured = capsysbinary.readouterr()
     assert code == 0, captured.err
     assert captured.out == (GOLDEN / name).read_bytes()
