@@ -30,12 +30,13 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import mul
 
 from .bipoly import PlaneCurve
 from .errors import HypothesisViolation, InvariantViolation
 from .linalg import nullspace, primitive_kernel, rank
 from .parallel import pmap
-from .veronese import HyperplaneForm, Point, as_point, integer_lift, lift, tau_inverse
+from .veronese import HyperplaneForm, Point, as_point, integer_lift, tau_inverse
 
 
 @dataclass(frozen=True)
@@ -58,10 +59,6 @@ class PointConfiguration:
 
     def __len__(self):
         return len(self.points)
-
-    @functools.lru_cache(maxsize=None)
-    def lifts(self, e: int) -> tuple:
-        return tuple(lift(p, e) for p in self.points)
 
     @functools.lru_cache(maxsize=None)
     def homogeneous_lifts(self, e: int) -> tuple:
@@ -146,7 +143,7 @@ def _kernel_vectors(rows, size: int, workers: int = 1) -> set[tuple[int, ...]]:
 
 def _zero_rows(vec, rows) -> frozenset[int]:
     """Indices of the integer rows on which the integer vector vanishes."""
-    return frozenset(i for i, row in enumerate(rows) if sum(a * b for a, b in zip(vec, row)) == 0)
+    return frozenset(i for i, row in enumerate(rows) if sum(map(mul, vec, row)) == 0)
 
 
 def richest(sections) -> tuple[int, tuple[int, ...]]:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from operator import mul
 
 Vector = tuple[Fraction, ...]
 
@@ -90,10 +91,21 @@ def _kernel_vector(mat, pivots, free: int, n_cols: int) -> tuple[int, ...]:
         c = pivots[i]
         row = mat[i]
         v[c] = -sum(row[j] * v[j] for j in range(c + 1, n_cols)) // row[c]
+    return _primitive(v)
+
+
+def _primitive(v) -> tuple[int, ...]:
+    """A nonzero integer vector divided by its content, first nonzero entry positive."""
     g = gcd(*v)
     if next(x for x in v if x) < 0:
         g = -g
     return tuple(x // g for x in v)
+
+
+def primitive(vec) -> tuple[int, ...]:
+    """The primitive integer vector with positive first nonzero entry on the
+    line of a nonzero rational vector."""
+    return _primitive(_integer_row(vec))
 
 
 def rank(rows) -> int:
@@ -185,17 +197,19 @@ class AffineFlat:
             raise ValueError(
                 f"ambient dimension mismatch: flat lives in Q^{self.ambient_dim}, point in Q^{len(z)}"
             )
-        if self.is_empty:
-            return False
-        row = _integer_row((1, *z))
-        return all(sum(a * b for a, b in zip(normal, row)) == 0 for normal in self.normals)
+        return self.contains_row(_integer_row((1, *z)))
+
+    def contains_row(self, row) -> bool:
+        """Whether the point whose homogeneous row (any positive multiple of
+        (1, z), such as an `integer_lift` row) is given lies in the flat."""
+        return bool(self.rows) and all(sum(map(mul, normal, row)) == 0 for normal in self.normals)
 
     def extended(self, points) -> "AffineFlat":
         """Smallest flat containing self and the given points."""
         points = list(points)
         if not points:
             return self
-        return _span(self.ambient_dim, self.rows + tuple(_integer_row((1, *p)) for p in points))
+        return row_span(self.ambient_dim, self.rows + tuple(_integer_row((1, *p)) for p in points))
 
     def equations(self):
         """Basis of affine functionals (c0, c) with c0 + c.z = 0 on the flat.
@@ -213,13 +227,18 @@ class AffineFlat:
         return out
 
 
-def _span(ambient_dim: int, rows) -> AffineFlat:
+def row_span(ambient_dim: int, rows) -> AffineFlat:
+    """Flat spanned by the points whose integer homogeneous rows are given.
+
+    Each row is a positive multiple of (1, z) for a point z of Q^ambient_dim;
+    no rows give the empty flat.
+    """
     rows = tuple(tuple(row) for row in rows)
     return AffineFlat(ambient_dim, rows, tuple(kernel(rows, ambient_dim + 1)))
 
 
 def empty_flat(ambient_dim: int) -> AffineFlat:
-    return _span(ambient_dim, ())
+    return row_span(ambient_dim, ())
 
 
 def flat_span(points, ambient_dim=None) -> AffineFlat:
@@ -232,7 +251,7 @@ def flat_span(points, ambient_dim=None) -> AffineFlat:
     n = len(points[0])
     if ambient_dim is not None and ambient_dim != n:
         raise ValueError("ambient dimension mismatch")
-    return _span(n, [_integer_row((1, *p)) for p in points])
+    return row_span(n, [_integer_row((1, *p)) for p in points])
 
 
 def flat_from_equations(ambient_dim: int, equations) -> AffineFlat:
@@ -247,7 +266,7 @@ def flat_from_equations(ambient_dim: int, equations) -> AffineFlat:
     base = next((w for w in basis if w[0]), None)
     if base is None:
         return empty_flat(ambient_dim)
-    return _span(
+    return row_span(
         ambient_dim, [w if w[0] else [a + b for a, b in zip(base, w)] for w in basis]
     )
 

@@ -19,6 +19,16 @@ internal defect.  Whether a carrier curve sits inside a forbidden region is
 decided exactly by sampling 2d^2+1 of its points: a region is covered by
 three curves of degree at most d, so a carrier not inside it meets it in at
 most 2d^2 points.
+
+Points enter as indices, and each degree e of a point as its integer row
+Z^e * (1, lift) (`integer_lift`, a positive multiple of the homogeneous
+row).  A configuration's rows come from its cache; points given outside one
+(a bare point list, the carrier sample) are lifted once per call.
+Vanishing dimensions and affine dimensions are ranks of those rows, and a
+point lies in a flat when its row is orthogonal to the flat's integer
+normals.  The grower keeps each span V_e across its steps, keyed by e and
+D's indices, since V_e depends on D only; alpha, gamma, W_e and beta are
+recomputed for the grown B.
 """
 
 from __future__ import annotations
@@ -29,10 +39,10 @@ from itertools import combinations
 from math import comb
 
 from .bipoly import PlaneCurve, rational_points_on_curve
-from .determined import PointConfiguration, contained_in_curve, vanishing_dim
+from .determined import PointConfiguration, contained_in_curve
 from .errors import HypothesisViolation, InvariantViolation
-from .linalg import AffineFlat, affine_rank, flat_span
-from .veronese import ambient_dim, as_point, lift
+from .linalg import AffineFlat, rank, row_span
+from .veronese import ambient_dim, as_point, integer_lift
 
 
 @dataclass(frozen=True)
@@ -64,19 +74,25 @@ class NdQuantities:
     tau: int
 
 
-def nd_quantities(B, D, e: int, d: int) -> NdQuantities:
-    """The seven section quantities for D inside B at split degree e."""
-    if not 1 <= e <= d - 1:
-        raise HypothesisViolation("1 <= e <= d-1", f"e={e}, d={d}")
-    B = [as_point(b) for b in B]
-    D = [as_point(p) for p in D]
-    if any(p not in B for p in D):
-        raise HypothesisViolation("D subset of B", "D contains a point outside B")
-    v_e = flat_span([lift(p, e) for p in D], ambient_dim(e))
+def _degree_rows(source, d: int) -> dict:
+    """Integer rows Z^e * (1, lift) of the points, one tuple per degree e = 1..d.
+
+    `source` is a configuration, whose cached rows are used, or a point
+    list, which is lifted here.
+    """
+    if isinstance(source, PointConfiguration):
+        return {e: source.homogeneous_lifts(e) for e in range(1, d + 1)}
+    points = list(source)
+    return {e: tuple(integer_lift(p, e) for p in points) for e in range(1, d + 1)}
+
+
+def _quantities(R, b, v_e: AffineFlat, e: int, d: int) -> NdQuantities:
+    """`nd_quantities` on rows: R[k][i] is point i's degree-k row, b indexes
+    B, and v_e is the span of D's degree-e rows."""
+    rows_e, rows_w = R[e], R[d - e]
+    in_v = {i for i in b if v_e.contains_row(rows_e[i])}
+    w_e = row_span(ambient_dim(d - e), [rows_w[i] for i in b if i not in in_v])
     alpha = comb(e + 2, 2) - 2 - v_e.dim
-    in_v = [b for b in B if not v_e.is_empty and v_e.contains(lift(b, e))]
-    rest = [b for b in B if b not in in_v]
-    w_e = flat_span([lift(b, d - e) for b in rest], ambient_dim(d - e))
     beta = comb(d - e + 2, 2) - 3 - w_e.dim
     gamma = len(in_v)
     mu = 0 if alpha < 0 else alpha + gamma + comb(d - e + 2, 2)
@@ -84,10 +100,24 @@ def nd_quantities(B, D, e: int, d: int) -> NdQuantities:
     if min(alpha, beta) < 0 or gamma > section_cut:
         tau = 0
     elif gamma == section_cut:
-        tau = alpha + beta + len(B) + 2
+        tau = alpha + beta + len(b) + 2
     else:
-        tau = alpha + beta + len(B) + 3
+        tau = alpha + beta + len(b) + 3
     return NdQuantities(d, e, v_e, w_e, alpha, beta, gamma, mu, tau)
+
+
+def nd_quantities(B, D, e: int, d: int) -> NdQuantities:
+    """The seven section quantities for D inside B at split degree e."""
+    if not 1 <= e <= d - 1:
+        raise HypothesisViolation("1 <= e <= d-1", f"e={e}, d={d}")
+    B = [as_point(b) for b in B]
+    position = {p: i for i, p in enumerate(B)}
+    D = [as_point(p) for p in D]
+    if any(p not in position for p in D):
+        raise HypothesisViolation("D subset of B", "D contains a point outside B")
+    R = _degree_rows(B, d)
+    v_e = row_span(ambient_dim(e), [R[e][position[p]] for p in D])
+    return _quantities(R, range(len(B)), v_e, e, d)
 
 
 @dataclass(frozen=True)
@@ -97,48 +127,43 @@ class ForbiddenRegion:
     quantities: NdQuantities
     v_d_b: AffineFlat
 
-    def contains_point(self, pt) -> bool:
+    def contains(self, R, i: int) -> bool:
+        """Whether point i lies in the region; R[k][i] is its degree-k row."""
         q = self.quantities
-        pt = as_point(pt)
-        if not self.v_d_b.is_empty and self.v_d_b.contains(lift(pt, q.d)):
+        if self.v_d_b.contains_row(R[q.d][i]):
             return True
-        if q.alpha >= 0 and not q.v_e.is_empty and q.v_e.contains(lift(pt, q.e)):
-            return True
-        if (
-            q.alpha >= 0
-            and q.beta >= 0
-            and not q.w_e.is_empty
-            and q.w_e.contains(lift(pt, q.d - q.e))
-        ):
-            return True
-        return False
-
-
-def forbidden_region(B, D, e: int, d: int) -> ForbiddenRegion:
-    B = [as_point(b) for b in B]
-    v_d_b = flat_span([lift(b, d) for b in B], ambient_dim(d))
-    return ForbiddenRegion(nd_quantities(B, D, e, d), v_d_b)
+        if q.alpha < 0:
+            return False
+        return q.v_e.contains_row(R[q.e][i]) or (
+            q.beta >= 0 and q.w_e.contains_row(R[q.d - q.e][i])
+        )
 
 
 def forbidden_region_membership(B, D, e: int, d: int, pt) -> bool:
-    return forbidden_region(B, D, e, d).contains_point(pt)
+    """Whether pt lies in the forbidden region U_e(B, D)."""
+    v_d_b = row_span(ambient_dim(d), [integer_lift(b, d) for b in B])
+    region = ForbiddenRegion(nd_quantities(B, D, e, d), v_d_b)
+    return region.contains(_degree_rows([pt], d), 0)
 
 
-def realizable_sections(B, e: int):
+def realizable_sections(B, e: int, rows=None):
     """Subsets S of B occurring as C & B for a curve C of degree exactly e.
 
     Yields index tuples into B in decreasing size; the decision is the
-    vanishing-space drop test described in the module docstring.
+    vanishing-space drop test described in the module docstring.  `rows`
+    are B's degree-e integer rows when the caller holds them already.
     """
-    B = [as_point(b) for b in B]
+    if rows is None:
+        rows = [integer_lift(b, e) for b in B]
+    monomials = comb(e + 2, 2)
     dims: dict[frozenset, int] = {}
 
     def vdim(idx_set: frozenset) -> int:
         if idx_set not in dims:
-            dims[idx_set] = vanishing_dim([B[i] for i in idx_set], e)
+            dims[idx_set] = monomials - rank([rows[i] for i in idx_set])
         return dims[idx_set]
 
-    n = len(B)
+    n = len(rows)
     for size in range(n, -1, -1):
         for idx in combinations(range(n), size):
             s = frozenset(idx)
@@ -158,13 +183,40 @@ class NdVerifyResult:
         return self.ok
 
 
-def _resolve_basis_points(A: PointConfiguration | None, B):
+def _basis_rows(A: PointConfiguration | None, B, d: int):
+    """B as a BasisCandidate, its indices into A (None without A) and its
+    integer rows by degree 1..d, one tuple per degree.
+
+    B is a BasisCandidate, a point list, or an index list into A, which
+    needs A.
+    """
     if isinstance(B, BasisCandidate):
-        return tuple(B.points)
+        B = B.points
     B = list(B)
-    if A is not None and B and all(isinstance(b, int) for b in B):
-        return A.subset(B)
-    return tuple(as_point(b) for b in B)
+    indices = None
+    if B and all(isinstance(b, int) for b in B):
+        if A is None:
+            raise HypothesisViolation(
+                "index basis needs a configuration", f"B = {B} is an index list and A is None"
+            )
+        bad = [i for i in B if not 0 <= i < len(A)]
+        if bad:
+            raise HypothesisViolation("basis index in range", f"index {bad[0]} outside [0, {len(A)})")
+        indices = B
+        pts = A.subset(B)
+    else:
+        pts = tuple(as_point(b) for b in B)
+    basis = BasisCandidate(pts, d)  # validates size and distinctness
+    if A is None:
+        return basis, None, _degree_rows(pts, d)
+    if indices is None:
+        position = {p: i for i, p in enumerate(A.points)}
+        missing = [p for p in pts if p not in position]
+        if missing:
+            raise HypothesisViolation("B subset of A", f"{missing[0]} not in A")
+        indices = [position[p] for p in pts]
+    R = _degree_rows(A, d)
+    return basis, indices, {e: tuple(R[e][i] for i in indices) for e in R}
 
 
 def nd_verify(A: PointConfiguration | None, B, d: int | None = None) -> NdVerifyResult:
@@ -172,19 +224,15 @@ def nd_verify(A: PointConfiguration | None, B, d: int | None = None) -> NdVerify
 
     B may be a BasisCandidate, a point list, or an index list into A.
     """
-    pts = _resolve_basis_points(A, B)
     if d is None:
         d = B.d if isinstance(B, BasisCandidate) else (A.d if A is not None else None)
     if d is None or d < 2:
         raise HypothesisViolation("d >= 2", f"d={d}")
-    BasisCandidate(pts, d)  # validates size and distinctness
-    if A is not None:
-        missing = [p for p in pts if p not in A.points]
-        if missing:
-            raise HypothesisViolation("B subset of A", f"{missing[0]} not in A")
+    basis, _, rows = _basis_rows(A, B, d)
+    n_b = len(basis.points)
 
     target_dim = comb(d + 2, 2) - 4
-    dim_b = affine_rank([lift(p, d) for p in pts]) - 1
+    dim_b = rank(rows[d]) - 1
     if dim_b != target_dim:
         return NdVerifyResult(
             False,
@@ -192,7 +240,7 @@ def nd_verify(A: PointConfiguration | None, B, d: int | None = None) -> NdVerify
                 {
                     "condition": "i",
                     "e": d,
-                    "section": sorted(range(len(pts))),
+                    "section": list(range(n_b)),
                     "measured": dim_b,
                     "threshold": target_dim,
                 },
@@ -202,7 +250,7 @@ def nd_verify(A: PointConfiguration | None, B, d: int | None = None) -> NdVerify
     for e in range(1, d):
         cut = comb(d + 2, 2) - comb(d - e + 2, 2)
         rest_target = comb(d - e + 2, 2) - 3
-        for idx in realizable_sections(pts, e):
+        for idx in realizable_sections(basis.points, e, rows=rows[e]):
             size = len(idx)
             if size >= cut:
                 return NdVerifyResult(
@@ -217,8 +265,8 @@ def nd_verify(A: PointConfiguration | None, B, d: int | None = None) -> NdVerify
                         },
                     ),
                 )
-            rest = [pts[i] for i in range(len(pts)) if i not in idx]
-            dim_rest = affine_rank([lift(p, d - e) for p in rest]) - 1
+            rest = [rows[d - e][i] for i in range(n_b) if i not in idx]
+            dim_rest = rank(rest) - 1
             if size == cut - 1 and dim_rest != rest_target:
                 return NdVerifyResult(
                     False,
@@ -251,26 +299,29 @@ def nd_verify(A: PointConfiguration | None, B, d: int | None = None) -> NdVerify
 GUARD_NAME = "growth guard max(tau, mu) < C(d+2,2)"
 
 
-def _carrier_sample(c0: PlaneCurve, d: int):
-    return [as_point(p) for p in rational_points_on_curve(c0, 2 * d * d + 1)]
-
-
-def _active_pairs(B_pts, d: int, carrier_sample):
+def _active_pairs(R, b, d: int, sample, spans: dict):
     """I(B, C0): (e, D, region) triples where C0 is not inside the region.
 
-    With no carrier (C0 = the whole plane), every pair is active because a
-    region is covered by at most three curves.
+    B is the index tuple b into the rows R (R[k][i] is point i's degree-k
+    row) and D is given as positions in b.  `sample` holds the carrier
+    sample's rows in the same layout; with no carrier (C0 = the whole
+    plane, `sample` None), every pair is active because a region is covered
+    by at most three curves.  `spans` keeps each V_e across calls, keyed by
+    e and D's indices, since V_e depends on D only.
     """
-    B_pts = list(B_pts)
-    v_d_b = flat_span([lift(b, d) for b in B_pts], ambient_dim(d))
+    v_d_b = row_span(ambient_dim(d), [R[d][i] for i in b])
+    sample_size = 0 if sample is None else len(sample[d])
     out = []
     for e in range(1, d):
-        for size in range(len(B_pts) + 1):
-            for idx in combinations(range(len(B_pts)), size):
-                D = [B_pts[i] for i in idx]
-                region = ForbiddenRegion(nd_quantities(B_pts, D, e, d), v_d_b)
-                if carrier_sample is not None and all(
-                    region.contains_point(p) for p in carrier_sample
+        for size in range(len(b) + 1):
+            for idx in combinations(range(len(b)), size):
+                D = tuple(b[i] for i in idx)
+                v_e = spans.get((e, D))
+                if v_e is None:
+                    v_e = spans[e, D] = row_span(ambient_dim(e), [R[e][i] for i in D])
+                region = ForbiddenRegion(_quantities(R, b, v_e, e, d), v_d_b)
+                if sample is not None and all(
+                    region.contains(sample, k) for k in range(sample_size)
                 ):
                     continue
                 out.append((e, idx, region))
@@ -355,13 +406,14 @@ def grow_nd_chain(
             ({"step": 0, "reason": f"|A|={len(A)} below target {target}"},),
         )
 
+    R = _degree_rows(A, d)
     if c0 is None:
         if b0_indices:
             raise HypothesisViolation(
                 "empty seed without carrier", "B0 must be empty when C0 is absent"
             )
         pool = list(range(len(A)))
-        carrier_sample = None
+        sample = None
     else:
         f = d - c0.radical.degree
         if not 0 <= f <= d - 1:
@@ -373,10 +425,9 @@ def grow_nd_chain(
                 "|B0| = C(f+2,2)",
                 f"got {len(b0_indices)}, expected {comb(f + 2, 2)} at f={f}",
             )
-        b0_pts = A.subset(b0_indices)
-        if any(c0.contains(p) for p in b0_pts):
+        if any(c0.contains(p) for p in A.subset(b0_indices)):
             raise HypothesisViolation("B0 disjoint from carrier", "seed point on C0")
-        if f >= 1 and vanishing_dim(b0_pts, f) > 0:
+        if f >= 1 and rank([R[f][i] for i in b0_indices]) < comb(f + 2, 2):
             raise HypothesisViolation(
                 "B0 not contained in a curve of degree <= f",
                 f"seed lies on a degree-<= {f} curve",
@@ -386,7 +437,7 @@ def grow_nd_chain(
             for i in range(len(A))
             if i not in b0_indices and c0.contains(A.points[i])
         ]
-        carrier_sample = _carrier_sample(c0, d)
+        sample = _degree_rows(rational_points_on_curve(c0, 2 * d * d + 1), d)
 
     if order is not None:
         order = [int(i) for i in order]
@@ -399,7 +450,8 @@ def grow_nd_chain(
     chain = list(b0_indices)
     blocked = []
     guard_trace = []
-    pairs = _active_pairs(A.subset(chain), d, carrier_sample)
+    spans: dict = {}
+    pairs = _active_pairs(R, tuple(chain), d, sample, spans)
     guard_trace.append(_assert_guard(pairs, A.subset(chain), d, step=0))
     step = 0
     while len(chain) < target:
@@ -409,8 +461,7 @@ def grow_nd_chain(
         for i in ordered_pool:
             if i in chain:
                 continue
-            pt = A.points[i]
-            if any(region.contains_point(pt) for _, _, region in pairs):
+            if any(region.contains(R, i) for _, _, region in pairs):
                 rejected.append(i)
                 continue
             chosen = i
@@ -422,11 +473,11 @@ def grow_nd_chain(
             )
             return GrowthResult(False, None, tuple(chain), tuple(blocked), tuple(guard_trace))
         chain.append(chosen)
-        pairs = _active_pairs(A.subset(chain), d, carrier_sample)
+        pairs = _active_pairs(R, tuple(chain), d, sample, spans)
         guard_trace.append(_assert_guard(pairs, A.subset(chain), d, step=step))
 
     basis = BasisCandidate(A.subset(chain), d)
-    verdict = nd_verify(A, basis, d)
+    verdict = nd_verify(A, chain, d)
     if not verdict.ok:
         raise InvariantViolation(
             "grown chain fails the basis conditions",
@@ -447,10 +498,11 @@ def count_spanning_subsets(A: PointConfiguration, e: int) -> int:
             "A not contained in a degree-<=e curve", f"witness {witness}"
         )
     size = comb(e + 2, 2)
+    rows = A.homogeneous_lifts(e)
     count = sum(
         1
         for idx in combinations(range(len(A)), size)
-        if vanishing_dim(A.subset(idx), e) == 0
+        if rank([rows[i] for i in idx]) == size
     )
     if count * 2 ** (size - 1) < len(A):
         raise InvariantViolation(

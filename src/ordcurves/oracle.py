@@ -163,6 +163,10 @@ def _oracle_section_exists(points_in, points_out, e):
 def oracle_nd(A: PointConfiguration | None, B, d: int) -> bool:
     """Re-derivation of the four basis conditions from their statements."""
     if isinstance(B, (list, tuple)) and B and all(isinstance(i, int) for i in B):
+        if A is None:
+            raise HypothesisViolation(
+                "index basis needs a configuration", f"B = {list(B)} is an index list and A is None"
+            )
         pts = [A.points[i] for i in B]
     else:
         pts = [

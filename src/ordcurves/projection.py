@@ -12,27 +12,37 @@ of C outside D to a single image point, the forbidden set T.  Lines through
 exactly two surviving image points and no forbidden point pull back to
 spanned hyperplanes and hence to determined curves whose incidence with A
 is controlled by twice the maximal fiber size plus |D & A|.
+
+Points are indices into A, lifted as its cached integer rows Z^d * (1, lift)
+(`PointConfiguration.homogeneous_lifts`).  Flats are spanned by those rows,
+membership is integer dot products with a flat's normals, and the projector
+evaluates its forms, scaled to integers, on the rows: a positive multiple of
+(1, z) has the same image as z.  A pulled-back hyperplane is checked on the
+basis rows with its primitive integer vector, whose zero rows are the
+emitted curve's incidence with A, since the hyperplane's polynomial and the
+curve's radical vanish at the same points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
+from operator import mul
 
 from .bipoly import BivariatePolynomial, PlaneCurve
 from .determined import (
     CurveRecord,
     DeterminedCurveSet,
     PointConfiguration,
+    _zero_rows,
     contained_in_curve,
-    vanishing_space,
 )
 from .errors import HypothesisViolation, InvariantViolation
-from .linalg import AffineFlat, flat_from_equations, flat_span, rank, vec_dot
-from .ndfamilies import BasisCandidate, _resolve_basis_points, nd_verify
-from .veronese import HyperplaneForm, ambient_dim, lift, monomial_order, tau_inverse
+from .linalg import AffineFlat, flat_from_equations, kernel, primitive, rank, row_span, vec_dot
+from .ndfamilies import BasisCandidate, _basis_rows, nd_verify
+from .veronese import HyperplaneForm, ambient_dim, monomial_order, tau, tau_inverse
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -92,11 +102,14 @@ class HyperprojectionMap:
     `forms` are three independent affine functionals (c0, c) vanishing on
     the center; the image of z is [f0(z) : f1(z) : f2(z)].  Points sharing
     an image are exactly those spanning the same one-higher flat with the
-    center.
+    center.  `integer_forms` are the forms times one common positive
+    integer, as integer vectors (c0, c), so a homogeneous row of z maps to
+    the same image.
     """
 
     center: AffineFlat
     forms: tuple
+    integer_forms: tuple = field(compare=False)
 
     @staticmethod
     def from_flat(center: AffineFlat) -> "HyperprojectionMap":
@@ -113,13 +126,25 @@ class HyperprojectionMap:
                 "codimension-3 flat without exactly three equations",
                 {"dim": center.dim, "ambient": center.ambient_dim},
             )
-        return HyperprojectionMap(center, forms)
+        scale = lcm(*(x.denominator for c0, c in forms for x in (c0, *c)))
+        integer_forms = tuple(
+            tuple(int(x * scale) for x in (c0, *c)) for c0, c in forms
+        )
+        return HyperprojectionMap(center, forms, integer_forms)
 
     def evaluate_forms(self, z) -> tuple:
         return tuple(c0 + vec_dot(c, z) for c0, c in self.forms)
 
     def project(self, z) -> ProjectivePoint:
-        w = self.evaluate_forms(z)
+        """Image of a point z of lift space, or of its homogeneous row.
+
+        A row (one entry longer than z) is any positive multiple of (1, z),
+        such as an `integer_lift` row; it maps to the same projective point.
+        """
+        if len(z) == self.center.ambient_dim + 1:
+            w = tuple(sum(map(mul, f, z)) for f in self.integer_forms)
+        else:
+            w = self.evaluate_forms(z)
         if all(x == 0 for x in w):
             raise HypothesisViolation(
                 "point off the projection center", "z lies on the center flat"
@@ -168,10 +193,12 @@ def exceptional_catalog(A: PointConfiguration | None, B, d: int):
 
     For a verified basis the section flat of such a curve is a hyperplane
     in degree-e lift space, so candidates are the sections whose vanishing
-    space is one-dimensional and realized exactly.
+    space is one-dimensional and realized exactly: the primitive vector
+    spanning it vanishes on no other row of B.  A curve's section is its
+    whole incidence with B, so each section gives a different curve.
     """
-    pts = _resolve_basis_points(A, B)
-    verdict = nd_verify(A, pts, d)
+    basis, indices, rows = _basis_rows(A, B, d)
+    verdict = nd_verify(A, basis if indices is None else indices, d)
     if not verdict.ok:
         raise HypothesisViolation(
             "B satisfies the basis conditions", str(verdict.failures)
@@ -179,26 +206,17 @@ def exceptional_catalog(A: PointConfiguration | None, B, d: int):
     catalog = []
     for e in range(1, d):
         section_size = comb(d + 2, 2) - comb(d - e + 2, 2) - 1
-        seen = set()
         found = []
-        for idx in combinations(range(len(pts)), section_size):
-            section = [pts[i] for i in idx]
-            basis_vecs = vanishing_space(section, e)
-            if len(basis_vecs) != 1:
+        for idx in combinations(range(len(basis.points)), section_size):
+            basis_vecs = kernel([rows[e][i] for i in idx], comb(e + 2, 2))
+            if len(basis_vecs) != 1 or _zero_rows(basis_vecs[0], rows[e]) != frozenset(idx):
                 continue
-            form = HyperplaneForm.from_vector(e, basis_vecs[0])
-            curve = tau_inverse(form)
-            incidence = frozenset(i for i, b in enumerate(pts) if curve.contains(b))
-            if incidence != frozenset(idx):
-                continue
+            curve = tau_inverse(HyperplaneForm.from_vector(e, basis_vecs[0]))
             if curve.representative.degree != e:
                 raise InvariantViolation(
                     "exceptional curve with unexpected degree",
                     {"e": e, "curve": curve.representative.text()},
                 )
-            if curve in seen:
-                continue
-            seen.add(curve)
             found.append((e, curve))
         if len(found) >= 2 ** (2 ** (d + 2)):
             raise InvariantViolation(
@@ -232,20 +250,16 @@ class ProjectionPipelineState:
 def build_pipeline(A: PointConfiguration, B, d: int | None = None) -> ProjectionPipelineState:
     """Classify A relative to the basis B and project the surviving points."""
     d = A.d if d is None else d
-    pts = _resolve_basis_points(A, B)
-    basis = BasisCandidate(pts, d)
+    basis, b, basis_rows = _basis_rows(A, B, d)
     contained, witness = contained_in_curve(A, d)
     if contained:
         raise HypothesisViolation(
             "configuration not contained in a degree-<=d curve", f"witness {witness}"
         )
-    verdict = nd_verify(A, basis, d)
-    if not verdict.ok:
-        raise HypothesisViolation(
-            "B satisfies the basis conditions", str(verdict.failures)
-        )
+    # the catalog verifies B first, so the basis conditions are checked once
+    catalog = exceptional_catalog(A, b, d)
     n_amb = ambient_dim(d)
-    center = flat_span([lift(p, d) for p in pts], n_amb)
+    center = row_span(n_amb, basis_rows[d])
     if center.dim != n_amb - 3:
         raise InvariantViolation(
             "basis span is not codimension 3",
@@ -253,16 +267,15 @@ def build_pipeline(A: PointConfiguration, B, d: int | None = None) -> Projection
         )
     projector = HyperprojectionMap.from_flat(center)
 
-    lifts = A.lifts(d)
-    d_indices = tuple(i for i in range(len(A)) if center.contains(lifts[i]))
-    if any(A.points.index(p) not in d_indices for p in pts if p in A.points):
+    rows = A.homogeneous_lifts(d)
+    d_indices = tuple(i for i in range(len(A)) if center.contains_row(rows[i]))
+    if any(i not in d_indices for i in b):
         raise InvariantViolation("basis point escaped its own span", {})
 
-    catalog = exceptional_catalog(A, basis, d)
     t_points = []
     exceptional = set(d_indices)
     for e, curve in catalog:
-        joined = curve_lift_flat(curve, d).extended([lift(p, d) for p in pts])
+        joined = row_span(n_amb, curve_lift_flat(curve, d).rows + center.rows)
         if joined.dim != n_amb - 2:
             raise InvariantViolation(
                 "exceptional span is not one above the center",
@@ -270,8 +283,7 @@ def build_pipeline(A: PointConfiguration, B, d: int | None = None) -> Projection
             )
         # the forms have rank 1 on the joined span, so every point of the
         # joined flat off the center projects to the same image point
-        probes = (tuple(Fraction(x, row[0]) for x in row[1:]) for row in joined.rows)
-        probe = next((z for z in probes if not center.contains(z)), None)
+        probe = next((row for row in joined.rows if not center.contains_row(row)), None)
         if probe is None:
             raise InvariantViolation(
                 "exceptional flat equals the center", {"curve": curve.representative.text()}
@@ -280,11 +292,11 @@ def build_pipeline(A: PointConfiguration, B, d: int | None = None) -> Projection
         members = [
             i
             for i in range(len(A))
-            if i not in d_indices and joined.contains(lifts[i])
+            if i not in d_indices and joined.contains_row(rows[i])
         ]
         for i in members:
             exceptional.add(i)
-            if projector.project(lifts[i]) != image:
+            if projector.project(rows[i]) != image:
                 raise InvariantViolation(
                     "exceptional curve image is not a single point",
                     {
@@ -292,9 +304,9 @@ def build_pipeline(A: PointConfiguration, B, d: int | None = None) -> Projection
                         "point": [str(A.points[i][0]), str(A.points[i][1])],
                     },
                 )
-        on_curve = [i for i in range(len(A)) if curve.contains(A.points[i])]
-        for i in on_curve:
-            if i not in d_indices and i not in exceptional:
+        equation = primitive(tau(curve.radical, e).augmented())
+        for i in _zero_rows(equation, A.homogeneous_lifts(e)):
+            if i not in exceptional:
                 raise InvariantViolation(
                     "curve point missing from the exceptional set",
                     {"curve": curve.representative.text(), "index": i},
@@ -307,7 +319,7 @@ def build_pipeline(A: PointConfiguration, B, d: int | None = None) -> Projection
     for i in range(len(A)):
         if i in exceptional:
             continue
-        image = projector.project(lifts[i])
+        image = projector.project(rows[i])
         fibers.setdefault(image, []).append(i)
     s_points = tuple(sorted(fibers, key=ProjectivePoint.sort_key))
     delta = max((len(v) for v in fibers.values()), default=0)
@@ -409,41 +421,43 @@ def curves_from_basis(A: PointConfiguration, B, d: int | None = None,
 
     lines = two_point_lines(state.s_points, state.t_points)
     forms = []
-    by_curve: dict[PlaneCurve, list[HyperplaneForm]] = {}
+    by_curve: dict[PlaneCurve, tuple[frozenset, list[HyperplaneForm]]] = {}
     filtered = 0
-    b_indices = frozenset(A.points.index(p) for p in state.basis.points)
+    rows = A.homogeneous_lifts(d)
+    basis_rows = state.center.rows  # the center is spanned by the basis rows
     for line in lines:
         hyperplane = state.projector.pull_back_line(line, d)
         forms.append(hyperplane)
-        for p in state.basis.points:
-            if not hyperplane.contains_point(p):
-                raise InvariantViolation(
-                    "pulled-back hyperplane misses the basis",
-                    {"line": [str(c) for c in line.coeffs]},
-                )
-        curve = tau_inverse(hyperplane)
-        incidence = A.incidence_of(curve)
-        if not b_indices <= incidence:
+        vec = primitive(hyperplane.augmented())
+        if any(sum(map(mul, vec, row)) for row in basis_rows):
             raise InvariantViolation(
-                "emitted curve does not contain the basis",
-                {"curve": curve.representative.text()},
+                "pulled-back hyperplane misses the basis",
+                {"line": [str(c) for c in line.coeffs]},
             )
+        curve = tau_inverse(hyperplane)
+        if curve in by_curve:
+            by_curve[curve][1].append(hyperplane)
+            continue
+        # the hyperplane's polynomial and the curve's radical have the same
+        # zero set, so its zero rows are the curve's incidence with A
+        incidence = _zero_rows(vec, rows)
         if len(incidence) > state.n:
             filtered += 1
             continue
-        by_curve.setdefault(curve, []).append(hyperplane)
+        by_curve[curve] = (incidence, [hyperplane])
     if len({f.sort_key() for f in forms}) != len(lines):
         raise InvariantViolation(
             "line pullback is not injective", {"lines": len(lines)}
         )
     records = []
     for curve in sorted(by_curve, key=PlaneCurve.sort_key):
-        hps = tuple(sorted(by_curve[curve], key=HyperplaneForm.sort_key))
+        incidence, hps = by_curve[curve]
+        hps = tuple(sorted(hps, key=HyperplaneForm.sort_key))
         if len(hps) > d**d:
             raise InvariantViolation(
                 "per-curve hyperplane fan-in exceeds d^d",
                 {"curve": curve.representative.text(), "fan_in": len(hps)},
             )
-        records.append(CurveRecord(curve, A.incidence_of(curve), hps))
+        records.append(CurveRecord(curve, incidence, hps))
     trace.update({"emitted": len(records), "lines": len(lines), "filtered": filtered})
     return DeterminedCurveSet(d, state.n, tuple(records)), state

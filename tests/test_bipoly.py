@@ -109,6 +109,43 @@ def test_gcd_divides_both(p, q, common):
         assert divides(common.canonical(), g)
 
 
+GCD_FACTORS = [
+    "x - 2*y + 3", "2*y - 1", "3*x + 1",  # lines
+    "x^2 + y^2 - 1", "y - x^2 + 2*x", "x*y - 1",  # conics
+    "y - x^3 + x", "y^2 - x^3 - x", "x^3 + y^3 - 3*x*y",  # cubics
+]
+
+
+def _sympy_poly(sympy, p):
+    x, y = sympy.symbols("x y")
+    return sum(sympy.Rational(c.numerator, c.denominator) * x**n * y**m for (n, m), c in p.terms)
+
+
+def test_gcd_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    factors = [parse_poly(text) for text in GCD_FACTORS]
+    rng = random.Random(5)
+    for _ in range(30):
+        picked = rng.sample(factors, rng.randint(1, 4))
+        cut = rng.randint(0, len(picked))
+        shared, own = picked[:cut], picked[cut:]
+        p, q = parse_poly("3/2"), parse_poly("-5")
+        for f in shared:
+            p, q = p * f.pow(rng.randint(1, 2)), q * f
+        for f in own:
+            if rng.random() < 0.5:
+                p = p * f
+            else:
+                q = q * f
+        ours = poly_gcd(p, q).canonical()
+        part = sympy.Poly(sympy.gcd(_sympy_poly(sympy, p), _sympy_poly(sympy, q)), x, y)
+        theirs = BivariatePolynomial.from_dict(
+            {mon: Fraction(int(c.p), int(c.q)) for mon, c in part.terms()}
+        ).canonical()
+        assert ours == theirs, (p.text(), q.text())
+
+
 def test_radical_examples():
     assert squarefree_radical(parse_poly("x^2 + 2*x*y + y^2")).terms == parse_poly("x + y").terms
     assert squarefree_radical(parse_poly("x^2*y")).terms == parse_poly("x*y").terms

@@ -6,7 +6,10 @@ from math import comb
 
 import pytest
 
+import ordcurves.ndfamilies
 import ordcurves.oracle
+import ordcurves.projection
+from ordcurves.constructions import sample_configuration
 from ordcurves.determined import PointConfiguration, enumerate_determined, max_curve_richness
 from ordcurves.errors import HypothesisViolation
 from ordcurves.ndfamilies import nd_verify
@@ -17,6 +20,7 @@ from ordcurves.oracle import (
     oracle_max_richness,
     oracle_nd,
 )
+from ordcurves.projection import exceptional_catalog
 
 SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
 OCTET = [(0, 0), (1, 0), (0, 1), (3, 5), (2, 7), (5, 1), (1, 4), (6, 2)]
@@ -122,18 +126,88 @@ def test_max_richness_matches_oracle(e, kind, on_curve, free):
     assert witness == tuple(sorted(witness))
 
 
+def _cubic_with_line(seed):
+    """(-1, 0), (0, 0), (1, 0), collinear on y = x^3 - x, and four more
+    points of that cubic with x of height up to 1000."""
+    rng = random.Random(seed)
+    pts = {(-1, 0), (0, 0), (1, 0)}
+    while len(pts) < 7:
+        x = _rational(rng, 1000)
+        pts.add((x, x**3 - x))
+    return sorted(pts)
+
+
+# Bases of 7 points at d=3 (cut C(5,2)-C(5-e,2) = 4 at e=1 and 7 at e=2):
+# 5 collinear points fail condition i, 4 collinear points condition ii, 7
+# points on one conic condition ii at e=2; 3 collinear points and 6 points
+# on a conic sit one below the cut and pass condition iii
+ND_D3_CASES = [
+    ("line-5", lambda: _richness_set(40, "line", 5, 2), False),
+    ("line-4", lambda: _richness_set(41, "line", 4, 3), False),
+    ("line-3", lambda: _richness_set(42, "line", 3, 4), True),
+    ("conic-7", lambda: _richness_set(43, "conic", 7, 0), False),
+    ("conic-6", lambda: _richness_set(44, "conic", 6, 1), True),
+    ("cubic-7", lambda: _richness_set(45, "cubic", 7, 0), True),
+    ("cubic-line-3", lambda: _cubic_with_line(46), True),
+    ("random-general-1", lambda: sample_configuration(
+        "random_general", seed=1, count=7, d=3).config.points, True),
+    ("random-general-2", lambda: sample_configuration(
+        "random_general", seed=2, count=7, d=3).config.points, True),
+]
+
+
+@pytest.mark.parametrize(
+    "build, expected", [case[1:] for case in ND_D3_CASES], ids=[case[0] for case in ND_D3_CASES]
+)
+def test_nd_verify_matches_oracle_d3(build, expected):
+    pts = build()
+    A = PointConfiguration.from_points(pts, 3)
+    basis = list(range(7))
+    assert oracle_nd(A, basis, 3) == expected
+    assert nd_verify(A, basis, 3).ok == expected
+    # a point list without a configuration is lifted by the verifier itself
+    assert nd_verify(None, pts, 3).ok == expected
+
+
+def test_index_basis_needs_configuration_and_range():
+    for check in (nd_verify, oracle_nd):
+        with pytest.raises(HypothesisViolation, match="index basis needs a configuration"):
+            check(None, [0, 1, 2], 2)
+    with pytest.raises(HypothesisViolation, match="index basis needs a configuration"):
+        exceptional_catalog(None, [0, 1, 2, 3, 4, 5, 6], 3)
+    # an index outside [0, |A|) names no point; -1 must not wrap round
+    A = PointConfiguration.from_points(OCTET, 2)
+    for bad in ([0, 1, 8], [0, 1, -1]):
+        with pytest.raises(HypothesisViolation, match="basis index in range"):
+            nd_verify(A, bad, 2)
+
+
+def _imported_names(module) -> set[str]:
+    """Modules (last dotted part) and names a package module imports."""
+    tree = ast.parse(open(module.__file__, encoding="utf-8").read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rpartition(".")[2])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rpartition(".")[2] for alias in node.names)
+    return imported
+
+
 def test_oracle_imports_no_fast_path_module():
     # the oracles re-derive results from the definitions; the fast path's
     # linear algebra, lifts, basis verifier and projection stay out of reach
     fast_path = {"linalg", "veronese", "ndfamilies", "projection"}
-    tree = ast.parse(open(ordcurves.oracle.__file__, encoding="utf-8").read())
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            imported.add(module.rpartition(".")[2])
-            if module in ("", "ordcurves"):
-                imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Import):
-            imported.update(alias.name.rpartition(".")[2] for alias in node.names)
+    imported = _imported_names(ordcurves.oracle)
     assert not imported & fast_path, sorted(imported & fast_path)
+
+
+@pytest.mark.parametrize("module", [ordcurves.ndfamilies, ordcurves.projection],
+                         ids=["ndfamilies", "projection"])
+def test_row_layers_import_no_fraction_lift(module):
+    # the verifier, the grower and the projection take points as integer
+    # rows (integer_lift, homogeneous_lifts) and span flats from those rows
+    fraction_path = {"lift", "flat_span"}
+    imported = _imported_names(module)
+    assert not imported & fraction_path, sorted(imported & fraction_path)
