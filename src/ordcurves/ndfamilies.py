@@ -146,15 +146,13 @@ def forbidden_region_membership(B, D, e: int, d: int, pt) -> bool:
     return region.contains(_degree_rows([pt], d), 0)
 
 
-def realizable_sections(B, e: int, rows=None):
+def realizable_sections(rows, e: int):
     """Subsets S of B occurring as C & B for a curve C of degree exactly e.
 
-    Yields index tuples into B in decreasing size; the decision is the
-    vanishing-space drop test described in the module docstring.  `rows`
-    are B's degree-e integer rows when the caller holds them already.
+    `rows` are B's degree-e integer rows (`integer_lift`).  Yields index
+    tuples into B in decreasing size; the decision is the vanishing-space
+    drop test described in the module docstring.
     """
-    if rows is None:
-        rows = [integer_lift(b, e) for b in B]
     monomials = comb(e + 2, 2)
     dims: dict[frozenset, int] = {}
 
@@ -250,7 +248,7 @@ def nd_verify(A: PointConfiguration | None, B, d: int | None = None) -> NdVerify
     for e in range(1, d):
         cut = comb(d + 2, 2) - comb(d - e + 2, 2)
         rest_target = comb(d - e + 2, 2) - 3
-        for idx in realizable_sections(basis.points, e, rows=rows[e]):
+        for idx in realizable_sections(rows[e], e):
             size = len(idx)
             if size >= cut:
                 return NdVerifyResult(

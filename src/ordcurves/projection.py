@@ -25,8 +25,9 @@ curve's radical vanish at the same points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb, lcm
 from operator import mul
@@ -40,7 +41,16 @@ from .determined import (
     contained_in_curve,
 )
 from .errors import HypothesisViolation, InvariantViolation
-from .linalg import AffineFlat, flat_from_equations, kernel, primitive, rank, row_span, vec_dot
+from .linalg import (
+    AffineFlat,
+    _integer_row,
+    flat_from_equations,
+    kernel,
+    primitive,
+    rank,
+    row_span,
+    vec_dot,
+)
 from .ndfamilies import BasisCandidate, _basis_rows, nd_verify
 from .veronese import HyperplaneForm, ambient_dim, monomial_order, tau, tau_inverse
 
@@ -102,14 +112,11 @@ class HyperprojectionMap:
     `forms` are three independent affine functionals (c0, c) vanishing on
     the center; the image of z is [f0(z) : f1(z) : f2(z)].  Points sharing
     an image are exactly those spanning the same one-higher flat with the
-    center.  `integer_forms` are the forms times one common positive
-    integer, as integer vectors (c0, c), so a homogeneous row of z maps to
-    the same image.
+    center.
     """
 
     center: AffineFlat
     forms: tuple
-    integer_forms: tuple = field(compare=False)
 
     @staticmethod
     def from_flat(center: AffineFlat) -> "HyperprojectionMap":
@@ -126,25 +133,22 @@ class HyperprojectionMap:
                 "codimension-3 flat without exactly three equations",
                 {"dim": center.dim, "ambient": center.ambient_dim},
             )
-        scale = lcm(*(x.denominator for c0, c in forms for x in (c0, *c)))
-        integer_forms = tuple(
-            tuple(int(x * scale) for x in (c0, *c)) for c0, c in forms
-        )
-        return HyperprojectionMap(center, forms, integer_forms)
+        return HyperprojectionMap(center, forms)
 
-    def evaluate_forms(self, z) -> tuple:
-        return tuple(c0 + vec_dot(c, z) for c0, c in self.forms)
+    @cached_property
+    def integer_forms(self) -> tuple:
+        """The forms times one common positive integer, as vectors (c0, c)."""
+        scale = lcm(*(x.denominator for c0, c in self.forms for x in (c0, *c)))
+        return tuple(tuple(int(x * scale) for x in (c0, *c)) for c0, c in self.forms)
 
     def project(self, z) -> ProjectivePoint:
-        """Image of a point z of lift space, or of its homogeneous row.
+        """Image of a point z of lift space."""
+        return self.project_row(_integer_row((1, *z)))
 
-        A row (one entry longer than z) is any positive multiple of (1, z),
-        such as an `integer_lift` row; it maps to the same projective point.
-        """
-        if len(z) == self.center.ambient_dim + 1:
-            w = tuple(sum(map(mul, f, z)) for f in self.integer_forms)
-        else:
-            w = self.evaluate_forms(z)
+    def project_row(self, row) -> ProjectivePoint:
+        """Image of a homogeneous row: any nonzero multiple of (1, z), such
+        as an `integer_lift` row, has the image of z."""
+        w = tuple(sum(map(mul, f, row)) for f in self.integer_forms)
         if all(x == 0 for x in w):
             raise HypothesisViolation(
                 "point off the projection center", "z lies on the center flat"
@@ -288,7 +292,7 @@ def build_pipeline(A: PointConfiguration, B, d: int | None = None) -> Projection
             raise InvariantViolation(
                 "exceptional flat equals the center", {"curve": curve.representative.text()}
             )
-        image = projector.project(probe)
+        image = projector.project_row(probe)
         members = [
             i
             for i in range(len(A))
@@ -296,7 +300,7 @@ def build_pipeline(A: PointConfiguration, B, d: int | None = None) -> Projection
         ]
         for i in members:
             exceptional.add(i)
-            if projector.project(rows[i]) != image:
+            if projector.project_row(rows[i]) != image:
                 raise InvariantViolation(
                     "exceptional curve image is not a single point",
                     {
@@ -319,7 +323,7 @@ def build_pipeline(A: PointConfiguration, B, d: int | None = None) -> Projection
     for i in range(len(A)):
         if i in exceptional:
             continue
-        image = projector.project(rows[i])
+        image = projector.project_row(rows[i])
         fibers.setdefault(image, []).append(i)
     s_points = tuple(sorted(fibers, key=ProjectivePoint.sort_key))
     delta = max((len(v) for v in fibers.values()), default=0)

@@ -17,7 +17,7 @@ from ordcurves.ndfamilies import (
     nd_verify,
     realizable_sections,
 )
-from ordcurves.veronese import lift
+from ordcurves.veronese import integer_lift, lift
 
 OCTET = [(0, 0), (1, 0), (0, 1), (3, 5), (2, 7), (5, 1), (1, 4), (6, 2)]
 TRIPLE = [(0, 0), (1, 0), (0, 1)]
@@ -117,7 +117,8 @@ def test_forbidden_region_point_outside():
 
 
 def test_realizable_sections_triple():
-    sections = {frozenset(s) for s in realizable_sections(TRIPLE, 1)}
+    rows = [integer_lift(p, 1) for p in TRIPLE]
+    sections = {frozenset(s) for s in realizable_sections(rows, 1)}
     # the whole triple is not a line section; everything smaller is
     assert frozenset({0, 1, 2}) not in sections
     for size in (0, 1, 2):
@@ -127,7 +128,8 @@ def test_realizable_sections_triple():
 
 def test_realizable_sections_collinear():
     pts = [(0, 0), (1, 0), (2, 0)]
-    sections = {frozenset(s) for s in realizable_sections(pts, 1)}
+    rows = [integer_lift(p, 1) for p in pts]
+    sections = {frozenset(s) for s in realizable_sections(rows, 1)}
     assert frozenset({0, 1, 2}) in sections
     assert frozenset({0, 1}) not in sections  # any line through two hits the third
 

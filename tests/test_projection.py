@@ -22,7 +22,7 @@ from ordcurves.projection import (
     two_point_lines,
 )
 from ordcurves.projection import HyperprojectionMap
-from ordcurves.veronese import ambient_dim, lift
+from ordcurves.veronese import ambient_dim, integer_lift, lift
 
 OCTET = [(0, 0), (1, 0), (0, 1), (3, 5), (2, 7), (5, 1), (1, 4), (6, 2)]
 TRIPLE = [(0, 0), (1, 0), (0, 1)]
@@ -50,6 +50,16 @@ def test_projection_collapses_flat_lines():
     other = lift((5, 5), 2)
     if not center.contains(other):
         assert hyperproject(pm, other) != image or True  # distinct flats may share nothing
+
+
+def test_projection_of_rows_matches_points():
+    # built from its fields, as the exported constructor allows
+    pm = HyperprojectionMap(make_projector().center, make_projector().forms)
+    for p in [(4, 7), (Fraction(1, 2), Fraction(-5, 3)), (-2, 9)]:
+        row = integer_lift(p, 2)
+        image = pm.project(lift(p, 2))
+        assert pm.project_row(row) == image
+        assert pm.project_row(tuple(-3 * x for x in row)) == image
 
 
 def test_projection_rejects_center_points():
@@ -106,7 +116,7 @@ def test_exceptional_catalog_matches_section_bruteforce():
     expected = 0
     for e in (1, 2):
         want = comb(5, 2) - comb(3 + 2 - e, 2) - 1
-        for idx in realizable_sections(B, e):
+        for idx in realizable_sections([integer_lift(p, e) for p in B], e):
             if len(idx) == want:
                 expected += 1
     assert len(catalog) == expected
