@@ -45,11 +45,19 @@ def load_config(path: str, d_override=None) -> PointConfiguration:
         raise InputFormatError(
             f"invalid JSON in {path}: {exc.msg}", line=exc.lineno, column=exc.colno
         ) from exc
-    if not isinstance(data, dict) or "points" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("points"), list):
         raise InputFormatError(f"{path}: expected an object with a 'points' array")
     d = d_override if d_override is not None else data.get("d")
     if d is None:
         raise InputFormatError(f"{path}: missing degree 'd'")
+    # a JSON integer or an integer string; true and false load as bool, an int subclass
+    if isinstance(d, str):
+        try:
+            d = int(d)
+        except ValueError:
+            raise InputFormatError(f"{path}: degree 'd' is not an integer: {d!r}") from None
+    elif isinstance(d, bool) or not isinstance(d, int):
+        raise InputFormatError(f"{path}: degree 'd' is not an integer: {d!r}")
     points = []
     for k, entry in enumerate(data["points"]):
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
@@ -70,7 +78,7 @@ def load_config(path: str, d_override=None) -> PointConfiguration:
     if len(set(points)) != len(points):
         raise InputFormatError(f"{path}: duplicate points rejected")
     try:
-        return PointConfiguration.from_points(points, int(d))
+        return PointConfiguration.from_points(points, d)
     except HypothesisViolation as exc:
         raise InputFormatError(f"{path}: {exc}") from exc
 

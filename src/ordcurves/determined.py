@@ -8,10 +8,12 @@ for affinely independent lifts, deduplicating the resulting hyperplanes,
 and pulling each back to a polynomial.
 
 The scan works on each point's integer row Z^d * (1, lift) (`integer_lift`):
-a subset's hyperplane is the primitive integer kernel of its rows, and dedup
-is on those integer vectors.  A curve's incidence is recomputed at every
-point of A as the integer dot product of one of its primitive vectors with
-the point's row.  The vector's polynomial and the curve's radical have the
+a subset's hyperplane is the primitive integer kernel of its rows, and that
+vector is the hyperplane's only representation: dedup is on the vectors,
+they are grouped by the curve of their polynomial (`vector_to_curve`), and a
+`CurveRecord` holds them.  A curve's incidence is recomputed at every point
+of A as the integer dot product of one of its primitive vectors with the
+point's row.  The vector's polynomial and the curve's radical have the
 same zero set, so this is an exact evaluation at each point, never inferred
 from which subsets spanned the hyperplane, and coincident lifts cannot be
 double counted.
@@ -24,8 +26,7 @@ all subsets of A is needed.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
@@ -34,9 +35,9 @@ from operator import mul
 
 from .bipoly import PlaneCurve
 from .errors import HypothesisViolation, InvariantViolation
-from .linalg import nullspace, primitive_kernel, rank
+from .linalg import kernel, normalized, primitive_kernel, rank
 from .parallel import pmap
-from .veronese import HyperplaneForm, Point, as_point, integer_lift, tau_inverse
+from .veronese import Point, as_point, integer_lift, vector_to_curve
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,8 @@ class PointConfiguration:
 
     points: tuple[Point, ...]
     d: int
+    # degree -> rows; per instance, so a configuration is freed with its rows
+    _rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @staticmethod
     def from_points(points, d: int) -> "PointConfiguration":
@@ -60,10 +63,13 @@ class PointConfiguration:
     def __len__(self):
         return len(self.points)
 
-    @functools.lru_cache(maxsize=None)
     def homogeneous_lifts(self, e: int) -> tuple:
-        """Integer rows Z^e * (1, lift) of the points (see `integer_lift`)."""
-        return tuple(integer_lift(p, e) for p in self.points)
+        """Integer rows Z^e * (1, lift) of the points (see `integer_lift`),
+        built once per degree."""
+        rows = self._rows.get(e)
+        if rows is None:
+            rows = self._rows[e] = tuple(integer_lift(p, e) for p in self.points)
+        return rows
 
     def subset(self, indices) -> tuple[Point, ...]:
         return tuple(self.points[i] for i in indices)
@@ -77,12 +83,6 @@ def vanishing_dim(points, e: int) -> int:
     return comb(e + 2, 2) - rank([integer_lift(p, e) for p in points])
 
 
-def vanishing_space(points, e: int):
-    """Canonical basis of coefficient vectors (const, monomials) vanishing on points."""
-    rows = [integer_lift(p, e) for p in points]
-    return nullspace(rows, n_cols=comb(e + 2, 2))
-
-
 def contained_in_curve(config: PointConfiguration, e: int):
     """Whether some curve of degree <= e contains every point; with witness.
 
@@ -90,18 +90,19 @@ def contained_in_curve(config: PointConfiguration, e: int):
     """
     if e < 1:
         raise HypothesisViolation("e >= 1", f"e={e}")
-    basis = vanishing_space(config.points, e)
+    basis = kernel(config.homogeneous_lifts(e), comb(e + 2, 2))
     if not basis:
         return False, None
-    vec = basis[0]
-    return True, tau_inverse(HyperplaneForm.from_vector(e, vec))
+    return True, vector_to_curve(basis[0], e)
 
 
 @dataclass(frozen=True)
 class CurveRecord:
+    """A curve, its incidence with A and the primitive vectors of its hyperplanes."""
+
     curve: PlaneCurve
     incidence: frozenset[int]
-    hyperplanes: tuple[HyperplaneForm, ...]
+    hyperplanes: tuple[tuple[int, ...], ...]
 
     def to_json_obj(self):
         return {
@@ -153,16 +154,15 @@ def richest(sections) -> tuple[int, tuple[int, ...]]:
 
 
 def spanned_hyperplanes(config: PointConfiguration, workers: int = 1):
-    """Normalized hyperplanes spanned by lifted subsets of the configuration.
+    """Primitive vectors of the hyperplanes spanned by lifted subsets.
 
     Every spanned hyperplane contains N = C(d+2,2)-1 affinely independent
     lifted points, so scanning N-subsets with full affine rank is complete.
-    Returns (form, primitive integer vector) pairs sorted by form.
+    The distinct vectors come sorted by their `normalized` form.
     """
     d = config.d
     vectors = _kernel_vectors(config.homogeneous_lifts(d), comb(d + 2, 2) - 1, workers)
-    pairs = [(HyperplaneForm.from_vector(d, v), v) for v in vectors]
-    return sorted(pairs, key=lambda pair: pair[0].sort_key())
+    return sorted(vectors, key=normalized)
 
 
 def enumerate_determined(config: PointConfiguration, workers: int = 1) -> DeterminedCurveSet:
@@ -179,26 +179,25 @@ def enumerate_determined(config: PointConfiguration, workers: int = 1) -> Determ
             f"witness curve {witness}",
         )
     hom = config.homogeneous_lifts(d)
-    # the pairs come sorted, so each curve's list is sorted and the dict keeps
+    # the vectors come sorted, so each curve's list is sorted and the dict keeps
     # the output order: lexicographic on each curve's smallest normalized form
     by_curve: dict[PlaneCurve, list] = {}
-    for form, vec in spanned_hyperplanes(config, workers=workers):
-        by_curve.setdefault(tau_inverse(form), []).append((form, vec))
+    for vec in spanned_hyperplanes(config, workers=workers):
+        by_curve.setdefault(vector_to_curve(vec, d), []).append(vec)
     records = []
-    for curve, pairs in by_curve.items():
-        forms = tuple(form for form, _ in pairs)
-        if len(forms) > d**d:
+    for curve, vectors in by_curve.items():
+        if len(vectors) > d**d:
             raise InvariantViolation(
                 "per-curve hyperplane fan-in exceeds d^d",
-                {"d": d, "curve": curve.representative.text(), "fan_in": len(forms)},
+                {"d": d, "curve": curve.representative.text(), "fan_in": len(vectors)},
             )
-        incidence = _zero_rows(pairs[0][1], hom)
+        incidence = _zero_rows(vectors[0], hom)
         if len(incidence) < comb(d + 2, 2) - 1:
             raise InvariantViolation(
                 "determined curve with fewer than C(d+2,2)-1 incidences",
                 {"d": d, "curve": curve.representative.text(), "incidence": sorted(incidence)},
             )
-        records.append(CurveRecord(curve, incidence, forms))
+        records.append(CurveRecord(curve, incidence, tuple(vectors)))
     return DeterminedCurveSet(d, None, tuple(records))
 
 

@@ -7,7 +7,8 @@ primitive kernel vector of a k x (k+1) matrix (`primitive_kernel`, the
 determined-curve scan's hot path) and the primitive kernel basis of any
 matrix (`kernel`).  Rational rows are scaled by the lcm of their
 denominators first, which keeps the row space.  `nullspace` is the Fraction
-view of `kernel`.
+view of `kernel`, through `normalized`, the package's one first-nonzero-is-1
+scaling.
 
 An affine flat of Q^n is held as integer homogeneous data: spanning rows,
 each a positive multiple of (1, z) for a point z of the flat, and their
@@ -150,20 +151,24 @@ def primitive_kernel(rows) -> tuple[int, ...] | None:
 def nullspace(rows, n_cols=None) -> list[Vector]:
     """Canonical Fraction basis of the right nullspace.
 
-    The vectors of `kernel`, each divided by its first nonzero entry.
-    `n_cols` is only needed for a matrix with no rows (whose nullspace is
-    all of Q^n_cols).
+    The vectors of `kernel`, each `normalized`.  `n_cols` is only needed for
+    a matrix with no rows (whose nullspace is all of Q^n_cols).
     """
     rows = list(rows)
     if rows:
         n_cols = len(rows[0])
     elif n_cols is None:
         raise ValueError("column count required for an empty matrix")
-    out = []
-    for v in kernel(rows, n_cols):
-        first = next(x for x in v if x)
-        out.append(tuple(Fraction(x, first) for x in v))
-    return out
+    return [normalized(v) for v in kernel(rows, n_cols)]
+
+
+def normalized(vec) -> Vector:
+    """A nonzero rational vector divided by its first nonzero entry."""
+    vec = [Fraction(x) for x in vec]
+    first = next((x for x in vec if x), None)
+    if first is None:
+        raise ValueError("the zero vector has no first nonzero entry")
+    return tuple(x / first for x in vec)
 
 
 def vec_dot(a: Vector, b: Vector) -> Fraction:
@@ -215,15 +220,16 @@ class AffineFlat:
         """Basis of affine functionals (c0, c) with c0 + c.z = 0 on the flat.
 
         One per normal, scaled so the first nonzero entry of c is 1; a
-        normal's c is never zero on a nonempty flat.  Only defined for
-        nonempty flats; returns ambient_dim - dim functionals.
+        normal's c is never zero on a nonempty flat, so that entry is also
+        the first nonzero one of (c, c0).  Only defined for nonempty flats;
+        returns ambient_dim - dim functionals.
         """
         if self.is_empty:
             raise ValueError("empty flat has no canonical equation system")
         out = []
         for c0, *c in self.normals:
-            first = next(x for x in c if x)
-            out.append((Fraction(c0, first), tuple(Fraction(x, first) for x in c)))
+            *c, c0 = normalized((*c, c0))
+            out.append((c0, tuple(c)))
         return out
 
 

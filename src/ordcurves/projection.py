@@ -17,10 +17,13 @@ Points are indices into A, lifted as its cached integer rows Z^d * (1, lift)
 (`PointConfiguration.homogeneous_lifts`).  Flats are spanned by those rows,
 membership is integer dot products with a flat's normals, and the projector
 evaluates its forms, scaled to integers, on the rows: a positive multiple of
-(1, z) has the same image as z.  A pulled-back hyperplane is checked on the
-basis rows with its primitive integer vector, whose zero rows are the
-emitted curve's incidence with A, since the hyperplane's polynomial and the
-curve's radical vanish at the same points.
+(1, z) has the same image as z.  Hyperplanes are primitive integer vectors
+throughout: a line pulls back to the primitive vector of its combination of
+the integer forms, which is checked on the basis rows, becomes a curve
+through `vector_to_curve`, and whose zero rows are the emitted curve's
+incidence with A, since the hyperplane's polynomial and the curve's radical
+vanish at the same points.  Catalog curves are read off kernel vectors the
+same way.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from itertools import combinations
 from math import comb, lcm
 from operator import mul
 
-from .bipoly import BivariatePolynomial, PlaneCurve
+from .bipoly import PlaneCurve, monomial
 from .determined import (
     CurveRecord,
     DeterminedCurveSet,
@@ -46,16 +49,14 @@ from .linalg import (
     _integer_row,
     flat_from_equations,
     kernel,
+    normalized,
     primitive,
     rank,
     row_span,
     vec_dot,
 )
 from .ndfamilies import BasisCandidate, _basis_rows, nd_verify
-from .veronese import HyperplaneForm, ambient_dim, monomial_order, tau, tau_inverse
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .veronese import ambient_dim, poly_to_vector, vector_to_curve
 
 
 @dataclass(frozen=True)
@@ -66,11 +67,7 @@ class ProjectivePoint:
 
     @staticmethod
     def normalize(vec) -> "ProjectivePoint":
-        vec = tuple(Fraction(x) for x in vec)
-        if all(x == 0 for x in vec):
-            raise ValueError("zero vector is not a projective point")
-        first = next(x for x in vec if x != 0)
-        return ProjectivePoint(tuple(x / first for x in vec))
+        return ProjectivePoint(normalized(vec))
 
     def sort_key(self):
         return self.coords
@@ -82,11 +79,7 @@ class ProjectiveLine:
 
     @staticmethod
     def normalize(vec) -> "ProjectiveLine":
-        vec = tuple(Fraction(x) for x in vec)
-        if all(x == 0 for x in vec):
-            raise ValueError("zero vector is not a line")
-        first = next(x for x in vec if x != 0)
-        return ProjectiveLine(tuple(x / first for x in vec))
+        return ProjectiveLine(normalized(vec))
 
     def contains(self, p: ProjectivePoint) -> bool:
         return vec_dot(self.coeffs, p.coords) == 0
@@ -155,14 +148,11 @@ class HyperprojectionMap:
             )
         return ProjectivePoint.normalize(w)
 
-    def pull_back_line(self, line: ProjectiveLine, d: int) -> HyperplaneForm:
-        """Hyperplane through the center whose image is the given line."""
-        c0 = sum((ci * f[0] for ci, f in zip(line.coeffs, self.forms)), _ZERO)
-        cvec = [
-            sum((ci * f[1][j] for ci, f in zip(line.coeffs, self.forms)), _ZERO)
-            for j in range(self.center.ambient_dim)
-        ]
-        return HyperplaneForm.from_vector(d, (c0, *cvec))
+    def pull_back_line(self, line: ProjectiveLine) -> tuple[int, ...]:
+        """Primitive vector of the hyperplane through the center whose image
+        is the given line: the line's combination of the forms."""
+        coeffs = primitive(line.coeffs)
+        return primitive([sum(map(mul, coeffs, column)) for column in zip(*self.integer_forms)])
 
 
 def hyperproject(pmap: HyperprojectionMap, z) -> ProjectivePoint:
@@ -183,12 +173,8 @@ def curve_lift_flat(curve: PlaneCurve, d: int) -> AffineFlat:
     eqs = []
     for shift_total in range(0, d - e + 1):
         for sn in range(shift_total, -1, -1):
-            sm = shift_total - sn
-            q = p * BivariatePolynomial.from_dict({(sn, sm): _ONE})
-            coeffs = q.as_dict()
-            c0 = coeffs.get((0, 0), _ZERO)
-            cvec = tuple(coeffs.get(nm, _ZERO) for nm in monomial_order(d))
-            eqs.append((c0, cvec))
+            c0, *c = poly_to_vector(p * monomial(sn, shift_total - sn), d)
+            eqs.append((c0, c))
     return flat_from_equations(ambient_dim(d), eqs)
 
 
@@ -215,7 +201,7 @@ def exceptional_catalog(A: PointConfiguration | None, B, d: int):
             basis_vecs = kernel([rows[e][i] for i in idx], comb(e + 2, 2))
             if len(basis_vecs) != 1 or _zero_rows(basis_vecs[0], rows[e]) != frozenset(idx):
                 continue
-            curve = tau_inverse(HyperplaneForm.from_vector(e, basis_vecs[0]))
+            curve = vector_to_curve(basis_vecs[0], e)
             if curve.representative.degree != e:
                 raise InvariantViolation(
                     "exceptional curve with unexpected degree",
@@ -308,8 +294,7 @@ def build_pipeline(A: PointConfiguration, B, d: int | None = None) -> Projection
                         "point": [str(A.points[i][0]), str(A.points[i][1])],
                     },
                 )
-        equation = primitive(tau(curve.radical, e).augmented())
-        for i in _zero_rows(equation, A.homogeneous_lifts(e)):
+        for i in _zero_rows(poly_to_vector(curve.radical, e), A.homogeneous_lifts(e)):
             if i not in exceptional:
                 raise InvariantViolation(
                     "curve point missing from the exceptional set",
@@ -424,23 +409,22 @@ def curves_from_basis(A: PointConfiguration, B, d: int | None = None,
     trace["chart"] = [str(c) for c in chart]
 
     lines = two_point_lines(state.s_points, state.t_points)
-    forms = []
-    by_curve: dict[PlaneCurve, tuple[frozenset, list[HyperplaneForm]]] = {}
+    vectors = []
+    by_curve: dict[PlaneCurve, tuple[frozenset, list]] = {}
     filtered = 0
     rows = A.homogeneous_lifts(d)
     basis_rows = state.center.rows  # the center is spanned by the basis rows
     for line in lines:
-        hyperplane = state.projector.pull_back_line(line, d)
-        forms.append(hyperplane)
-        vec = primitive(hyperplane.augmented())
+        vec = state.projector.pull_back_line(line)
+        vectors.append(vec)
         if any(sum(map(mul, vec, row)) for row in basis_rows):
             raise InvariantViolation(
                 "pulled-back hyperplane misses the basis",
                 {"line": [str(c) for c in line.coeffs]},
             )
-        curve = tau_inverse(hyperplane)
+        curve = vector_to_curve(vec, d)
         if curve in by_curve:
-            by_curve[curve][1].append(hyperplane)
+            by_curve[curve][1].append(vec)
             continue
         # the hyperplane's polynomial and the curve's radical have the same
         # zero set, so its zero rows are the curve's incidence with A
@@ -448,20 +432,19 @@ def curves_from_basis(A: PointConfiguration, B, d: int | None = None,
         if len(incidence) > state.n:
             filtered += 1
             continue
-        by_curve[curve] = (incidence, [hyperplane])
-    if len({f.sort_key() for f in forms}) != len(lines):
+        by_curve[curve] = (incidence, [vec])
+    if len(set(vectors)) != len(lines):
         raise InvariantViolation(
             "line pullback is not injective", {"lines": len(lines)}
         )
     records = []
     for curve in sorted(by_curve, key=PlaneCurve.sort_key):
-        incidence, hps = by_curve[curve]
-        hps = tuple(sorted(hps, key=HyperplaneForm.sort_key))
-        if len(hps) > d**d:
+        incidence, vecs = by_curve[curve]
+        if len(vecs) > d**d:
             raise InvariantViolation(
                 "per-curve hyperplane fan-in exceeds d^d",
-                {"curve": curve.representative.text(), "fan_in": len(hps)},
+                {"curve": curve.representative.text(), "fan_in": len(vecs)},
             )
-        records.append(CurveRecord(curve, incidence, hps))
+        records.append(CurveRecord(curve, incidence, tuple(sorted(vecs, key=normalized))))
     trace.update({"emitted": len(records), "lines": len(lines), "filtered": filtered})
     return DeterminedCurveSet(d, state.n, tuple(records)), state

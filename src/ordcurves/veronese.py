@@ -6,6 +6,11 @@ Q^(C(d+2,2)-1).  A polynomial class of degree in [1, d] corresponds to the
 affine hyperplane with the same coefficients, and membership of a lifted
 point in the hyperplane is exactly vanishing of the polynomial at the
 source point.
+
+Inside the package a hyperplane is its primitive integer coefficient vector,
+constant first and then the monomial order.  `poly_to_vector` and
+`vector_to_curve` are the whole dictionary; `HyperplaneForm`, with `tau` and
+`tau_inverse`, is its Fraction view for library callers.
 """
 
 from __future__ import annotations
@@ -15,11 +20,10 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .bipoly import BivariatePolynomial, PlaneCurve, X, constant, monomial_order
-from .linalg import Vector, vec_dot
+from .linalg import Vector, normalized, primitive, vec_dot
 
 Point = tuple[Fraction, Fraction]
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -60,12 +64,35 @@ def integer_lift(point, d: int) -> tuple[int, ...]:
     return (zs[d],) + tuple(xs[n] * ys[m] * zs[d - n - m] for n, m in monomial_order(d))
 
 
+def vector_to_curve(vec, d: int) -> PlaneCurve:
+    """Curve of the polynomial whose coefficients are (constant, monomial_order(d))."""
+    coeffs = dict(zip(monomial_order(d), vec[1:]))
+    coeffs[(0, 0)] = vec[0]
+    p = BivariatePolynomial.from_dict(coeffs)
+    if p.is_constant:
+        raise ValueError("hyperplane has no non-constant coefficient; no curve")
+    return PlaneCurve.from_poly(p)
+
+
+def poly_to_vector(p: BivariatePolynomial, d: int) -> tuple[int, ...]:
+    """Primitive coefficient vector (constant, monomial_order(d)) of the class [p].
+
+    Requires 1 <= deg p <= d.
+    """
+    if p.is_constant:
+        raise ValueError("a hyperplane needs a nonconstant polynomial")
+    if p.degree > d:
+        raise ValueError(f"degree {p.degree} exceeds d={d}")
+    coeffs = p.as_dict()
+    return primitive([coeffs.get((0, 0), 0)] + [coeffs.get(nm, 0) for nm in monomial_order(d)])
+
+
 @dataclass(frozen=True)
 class HyperplaneForm:
     """Affine hyperplane in lift space: constant + coeffs . z = 0.
 
-    Normalized so the first nonzero entry of (constant,) + coeffs is 1,
-    which makes the form a canonical identity for dedup.
+    The Fraction view of a primitive coefficient vector, normalized so the
+    first nonzero entry of (constant,) + coeffs is 1.
     """
 
     d: int
@@ -74,14 +101,12 @@ class HyperplaneForm:
 
     @staticmethod
     def from_vector(d: int, vec) -> "HyperplaneForm":
-        vec = tuple(Fraction(x) for x in vec)
         if len(vec) != ambient_dim(d) + 1:
             raise ValueError("coefficient vector has the wrong length")
-        if all(x == 0 for x in vec[1:]):
+        constant, *coeffs = normalized(vec)
+        if not any(coeffs):
             raise ValueError("hyperplane form needs a nonzero non-constant coefficient")
-        first = next(x for x in vec if x != 0)
-        vec = tuple(x / first for x in vec)
-        return HyperplaneForm(d, vec[0], vec[1:])
+        return HyperplaneForm(d, constant, tuple(coeffs))
 
     def augmented(self) -> Vector:
         return (self.constant,) + self.coeffs
@@ -92,32 +117,15 @@ class HyperplaneForm:
     def contains_point(self, point) -> bool:
         return self.contains_lifted(lift(point, self.d))
 
-    def sort_key(self):
-        return self.augmented()
-
 
 def tau(p: BivariatePolynomial, d: int) -> HyperplaneForm:
     """Hyperplane of the class [p]; requires 1 <= deg p <= d."""
-    if p.is_zero or p.is_constant:
-        raise ValueError("tau requires a nonconstant polynomial")
-    if p.degree > d:
-        raise ValueError(f"degree {p.degree} exceeds d={d}")
-    coeffs = p.as_dict()
-    vec = [coeffs.get((0, 0), _ZERO)] + [coeffs.get(nm, _ZERO) for nm in monomial_order(d)]
-    return HyperplaneForm.from_vector(d, vec)
+    return HyperplaneForm.from_vector(d, poly_to_vector(p, d))
 
 
-def tau_inverse(h: HyperplaneForm, d: int | None = None) -> PlaneCurve:
+def tau_inverse(h: HyperplaneForm) -> PlaneCurve:
     """Curve whose polynomial is read off the hyperplane coefficients."""
-    if d is not None and d != h.d:
-        raise ValueError("degree mismatch between form and request")
-    coeffs = {(0, 0): h.constant}
-    for nm, c in zip(monomial_order(h.d), h.coeffs):
-        coeffs[nm] = c
-    p = BivariatePolynomial.from_dict(coeffs)
-    if p.is_constant:
-        raise ValueError("hyperplane has no non-constant coefficient; no curve")
-    return PlaneCurve.from_poly(p)
+    return vector_to_curve(h.augmented(), h.d)
 
 
 def pad_degree(p: BivariatePolynomial, d: int, avoid) -> BivariatePolynomial:

@@ -134,20 +134,69 @@ def test_criterion_4_class_count_bound():
 
 
 def test_criterion_5_line_heavy_construction():
+    # Exact count of O_(d,n)(A), n = (3d^2-3d+4)/2, for the line-heavy set A:
+    # a block K of b = C(d+1,2) points on no curve of degree d-1, plus k = m-b
+    # points on the line L: y = 0, which misses K.  As b = dim P_(d-1), K
+    # imposes independent conditions on P_(d-1), and so on y*P_(d-1), the
+    # polynomials of P_d that vanish on L.  A determined curve C meets A in a
+    # set I whose vanishing space in P_d is one-dimensional.
+    # - L not in C: C holds t <= d points T of L and a part J of K.  The t <= d+1
+    #   points of T cut dim P_d = b+d+1 by t, and K (or J) cuts the rest by
+    #   |J|, since it does so already on y*P_(d-1); so t + |J| = b + d, that is
+    #   t = d and J = K.  Each d-subset T gives one curve, through T and K and
+    #   no other point (|I| = b + d = C(d+2,2)-1 <= n): C(k, d) curves with
+    #   distinct line traces.
+    # - L in C, C = Z(y g) with deg g <= d-1: C holds all k >= d+1 points of
+    #   L (the admissible m > n gives k >= d^2-2d+3), so every polynomial of
+    #   P_d through I is y times one of P_(d-1) through J = K & Z(g), a space
+    #   of dimension b - |J|.  So |J| = b-1: g is the unique curve of degree
+    #   <= d-1 through b-1 points of K, b curves, each meeting A in m-1
+    #   points and ordinary exactly when m-1 <= n.
+    # Hence
+    #     |O_(d,n)(A)| = C(m-b, d) + b*[m-1 <= n],
+    # which is Theta(m^d) as the paper claims.  The b extra curves occur only
+    # at the smallest admissible m = n+1, which is m = 12 at d = 3; at d = 2
+    # the smallest admissible m is 7 > n+1.
     with criterion("5 (line-heavy extremal sets)", 300):
-        for m in (7, 8, 9, 10):
-            built = construct_theorem6(2, m, seed=m)
-            cfg = built.config
-            assert not contained_in_curve(cfg, 2)[0]
-            ords = ordinary_curves(cfg, 5)
-            assert len(ords) <= comb(m - 3, 2), f"m={m}: {len(ords)}"
-            line_idx = set(built.provenance["line_indices"])
-            traces = []
-            for rec in ords.records:
-                tr = frozenset(rec.incidence & line_idx)
-                assert len(tr) == 2, f"m={m}: trace size {len(tr)}"
-                traces.append(tr)
-            assert len(set(traces)) == len(traces), f"m={m}: traces collide"
+        failures = []
+        for d, ms in ((2, (7, 8, 9, 10)), (3, (12, 13, 14, 15, 16))):
+            n = (3 * d * d - 3 * d + 4) // 2
+            b = comb(d + 1, 2)
+            for m in ms:
+                built = construct_theorem6(d, m, seed=m)
+                cfg = built.config
+                assert not contained_in_curve(cfg, d)[0]
+                ords = ordinary_curves(cfg, n)
+                line_idx = frozenset(built.provenance["line_indices"])
+                block_idx = frozenset(built.provenance["block_indices"])
+                extra = [rec for rec in ords.records if line_idx <= rec.incidence]
+                other = [rec for rec in ords.records if not line_idx <= rec.incidence]
+                # the extras: y = 0 times a curve through b-1 block points
+                expected_extra = b if m - 1 <= n else 0
+                if len(extra) != expected_extra:
+                    failures.append(f"d={d} m={m}: {len(extra)} extras, expected {expected_extra}")
+                for rec in extra:
+                    y_divides = all(mon[1] > 0 for mon, _ in rec.curve.radical.terms)
+                    if not y_divides or len(rec.incidence & block_idx) != b - 1:
+                        failures.append(f"d={d} m={m}: extra {sorted(rec.incidence)}")
+                if len({rec.incidence for rec in extra}) != len(extra):
+                    failures.append(f"d={d} m={m}: extras collide")
+                # the others: all of K and exactly d line points, distinct traces
+                if len(other) != comb(m - b, d):
+                    failures.append(
+                        f"d={d} m={m}: {len(other)} curves through K, expected"
+                        f" C({m - b}, {d}) = {comb(m - b, d)}"
+                    )
+                traces = []
+                for rec in other:
+                    tr = rec.incidence & line_idx
+                    if len(tr) != d or rec.incidence - tr != block_idx:
+                        failures.append(f"d={d} m={m}: incidence {sorted(rec.incidence)}")
+                        break
+                    traces.append(tr)
+                if len(set(traces)) != len(traces):
+                    failures.append(f"d={d} m={m}: traces collide")
+        assert not failures, f"line-heavy construction: {failures}"
 
 
 def test_criterion_6_carrier_heavy_construction():
@@ -254,7 +303,7 @@ def _pipeline_instance_d3(k: int):
     return None
 
 
-def test_criterion_7_pipeline_soundness():
+def test_criterion_7_pipeline_soundness(check_hyperplanes):
     with criterion("7 (projection pipeline soundness)", 900):
         instances = []
         k = 0
@@ -283,6 +332,7 @@ def test_criterion_7_pipeline_soundness():
             assert curves.radicals() <= ords.radicals()
             for rec in curves.records:
                 assert set(basis_idx) <= rec.incidence
+                check_hyperplanes(rec, cfg.points, d)
 
 
 def test_criterion_8_basis_verifier_agreement():

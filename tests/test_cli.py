@@ -68,6 +68,24 @@ def test_duplicate_points_exit_2(tmp_path, capsys):
     assert code == 2 and "duplicate" in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("d", "abc"), ("d", 2.5), ("d", True), ("d", [2]), ("d", {"d": 2}),
+    ("points", 5), ("points", "0,0"), ("points", {"0": ["0", "0"]}),
+])
+def test_malformed_field_exit_2(tmp_path, capsys, field, value):
+    obj = {"d": 1, "points": [["0", "0"], ["1", "0"], ["0", "1"]]}
+    obj[field] = value
+    code, out, err = run(["lift", "--input", write(tmp_path, "bad.json", obj)], capsys)
+    assert code == 2 and out == ""
+    assert f"'{field}'" in err
+
+
+def test_integer_string_degree_accepted(tmp_path, capsys):
+    path = write(tmp_path, "sd.json", {"d": "2", "points": [["0", "0"], ["1", "0"]]})
+    code, out, _ = run(["lift", "--input", path], capsys)
+    assert code == 0 and json.loads(out)["d"] == 2
+
+
 def test_json_syntax_error_reports_location(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"d": 1,\n  "points": [[}')

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -83,12 +85,23 @@ def test_ordinary_examples():
     assert len(ordinary_curves(PointConfiguration.from_points(THREE_PLUS_ONE, 1), 2)) == 3
 
 
-def test_every_determined_curve_is_rich_enough():
+def test_every_determined_curve_is_rich_enough(check_hyperplanes):
     for d, pts in ((1, OCTET), (2, OCTET)):
         config = PointConfiguration.from_points(pts, d)
         for rec in enumerate_determined(config).records:
             assert len(rec.incidence) >= comb(d + 2, 2) - 1
             assert len(rec.hyperplanes) <= d**d
+            check_hyperplanes(rec, config.points, d)
+
+
+def test_row_cache_is_per_instance():
+    config = PointConfiguration.from_points(SQUARE, 1)
+    rows = config.homogeneous_lifts(2)
+    assert config.homogeneous_lifts(2) is rows
+    ref = weakref.ref(config)
+    del config
+    gc.collect()
+    assert ref() is None
 
 
 def test_bezout_sanity_on_enumerated_pairs():

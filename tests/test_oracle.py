@@ -203,11 +203,13 @@ def test_oracle_imports_no_fast_path_module():
     assert not imported & fast_path, sorted(imported & fast_path)
 
 
-@pytest.mark.parametrize("module", [ordcurves.ndfamilies, ordcurves.projection],
-                         ids=["ndfamilies", "projection"])
+@pytest.mark.parametrize("module", [ordcurves.ndfamilies, ordcurves.projection,
+                                    ordcurves.determined],
+                         ids=["ndfamilies", "projection", "determined"])
 def test_row_layers_import_no_fraction_lift(module):
-    # the verifier, the grower and the projection take points as integer
-    # rows (integer_lift, homogeneous_lifts) and span flats from those rows
-    fraction_path = {"lift", "flat_span"}
+    # the verifier, the grower, the projection and the span scan take points
+    # as integer rows (integer_lift, homogeneous_lifts), span flats from those
+    # rows and hold each hyperplane as its primitive integer vector
+    fraction_path = {"lift", "flat_span", "HyperplaneForm", "tau", "tau_inverse"}
     imported = _imported_names(module)
     assert not imported & fraction_path, sorted(imported & fraction_path)

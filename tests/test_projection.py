@@ -180,7 +180,7 @@ def test_two_point_lines_examples():
     assert set(filtered) == {ln for ln in expected if not ln.contains(t[0])}
 
 
-def test_curves_from_basis_sound_d2():
+def test_curves_from_basis_sound_d2(check_hyperplanes):
     A = PointConfiguration.from_points(OCTET, 2)
     res = grow_nd_chain(A, [], None, 2, seed=7)
     curves, state = curves_from_basis(A, res.basis, 2)
@@ -190,9 +190,10 @@ def test_curves_from_basis_sound_d2():
     b_idx = set(res.chain)
     for rec in curves.records:
         assert b_idx <= rec.incidence
+        check_hyperplanes(rec, A.points, 2)
 
 
-def test_curves_from_basis_sound_d3():
+def test_curves_from_basis_sound_d3(check_hyperplanes):
     rng = random.Random(6)
     pts = set()
     while len(pts) < 11:
@@ -205,6 +206,8 @@ def test_curves_from_basis_sound_d3():
     ords = ordinary_curves(A, state.n)
     assert curves.radicals() <= ords.radicals()
     assert state.trace["filtered"] == 0
+    for rec in curves.records:
+        check_hyperplanes(rec, A.points, 3)
 
 
 def test_find_affine_chart():
