@@ -4,19 +4,20 @@ A degree-d curve is determined by A when no other degree-d curve meets A in
 a superset of its incidence.  With A not contained in any curve of degree at
 most d, these are exactly the pullbacks of the hyperplanes spanned by lifted
 subsets of A, so enumeration reduces to scanning C(d+2,2)-1 sized subsets
-for affinely independent lifts, deduplicating the resulting hyperplanes,
-and pulling each back to a polynomial.
+for affinely independent lifts and deduplicating the resulting hyperplanes.
 
 The scan works on each point's integer row Z^d * (1, lift) (`integer_lift`):
 a subset's hyperplane is the primitive integer kernel of its rows, and that
-vector is the hyperplane's only representation: dedup is on the vectors,
-they are grouped by the curve of their polynomial (`vector_to_curve`), and a
-`CurveRecord` holds them.  A curve's incidence is recomputed at every point
-of A as the integer dot product of one of its primitive vectors with the
-point's row.  The vector's polynomial and the curve's radical have the
-same zero set, so this is an exact evaluation at each point, never inferred
-from which subsets spanned the hyperplane, and coincident lifts cannot be
-double counted.
+vector is the hyperplane's only representation.  It is also the identity of
+the hyperplane's curve: the polynomial of a spanned hyperplane is squarefree
+(see `enumerate_determined`), so it is its own radical, and two distinct
+primitive vectors are two distinct curves.  Dedup on the vectors is
+therefore dedup on curves, each `CurveRecord` holds one vector, and a
+record's polynomial and `PlaneCurve` are built only when a caller asks for
+them.  A curve's incidence is recomputed at every point of A as the integer
+dot product of its primitive vector with the point's row: an exact
+evaluation at each point, never inferred from which subsets spanned the
+hyperplane, so coincident lifts cannot be double counted.
 
 Curve richness (the largest section of A on a curve of degree <= e) falls
 out of the same scan at degree e: a richest section is the zero set of one
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from decimal import Decimal
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -35,7 +37,7 @@ from operator import mul
 
 from .bipoly import PlaneCurve
 from .errors import HypothesisViolation, InvariantViolation
-from .linalg import kernel, normalized, primitive_kernel, rank
+from .linalg import kernel, normalized_key, primitive_kernel, rank
 from .parallel import pmap
 from .veronese import Point, as_point, integer_lift, vector_to_curve
 
@@ -98,11 +100,19 @@ def contained_in_curve(config: PointConfiguration, e: int):
 
 @dataclass(frozen=True)
 class CurveRecord:
-    """A curve, its incidence with A and the primitive vectors of its hyperplanes."""
+    """A degree-d curve's incidence with A and the primitive vectors of its hyperplanes.
 
-    curve: PlaneCurve
+    The curve is read off the first hyperplane when first asked for, so
+    callers that need only incidences and counts build no polynomial.
+    """
+
+    d: int
     incidence: frozenset[int]
     hyperplanes: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def curve(self) -> PlaneCurve:
+        return vector_to_curve(self.hyperplanes[0], self.d)
 
     def to_json_obj(self):
         return {
@@ -162,14 +172,25 @@ def spanned_hyperplanes(config: PointConfiguration, workers: int = 1):
     """
     d = config.d
     vectors = _kernel_vectors(config.homogeneous_lifts(d), comb(d + 2, 2) - 1, workers)
-    return sorted(vectors, key=normalized)
+    return sorted(vectors, key=normalized_key)
 
 
 def enumerate_determined(config: PointConfiguration, workers: int = 1) -> DeterminedCurveSet:
-    """All curves of degree d determined by the configuration.
+    """All curves of degree d determined by the configuration, one per spanned hyperplane.
 
     Requires that no curve of degree <= d contains the whole set; then the
     determined curves are exactly the pullbacks of the spanned hyperplanes.
+
+    Each spanned hyperplane's polynomial p is squarefree.  It spans the
+    vanishing space V(S) of an N-subset S, N = C(d+2,2)-1, with independent
+    rows, so dim V(S) = 1.  Suppose p = g^2 h with deg g >= 1.  For every q
+    with deg q <= deg g, g h q has degree at most deg p <= d and vanishes
+    wherever g h does, which is wherever p does, so it lies in V(S).  As
+    q -> g h q is injective, V(S) then contains a copy of the polynomials of
+    degree <= deg g, of dimension C(deg g + 2, 2) >= 3: a contradiction.
+    So p is its own radical up to a scalar, distinct primitive vectors are
+    distinct curves, and every curve has exactly one hyperplane.  Records
+    come in the order of their vectors' `normalized` forms.
     """
     d = config.d
     contained, witness = contained_in_curve(config, d)
@@ -179,25 +200,16 @@ def enumerate_determined(config: PointConfiguration, workers: int = 1) -> Determ
             f"witness curve {witness}",
         )
     hom = config.homogeneous_lifts(d)
-    # the vectors come sorted, so each curve's list is sorted and the dict keeps
-    # the output order: lexicographic on each curve's smallest normalized form
-    by_curve: dict[PlaneCurve, list] = {}
-    for vec in spanned_hyperplanes(config, workers=workers):
-        by_curve.setdefault(vector_to_curve(vec, d), []).append(vec)
     records = []
-    for curve, vectors in by_curve.items():
-        if len(vectors) > d**d:
-            raise InvariantViolation(
-                "per-curve hyperplane fan-in exceeds d^d",
-                {"d": d, "curve": curve.representative.text(), "fan_in": len(vectors)},
-            )
-        incidence = _zero_rows(vectors[0], hom)
-        if len(incidence) < comb(d + 2, 2) - 1:
+    for vec in spanned_hyperplanes(config, workers=workers):
+        rec = CurveRecord(d, _zero_rows(vec, hom), (vec,))
+        if len(rec.incidence) < comb(d + 2, 2) - 1:
             raise InvariantViolation(
                 "determined curve with fewer than C(d+2,2)-1 incidences",
-                {"d": d, "curve": curve.representative.text(), "incidence": sorted(incidence)},
+                {"d": d, "curve": rec.curve.representative.text(),
+                 "incidence": sorted(rec.incidence)},
             )
-        records.append(CurveRecord(curve, incidence, tuple(vectors)))
+        records.append(rec)
     return DeterminedCurveSet(d, None, tuple(records))
 
 
@@ -229,6 +241,11 @@ def max_curve_richness(config: PointConfiguration, e: int):
     if rank(rows) < comb(e + 2, 2):
         return len(rows), tuple(range(len(rows)))
     return richest(_zero_rows(v, rows) for v in _kernel_vectors(rows, comb(e + 2, 2) - 1))
+
+
+# the default threshold's denominator has 2^(3e+8) bits: 128 KiB at e = 4, and
+# printing it in full takes time quadratic in that size
+DEFAULT_THRESHOLD_MAX_E = 4
 
 
 def default_regularity_threshold(d: int) -> Fraction:
@@ -264,10 +281,17 @@ def regularity_report(config: PointConfiguration, d: int | None = None,
 
     The default threshold is astronomically small, so any nonempty desk-scale
     configuration reports not regular; pass a custom threshold to probe
-    structure.
+    structure.  The default is refused for d > DEFAULT_THRESHOLD_MAX_E, before
+    any work: its denominator alone outgrows what can be printed in time.
     """
     d = config.d if d is None else d
     if threshold is None:
+        if d > DEFAULT_THRESHOLD_MAX_E:
+            raise HypothesisViolation(
+                f"default threshold needs e <= {DEFAULT_THRESHOLD_MAX_E}",
+                f"e={d}: 1/2^(2^(3e+8)) has a 2^{3 * d + 8}-bit denominator; "
+                f"give an explicit threshold for e >= {DEFAULT_THRESHOLD_MAX_E + 1}",
+            )
         threshold = default_regularity_threshold(d)
     threshold = Fraction(threshold)
     if threshold <= 0:

@@ -8,7 +8,8 @@ determined-curve scan's hot path) and the primitive kernel basis of any
 matrix (`kernel`).  Rational rows are scaled by the lcm of their
 denominators first, which keeps the row space.  `nullspace` is the Fraction
 view of `kernel`, through `normalized`, the package's one first-nonzero-is-1
-scaling.
+scaling; `normalized_key` sorts primitive vectors in the order of their
+normalized forms by integer cross-multiplication.
 
 An affine flat of Q^n is held as integer homogeneous data: spanning rows,
 each a positive multiple of (1, z) for a point z of the flat, and their
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
@@ -169,6 +171,26 @@ def normalized(vec) -> Vector:
     if first is None:
         raise ValueError("the zero vector has no first nonzero entry")
     return tuple(x / first for x in vec)
+
+
+def _compare_normalized(u, v) -> int:
+    """Lexicographic order of `normalized(u)` and `normalized(v)` for
+    integer vectors with positive first nonzero entries f and g.
+
+    u_i / f < v_i / g exactly when u_i * g < v_i * f, so integer
+    cross-multiplication decides the order and no Fraction is built.
+    """
+    f = next(filter(None, u))
+    g = next(filter(None, v))
+    for a, b in zip(u, v):
+        a, b = a * g, b * f
+        if a != b:
+            return -1 if a < b else 1
+    return 0
+
+
+# sort key of primitive vectors in the order of their normalized forms
+normalized_key = cmp_to_key(_compare_normalized)
 
 
 def vec_dot(a: Vector, b: Vector) -> Fraction:

@@ -12,9 +12,14 @@ from concurrent.futures import ProcessPoolExecutor
 
 
 def pmap(fn, items, workers=1, chunksize=64):
-    """Ordered map; serial when workers <= 1, process pool otherwise."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
+    """Ordered map; serial when workers <= 1, process pool otherwise.
+
+    The serial path consumes `items` one at a time, so a generator of tasks
+    is never held in full.
+    """
+    if workers > 1:
+        items = list(items)
+        if len(items) > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(fn, items, chunksize=chunksize))
+    return [fn(item) for item in items]

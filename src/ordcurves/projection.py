@@ -19,11 +19,13 @@ membership is integer dot products with a flat's normals, and the projector
 evaluates its forms, scaled to integers, on the rows: a positive multiple of
 (1, z) has the same image as z.  Hyperplanes are primitive integer vectors
 throughout: a line pulls back to the primitive vector of its combination of
-the integer forms, which is checked on the basis rows, becomes a curve
-through `vector_to_curve`, and whose zero rows are the emitted curve's
-incidence with A, since the hyperplane's polynomial and the curve's radical
-vanish at the same points.  Catalog curves are read off kernel vectors the
-same way.
+the integer forms, which is checked on the basis rows, and whose zero rows
+are the emitted curve's incidence with A, since the hyperplane's polynomial
+and the curve's radical vanish at the same points.  A pullback's polynomial
+need not be squarefree, so curves are keyed by the primitive vector of
+their radical (`radical_vector`), and a `PlaneCurve` is built only for the
+emitted records.  Catalog curves are read off kernel vectors through
+`vector_to_curve`.
 """
 
 from __future__ import annotations
@@ -50,13 +52,14 @@ from .linalg import (
     flat_from_equations,
     kernel,
     normalized,
+    normalized_key,
     primitive,
     rank,
     row_span,
     vec_dot,
 )
 from .ndfamilies import BasisCandidate, _basis_rows, nd_verify
-from .veronese import ambient_dim, poly_to_vector, vector_to_curve
+from .veronese import ambient_dim, poly_to_vector, radical_vector, vector_to_curve
 
 
 @dataclass(frozen=True)
@@ -410,7 +413,8 @@ def curves_from_basis(A: PointConfiguration, B, d: int | None = None,
 
     lines = two_point_lines(state.s_points, state.t_points)
     vectors = []
-    by_curve: dict[PlaneCurve, tuple[frozenset, list]] = {}
+    # curves keyed by the primitive vector of their radical: (incidence, vectors)
+    by_curve: dict[tuple[int, ...], tuple[frozenset, list]] = {}
     filtered = 0
     rows = A.homogeneous_lifts(d)
     basis_rows = state.center.rows  # the center is spanned by the basis rows
@@ -422,29 +426,27 @@ def curves_from_basis(A: PointConfiguration, B, d: int | None = None,
                 "pulled-back hyperplane misses the basis",
                 {"line": [str(c) for c in line.coeffs]},
             )
-        curve = vector_to_curve(vec, d)
-        if curve in by_curve:
-            by_curve[curve][1].append(vec)
-            continue
         # the hyperplane's polynomial and the curve's radical have the same
-        # zero set, so its zero rows are the curve's incidence with A
+        # zero set, so its zero rows are the curve's incidence with A, and
+        # every hyperplane of a filtered curve is filtered too
         incidence = _zero_rows(vec, rows)
         if len(incidence) > state.n:
             filtered += 1
             continue
-        by_curve[curve] = (incidence, [vec])
+        by_curve.setdefault(radical_vector(vec, d), (incidence, []))[1].append(vec)
     if len(set(vectors)) != len(lines):
         raise InvariantViolation(
             "line pullback is not injective", {"lines": len(lines)}
         )
     records = []
-    for curve in sorted(by_curve, key=PlaneCurve.sort_key):
-        incidence, vecs = by_curve[curve]
+    for incidence, vecs in by_curve.values():
+        rec = CurveRecord(d, incidence, tuple(sorted(vecs, key=normalized_key)))
         if len(vecs) > d**d:
             raise InvariantViolation(
                 "per-curve hyperplane fan-in exceeds d^d",
-                {"curve": curve.representative.text(), "fan_in": len(vecs)},
+                {"curve": rec.curve.representative.text(), "fan_in": len(vecs)},
             )
-        records.append(CurveRecord(curve, incidence, tuple(sorted(vecs, key=normalized))))
+        records.append(rec)
+    records.sort(key=lambda rec: rec.curve.sort_key())
     trace.update({"emitted": len(records), "lines": len(lines), "filtered": filtered})
     return DeterminedCurveSet(d, state.n, tuple(records)), state

@@ -125,6 +125,29 @@ def test_richness_default_threshold_printed_in_full(capsys):
     assert 1 / Fraction(Decimal(denominator)) == default_regularity_threshold(2)
 
 
+def test_richness_default_threshold_refused_past_e4(monkeypatch, capsys):
+    from ordcurves import determined
+
+    def never(*args):
+        raise AssertionError("refused before any work")
+
+    # neither the threshold nor the richness scan may run
+    monkeypatch.setattr(determined, "default_regularity_threshold", never)
+    monkeypatch.setattr(determined, "max_curve_richness", never)
+    golden = str(Path(__file__).resolve().parent / "golden" / "points.json")
+    code, out, err = run(["richness", "--input", golden, "--e", "5"], capsys)
+    assert code == 3 and out == ""
+    assert "default threshold needs e <= 4" in err
+
+
+def test_richness_explicit_threshold_at_e5(octet, capsys):
+    # eight points lie on a quintic, so the richest section is all of them
+    code, out, err = run(["richness", "--input", octet, "--e", "5", "--threshold", "1/2"], capsys)
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["max_richness"] == 8 and not data["regularity"]["is_regular"]
+
+
 def test_nd_verify_and_grow_and_project(octet, capsys):
     code, out, _ = run(["nd-verify", "--input", octet, "--basis", "0,1,2"], capsys)
     assert code == 0 and json.loads(out)["ok"]
@@ -182,6 +205,22 @@ def test_sweep_deterministic_bytes(capsys):
     assert lines[0].startswith("#")
     assert lines[1] == "A_size,d,n,determined_count,ordinary_count,max_richness,runtime_ms"
     assert len(lines) == 4
+
+
+def test_sweep_builds_no_curve(monkeypatch, capsys):
+    from ordcurves.bipoly import PlaneCurve
+
+    def refuse(p):
+        raise AssertionError("sweep built a PlaneCurve")
+
+    monkeypatch.setattr(PlaneCurve, "from_poly", staticmethod(refuse))
+    args = ["sweep", "--d", "2", "--n", "5", "--sizes", "8:10", "--seed", "1", "--no-timing"]
+    code, out, err = run(args, capsys)
+    assert code == 0, err
+    archive = Path(__file__).resolve().parent.parent / "artifacts" / "sweep_d2_n5.csv"
+    archived = archive.read_text(encoding="utf-8").splitlines()
+    header, rows = archived[:2], {r.split(",")[0]: r for r in archived[2:]}
+    assert out.splitlines() == header + [rows[size] for size in ("8", "9", "10")]
 
 
 def test_sweep_richness_independent_of_n(capsys):

@@ -8,6 +8,7 @@ from math import comb
 import pytest
 
 from ordcurves.bipoly import poly_gcd
+from ordcurves.constructions import construct_theorem6, construct_theorem8, sample_configuration
 from ordcurves.determined import (
     PointConfiguration,
     contained_in_curve,
@@ -92,6 +93,23 @@ def test_every_determined_curve_is_rich_enough(check_hyperplanes):
             assert len(rec.incidence) >= comb(d + 2, 2) - 1
             assert len(rec.hyperplanes) <= d**d
             check_hyperplanes(rec, config.points, d)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: construct_theorem6(2, 9),
+    lambda: construct_theorem6(2, 14),
+    lambda: construct_theorem6(3, 13),
+    lambda: construct_theorem8(3, 9, 12),
+    lambda: sample_configuration("grid", side=4, d=2),
+], ids=["theorem6-d2-m9", "theorem6-d2-m14", "theorem6-d3-m13", "theorem8-d3-m12", "grid4-d2"])
+def test_spanned_hyperplane_is_its_own_radical(build):
+    # a spanned hyperplane's polynomial is squarefree, so each curve has one
+    # hyperplane and its polynomial is its radical
+    result = enumerate_determined(build().config)
+    assert result.records
+    for rec in result.records:
+        assert len(rec.hyperplanes) == 1
+        assert rec.curve.representative == rec.curve.radical
 
 
 def test_row_cache_is_per_instance():

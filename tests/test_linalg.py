@@ -11,7 +11,10 @@ from ordcurves.linalg import (
     flat_from_equations,
     flat_span,
     kernel,
+    normalized,
+    normalized_key,
     nullspace,
+    primitive,
     primitive_kernel,
     rank,
     vec_dot,
@@ -348,3 +351,16 @@ def test_equations_scaling_example():
         (Fraction(-1), (Fraction(1), Fraction(0))),
         (Fraction(-2), (Fraction(0), Fraction(1))),
     ]
+
+
+def test_normalized_key_matches_fraction_order():
+    # primitive vectors with zero leading entries, equal ratios in front and
+    # large entries; the integer key must give the order of the Fraction forms
+    rng = random.Random(7)
+    vectors = set()
+    while len(vectors) < 400:
+        vec = [rng.choice([0, 0, 1, -1, 2, 3, -5, 10**9 + 7]) * rng.randint(1, 4) for _ in range(6)]
+        if any(vec):
+            vectors.add(primitive(vec))
+    vectors = list(vectors)
+    assert sorted(vectors, key=normalized_key) == sorted(vectors, key=normalized)
