@@ -7,9 +7,7 @@ x-degree).  Curve identity throughout the package is identity of canonical
 squarefree radicals; two polynomials that differ by a positive-definite
 factor (empty real zero set) therefore count as different curves, a
 documented gap accepted here because the configurations exercised never
-trigger it.  The enumeration and the projection key curves by the primitive
-coefficient vector of the radical, so they build a `PlaneCurve` only for a
-curve that is printed or returned.
+trigger it.
 
 The global coordinate order used for Veronese vectors and file formats lists
 (n, m) by total degree ascending, then n descending: x, y, x^2, xy, y^2, ...
@@ -430,11 +428,8 @@ def _coprime_to_derivative_mod(u: list[int], q: int) -> bool:
     return len(a) == 1
 
 
-def _certified_squarefree(terms) -> bool:
+def _certified_squarefree(p: BivariatePolynomial) -> bool:
     """Exact sufficient test that an integer polynomial p has no repeated factor.
-
-    p is given by its ((n, m), integer coefficient) terms; zero terms are
-    ignored.
 
     For each variable v with deg_v p >= 1, the other variable w is set to a
     trial value a, skipping any a at which the leading v-coefficient lc_v(p)
@@ -451,15 +446,14 @@ def _certified_squarefree(terms) -> bool:
     A failed trial proves nothing, so the caller falls back to the exact
     gcd computation.
     """
-    terms = [(mon, c) for mon, c in terms if c]
     for idx in (0, 1):
-        deg = max(mon[idx] for mon, _ in terms)
+        deg = max(mon[idx] for mon, _ in p.terms)
         if deg == 0:
             continue
         for a in _CERT_VALUES:
             u = [0] * (deg + 1)
-            for mon, c in terms:
-                u[mon[idx]] += c * a ** mon[1 - idx]
+            for mon, c in p.terms:
+                u[mon[idx]] += c.numerator * a ** mon[1 - idx]
             if u[deg] % _CERT_PRIME and _coprime_to_derivative_mod(u, _CERT_PRIME):
                 break
         else:
@@ -477,7 +471,7 @@ def squarefree_radical(p: BivariatePolynomial) -> BivariatePolynomial:
     if p.is_zero or p.is_constant:
         raise ValueError("radical requires degree >= 1")
     canon = p.canonical()
-    if _certified_squarefree((mon, c.numerator) for mon, c in canon.terms):
+    if _certified_squarefree(canon):
         return canon
     return _radical_by_gcd(p)
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from decimal import Decimal
-from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -102,17 +101,21 @@ def contained_in_curve(config: PointConfiguration, e: int):
 class CurveRecord:
     """A degree-d curve's incidence with A and the primitive vectors of its hyperplanes.
 
-    The curve is read off the first hyperplane when first asked for, so
-    callers that need only incidences and counts build no polynomial.
+    A caller that already holds the curve passes it; otherwise it is read
+    off the first hyperplane when first asked for, so callers that need only
+    incidences and counts build no polynomial.
     """
 
     d: int
     incidence: frozenset[int]
     hyperplanes: tuple[tuple[int, ...], ...]
+    _curve: PlaneCurve | None = field(default=None, compare=False, repr=False)
 
-    @cached_property
+    @property
     def curve(self) -> PlaneCurve:
-        return vector_to_curve(self.hyperplanes[0], self.d)
+        if self._curve is None:
+            object.__setattr__(self, "_curve", vector_to_curve(self.hyperplanes[0], self.d))
+        return self._curve
 
     def to_json_obj(self):
         return {

@@ -22,10 +22,10 @@ throughout: a line pulls back to the primitive vector of its combination of
 the integer forms, which is checked on the basis rows, and whose zero rows
 are the emitted curve's incidence with A, since the hyperplane's polynomial
 and the curve's radical vanish at the same points.  A pullback's polynomial
-need not be squarefree, so curves are keyed by the primitive vector of
-their radical (`radical_vector`), and a `PlaneCurve` is built only for the
-emitted records.  Catalog curves are read off kernel vectors through
-`vector_to_curve`.
+need not be squarefree, so only a hyperplane that passes the incidence
+filter becomes a curve through `vector_to_curve`, and curves are grouped by
+their `PlaneCurve`.  Catalog curves are read off kernel vectors the same
+way.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .linalg import (
     vec_dot,
 )
 from .ndfamilies import BasisCandidate, _basis_rows, nd_verify
-from .veronese import ambient_dim, poly_to_vector, radical_vector, vector_to_curve
+from .veronese import ambient_dim, poly_to_vector, vector_to_curve
 
 
 @dataclass(frozen=True)
@@ -413,8 +413,7 @@ def curves_from_basis(A: PointConfiguration, B, d: int | None = None,
 
     lines = two_point_lines(state.s_points, state.t_points)
     vectors = []
-    # curves keyed by the primitive vector of their radical: (incidence, vectors)
-    by_curve: dict[tuple[int, ...], tuple[frozenset, list]] = {}
+    by_curve: dict[PlaneCurve, tuple[frozenset, list]] = {}
     filtered = 0
     rows = A.homogeneous_lifts(d)
     basis_rows = state.center.rows  # the center is spanned by the basis rows
@@ -433,20 +432,19 @@ def curves_from_basis(A: PointConfiguration, B, d: int | None = None,
         if len(incidence) > state.n:
             filtered += 1
             continue
-        by_curve.setdefault(radical_vector(vec, d), (incidence, []))[1].append(vec)
+        by_curve.setdefault(vector_to_curve(vec, d), (incidence, []))[1].append(vec)
     if len(set(vectors)) != len(lines):
         raise InvariantViolation(
             "line pullback is not injective", {"lines": len(lines)}
         )
     records = []
-    for incidence, vecs in by_curve.values():
-        rec = CurveRecord(d, incidence, tuple(sorted(vecs, key=normalized_key)))
+    for curve in sorted(by_curve, key=PlaneCurve.sort_key):
+        incidence, vecs = by_curve[curve]
         if len(vecs) > d**d:
             raise InvariantViolation(
                 "per-curve hyperplane fan-in exceeds d^d",
-                {"curve": rec.curve.representative.text(), "fan_in": len(vecs)},
+                {"curve": curve.representative.text(), "fan_in": len(vecs)},
             )
-        records.append(rec)
-    records.sort(key=lambda rec: rec.curve.sort_key())
+        records.append(CurveRecord(d, incidence, tuple(sorted(vecs, key=normalized_key)), curve))
     trace.update({"emitted": len(records), "lines": len(lines), "filtered": filtered})
     return DeterminedCurveSet(d, state.n, tuple(records)), state

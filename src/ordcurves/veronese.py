@@ -9,9 +9,8 @@ source point.
 
 Inside the package a hyperplane is its primitive integer coefficient vector,
 constant first and then the monomial order.  `poly_to_vector` and
-`vector_to_curve` are the whole dictionary, and `radical_vector` keys a
-hyperplane's curve by a vector of the same kind; `HyperplaneForm`, with
-`tau` and `tau_inverse`, is its Fraction view for library callers.
+`vector_to_curve` are the whole dictionary; `HyperplaneForm`, with `tau` and
+`tau_inverse`, is its Fraction view for library callers.
 """
 
 from __future__ import annotations
@@ -20,15 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
-from .bipoly import (
-    BivariatePolynomial,
-    PlaneCurve,
-    X,
-    _certified_squarefree,
-    constant,
-    monomial_order,
-    squarefree_radical,
-)
+from .bipoly import BivariatePolynomial, PlaneCurve, X, constant, monomial_order
 from .linalg import Vector, normalized, primitive, vec_dot
 
 Point = tuple[Fraction, Fraction]
@@ -73,32 +64,14 @@ def integer_lift(point, d: int) -> tuple[int, ...]:
     return (zs[d],) + tuple(xs[n] * ys[m] * zs[d - n - m] for n, m in monomial_order(d))
 
 
-def vector_terms(vec, d: int):
-    """((n, m), coefficient) pairs of the coefficient vector (constant, monomial_order(d))."""
-    return zip(((0, 0),) + monomial_order(d), vec)
-
-
 def vector_to_curve(vec, d: int) -> PlaneCurve:
     """Curve of the polynomial whose coefficients are (constant, monomial_order(d))."""
-    p = BivariatePolynomial.from_dict(dict(vector_terms(vec, d)))
+    coeffs = dict(zip(monomial_order(d), vec[1:]))
+    coeffs[(0, 0)] = vec[0]
+    p = BivariatePolynomial.from_dict(coeffs)
     if p.is_constant:
         raise ValueError("hyperplane has no non-constant coefficient; no curve")
     return PlaneCurve.from_poly(p)
-
-
-def radical_vector(vec, d: int) -> tuple[int, ...]:
-    """Primitive vector of the squarefree radical of a primitive vector's polynomial.
-
-    Two squarefree polynomials with the same radical differ by a scalar, so
-    this vector, padded to degree d, is the identity of the curve.  A
-    polynomial certified squarefree on its integer coefficients
-    (`_certified_squarefree`) is its own radical and keeps its vector; only
-    the others go through the exact gcds of `squarefree_radical`.
-    """
-    if _certified_squarefree(vector_terms(vec, d)):
-        return tuple(vec)
-    p = BivariatePolynomial.from_dict(dict(vector_terms(vec, d)))
-    return poly_to_vector(squarefree_radical(p), d)
 
 
 def poly_to_vector(p: BivariatePolynomial, d: int) -> tuple[int, ...]:

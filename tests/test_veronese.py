@@ -4,7 +4,7 @@ from math import comb, lcm
 
 import pytest
 
-from ordcurves.bipoly import parse_poly, squarefree_radical
+from ordcurves.bipoly import parse_poly
 from ordcurves.linalg import affine_rank
 from ordcurves.veronese import (
     HyperplaneForm,
@@ -12,8 +12,6 @@ from ordcurves.veronese import (
     integer_lift,
     lift,
     pad_degree,
-    poly_to_vector,
-    radical_vector,
     tau,
     tau_inverse,
 )
@@ -132,19 +130,3 @@ def test_pad_degree_preserves_vanishing_on_avoid():
         a = (rng.randint(-5, 5), rng.randint(-5, 5))
         if p.evaluate(a) == 0:
             assert q.evaluate(a) == 0
-
-
-@pytest.mark.parametrize("text, squarefree", [
-    ("x^2 + y^2 - 1", True),
-    ("x*y - 3*x + 2", True),
-    ("x^2 + 2*x*y + y^2", False),
-    ("x^2*y - 2*x*y + y", False),
-    ("y^2 - 4*y + 4", False),
-])
-def test_radical_vector_is_the_radical_padded_to_degree_d(text, squarefree):
-    p = parse_poly(text)
-    for d in (p.degree, p.degree + 1):
-        vec = poly_to_vector(p, d)
-        key = radical_vector(vec, d)
-        assert key == poly_to_vector(squarefree_radical(p), d)
-        assert (key == vec) == squarefree
