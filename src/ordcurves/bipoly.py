@@ -7,7 +7,9 @@ x-degree).  Curve identity throughout the package is identity of canonical
 squarefree radicals; two polynomials that differ by a positive-definite
 factor (empty real zero set) therefore count as different curves, a
 documented gap accepted here because the configurations exercised never
-trigger it.
+trigger it.  `PlaneCurve.from_poly` computes the radical; every curve the
+package emits is spanned, hence squarefree by the lemma at
+`veronese.spanned_curve`, and is built there with no radical computed.
 
 The global coordinate order used for Veronese vectors and file formats lists
 (n, m) by total degree ascending, then n descending: x, y, x^2, xy, y^2, ...
@@ -21,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import InputFormatError, InvariantViolation
+from .errors import HypothesisViolation, InputFormatError, InvariantViolation
 
 _ZERO = Fraction(0)
 
@@ -55,7 +57,8 @@ class BivariatePolynomial:
     def from_dict(coeffs: dict) -> "BivariatePolynomial":
         items = []
         for (n, m), c in coeffs.items():
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c:
                 items.append(((int(n), int(m)), c))
         items.sort(key=lambda t: _term_key(t[0]))
@@ -276,6 +279,8 @@ def divides(g: BivariatePolynomial, p: BivariatePolynomial) -> bool:
 
 
 def exact_quotient(p: BivariatePolynomial, g: BivariatePolynomial) -> BivariatePolynomial:
+    if g.degree == 0:
+        return p.scale(1 / g.terms[0][1])
     q, r = poly_divmod(p, g)
     if not r.is_zero:
         raise InvariantViolation(
@@ -348,6 +353,8 @@ def _content_y(p: BivariatePolynomial) -> BivariatePolynomial:
     g: dict = {}
     for u in yc.values():
         g = _univ_gcd(g, u)
+        if _univ_degree(g) == 0:
+            break  # a monic constant: the content is 1
     return BivariatePolynomial.from_dict({(n, 0): c for n, c in g.items()})
 
 
@@ -403,86 +410,18 @@ def poly_gcd(p: BivariatePolynomial, q: BivariatePolynomial) -> BivariatePolynom
     return (cont_gcd * g).canonical()
 
 
-# prime and trial values of the squarefree certificate
-_CERT_PRIME = 2**61 - 1
-_CERT_VALUES = (0, 1, -1, 2, -2, 3)
-
-
-def _coprime_to_derivative_mod(u: list[int], q: int) -> bool:
-    """Whether gcd(u, u') = 1 in F_q[v]; u lists coefficients by degree."""
-    a = [c % q for c in u]
-    b = [(i * c) % q for i, c in enumerate(a)][1:]
-    while b and b[-1] == 0:
-        b.pop()
-    while b:
-        inv = pow(b[-1], -1, q)
-        while len(a) >= len(b):
-            f = a[-1] * inv % q
-            shift = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[shift + i] = (a[shift + i] - f * c) % q
-            a.pop()
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
-    return len(a) == 1
-
-
-def _certified_squarefree(p: BivariatePolynomial) -> bool:
-    """Exact sufficient test that an integer polynomial p has no repeated factor.
-
-    For each variable v with deg_v p >= 1, the other variable w is set to a
-    trial value a, skipping any a at which the leading v-coefficient lc_v(p)
-    vanishes mod q = 2^61 - 1, and u = p(v, w=a) mod q must satisfy
-    gcd(u, u') = 1 in F_q[v].  Once one a passes for each such v, p is
-    squarefree.
-
-    Proof: suppose p = g^2 h with g irreducible of degree >= 1.  By Gauss's
-    lemma g and h can be taken in Z[x, y], and deg_v g >= 1 for some v, so
-    deg_v p >= 1 and that v was tested.  Since lc_v(p) = lc_v(g)^2 lc_v(h)
-    and lc_v(p)(a) is nonzero mod q, so is lc_v(g)(a): the image g_a of g
-    keeps its v-degree, >= 1.  Then u = g_a^2 h_a and u' = g_a (2 g_a' h_a +
-    g_a h_a') share the nonconstant factor g_a, contradicting gcd(u, u') = 1.
-    A failed trial proves nothing, so the caller falls back to the exact
-    gcd computation.
-    """
-    for idx in (0, 1):
-        deg = max(mon[idx] for mon, _ in p.terms)
-        if deg == 0:
-            continue
-        for a in _CERT_VALUES:
-            u = [0] * (deg + 1)
-            for mon, c in p.terms:
-                u[mon[idx]] += c.numerator * a ** mon[1 - idx]
-            if u[deg] % _CERT_PRIME and _coprime_to_derivative_mod(u, _CERT_PRIME):
-                break
-        else:
-            return False
-    return True
-
-
 def squarefree_radical(p: BivariatePolynomial) -> BivariatePolynomial:
-    """p / gcd(p, p_x, p_y): same zero set, squarefree, canonical.
-
-    A squarefree p is recognised by `_certified_squarefree` on its canonical
-    integer form, which is then the radical; every other input takes the
-    exact pseudo-remainder gcds.
-    """
+    """p / gcd(p, p_x, p_y) through pseudo-remainder gcds: same zero set,
+    squarefree, canonical."""
     if p.is_zero or p.is_constant:
         raise ValueError("radical requires degree >= 1")
-    canon = p.canonical()
-    if _certified_squarefree(canon):
-        return canon
-    return _radical_by_gcd(p)
-
-
-def _radical_by_gcd(p: BivariatePolynomial) -> BivariatePolynomial:
-    """p / gcd(p, p_x, p_y) through pseudo-remainder gcds: the exact fallback."""
     g = p
     for var in ("x", "y"):
         dv = p.derivative(var)
         if not dv.is_zero:
             g = poly_gcd(g, dv)
+            if g.is_constant:
+                break
     return exact_quotient(p, g).canonical()
 
 
@@ -590,8 +529,9 @@ def rational_points_on_curve(curve: PlaneCurve, count: int, avoid=()) -> list:
             return (-w.evaluate((0, t)) / den, t)
 
         return sweep(solve_x)
-    raise ValueError(
-        f"curve {p.text()} is not in the parametrizable catalog (linear in x or in y)"
+    raise HypothesisViolation(
+        "parametrizable curve (radical linear in x or in y)",
+        f"curve {p.text()} is not in the parametrizable catalog",
     )
 
 
@@ -604,11 +544,11 @@ def sigma_fiber_count(component_degrees, d: int) -> int:
     """
     degs = list(component_degrees)
     if not degs:
-        raise ValueError("at least one component degree required")
+        raise HypothesisViolation("at least one component degree", "no degree given")
     if any(int(e) != e or e < 1 for e in degs):
-        raise ValueError("component degrees must be positive integers")
+        raise HypothesisViolation("component degrees >= 1", f"degrees {degs}")
     if d < 1:
-        raise ValueError("d must be >= 1")
+        raise HypothesisViolation("d >= 1", f"d={d}")
 
     def count(i: int, budget: int) -> int:
         if i == len(degs):

@@ -131,7 +131,10 @@ def _cmd_ordinary(args, out):
 def _cmd_richness(args, out):
     config = load_config(args.input, args.d)
     e = args.e if args.e is not None else config.d
-    threshold = None if args.threshold is None else Fraction(args.threshold)
+    try:
+        threshold = None if args.threshold is None else Fraction(args.threshold)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputFormatError(f"--threshold: bad rational {args.threshold!r} ({exc})") from exc
     report = regularity_report(config, e, threshold)
     # the report's witness is the richest subset max_curve_richness found
     payload = {
@@ -167,7 +170,14 @@ def _cmd_project(args, out):
     dump_json({"trace": state.to_json_obj(), "curves": curves.to_json_obj()}, out)
 
 
+# options `construct` needs for each kind
+_KIND_OPTIONS = {"theorem6": ("m",), "theorem8": ("n", "m"), "random_general": ("count",)}
+
+
 def _cmd_construct(args, out):
+    for option in _KIND_OPTIONS.get(args.kind, ()):
+        if getattr(args, option) is None:
+            raise InputFormatError(f"construct --kind {args.kind} requires --{option}")
     if args.kind == "theorem6":
         built = construct_theorem6(args.d, args.m, seed=args.seed)
     elif args.kind == "theorem8":

@@ -109,7 +109,9 @@ def default_carrier(d: int) -> PlaneCurve:
 def construct_theorem8(
     d: int, n: int, m: int, seed: int = 0, carrier: PlaneCurve | None = None
 ) -> Construction:
-    """Carrier-heavy set: m-1 points on an irreducible degree-d curve plus one off.
+    """Carrier-heavy set: m-1 points on the carrier y = x^d plus one off.
+
+    A `carrier` argument must be that curve (any polynomial of it).
 
     Carrier points are chosen greedily so every lifted subset of size up to
     C(d+2,2)-1 stays affinely independent; each step's obstruction flats are
@@ -124,17 +126,10 @@ def construct_theorem8(
             "m > 2n+1-C(d+2,2)", f"m={m} at n={n}, d={d}"
         )
     carrier = default_carrier(d) if carrier is None else carrier
-    if carrier.representative.degree != d:
-        raise HypothesisViolation(
-            "carrier of degree d", f"degree {carrier.representative.degree} != {d}"
-        )
+    if carrier != default_carrier(d):
+        # the sweep places points (t, t^d), finitely many of them on any other curve
+        raise HypothesisViolation("carrier y = x^d", f"carrier {carrier} at d={d}")
     rng = random.Random(seed)
-
-    def carrier_point(t: Fraction):
-        # carriers here are graphs y = x^d; solve exactly via the radical
-        p = carrier.radical
-        return (t, t**d) if p.evaluate((t, t**d)) == 0 else None
-
     window = list(range(-3 * m - 4, 3 * m + 5))
     rng.shuffle(window)
     chosen: list = []
@@ -155,8 +150,8 @@ def construct_theorem8(
                 window.extend(extension)
             t = Fraction(window[pos])
             pos += 1
-            pt = carrier_point(t)
-            if pt is None or pt in chosen:
+            pt = (t, t**d)
+            if pt in chosen:
                 continue
             tried += 1
             z = integer_lift(pt, d)

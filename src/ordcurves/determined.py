@@ -10,8 +10,8 @@ The scan works on each point's integer row Z^d * (1, lift) (`integer_lift`):
 a subset's hyperplane is the primitive integer kernel of its rows, and that
 vector is the hyperplane's only representation.  It is also the identity of
 the hyperplane's curve: the polynomial of a spanned hyperplane is squarefree
-(see `enumerate_determined`), so it is its own radical, and two distinct
-primitive vectors are two distinct curves.  Dedup on the vectors is
+(the lemma at `veronese.spanned_curve`), so it is its own radical, and two
+distinct primitive vectors are two distinct curves.  Dedup on the vectors is
 therefore dedup on curves, each `CurveRecord` holds one vector, and a
 record's polynomial and `PlaneCurve` are built only when a caller asks for
 them.  A curve's incidence is recomputed at every point of A as the integer
@@ -38,7 +38,7 @@ from .bipoly import PlaneCurve
 from .errors import HypothesisViolation, InvariantViolation
 from .linalg import kernel, normalized_key, primitive_kernel, rank
 from .parallel import pmap
-from .veronese import Point, as_point, integer_lift, vector_to_curve
+from .veronese import Point, as_point, integer_lift, spanned_curve, vector_to_curve
 
 
 @dataclass(frozen=True)
@@ -101,20 +101,20 @@ def contained_in_curve(config: PointConfiguration, e: int):
 class CurveRecord:
     """A degree-d curve's incidence with A and the primitive vectors of its hyperplanes.
 
-    A caller that already holds the curve passes it; otherwise it is read
-    off the first hyperplane when first asked for, so callers that need only
-    incidences and counts build no polynomial.
+    Every hyperplane is spanned, so the curve is read off the first one
+    (`spanned_curve`, no radical) when first asked for and kept; callers
+    that need only incidences and counts build no polynomial.
     """
 
     d: int
     incidence: frozenset[int]
     hyperplanes: tuple[tuple[int, ...], ...]
-    _curve: PlaneCurve | None = field(default=None, compare=False, repr=False)
+    _curve: PlaneCurve | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def curve(self) -> PlaneCurve:
         if self._curve is None:
-            object.__setattr__(self, "_curve", vector_to_curve(self.hyperplanes[0], self.d))
+            object.__setattr__(self, "_curve", spanned_curve(self.hyperplanes[0], self.d))
         return self._curve
 
     def to_json_obj(self):
@@ -184,16 +184,12 @@ def enumerate_determined(config: PointConfiguration, workers: int = 1) -> Determ
     Requires that no curve of degree <= d contains the whole set; then the
     determined curves are exactly the pullbacks of the spanned hyperplanes.
 
-    Each spanned hyperplane's polynomial p is squarefree.  It spans the
-    vanishing space V(S) of an N-subset S, N = C(d+2,2)-1, with independent
-    rows, so dim V(S) = 1.  Suppose p = g^2 h with deg g >= 1.  For every q
-    with deg q <= deg g, g h q has degree at most deg p <= d and vanishes
-    wherever g h does, which is wherever p does, so it lies in V(S).  As
-    q -> g h q is injective, V(S) then contains a copy of the polynomials of
-    degree <= deg g, of dimension C(deg g + 2, 2) >= 3: a contradiction.
-    So p is its own radical up to a scalar, distinct primitive vectors are
-    distinct curves, and every curve has exactly one hyperplane.  Records
-    come in the order of their vectors' `normalized` forms.
+    Each spanned hyperplane's polynomial spans the vanishing space of an
+    N-subset, N = C(d+2,2)-1, with independent rows, a space of dimension
+    1; by the lemma at `veronese.spanned_curve` it is squarefree, so it is
+    its own radical up to a scalar, distinct primitive vectors are distinct
+    curves, and every curve has exactly one hyperplane.  Records come in
+    the order of their vectors' `normalized` forms.
     """
     d = config.d
     contained, witness = contained_in_curve(config, d)

@@ -20,12 +20,17 @@ evaluates its forms, scaled to integers, on the rows: a positive multiple of
 (1, z) has the same image as z.  Hyperplanes are primitive integer vectors
 throughout: a line pulls back to the primitive vector of its combination of
 the integer forms, which is checked on the basis rows, and whose zero rows
-are the emitted curve's incidence with A, since the hyperplane's polynomial
-and the curve's radical vanish at the same points.  A pullback's polynomial
-need not be squarefree, so only a hyperplane that passes the incidence
-filter becomes a curve through `vector_to_curve`, and curves are grouped by
-their `PlaneCurve`.  Catalog curves are read off kernel vectors the same
-way.
+are the emitted curve's incidence with A.
+
+Every curve the pipeline emits is spanned, so by the lemma at
+`veronese.spanned_curve` its polynomial is squarefree and is read as its own
+radical.  A catalog curve spans the one-dimensional vanishing space of its
+section of B.  A line through exactly two image points holds the images of
+points a1, a2 of A: the rows of B have rank N-2, N = C(d+2,2)-1, a1 is off
+the center and a2 projects elsewhere, so B, a1 and a2 have N independent
+rows, and the pulled-back vector spans their vanishing space.  Distinct
+vectors are therefore distinct curves, and each line that passes the
+incidence filter gives one record.
 """
 
 from __future__ import annotations
@@ -52,14 +57,13 @@ from .linalg import (
     flat_from_equations,
     kernel,
     normalized,
-    normalized_key,
     primitive,
     rank,
     row_span,
     vec_dot,
 )
 from .ndfamilies import BasisCandidate, _basis_rows, nd_verify
-from .veronese import ambient_dim, poly_to_vector, vector_to_curve
+from .veronese import ambient_dim, poly_to_vector, spanned_curve
 
 
 @dataclass(frozen=True)
@@ -187,8 +191,9 @@ def exceptional_catalog(A: PointConfiguration | None, B, d: int):
     For a verified basis the section flat of such a curve is a hyperplane
     in degree-e lift space, so candidates are the sections whose vanishing
     space is one-dimensional and realized exactly: the primitive vector
-    spanning it vanishes on no other row of B.  A curve's section is its
-    whole incidence with B, so each section gives a different curve.
+    spanning it vanishes on no other row of B.  That vector is the curve,
+    read by `spanned_curve`.  A curve's section is its whole incidence with
+    B, so each section gives a different curve.
     """
     basis, indices, rows = _basis_rows(A, B, d)
     verdict = nd_verify(A, basis if indices is None else indices, d)
@@ -204,7 +209,7 @@ def exceptional_catalog(A: PointConfiguration | None, B, d: int):
             basis_vecs = kernel([rows[e][i] for i in idx], comb(e + 2, 2))
             if len(basis_vecs) != 1 or _zero_rows(basis_vecs[0], rows[e]) != frozenset(idx):
                 continue
-            curve = vector_to_curve(basis_vecs[0], e)
+            curve = spanned_curve(basis_vecs[0], e)
             if curve.representative.degree != e:
                 raise InvariantViolation(
                     "exceptional curve with unexpected degree",
@@ -413,8 +418,7 @@ def curves_from_basis(A: PointConfiguration, B, d: int | None = None,
 
     lines = two_point_lines(state.s_points, state.t_points)
     vectors = []
-    by_curve: dict[PlaneCurve, tuple[frozenset, list]] = {}
-    filtered = 0
+    records = []
     rows = A.homogeneous_lifts(d)
     basis_rows = state.center.rows  # the center is spanned by the basis rows
     for line in lines:
@@ -425,26 +429,14 @@ def curves_from_basis(A: PointConfiguration, B, d: int | None = None,
                 "pulled-back hyperplane misses the basis",
                 {"line": [str(c) for c in line.coeffs]},
             )
-        # the hyperplane's polynomial and the curve's radical have the same
-        # zero set, so its zero rows are the curve's incidence with A, and
-        # every hyperplane of a filtered curve is filtered too
         incidence = _zero_rows(vec, rows)
-        if len(incidence) > state.n:
-            filtered += 1
-            continue
-        by_curve.setdefault(vector_to_curve(vec, d), (incidence, []))[1].append(vec)
+        if len(incidence) <= state.n:
+            records.append(CurveRecord(d, incidence, (vec,)))
     if len(set(vectors)) != len(lines):
         raise InvariantViolation(
             "line pullback is not injective", {"lines": len(lines)}
         )
-    records = []
-    for curve in sorted(by_curve, key=PlaneCurve.sort_key):
-        incidence, vecs = by_curve[curve]
-        if len(vecs) > d**d:
-            raise InvariantViolation(
-                "per-curve hyperplane fan-in exceeds d^d",
-                {"curve": curve.representative.text(), "fan_in": len(vecs)},
-            )
-        records.append(CurveRecord(d, incidence, tuple(sorted(vecs, key=normalized_key)), curve))
-    trace.update({"emitted": len(records), "lines": len(lines), "filtered": filtered})
+    records.sort(key=lambda rec: rec.curve.sort_key())
+    trace.update({"emitted": len(records), "lines": len(lines),
+                  "filtered": len(lines) - len(records)})
     return DeterminedCurveSet(d, state.n, tuple(records)), state

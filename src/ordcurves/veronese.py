@@ -9,8 +9,10 @@ source point.
 
 Inside the package a hyperplane is its primitive integer coefficient vector,
 constant first and then the monomial order.  `poly_to_vector` and
-`vector_to_curve` are the whole dictionary; `HyperplaneForm`, with `tau` and
-`tau_inverse`, is its Fraction view for library callers.
+`vector_to_curve` are the whole dictionary; `spanned_curve` reads the curve
+of a spanned hyperplane, which is squarefree, without a radical (the lemma is
+stated there).  `HyperplaneForm`, with `tau` and `tau_inverse`, is the
+dictionary's Fraction view for library callers.
 """
 
 from __future__ import annotations
@@ -64,14 +66,40 @@ def integer_lift(point, d: int) -> tuple[int, ...]:
     return (zs[d],) + tuple(xs[n] * ys[m] * zs[d - n - m] for n, m in monomial_order(d))
 
 
-def vector_to_curve(vec, d: int) -> PlaneCurve:
-    """Curve of the polynomial whose coefficients are (constant, monomial_order(d))."""
+def _vector_poly(vec, d: int) -> BivariatePolynomial:
+    """Polynomial whose coefficients are (constant, monomial_order(d))."""
     coeffs = dict(zip(monomial_order(d), vec[1:]))
     coeffs[(0, 0)] = vec[0]
     p = BivariatePolynomial.from_dict(coeffs)
     if p.is_constant:
         raise ValueError("hyperplane has no non-constant coefficient; no curve")
-    return PlaneCurve.from_poly(p)
+    return p
+
+
+def vector_to_curve(vec, d: int) -> PlaneCurve:
+    """Curve of the polynomial whose coefficients are (constant, monomial_order(d))."""
+    return PlaneCurve.from_poly(_vector_poly(vec, d))
+
+
+def spanned_curve(vec, d: int) -> PlaneCurve:
+    """Curve of a vector spanning the degree-<=d vanishing space of a point set.
+
+    Lemma: if a nonconstant p spans the one-dimensional space V(S) of
+    polynomials of degree <= d vanishing on a point set S, then p is
+    squarefree.  Suppose p = g^2 h with deg g >= 1.  For every q with
+    deg q <= deg g, g h q has degree at most deg p <= d and vanishes wherever
+    g h does, which is wherever p does, so it lies in V(S).  As q -> g h q
+    is injective, V(S) then contains a copy of the polynomials of degree
+    <= deg g, of dimension C(deg g + 2, 2) >= 3: a contradiction.
+
+    So p is its own radical up to a scalar, and its canonical form is both
+    the representative and the radical; no gcd is computed.  Every curve the
+    package emits is of this kind: the N-subset hyperplanes
+    (`determined.enumerate_determined`), the exceptional catalog and the line
+    pullbacks (`projection`).
+    """
+    p = _vector_poly(vec, d).canonical()
+    return PlaneCurve(p, p)
 
 
 def poly_to_vector(p: BivariatePolynomial, d: int) -> tuple[int, ...]:

@@ -1,20 +1,28 @@
+from functools import lru_cache
 from math import gcd
 
 import pytest
 
+from ordcurves.bipoly import squarefree_radical
 from ordcurves.linalg import vec_dot
 from ordcurves.veronese import lift
 
+_lift = lru_cache(maxsize=None)(lift)
+
 
 def _check_hyperplanes(rec, points, d):
-    """Each of a curve record's hyperplanes is a distinct primitive integer
-    vector with a positive first nonzero entry, and its polynomial vanishes
-    at exactly the record's incidence, evaluated on the Fraction lifts."""
-    assert len(set(rec.hyperplanes)) == len(rec.hyperplanes)
+    """A curve record holds one hyperplane, a primitive integer vector with a
+    positive first nonzero entry whose polynomial vanishes at exactly the
+    record's incidence, evaluated on the Fraction lifts.  The curve is
+    spanned, so its representative is canonical and equals the PRS radical
+    computed independently here."""
+    assert len(rec.hyperplanes) == 1
+    curve = rec.curve
+    assert curve.representative == curve.radical == squarefree_radical(curve.representative)
     for vec in rec.hyperplanes:
         assert all(type(x) is int for x in vec) and gcd(*vec) == 1
         assert next(x for x in vec if x) > 0
-        zeros = {i for i, p in enumerate(points) if vec[0] + vec_dot(vec[1:], lift(p, d)) == 0}
+        zeros = {i for i, p in enumerate(points) if vec[0] + vec_dot(vec[1:], _lift(p, d)) == 0}
         assert zeros == rec.incidence
 
 

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from ordcurves.bipoly import (
     BivariatePolynomial,
     PlaneCurve,
-    _certified_squarefree,
-    _radical_by_gcd,
     divides,
     parse_poly,
     poly_divmod,
@@ -169,8 +167,8 @@ def test_radical_is_squarefree_and_same_vanishing():
         assert (p.evaluate(pt) == 0) == (rad.evaluate(pt) == 0)
 
 
-# f vanishes at every trial value of the squarefree certificate, so
-# (x - f)(x + f) specialises to x^2 there although it is squarefree
+# f vanishes at y = 0, 1, -1, 2, -2, 3, so (x - f)(x + f) specialises to x^2
+# at each of those values although it is squarefree
 TRIAL_ROOTS = parse_poly("y^6 - 3*y^5 - 5*y^4 + 15*y^3 + 4*y^2 - 12*y")
 INCONCLUSIVE = (parse_poly("x") - TRIAL_ROOTS) * (parse_poly("x") + TRIAL_ROOTS)
 
@@ -205,29 +203,19 @@ def radical_cases():
         cases.append((y_only * y_only * parse_poly("x - y^2 + 1"), False))
         cases.append((x_only.pow(3) * parse_poly("y - x^3 + 2*x"), False))
     cases.append((INCONCLUSIVE, True))
-    # the repeated factor loses its x- and y-degree at the first trial value 0,
-    # where the leading coefficients vanish
+    # the repeated factor loses its x-degree at y = 0 and its y-degree at
+    # x = 0, where the leading coefficients vanish
     cases.append((parse_poly("x*y + 1").pow(2) * parse_poly("x - 2") * parse_poly("y - 3"), False))
     cases.append((parse_poly("x^2 - y^3"), True))
     cases.append((parse_poly("x*y - 1") * parse_poly("x + y"), True))
     return cases
 
 
-def test_radical_fast_path_matches_exact_gcd():
+def test_radical_squarefree_flags():
+    # a polynomial is squarefree exactly when it is its own canonical radical
     for p, squarefree in radical_cases():
-        rad = squarefree_radical(p)
-        assert rad == _radical_by_gcd(p), p.text()
-        is_squarefree = rad == p.canonical()
         if squarefree is not None:
-            assert is_squarefree == squarefree, p.text()
-        if _certified_squarefree(p.canonical()):
-            assert is_squarefree, p.text()
-
-
-def test_radical_certificate_inconclusive_falls_back():
-    assert not _certified_squarefree(INCONCLUSIVE.canonical())
-    assert squarefree_radical(INCONCLUSIVE) == INCONCLUSIVE.canonical()
-    assert _certified_squarefree(parse_poly("y - x^2").canonical())
+            assert (squarefree_radical(p) == p.canonical()) == squarefree, p.text()
 
 
 def test_radical_matches_sympy():

@@ -177,6 +177,26 @@ def test_point_index_out_of_range_exit_2(octet, capsys, argv, bad):
     assert f"point index {bad} out of range" in err and "8 points" in err
 
 
+@pytest.mark.parametrize("argv, code, name", [
+    (["construct", "--kind", "theorem6", "--d", "2"], 2, "construct --kind theorem6 requires --m"),
+    (["construct", "--kind", "theorem8", "--d", "3"], 2, "construct --kind theorem8 requires --n"),
+    (["construct", "--kind", "random_general", "--d", "2"], 2,
+     "construct --kind random_general requires --count"),
+    (["richness", "--input", "{octet}", "--threshold", "abc"], 2, "--threshold: bad rational"),
+    (["richness", "--input", "{octet}", "--threshold", "1/0"], 2, "--threshold: bad rational"),
+    (["sigma-count", "--d", "2", "--degrees", ""], 3, "at least one component degree"),
+    (["sigma-count", "--d", "2", "--degrees", "0"], 3, "component degrees >= 1"),
+    (["nd-grow", "--input", "{octet}", "--b0", "0", "--carrier", "x^2 + y^2 - 1"], 3,
+     "parametrizable curve (radical linear in x or in y)"),
+], ids=["theorem6-no-m", "theorem8-no-m-n", "random-no-count", "threshold-abc",
+        "threshold-1/0", "degrees-empty", "degrees-0", "carrier-circle"])
+def test_rejected_option_exits_with_name(octet, capsys, argv, code, name):
+    # malformed input exits 2 and a violated hypothesis 3, with no traceback
+    got, out, err = run([arg.format(octet=octet) for arg in argv], capsys)
+    assert (got, out) == (code, "")
+    assert name in err
+
+
 def test_construct_output_feeds_back(tmp_path, capsys):
     code, out, _ = run(
         ["construct", "--kind", "theorem6", "--d", "2", "--m", "7", "--seed", "1"], capsys

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from ordcurves.bipoly import poly_gcd
+from ordcurves.bipoly import poly_gcd, squarefree_radical
 from ordcurves.constructions import construct_theorem6, construct_theorem8, sample_configuration
 from ordcurves.determined import (
     PointConfiguration,
@@ -19,7 +19,9 @@ from ordcurves.determined import (
     regularity_report,
 )
 from ordcurves.errors import HypothesisViolation
+from ordcurves.ndfamilies import grow_nd_chain
 from ordcurves.oracle import oracle_determined
+from ordcurves.projection import curves_from_basis
 
 SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
 THREE_PLUS_ONE = [(0, 0), (1, 0), (2, 0), (0, 1)]
@@ -101,15 +103,25 @@ def test_every_determined_curve_is_rich_enough(check_hyperplanes):
     lambda: construct_theorem6(3, 13),
     lambda: construct_theorem8(3, 9, 12),
     lambda: sample_configuration("grid", side=4, d=2),
-], ids=["theorem6-d2-m9", "theorem6-d2-m14", "theorem6-d3-m13", "theorem8-d3-m12", "grid4-d2"])
-def test_spanned_hyperplane_is_its_own_radical(build):
-    # a spanned hyperplane's polynomial is squarefree, so each curve has one
-    # hyperplane and its polynomial is its radical
-    result = enumerate_determined(build().config)
-    assert result.records
-    for rec in result.records:
-        assert len(rec.hyperplanes) == 1
-        assert rec.curve.representative == rec.curve.radical
+    lambda: sample_configuration("random_general", seed=3000, count=11, d=3, genericity=3),
+], ids=["theorem6-d2-m9", "theorem6-d2-m14", "theorem6-d3-m13", "theorem8-d3-m12", "grid4-d2",
+        "random_general-d3"])
+def test_spanned_hyperplane_is_its_own_radical(build, check_hyperplanes):
+    # every emitted curve spans a one-dimensional vanishing space, so its
+    # polynomial is squarefree (veronese.spanned_curve): the determined
+    # curves, the pipeline's curves from a grown basis and its catalog each
+    # equal their PRS radical, with one hyperplane per record
+    config = build().config
+    d = config.d
+    determined = enumerate_determined(config)
+    assert determined.records
+    grown = grow_nd_chain(config, [], None, d, seed=0)
+    assert grown.success
+    curves, state = curves_from_basis(config, list(grown.chain), d)
+    for rec in determined.records + curves.records:
+        check_hyperplanes(rec, config.points, d)
+    for _, curve in state.catalog:
+        assert curve.representative == curve.radical == squarefree_radical(curve.representative)
 
 
 def test_row_cache_is_per_instance():
