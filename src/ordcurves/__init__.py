@@ -56,7 +56,6 @@ from .projection import (
     build_pipeline,
     curves_from_basis,
     exceptional_catalog,
-    hyperproject,
     two_point_lines,
 )
 from .veronese import HyperplaneForm, lift, pad_degree, tau, tau_inverse
@@ -88,7 +87,6 @@ __all__ = [
     "flat_span",
     "forbidden_region_membership",
     "grow_nd_chain",
-    "hyperproject",
     "lift",
     "max_curve_richness",
     "nd_quantities",

@@ -358,6 +358,9 @@ def main(argv=None) -> int:
     if args.command in ("construct", "sweep", "sigma-count") and args.d is None:
         print(f"{args.command} requires --d", file=sys.stderr)
         return 2
+    if args.workers < 1:
+        print(f"--workers must be at least 1, got {args.workers}", file=sys.stderr)
+        return 2
     buffer = io.StringIO()
     try:
         args.func(args, buffer)

@@ -137,8 +137,7 @@ def construct_theorem8(
     pos = 0
     for step in range(m - 1):
         r = min(len(chosen), N - 1)
-        obstructions = list(combinations(range(len(chosen)), r)) if chosen else []
-        budget = d * d * max(1, len(obstructions)) + len(chosen) + 2
+        budget = d * d * comb(len(chosen), r) + len(chosen) + 2
         tried = 0
         placed = False
         while tried <= budget:
@@ -155,13 +154,7 @@ def construct_theorem8(
                 continue
             tried += 1
             z = integer_lift(pt, d)
-            bad = False
-            for idx in obstructions:
-                rows = [chosen_lifts[i] for i in idx]
-                if rank(rows + [z]) == len(rows):
-                    bad = True
-                    break
-            if bad:
+            if _in_some_span(chosen_lifts, z, r):
                 continue
             chosen.append(pt)
             chosen_lifts.append(z)
@@ -204,15 +197,16 @@ def construct_theorem8(
     )
 
 
+def _in_some_span(rows, z, size: int) -> bool:
+    """Whether the row z lies in the span of `size` independent rows of `rows`."""
+    return any(rank([*sub, z]) == size for sub in combinations(rows, size))
+
+
 def _passes_genericity(points, lifts_by_e, cand, g: int) -> bool:
-    for e in range(1, g + 1):
-        z = integer_lift(cand, e)
-        size = min(len(points), comb(e + 2, 2) - 1)
-        for idx in combinations(range(len(points)), size):
-            rows = [lifts_by_e[e][i] for i in idx]
-            if rank(rows + [z]) == len(rows):
-                return False
-    return True
+    return not any(
+        _in_some_span(lifts_by_e[e], integer_lift(cand, e), min(len(points), comb(e + 2, 2) - 1))
+        for e in range(1, g + 1)
+    )
 
 
 def sample_configuration(kind: str, seed: int = 0, **params) -> Construction:

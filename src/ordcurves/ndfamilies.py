@@ -174,8 +174,13 @@ def realizable_sections(rows, e: int):
 
 @dataclass(frozen=True)
 class NdVerifyResult:
+    """Verdict of `nd_verify`.  On success `sections` holds the (e, section)
+    pairs of size C(d+2,2)-C(d-e+2,2)-1 that condition (iii) examined: every
+    realizable section of B of that size, as index tuples into B."""
+
     ok: bool
     failures: tuple
+    sections: tuple = ()
 
     def __bool__(self):
         return self.ok
@@ -229,69 +234,33 @@ def nd_verify(A: PointConfiguration | None, B, d: int | None = None) -> NdVerify
     basis, _, rows = _basis_rows(A, B, d)
     n_b = len(basis.points)
 
+    def failure(condition, e, section, measured, threshold) -> NdVerifyResult:
+        record = {"condition": condition, "e": e, "section": list(section),
+                  "measured": measured, "threshold": threshold}
+        return NdVerifyResult(False, (record,))
+
     target_dim = comb(d + 2, 2) - 4
     dim_b = rank(rows[d]) - 1
     if dim_b != target_dim:
-        return NdVerifyResult(
-            False,
-            (
-                {
-                    "condition": "i",
-                    "e": d,
-                    "section": list(range(n_b)),
-                    "measured": dim_b,
-                    "threshold": target_dim,
-                },
-            ),
-        )
+        return failure("i", d, range(n_b), dim_b, target_dim)
 
+    sections = []
     for e in range(1, d):
         cut = comb(d + 2, 2) - comb(d - e + 2, 2)
         rest_target = comb(d - e + 2, 2) - 3
         for idx in realizable_sections(rows[e], e):
             size = len(idx)
             if size >= cut:
-                return NdVerifyResult(
-                    False,
-                    (
-                        {
-                            "condition": "ii",
-                            "e": e,
-                            "section": list(idx),
-                            "measured": size,
-                            "threshold": cut,
-                        },
-                    ),
-                )
+                return failure("ii", e, idx, size, cut)
             rest = [rows[d - e][i] for i in range(n_b) if i not in idx]
             dim_rest = rank(rest) - 1
-            if size == cut - 1 and dim_rest != rest_target:
-                return NdVerifyResult(
-                    False,
-                    (
-                        {
-                            "condition": "iii",
-                            "e": e,
-                            "section": list(idx),
-                            "measured": dim_rest,
-                            "threshold": rest_target,
-                        },
-                    ),
-                )
-            if size < cut - 1 and dim_rest <= rest_target:
-                return NdVerifyResult(
-                    False,
-                    (
-                        {
-                            "condition": "iv",
-                            "e": e,
-                            "section": list(idx),
-                            "measured": dim_rest,
-                            "threshold": rest_target,
-                        },
-                    ),
-                )
-    return NdVerifyResult(True, ())
+            if size == cut - 1:
+                if dim_rest != rest_target:
+                    return failure("iii", e, idx, dim_rest, rest_target)
+                sections.append((e, idx))
+            elif dim_rest <= rest_target:
+                return failure("iv", e, idx, dim_rest, rest_target)
+    return NdVerifyResult(True, (), tuple(sections))
 
 
 GUARD_NAME = "growth guard max(tau, mu) < C(d+2,2)"

@@ -16,11 +16,13 @@ is controlled by twice the maximal fiber size plus |D & A|.
 Points are indices into A, lifted as its cached integer rows Z^d * (1, lift)
 (`PointConfiguration.homogeneous_lifts`).  Flats are spanned by those rows,
 membership is integer dot products with a flat's normals, and the projector
-evaluates its forms, scaled to integers, on the rows: a positive multiple of
-(1, z) has the same image as z.  Hyperplanes are primitive integer vectors
+evaluates integer forms on the rows: a positive multiple of (1, z) has the
+same image as z.  Image points and lines of P^2 are primitive integer
+triples, sorted in the order of their first-nonzero-is-1 forms
+(`linalg.normalized_key`).  Hyperplanes are primitive integer vectors
 throughout: a line pulls back to the primitive vector of its combination of
-the integer forms, which is checked on the basis rows, and whose zero rows
-are the emitted curve's incidence with A.
+the forms, which is checked on the basis rows, and whose zero rows are the
+emitted curve's incidence with A.
 
 Every curve the pipeline emits is spanned, so by the lemma at
 `veronese.spanned_curve` its polynomial is squarefree and is read as its own
@@ -35,9 +37,8 @@ incidence filter gives one record.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from math import comb, lcm
 from operator import mul
@@ -56,43 +57,48 @@ from .linalg import (
     _integer_row,
     flat_from_equations,
     kernel,
-    normalized,
+    normalized_key,
     primitive,
     rank,
     row_span,
-    vec_dot,
 )
 from .ndfamilies import BasisCandidate, _basis_rows, nd_verify
 from .veronese import ambient_dim, poly_to_vector, spanned_curve
 
 
+def _dot(u, v) -> int:
+    return sum(map(mul, u, v))
+
+
 @dataclass(frozen=True)
 class ProjectivePoint:
-    """Point of P^2 with first nonzero homogeneous coordinate scaled to 1."""
+    """Point of P^2 as its primitive integer coordinate triple."""
 
-    coords: tuple[Fraction, ...]
+    coords: tuple[int, ...]
 
     @staticmethod
     def normalize(vec) -> "ProjectivePoint":
-        return ProjectivePoint(normalized(vec))
+        return ProjectivePoint(primitive(vec))
 
     def sort_key(self):
-        return self.coords
+        return normalized_key(self.coords)
 
 
 @dataclass(frozen=True)
 class ProjectiveLine:
-    coeffs: tuple[Fraction, ...]
+    """Line of P^2 as its primitive integer coefficient triple."""
+
+    coeffs: tuple[int, ...]
 
     @staticmethod
     def normalize(vec) -> "ProjectiveLine":
-        return ProjectiveLine(normalized(vec))
+        return ProjectiveLine(primitive(vec))
 
     def contains(self, p: ProjectivePoint) -> bool:
-        return vec_dot(self.coeffs, p.coords) == 0
+        return _dot(self.coeffs, p.coords) == 0
 
     def sort_key(self):
-        return self.coeffs
+        return normalized_key(self.coeffs)
 
 
 def line_through(p: ProjectivePoint, q: ProjectivePoint) -> ProjectiveLine:
@@ -109,10 +115,10 @@ def projective_collinear(points) -> bool:
 class HyperprojectionMap:
     """Projection of lift space from a codimension-3 flat onto P^2.
 
-    `forms` are three independent affine functionals (c0, c) vanishing on
-    the center; the image of z is [f0(z) : f1(z) : f2(z)].  Points sharing
-    an image are exactly those spanning the same one-higher flat with the
-    center.
+    `forms` are three independent affine functionals vanishing on the
+    center, each an integer vector (c0, *c); the image of z is
+    [f0(z) : f1(z) : f2(z)].  Points sharing an image are exactly those
+    spanning the same one-higher flat with the center.
     """
 
     center: AffineFlat
@@ -120,6 +126,9 @@ class HyperprojectionMap:
 
     @staticmethod
     def from_flat(center: AffineFlat) -> "HyperprojectionMap":
+        """The center's normals, each divided by the first nonzero entry of
+        its c and all multiplied by one positive integer: the ratios of
+        `AffineFlat.equations`, on which the image coordinates depend."""
         if center.is_empty:
             raise HypothesisViolation("nonempty center", "projection center is empty")
         if center.dim != center.ambient_dim - 3:
@@ -127,19 +136,19 @@ class HyperprojectionMap:
                 "center has codimension 3",
                 f"dim {center.dim} in Q^{center.ambient_dim}",
             )
-        forms = tuple(center.equations())
-        if len(forms) != 3:
+        if len(center.normals) != 3:
             raise InvariantViolation(
                 "codimension-3 flat without exactly three equations",
                 {"dim": center.dim, "ambient": center.ambient_dim},
             )
+        # a normal's c is never zero on a nonempty flat
+        firsts = [next(filter(None, normal[1:])) for normal in center.normals]
+        scale = lcm(*firsts)
+        forms = tuple(
+            tuple(x * (scale // first) for x in normal)
+            for normal, first in zip(center.normals, firsts)
+        )
         return HyperprojectionMap(center, forms)
-
-    @cached_property
-    def integer_forms(self) -> tuple:
-        """The forms times one common positive integer, as vectors (c0, c)."""
-        scale = lcm(*(x.denominator for c0, c in self.forms for x in (c0, *c)))
-        return tuple(tuple(int(x * scale) for x in (c0, *c)) for c0, c in self.forms)
 
     def project(self, z) -> ProjectivePoint:
         """Image of a point z of lift space."""
@@ -148,8 +157,8 @@ class HyperprojectionMap:
     def project_row(self, row) -> ProjectivePoint:
         """Image of a homogeneous row: any nonzero multiple of (1, z), such
         as an `integer_lift` row, has the image of z."""
-        w = tuple(sum(map(mul, f, row)) for f in self.integer_forms)
-        if all(x == 0 for x in w):
+        w = [_dot(f, row) for f in self.forms]
+        if not any(w):
             raise HypothesisViolation(
                 "point off the projection center", "z lies on the center flat"
             )
@@ -158,12 +167,7 @@ class HyperprojectionMap:
     def pull_back_line(self, line: ProjectiveLine) -> tuple[int, ...]:
         """Primitive vector of the hyperplane through the center whose image
         is the given line: the line's combination of the forms."""
-        coeffs = primitive(line.coeffs)
-        return primitive([sum(map(mul, coeffs, column)) for column in zip(*self.integer_forms)])
-
-
-def hyperproject(pmap: HyperprojectionMap, z) -> ProjectivePoint:
-    return pmap.project(z)
+        return primitive([_dot(line.coeffs, column) for column in zip(*self.forms)])
 
 
 def curve_lift_flat(curve: PlaneCurve, d: int) -> AffineFlat:
@@ -191,9 +195,12 @@ def exceptional_catalog(A: PointConfiguration | None, B, d: int):
     For a verified basis the section flat of such a curve is a hyperplane
     in degree-e lift space, so candidates are the sections whose vanishing
     space is one-dimensional and realized exactly: the primitive vector
-    spanning it vanishes on no other row of B.  That vector is the curve,
-    read by `spanned_curve`.  A curve's section is its whole incidence with
-    B, so each section gives a different curve.
+    spanning it vanishes on no other row of B.  `nd_verify` has already
+    listed the realizable sections of that size (`NdVerifyResult.sections`),
+    and a realizable section's vanishing space loses dimension at every
+    other point of B, so a one-dimensional one is realized exactly.  Its
+    vector is the curve, read by `spanned_curve`.  A curve's section is its
+    whole incidence with B, so each section gives a different curve.
     """
     basis, indices, rows = _basis_rows(A, B, d)
     verdict = nd_verify(A, basis if indices is None else indices, d)
@@ -202,27 +209,25 @@ def exceptional_catalog(A: PointConfiguration | None, B, d: int):
             "B satisfies the basis conditions", str(verdict.failures)
         )
     catalog = []
-    for e in range(1, d):
-        section_size = comb(d + 2, 2) - comb(d - e + 2, 2) - 1
-        found = []
-        for idx in combinations(range(len(basis.points)), section_size):
-            basis_vecs = kernel([rows[e][i] for i in idx], comb(e + 2, 2))
-            if len(basis_vecs) != 1 or _zero_rows(basis_vecs[0], rows[e]) != frozenset(idx):
-                continue
-            curve = spanned_curve(basis_vecs[0], e)
-            if curve.representative.degree != e:
-                raise InvariantViolation(
-                    "exceptional curve with unexpected degree",
-                    {"e": e, "curve": curve.representative.text()},
-                )
-            found.append((e, curve))
-        if len(found) >= 2 ** (2 ** (d + 2)):
+    for e, idx in verdict.sections:
+        basis_vecs = kernel([rows[e][i] for i in idx], comb(e + 2, 2))
+        if len(basis_vecs) != 1:
+            continue
+        curve = spanned_curve(basis_vecs[0], e)
+        if curve.representative.degree != e:
             raise InvariantViolation(
-                "exceptional catalog bound exceeded",
-                {"e": e, "count": len(found), "bound": 2 ** (2 ** (d + 2))},
+                "exceptional curve with unexpected degree",
+                {"e": e, "curve": curve.representative.text()},
             )
-        catalog.extend(sorted(found, key=lambda pair: pair[1].sort_key()))
-    return tuple(catalog)
+        catalog.append((e, curve))
+    bound = 2 ** (2 ** (d + 2))
+    for e, count in Counter(e for e, _ in catalog).items():
+        if count >= bound:
+            raise InvariantViolation(
+                "exceptional catalog bound exceeded", {"e": e, "count": count, "bound": bound}
+            )
+    # a curve's sort key starts with its degree e, so this orders by e first
+    return tuple(sorted(catalog, key=lambda pair: pair[1].sort_key()))
 
 
 @dataclass(frozen=True)
@@ -388,8 +393,8 @@ def find_affine_chart(points):
     points = list(points)
     k = 0
     while k <= 2 * len(points) + 1:
-        form = (Fraction(1), Fraction(k), Fraction(k * k))
-        if all(vec_dot(form, p.coords) != 0 for p in points):
+        form = (1, k, k * k)
+        if all(_dot(form, p.coords) for p in points):
             return form
         k += 1
     raise InvariantViolation(
@@ -424,7 +429,7 @@ def curves_from_basis(A: PointConfiguration, B, d: int | None = None,
     for line in lines:
         vec = state.projector.pull_back_line(line)
         vectors.append(vec)
-        if any(sum(map(mul, vec, row)) for row in basis_rows):
+        if any(_dot(vec, row) for row in basis_rows):
             raise InvariantViolation(
                 "pulled-back hyperplane misses the basis",
                 {"line": [str(c) for c in line.coeffs]},

@@ -264,6 +264,55 @@ def test_workers_equivalence(octet, capsys):
     assert out1 == out2
 
 
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Replaces the process pool by a serial stand-in on a 3-CPU host;
+    returns the max_workers of every pool asked for."""
+    from ordcurves import parallel
+
+    requested = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 3)
+    return requested
+
+
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_workers_below_one_exit_2(octet, capsys, recording_pool, workers):
+    code, out, err = run(["--workers", workers, "determined", "--input", octet], capsys)
+    assert code == 2 and out == ""
+    assert "--workers must be at least 1" in err
+    assert recording_pool == []
+
+
+def test_pmap_never_asks_for_more_workers_than_cpus(recording_pool):
+    from ordcurves.parallel import pmap
+
+    assert pmap(abs, [-1, -2, -3], workers=100_000) == [1, 2, 3]
+    assert pmap(abs, [-1, -2], workers=2) == [1, 2]
+    assert recording_pool == [3, 2]
+
+
+def test_large_workers_flag_is_capped(octet, capsys, recording_pool):
+    _, serial, _ = run(["determined", "--input", octet], capsys)
+    code, out, _ = run(["--workers", "100000", "determined", "--input", octet], capsys)
+    assert code == 0 and out == serial
+    assert recording_pool == [3]
+
+
 def test_oracle_check(square, octet, capsys):
     code, out, _ = run(["oracle-check", "--input", square], capsys)
     assert code == 0
@@ -327,6 +376,10 @@ GOLDEN_RUNS = [
      ["nd-grow", "--d", "3", "--carrier", "y - x^3", "--b0", "15", "--seed", "0"]),
     ("project_carrier_d3.out", "carrier_points.json",
      ["project", "--d", "3", "--basis", "15,1,10,9,5,3,4"]),
+    # the only golden whose chart is not (1, 0, 0), which depends on the
+    # relative scaling of the projection's forms
+    ("project_chart_d2.out", "chart_points.json",
+     ["project", "--d", "2", "--basis", "0,1,2"]),
 ]
 
 

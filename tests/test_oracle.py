@@ -205,7 +205,8 @@ def test_oracle_imports_no_fast_path_module():
 
 @pytest.mark.parametrize("module, forbidden", [
     (ordcurves.ndfamilies, set()),
-    (ordcurves.projection, {"vector_to_curve", "squarefree_radical"}),
+    (ordcurves.projection, {"vector_to_curve", "squarefree_radical",
+                            "Fraction", "fractions", "normalized", "vec_dot"}),
     (ordcurves.determined, set()),
 ], ids=["ndfamilies", "projection", "determined"])
 def test_row_layers_import_no_fraction_lift(module, forbidden):

@@ -1,15 +1,19 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import mul
+from pathlib import Path
 
 import pytest
 
 from ordcurves.bipoly import parse_poly
+from ordcurves.constructions import sample_configuration
 from ordcurves.determined import PointConfiguration, ordinary_curves
 from ordcurves.errors import HypothesisViolation
-from ordcurves.linalg import flat_span
-from ordcurves.ndfamilies import grow_nd_chain, realizable_sections
+from ordcurves.linalg import flat_span, kernel
+from ordcurves.ndfamilies import grow_nd_chain
 from ordcurves.projection import (
     ProjectivePoint,
     build_pipeline,
@@ -17,12 +21,13 @@ from ordcurves.projection import (
     curves_from_basis,
     exceptional_catalog,
     find_affine_chart,
-    hyperproject,
     line_through,
     two_point_lines,
 )
 from ordcurves.projection import HyperprojectionMap
-from ordcurves.veronese import ambient_dim, integer_lift, lift
+from ordcurves.veronese import ambient_dim, integer_lift, lift, spanned_curve
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 OCTET = [(0, 0), (1, 0), (0, 1), (3, 5), (2, 7), (5, 1), (1, 4), (6, 2)]
 TRIPLE = [(0, 0), (1, 0), (0, 1)]
@@ -38,7 +43,7 @@ def test_projection_collapses_flat_lines():
     center = pm.center
     z = lift((4, 7), 2)
     assert not center.contains(z)
-    image = hyperproject(pm, z)
+    image = pm.project(z)
     # points of Fl(center + {z}) off the center share the image
     joined = center.extended([z])
     a, b = lift(TRIPLE[0], 2), lift(TRIPLE[1], 2)
@@ -46,10 +51,10 @@ def test_projection_collapses_flat_lines():
     mixed = tuple(h + y - x for h, x, y in zip(half, a, b))
     for w in (half, mixed):
         assert joined.contains(w) and not center.contains(w)
-        assert hyperproject(pm, w) == image
+        assert pm.project(w) == image
     other = lift((5, 5), 2)
     if not center.contains(other):
-        assert hyperproject(pm, other) != image or True  # distinct flats may share nothing
+        assert pm.project(other) != image or True  # distinct flats may share nothing
 
 
 def test_projection_of_rows_matches_points():
@@ -65,7 +70,7 @@ def test_projection_of_rows_matches_points():
 def test_projection_rejects_center_points():
     pm = make_projector()
     with pytest.raises(HypothesisViolation):
-        hyperproject(pm, lift(TRIPLE[0], 2))
+        pm.project(lift(TRIPLE[0], 2))
 
 
 def test_projection_requires_codim3():
@@ -101,25 +106,52 @@ def test_exceptional_catalog_triple():
     assert len(catalog) < 2 ** (2 ** 4)
 
 
+HANDCRAFTED_D3 = [(0, 0), (1, 0), (3, 0), (0, 1), (2, 3), (5, 2), (1, 6)]
+HANDCRAFTED_EXTRAS = (
+    [(7, 0), (4, 0), (6, 5), (8, 3), (-2, 7), (9, -4), (-5, -3)],
+    [(6, 0), (-3, 0), (7, 4), (8, -2), (-4, 6), (9, 5), (-6, -5)],
+)
+
+
+def _catalog_by_definition(A, basis, d):
+    """For each e < d, the curve of every (cut-1)-subset of B whose degree-e
+    kernel is one vector vanishing on no other row of B."""
+    out = []
+    for e in range(1, d):
+        rows = [integer_lift(A.points[i], e) for i in basis]
+        size = comb(d + 2, 2) - comb(d - e + 2, 2) - 1
+        for idx in combinations(range(len(basis)), size):
+            vecs = kernel([rows[i] for i in idx], comb(e + 2, 2))
+            if len(vecs) != 1:
+                continue
+            zeros = {i for i, row in enumerate(rows) if sum(map(mul, vecs[0], row)) == 0}
+            if zeros == set(idx):
+                out.append((e, spanned_curve(vecs[0], e)))
+    return sorted(out, key=lambda pair: (pair[0], pair[1].sort_key()))
+
+
 def test_exceptional_catalog_matches_section_bruteforce():
-    rng = random.Random(21)
-    pts = set()
-    while len(pts) < 10:
-        pts.add((rng.randint(-9, 9), rng.randint(-9, 9)))
-    A = PointConfiguration.from_points(sorted(pts), 3)
-    res = grow_nd_chain(A, [], None, 3, seed=1)
-    if not res.success:
-        pytest.skip("no basis on this draw")
-    B = list(res.basis.points)
-    catalog = exceptional_catalog(A, res.basis, 3)
-    # oracle: enumerate realizable exact sections of the right size per degree
-    expected = 0
-    for e in (1, 2):
-        want = comb(5, 2) - comb(3 + 2 - e, 2) - 1
-        for idx in realizable_sections([integer_lift(p, e) for p in B], e):
-            if len(idx) == want:
-                expected += 1
-    assert len(catalog) == expected
+    # (A, B, catalog size): the octet's three lines through two of its
+    # triple; the two lines through three points of the handcrafted bases;
+    # none on the carrier golden basis or a grown one
+    carrier = json.loads((GOLDEN / "carrier_points.json").read_text())
+    carrier_pts = [tuple(map(Fraction, p)) for p in carrier["points"]]
+    built = sample_configuration("random_general", seed=3000, count=11, d=3, genericity=3)
+    grown = grow_nd_chain(built.config, [], None, 3, seed=0)
+    assert grown.success
+    cases = [(PointConfiguration.from_points(OCTET, 2), [0, 1, 2], 3)]
+    cases += [
+        (PointConfiguration.from_points(HANDCRAFTED_D3 + extras, 3), list(range(7)), 2)
+        for extras in HANDCRAFTED_EXTRAS
+    ]
+    cases += [
+        (PointConfiguration.from_points(carrier_pts, 3), [15, 1, 10, 9, 5, 3, 4], 0),
+        (built.config, list(grown.chain), 0),
+    ]
+    for A, basis, size in cases:
+        catalog = exceptional_catalog(A, basis, A.d)
+        assert list(catalog) == _catalog_by_definition(A, basis, A.d)
+        assert len(catalog) == size
 
 
 def test_build_pipeline_d2_classification():
@@ -213,9 +245,7 @@ def test_curves_from_basis_sound_d3(check_hyperplanes):
 def test_find_affine_chart():
     pts = [ProjectivePoint.normalize(v) for v in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]]
     chart = find_affine_chart(pts)
-    from ordcurves.linalg import vec_dot
-
-    assert all(vec_dot(chart, p.coords) != 0 for p in pts)
+    assert all(sum(a * b for a, b in zip(chart, p.coords)) != 0 for p in pts)
 
 
 def test_pipeline_rejects_unverified_basis():
