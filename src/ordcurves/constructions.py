@@ -13,13 +13,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
+from operator import mul
 
 from .bipoly import PlaneCurve, parse_poly
 from .determined import PointConfiguration, contained_in_curve
 from .errors import HypothesisViolation, InvariantViolation
-from .linalg import rank
+from .linalg import kernel_leaves, kernel_root, kernel_step
 from .veronese import integer_lift
 
 
@@ -133,7 +133,8 @@ def construct_theorem8(
     window = list(range(-3 * m - 4, 3 * m + 5))
     rng.shuffle(window)
     chosen: list = []
-    chosen_lifts: list = []
+    # every N-subset of the chosen lifts stays independent
+    guard = _SpanGuard(N + 1, N - 1)
     pos = 0
     for step in range(m - 1):
         r = min(len(chosen), N - 1)
@@ -154,10 +155,10 @@ def construct_theorem8(
                 continue
             tried += 1
             z = integer_lift(pt, d)
-            if _in_some_span(chosen_lifts, z, r):
+            if guard.spans(z):
                 continue
             chosen.append(pt)
-            chosen_lifts.append(z)
+            guard.accept(z)
             placed = True
             break
         if not placed:
@@ -197,16 +198,51 @@ def construct_theorem8(
     )
 
 
-def _in_some_span(rows, z, size: int) -> bool:
-    """Whether the row z lies in the span of `size` independent rows of `rows`."""
-    return any(rank([*sub, z]) == size for sub in combinations(rows, size))
+class _SpanGuard:
+    """The kernel nodes of the min(k, cap)-subsets of k accepted rows.
 
+    A row is accepted only when it lies in the span of none of them, so by
+    induction every subset of at most cap + 1 accepted rows is independent.
+    A row then lies in the span of such a subset exactly when it is
+    orthogonal to every vector of the subset's kernel basis: the test
+    `rank([*sub, z]) == len(sub)` without an elimination.  An accepted row
+    adds only the new subsets, those that contain it, and only when the
+    next row is tested, so the last accepted row costs nothing.
+    """
 
-def _passes_genericity(points, lifts_by_e, cand, g: int) -> bool:
-    return not any(
-        _in_some_span(lifts_by_e[e], integer_lift(cand, e), min(len(points), comb(e + 2, 2) - 1))
-        for e in range(1, g + 1)
-    )
+    def __init__(self, n_cols: int, cap: int):
+        self.n_cols = n_cols
+        self.cap = cap
+        self.rows: list = []
+        self.leaves = [kernel_root(n_cols)]
+        self.pending: list = []
+
+    def spans(self, z) -> bool:
+        for row in self.pending:
+            self._add(row)
+        self.pending.clear()
+        return any(
+            not any(sum(map(mul, v, z)) for v in basis) for basis, _ in self.leaves
+        )
+
+    def accept(self, z) -> None:
+        self.pending.append(z)
+
+    def _add(self, z) -> None:
+        k = len(self.rows)
+        size = min(k, self.cap - 1)
+        root = kernel_step(kernel_root(self.n_cols), z)
+        new = list(kernel_leaves(self.rows, size, root)) if root else []
+        if len(new) != comb(k, size):
+            raise InvariantViolation(
+                "an accepted row reduced a sampler prefix to zero",
+                {"rows": self.rows, "row": list(z), "cap": self.cap},
+            )
+        if k < self.cap:
+            # below the cap, the one subset (every row) replaces the last one
+            self.leaves = []
+        self.leaves += new
+        self.rows.append(z)
 
 
 def sample_configuration(kind: str, seed: int = 0, **params) -> Construction:
@@ -235,7 +271,7 @@ def sample_configuration(kind: str, seed: int = 0, **params) -> Construction:
     span = int(params.get("span", 6 * count + 8))
     rng = random.Random(seed)
     pts: list = []
-    lifts_by_e = {e: [] for e in range(1, g + 1)}
+    guards = [_SpanGuard(comb(e + 2, 2), comb(e + 2, 2) - 1) for e in range(1, g + 1)]
     budget = 600 * count + 200
     tries = 0
     while len(pts) < count:
@@ -247,11 +283,12 @@ def sample_configuration(kind: str, seed: int = 0, **params) -> Construction:
         cand = _rand_point(rng, span)
         if cand in pts:
             continue
-        if g >= 1 and not _passes_genericity(pts, lifts_by_e, cand, g):
+        lifts = [integer_lift(cand, e) for e in range(1, g + 1)]
+        if any(guard.spans(z) for guard, z in zip(guards, lifts)):
             continue
         pts.append(cand)
-        for e in range(1, g + 1):
-            lifts_by_e[e].append(integer_lift(cand, e))
+        for guard, z in zip(guards, lifts):
+            guard.accept(z)
     return Construction(
         PointConfiguration.from_points(pts, d),
         {

@@ -3,21 +3,30 @@
 A degree-d curve is determined by A when no other degree-d curve meets A in
 a superset of its incidence.  With A not contained in any curve of degree at
 most d, these are exactly the pullbacks of the hyperplanes spanned by lifted
-subsets of A, so enumeration reduces to scanning C(d+2,2)-1 sized subsets
-for affinely independent lifts and deduplicating the resulting hyperplanes.
+subsets of A, so enumeration reduces to finding the C(d+2,2)-1 sized subsets
+with affinely independent lifts and deduplicating their hyperplanes.
 
-The scan works on each point's integer row Z^d * (1, lift) (`integer_lift`):
-a subset's hyperplane is the primitive integer kernel of its rows, and that
-vector is the hyperplane's only representation.  It is also the identity of
-the hyperplane's curve: the polynomial of a spanned hyperplane is squarefree
-(the lemma at `veronese.spanned_curve`), so it is its own radical, and two
-distinct primitive vectors are two distinct curves.  Dedup on the vectors is
-therefore dedup on curves, each `CurveRecord` holds one vector, and a
-record's polynomial and `PlaneCurve` are built only when a caller asks for
-them.  A curve's incidence is recomputed at every point of A as the integer
-dot product of its primitive vector with the point's row: an exact
-evaluation at each point, never inferred from which subsets spanned the
-hyperplane, so coincident lifts cannot be double counted.
+The scan works on each point's integer row Z^d * (1, lift) (`integer_lift`)
+and walks the subsets as a lexicographic prefix tree (`linalg.kernel_leaves`).
+A node holds an integer kernel basis of its prefix's rows, starting from the
+identity; a child reduces that basis by its one new row with one
+fraction-free step (`linalg.kernel_step`).  A row orthogonal to every basis
+vector lies in the prefix's span, so every subset through that child is
+rank-deficient and its whole subtree is skipped.  At full depth the basis is
+one vector, made primitive: the subset's hyperplane, the same vector a
+subset-by-subset elimination gives.  The subtrees under each first index are
+independent tasks, which `--workers` hands to a process pool.
+
+The primitive vector is the hyperplane's only representation.  It is also
+the identity of the hyperplane's curve: the polynomial of a spanned
+hyperplane is squarefree (the lemma at `veronese.spanned_curve`), so it is
+its own radical, and two distinct primitive vectors are two distinct curves.
+Dedup on the vectors is therefore dedup on curves, each `CurveRecord` holds
+one vector, and a record's polynomial and `PlaneCurve` are built only when a
+caller asks for them.  A curve's incidence is recomputed at every point of A
+as the integer dot product of its primitive vector with the point's row: an
+exact evaluation at each point, never inferred from which subsets spanned
+the hyperplane, so coincident lifts cannot be double counted.
 
 Curve richness (the largest section of A on a curve of degree <= e) falls
 out of the same scan at degree e: a richest section is the zero set of one
@@ -30,13 +39,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations
+from functools import partial
 from math import comb
 from operator import mul
 
 from .bipoly import PlaneCurve
 from .errors import HypothesisViolation, InvariantViolation
-from .linalg import kernel, normalized_key, primitive_kernel, rank
+from .linalg import kernel, normalized_key, rank, subtree_kernels
 from .parallel import pmap
 from .veronese import Point, as_point, integer_lift, spanned_curve, vector_to_curve
 
@@ -146,13 +155,12 @@ class DeterminedCurveSet:
         }
 
 
-def _kernel_vectors(rows, size: int, workers: int = 1) -> set[tuple[int, ...]]:
-    """Distinct primitive kernel vectors of the full-rank size-subsets of rows."""
-    tasks = ([rows[i] for i in idx] for idx in combinations(range(len(rows)), size))
-    # a subset's primitive kernel vector is its hyperplane; None when rank-deficient
-    vectors = set(pmap(primitive_kernel, tasks, workers=workers))
-    vectors.discard(None)
-    return vectors
+def _kernel_vectors(rows, workers: int = 1) -> set[tuple[int, ...]]:
+    """Distinct primitive kernel vectors of the independent N-subsets of the
+    rows, N one less than the row length; one task per first-index subtree."""
+    size = len(rows[0]) - 1
+    firsts = range(len(rows) - size + 1)
+    return set().union(*pmap(partial(subtree_kernels, rows), firsts, workers=workers))
 
 
 def _zero_rows(vec, rows) -> frozenset[int]:
@@ -174,7 +182,7 @@ def spanned_hyperplanes(config: PointConfiguration, workers: int = 1):
     The distinct vectors come sorted by their `normalized` form.
     """
     d = config.d
-    vectors = _kernel_vectors(config.homogeneous_lifts(d), comb(d + 2, 2) - 1, workers)
+    vectors = _kernel_vectors(config.homogeneous_lifts(d), workers)
     return sorted(vectors, key=normalized_key)
 
 
@@ -239,7 +247,7 @@ def max_curve_richness(config: PointConfiguration, e: int):
     rows = config.homogeneous_lifts(e)
     if rank(rows) < comb(e + 2, 2):
         return len(rows), tuple(range(len(rows)))
-    return richest(_zero_rows(v, rows) for v in _kernel_vectors(rows, comb(e + 2, 2) - 1))
+    return richest(_zero_rows(v, rows) for v in _kernel_vectors(rows))
 
 
 # the default threshold's denominator has 2^(3e+8) bits: 128 KiB at e = 4, and

@@ -1,15 +1,18 @@
 """Exact linear algebra over the integers and the rationals.
 
-Everything rests on one fraction-free (Bareiss 1968) forward elimination,
-`_bareiss`: every entry it produces is a minor of the input, so all of its
-divisions are exact and no `Fraction` is ever built.  It gives `rank`, the
-primitive kernel vector of a k x (k+1) matrix (`primitive_kernel`, the
-determined-curve scan's hot path) and the primitive kernel basis of any
-matrix (`kernel`).  Rational rows are scaled by the lcm of their
-denominators first, which keeps the row space.  `nullspace` is the Fraction
-view of `kernel`, through `normalized`, the package's one first-nonzero-is-1
-scaling; `normalized_key` sorts primitive vectors in the order of their
-normalized forms by integer cross-multiplication.
+Everything rests on fraction-free (Bareiss 1968) elimination: every entry
+it produces is a minor of the input, so all of its divisions are exact and
+no `Fraction` is ever built.  `_bareiss`, the forward elimination, gives
+`rank` and the primitive kernel basis of any matrix (`kernel`).  Rational
+rows are scaled by the lcm of their denominators first, which keeps the
+row space.  `kernel_step` runs the same elimination on the kernel side, one
+row at a time, and `kernel_leaves` walks it over the subsets of a row list
+as a prefix tree, skipping every subset with a dependent prefix; the
+determined-curve scan (`subtree_kernels`) and the samplers' genericity test
+are built on it.  `nullspace` is the Fraction view of `kernel`, through
+`normalized`, the package's one first-nonzero-is-1 scaling;
+`normalized_key` sorts primitive vectors in the order of their normalized
+forms by integer arithmetic.
 
 An affine flat of Q^n is held as integer homogeneous data: spanning rows,
 each a positive multiple of (1, z) for a point z of the flat, and their
@@ -132,22 +135,70 @@ def kernel(rows, n_cols: int) -> list[tuple[int, ...]]:
     return [_kernel_vector(mat, pivots, f, n_cols) for f in range(n_cols) if f not in taken]
 
 
-def primitive_kernel(rows) -> tuple[int, ...] | None:
-    """Primitive integer kernel vector of a k x (k+1) integer matrix of rank k.
+def kernel_root(n_cols: int):
+    """The kernel node of no rows: the identity basis of Z^n_cols, pivot 1."""
+    return [[int(i == j) for j in range(n_cols)] for i in range(n_cols)], 1
 
-    The vector has content 1 and a positive first nonzero entry, so it is
-    the canonical generator of the one-dimensional kernel.  Returns None
-    when the rank is below k.
+
+def kernel_step(node, row):
+    """The kernel node of a prefix of rows extended by one more row.
+
+    A node (basis, pivot) holds a kernel basis of its prefix: one vector per
+    free column, zero on the other free columns, and equal to the pivot on
+    its own.  With s_i = k_i.row and the first k_p with s_p != 0, the child
+    keeps (s_p k_i - s_i k_p) / pivot for every i != p, all orthogonal to
+    the row, and s_p is the child's pivot.  This is Bareiss elimination on
+    the kernel side: by Cramer's rule each vector is the integral kernel
+    vector whose own free column holds the pivot, a minor of the prefix, so
+    the division is exact.  Returns None when every s_i is 0: the row lies
+    in the prefix's span, and so does every extension.
     """
-    mat = [list(row) for row in rows]
-    k = len(mat)
-    if not k or any(len(row) != k + 1 for row in mat):
-        raise ValueError("primitive_kernel needs a k x (k+1) matrix with k >= 1")
-    pivots = _bareiss(mat)
-    if len(pivots) < k:
+    basis, pivot = node
+    dots = [sum(map(mul, k, row)) for k in basis]
+    p = next((i for i, s in enumerate(dots) if s), None)
+    if p is None:
         return None
-    free = next((c for c, p in enumerate(pivots) if c != p), k)
-    return _kernel_vector(mat, pivots, free, k + 1)
+    kp, sp = basis[p], dots[p]
+    return [
+        [(sp * a - s * b) // pivot for a, b in zip(k, kp)]
+        for i, (k, s) in enumerate(zip(basis, dots)) if i != p
+    ], sp
+
+
+def kernel_leaves(rows, size: int, node, start: int = 0):
+    """Kernel nodes of every size-subset of rows[start:] whose rows extend
+    `node` independently, as a lexicographic prefix-tree DFS (Knuth, TAOCP
+    4A 7.2.1.3).
+
+    A node that reduces a row to zero has a dependent prefix, so its whole
+    subtree is skipped: every subset through it is rank-deficient.  Leaves
+    come in lexicographic order of their index subsets.
+    """
+    stack = [(node, start, 0)]
+    last = len(rows) - size
+    while stack:
+        node, j, depth = stack.pop()
+        if depth == size:
+            yield node
+            continue
+        for i in range(last + depth, j - 1, -1):
+            child = kernel_step(node, rows[i])
+            if child is not None:
+                stack.append((child, i + 1, depth + 1))
+
+
+def subtree_kernels(rows, first: int) -> set[tuple[int, ...]]:
+    """Primitive kernel vectors of the independent N-subsets of the rows
+    whose least index is `first`, N one less than the row length.
+
+    One subtree of the prefix tree; a leaf's basis is its one kernel
+    vector, made primitive with a positive first nonzero entry.
+    """
+    root = kernel_step(kernel_root(len(rows[0])), rows[first])
+    if root is None:
+        return set()
+    size = len(rows[0]) - 2
+    return {_primitive(basis[0]) for basis, _ in kernel_leaves(rows, size, root, first + 1)}
 
 
 def nullspace(rows, n_cols=None) -> list[Vector]:
@@ -189,8 +240,20 @@ def _compare_normalized(u, v) -> int:
     return 0
 
 
-# sort key of primitive vectors in the order of their normalized forms
-normalized_key = cmp_to_key(_compare_normalized)
+_exact_key = cmp_to_key(_compare_normalized)
+
+
+def normalized_key(v):
+    """Sort key of an integer vector with positive first nonzero entry f, in
+    the order of its `normalized` form.
+
+    With f at index i, a vector with more leading zeros comes first; the
+    floor of 2^64 * v_(i+1) / f, monotone in v_(i+1) / f, then orders
+    almost every other pair by one integer comparison, and
+    `_compare_normalized` breaks the remaining ties exactly.
+    """
+    i, f = next((i, x) for i, x in enumerate(v) if x)
+    return -i, (v[i + 1] << 64) // f if i + 1 < len(v) else 0, _exact_key(v)
 
 
 def vec_dot(a: Vector, b: Vector) -> Fraction:

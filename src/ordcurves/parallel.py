@@ -1,11 +1,16 @@
 """Deterministic worker-pool helper.
 
-All enumerations in this package are pure maps over index streams, so any
-worker count yields the same multiset of results; callers re-sort
-canonically, making output independent of `workers`.  The worker count is
-an explicit argument (the CLI's `--workers`), 1 (serial) by default.  The
-pool starts all of its processes at the first submit, so it never asks for
-more than `os.cpu_count()` of them.
+`pmap` is an ordered map of a pure function over a list of tasks, so any
+worker count yields the same results and callers merge them canonically,
+making output independent of `workers`.  The span scan's tasks are the
+subtrees of its prefix tree, one per first index: a task is one small int,
+the rows travel pickled with the function, and a worker returns only the
+set of vectors its subtree found.  The subtrees shrink fast with the first
+index and there are at most |A| of them, so the pool hands them out one at
+a time (chunksize 1): in larger chunks one worker would get them all.
+The worker count is an explicit argument (the CLI's `--workers`), 1
+(serial) by default.  The pool starts all of its processes at the first
+submit, so it never asks for more than `os.cpu_count()` of them.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 
 
-def pmap(fn, items, workers=1, chunksize=64):
+def pmap(fn, items, workers=1):
     """Ordered map; serial when workers <= 1, process pool otherwise.
 
     The serial path consumes `items` one at a time, so a generator of tasks
@@ -24,5 +29,5 @@ def pmap(fn, items, workers=1, chunksize=64):
         items = list(items)
         if len(items) > 1:
             with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-                return list(pool.map(fn, items, chunksize=chunksize))
+                return list(pool.map(fn, items))
     return [fn(item) for item in items]

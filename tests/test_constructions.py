@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -6,6 +8,7 @@ import pytest
 
 from ordcurves.bipoly import PlaneCurve, parse_poly
 from ordcurves.constructions import (
+    _SpanGuard,
     construct_theorem6,
     construct_theorem8,
     default_carrier,
@@ -18,7 +21,7 @@ from ordcurves.determined import (
     ordinary_curves,
     vanishing_dim,
 )
-from ordcurves.errors import HypothesisViolation
+from ordcurves.errors import HypothesisViolation, InvariantViolation
 from ordcurves.linalg import affine_rank
 from ordcurves.veronese import lift
 
@@ -121,3 +124,78 @@ def test_sample_random_general_certificate():
 def test_sample_unknown_kind():
     with pytest.raises(HypothesisViolation):
         sample_configuration("mystery", count=3)
+
+
+def _points_digest(built):
+    points = [[str(x), str(y)] for x, y in built.config.points]
+    return hashlib.sha256(json.dumps(points).encode()).hexdigest()
+
+
+# sha256 of the point lists the subset-by-subset rank scan sampled: the
+# sweep's seeds (size + 1 at sizes 8..14), the d=3 and d=2 basis sets and the
+# benchmark's carrier-heavy sets
+SAMPLER_DIGESTS = [
+    ("random_general", dict(seed=9, count=8, d=2, genericity=2),
+     "f59a26a7c644292cf844a939c752c7701e5f4d8b812b757e3f7130de8d0e6a30"),
+    ("random_general", dict(seed=10, count=9, d=2, genericity=2),
+     "29b4be3cedc964ff7a4def1201537fc2e21f570523e7c0cbe2f3d21c7d90e6bb"),
+    ("random_general", dict(seed=11, count=10, d=2, genericity=2),
+     "9516710502816480772992fe500f88763b9c6134c23ccec75818f7484af3bd07"),
+    ("random_general", dict(seed=12, count=11, d=2, genericity=2),
+     "190c4c232f483f1c47f19ff11419a69fec8dd074b4cf8ee152805a4a01f3e56a"),
+    ("random_general", dict(seed=13, count=12, d=2, genericity=2),
+     "ad02d58ed0e5a20003eb37f626bc932ba1be189098997ab767a346adefd71882"),
+    ("random_general", dict(seed=14, count=13, d=2, genericity=2),
+     "c6bf06f0abe92e4a9ecb14e5972f33e57195ad82d8525ad3e4e4cfdd5cb81827"),
+    ("random_general", dict(seed=15, count=14, d=2, genericity=2),
+     "5d1ccd5bfcc59c5abb6f0621cebb9c58e55b74efe0ef475b9633f171ac05cf3f"),
+    ("random_general", dict(seed=3000, count=11, d=3, genericity=3),
+     "ba8297d29487fccb5c72086d07dd0eaf2ddea54602a19c33248810463e5abb23"),
+    ("random_general", dict(seed=3001, count=11, d=3, genericity=3),
+     "d94f48b590fe4c6fdbde119593f976722508bc05a2476451ad567ce7d92ef4f5"),
+    ("random_general", dict(seed=3002, count=11, d=3, genericity=3),
+     "2255780ebbf5bc5843e24cd58f337e9f7dd45aadd27cd2bcf478e0144fee2d7d"),
+    ("random_general", dict(seed=3003, count=11, d=3, genericity=3),
+     "20bcdeb6a19f0fd01675d50e3edd6d559295b15d6499fdf917e7c40850395029"),
+    ("random_general", dict(seed=4000, count=7, d=2, genericity=2),
+     "b504b5832cec23bb303c9a135351d96b45faf62c3ccb64e9a30360fd022c0b57"),
+    ("random_general", dict(seed=4001, count=7, d=2, genericity=2),
+     "4cc6ff9688a2849de9aae5e66a9a66a4d9dbb0ba9428616a741c612c94a60d3b"),
+    ("random_general", dict(seed=4002, count=7, d=2, genericity=2),
+     "0390df713d186cf69aa7f6e8458d14fc30c227a057216ad8edf32afd2d98cfbe"),
+    ("random_general", dict(seed=4003, count=7, d=2, genericity=2),
+     "92a7deb7f6f7f25f4627d6dc2a9db6ef64dd6ac7bc09d83438defff30f89d2b7"),
+    ("theorem8", dict(d=3, n=9, m=12, seed=11),
+     "54dc0efdc2fa9eb974b5329780578f210b03edebff649eeab5c8c0353b794ad9"),
+    ("theorem8", dict(d=3, n=9, m=12, seed=12),
+     "f91a8205abb0c1f7ae76bf86695a9e725eadb49c028cab0a2c5139e45695e523"),
+    ("theorem8", dict(d=3, n=9, m=12, seed=13),
+     "e7c6891ba93251c8a64e49f24ac40bb3fb0d7ad34b4ffa7248eb1ecdbf6a5e91"),
+    ("theorem8", dict(d=3, n=9, m=12, seed=14),
+     "bee404a1235f28c922375cf7553962829df2f58b2d7ac29cde09eff0f133ef42"),
+    ("theorem8", dict(d=2, n=5, m=9, seed=3),
+     "be62cea143abaa974d7872874af10c2c863a0cacb544fae27a530cd5e6fdcb9e"),
+]
+
+
+@pytest.mark.parametrize("kind, params, expected", SAMPLER_DIGESTS,
+                         ids=[f"{k}-{p['seed']}-{p.get('count', p.get('m'))}"
+                              for k, p, _ in SAMPLER_DIGESTS])
+def test_sampler_reproduces_recorded_point_lists(kind, params, expected):
+    if kind == "theorem8":
+        built = construct_theorem8(**params)
+    else:
+        built = sample_configuration(kind, **params)
+    assert _points_digest(built) == expected
+
+
+def test_span_guard_refuses_a_dependent_accepted_row():
+    guard = _SpanGuard(3, 2)
+    for row in [(1, 0, 0), (0, 1, 0)]:
+        assert not guard.spans(row)
+        guard.accept(row)
+    assert guard.spans((3, -2, 0)) and not guard.spans((1, 1, 1))
+    # accepted without a test: (2, 0, 0) and (1, 0, 0) are a dependent pair
+    guard.accept((2, 0, 0))
+    with pytest.raises(InvariantViolation):
+        guard.spans((1, 1, 1))

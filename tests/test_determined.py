@@ -17,8 +17,10 @@ from ordcurves.determined import (
     max_curve_richness,
     ordinary_curves,
     regularity_report,
+    spanned_hyperplanes,
 )
 from ordcurves.errors import HypothesisViolation
+from ordcurves.linalg import kernel, kernel_leaves, kernel_root, rank
 from ordcurves.ndfamilies import grow_nd_chain
 from ordcurves.oracle import oracle_determined
 from ordcurves.projection import curves_from_basis
@@ -188,6 +190,20 @@ def test_enumeration_independent_of_workers():
     assert serial.to_json_obj() == parallel.to_json_obj()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: construct_theorem6(2, 14, seed=14).config,
+    lambda: PointConfiguration.from_points(sample_configuration(
+        "random_general", seed=3000, count=12, d=3, genericity=3).config.points, 3),
+], ids=["theorem6-d2-m14", "random-general-d3-12"])
+def test_pooled_subtrees_match_serial(build):
+    # the real process pool, one task per first-index subtree
+    config = build()
+    serial = enumerate_determined(config, workers=1)
+    pooled = enumerate_determined(config, workers=2)
+    assert len(serial) > 0
+    assert serial.records == pooled.records
+
+
 def test_deterministic_output_order():
     config = PointConfiguration.from_points(OCTET, 2)
     a = enumerate_determined(config).to_json_obj()
@@ -234,3 +250,95 @@ def test_enumeration_matches_oracle_on_large_heights(d, on_line, on_parabola, fr
     for rec in result.records:
         assert rec.incidence == config.incidence_of(rec.curve)
     assert max(len(rec.incidence) for rec in result.records) >= on_line
+
+
+def _on_curve_points(rng, curve, k):
+    """k distinct points of height up to 10^6 on one rational line, one
+    parabola y = a x^2 + b x + c (a conic) or one cubic y = q(x)."""
+    coeffs = [_rational(rng) for _ in range(4)]
+    (px, py), (qx, qy) = [(_rational(rng), _rational(rng)) for _ in range(2)]
+    pts = set()
+    while len(pts) < k:
+        t = _rational(rng, 1000)
+        if curve == "line":
+            pts.add((px + t * (qx - px), py + t * (qy - py)))
+        else:
+            degree = {"conic": 2, "cubic": 3}[curve]
+            pts.add((t, sum(c * t**i for i, c in enumerate(coeffs[:degree + 1]))))
+    return pts
+
+
+def _adversarial_set(seed, curve, k, free):
+    rng = random.Random(seed)
+    pts = _on_curve_points(rng, curve, k)
+    while len(pts) < k + free:
+        pts.add((_rational(rng), _rational(rng)))
+    return sorted(pts)
+
+
+def _bareiss_scan(rows):
+    """The subset-by-subset scan: every N-subset's Bareiss kernel, kept
+    when it is one vector (N one less than the row length)."""
+    n_cols = len(rows[0])
+    vectors, full_rank = set(), 0
+    for idx in combinations(range(len(rows)), n_cols - 1):
+        basis = kernel([rows[i] for i in idx], n_cols)
+        if len(basis) == 1:
+            vectors.add(basis[0])
+            full_rank += 1
+    return vectors, full_rank
+
+
+@pytest.mark.parametrize("d, curve, k, free", [
+    (1, "line", 4, 3),
+    (1, "conic", 5, 2),
+    (2, "line", 5, 4),
+    (2, "conic", 7, 3),
+    (2, "cubic", 6, 3),
+    (3, "line", 6, 5),
+    (3, "conic", 8, 3),
+    (3, "cubic", 10, 2),
+])
+def test_prefix_tree_matches_bareiss_scan(d, curve, k, free):
+    config = PointConfiguration.from_points(_adversarial_set(200 + d + k, curve, k, free), d)
+    assert any(p[0].denominator > 1 for p in config.points)
+    rows = config.homogeneous_lifts(d)
+    expected, full_rank = _bareiss_scan(rows)
+    assert set(spanned_hyperplanes(config)) == expected
+    assert set(spanned_hyperplanes(config, workers=2)) == expected
+    # one leaf per independent subset: none lost, no dependent one kept
+    root = kernel_root(len(rows[0]))
+    assert sum(1 for _ in kernel_leaves(rows, len(rows[0]) - 1, root)) == full_rank
+
+
+def _dependent_prefix(rows, size):
+    """Whether some index subset smaller than `size` is already dependent,
+    so the prefix tree skips a whole subtree."""
+    return any(
+        rank([rows[i] for i in idx]) < j
+        for j in range(2, size) for idx in combinations(range(len(rows)), j)
+    )
+
+
+@pytest.mark.parametrize("build, d", [
+    (lambda: construct_theorem6(2, 9, seed=4).config, 2),
+    (lambda: PointConfiguration.from_points(
+        [(x, 2 * x + 1) for x in range(6)] + [(0, 7), (3, -2), (5, 9), (-4, 6), (7, 3)], 3), 3),
+], ids=["theorem6-d2", "d3-six-collinear"])
+def test_prefix_tree_prunes_and_stays_exact(build, d):
+    config = build()
+    rows = config.homogeneous_lifts(d)
+    n_cols = len(rows[0])
+    expected, full_rank = _bareiss_scan(rows)
+    assert full_rank < comb(len(rows), n_cols - 1)
+    assert _dependent_prefix(rows, n_cols - 1)
+    assert set(spanned_hyperplanes(config)) == expected
+    root = kernel_root(n_cols)
+    assert sum(1 for _ in kernel_leaves(rows, n_cols - 1, root)) == full_rank
+
+
+def test_pruned_enumeration_matches_oracle():
+    config = construct_theorem6(2, 7, seed=2).config
+    result = enumerate_determined(config)
+    assert frozenset(rec.curve.radical for rec in result.records) == oracle_determined(config)
+    assert len(result) == len(oracle_determined(config))

@@ -11,11 +11,12 @@ from ordcurves.linalg import (
     flat_from_equations,
     flat_span,
     kernel,
+    kernel_root,
+    kernel_step,
     normalized,
     normalized_key,
     nullspace,
     primitive,
-    primitive_kernel,
     rank,
     vec_dot,
 )
@@ -100,7 +101,28 @@ def _deficient_matrix(rng, k):
     return out
 
 
-def test_primitive_kernel_matches_nullspace():
+def _fold(rows):
+    """The kernel node of the rows, one `kernel_step` each; None once a row
+    reduces to zero."""
+    node = kernel_root(len(rows[0]))
+    for row in rows:
+        node = kernel_step(node, row)
+        if node is None:
+            return None
+    return node
+
+
+def _leaf_vector(rows):
+    """The primitive kernel vector of a k x (k+1) matrix folded row by row,
+    or None when a row reduces to zero."""
+    node = _fold(rows)
+    if node is None:
+        return None
+    (v,) = node[0]
+    return primitive(v)
+
+
+def test_kernel_step_matches_nullspace():
     rng = random.Random(5)
     for k in range(2, 10):
         full = 0
@@ -109,39 +131,44 @@ def test_primitive_kernel_matches_nullspace():
                 rows = _sparse_matrix(rng, k, k + 1)
             else:
                 rows = [[rng.randint(-10**6, 10**6) for _ in range(k + 1)] for _ in range(k)]
-            v = primitive_kernel(rows)
+            node = _fold(rows)
             basis = _gauss_nullspace(rows)
             if len(basis) != 1:
-                assert v is None, rows
+                assert node is None, rows
                 continue
             full += 1
             (w,) = basis
-            assert all(isinstance(x, int) for x in v)
+            ((raw,), pivot) = node
+            # the leaf vector is integral, holds the last pivot on its free column
+            assert all(isinstance(x, int) for x in raw) and pivot in raw
+            assert all(sum(a * b for a, b in zip(row, raw)) == 0 for row in rows)
+            v = _leaf_vector(rows)
             assert gcd(*v) == 1
             first = next(x for x in v if x != 0)
             assert first > 0
             assert tuple(Fraction(x, first) for x in v) == w
-            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
         assert full >= 20
 
 
-def test_primitive_kernel_rank_deficient_is_none():
+def test_kernel_step_rank_deficient_is_none():
     rng = random.Random(6)
     for k in range(2, 10):
         for _ in range(10):
-            assert primitive_kernel(_deficient_matrix(rng, k)) is None
-    assert primitive_kernel([[0, 0, 0], [1, 2, 3]]) is None
-    assert primitive_kernel([[1, 2, 3], [2, 4, 6]]) is None
+            assert _fold(_deficient_matrix(rng, k)) is None
+    assert _fold([[0, 0, 0], [1, 2, 3]]) is None
+    assert _fold([[1, 2, 3], [2, 4, 6]]) is None
 
 
-def test_primitive_kernel_examples():
-    assert primitive_kernel([[1, 1]]) == (1, -1)
-    assert primitive_kernel([[0, 2]]) == (1, 0)
+def test_kernel_step_examples():
+    assert _leaf_vector([[1, 1]]) == (1, -1)
+    assert _leaf_vector([[0, 2]]) == (1, 0)
     # free column in the middle, and a kernel that needs the sign flip
-    assert primitive_kernel([[1, 0, 0], [0, 0, 1]]) == (0, 1, 0)
-    assert primitive_kernel([[2, 4, 0], [0, 0, 3]]) == (2, -1, 0)
-    with pytest.raises(ValueError):
-        primitive_kernel([[1, 2], [3, 4]])
+    assert _leaf_vector([[1, 0, 0], [0, 0, 1]]) == (0, 1, 0)
+    assert _leaf_vector([[2, 4, 0], [0, 0, 3]]) == (2, -1, 0)
+    # a full-rank square matrix leaves an empty basis, which spans every row
+    node = _fold([[1, 2], [3, 4]])
+    assert node[0] == []
+    assert kernel_step(node, [5, 7]) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -362,5 +389,8 @@ def test_normalized_key_matches_fraction_order():
         vec = [rng.choice([0, 0, 1, -1, 2, 3, -5, 10**9 + 7]) * rng.randint(1, 4) for _ in range(6)]
         if any(vec):
             vectors.add(primitive(vec))
+    # second entries whose ratios differ by less than 2^-64
+    big = 10**30
+    vectors |= {(big, 1, 0), (big + 1, 1, 0), (big, 1, 1), (big, -1, 0), (big + 1, -1, 0)}
     vectors = list(vectors)
     assert sorted(vectors, key=normalized_key) == sorted(vectors, key=normalized)

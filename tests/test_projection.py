@@ -262,3 +262,33 @@ def test_pipeline_deterministic():
     c2, s2 = curves_from_basis(A, [0, 1, 2], 2)
     assert c1.to_json_obj() == c2.to_json_obj()
     assert s1.to_json_obj() == s2.to_json_obj()
+
+
+def _chart_centers():
+    chart = json.loads((GOLDEN / "chart_points.json").read_text())
+    yield [lift(p, 2) for p in chart["points"][:3]], 5
+    rng = random.Random(31)
+    for d, size in ((2, 3), (3, 7), (3, 7)):
+        pts = set()
+        while len(pts) < size:
+            pts.add((Fraction(rng.randint(-9, 9), rng.randint(1, 4)), Fraction(rng.randint(-9, 9))))
+        yield [lift(p, d) for p in sorted(pts)], ambient_dim(d)
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_from_flat_forms_follow_the_equations(index):
+    lifted, dim = list(_chart_centers())[index]
+    center = flat_span(lifted, dim)
+    if center.dim != dim - 3:
+        pytest.skip("the sampled points do not span a codimension-3 flat")
+    pm = HyperprojectionMap.from_flat(center)
+    firsts = [next(filter(None, form[1:])) for form in pm.forms]
+    # one common positive first linear entry across the three forms
+    assert firsts[0] > 0 and firsts.count(firsts[0]) == 3
+    for form, normal, (c0, c) in zip(pm.forms, center.normals, center.equations()):
+        # a multiple of its normal, of the sign of the normal's first linear
+        # entry ...
+        ratio = Fraction(firsts[0], next(filter(None, normal[1:])))
+        assert tuple(ratio * x for x in normal) == form
+        # ... which is the equation's (c0, c) scaled by the common first entry
+        assert form == tuple(firsts[0] * x for x in (c0, *c))
