@@ -9,7 +9,10 @@ row space.  `kernel_step` runs the same elimination on the kernel side, one
 row at a time, and `kernel_leaves` walks it over the subsets of a row list
 as a prefix tree, skipping every subset with a dependent prefix; the
 determined-curve scan (`subtree_kernels`) and the samplers' genericity test
-are built on it.  `nullspace` is the Fraction view of `kernel`, through
+are built on it.  `flats` walks the same tree over the independent subsets
+and reads off each flat of the row matroid (Oxley, Matroid Theory, ch. 1)
+with its kernel; the basis verifier's sections and the grower's forbidden
+regions are built on it.  `nullspace` is the Fraction view of `kernel`, through
 `normalized`, the package's one first-nonzero-is-1 scaling;
 `normalized_key` sorts primitive vectors in the order of their normalized
 forms by integer arithmetic.
@@ -187,6 +190,39 @@ def kernel_leaves(rows, size: int, node, start: int = 0):
                 stack.append((child, i + 1, depth + 1))
 
 
+def flats(rows, n_cols: int, max_rank: int) -> dict:
+    """The flats of rank at most max_rank of the row matroid of integer rows:
+    each flat's closure, an ascending index tuple, maps to its primitive
+    kernel basis.
+
+    A lexicographic DFS over the independent row subsets on `kernel_step`.
+    A node's closure is the set of rows orthogonal to every vector of its
+    kernel basis, and only rows outside it extend the node.  `kernel_step`
+    eliminates the first free column with a nonzero dot, so the basis keeps
+    the echelon form's free columns: made primitive, it is `kernel` of the
+    closure's rows.  The first independent set with a given closure in
+    lexicographic order is the closure's greedy basis, and a prefix of a
+    greedy basis is a greedy basis too, so the subtree of a node whose
+    closure was already reached holds no new flat and is skipped.
+    """
+    out: dict = {}
+    stack = [(kernel_root(n_cols), 0, 0)]
+    while stack:
+        node, start, depth = stack.pop()
+        basis = node[0]
+        closure = tuple(
+            j for j, row in enumerate(rows) if not any(sum(map(mul, k, row)) for k in basis)
+        )
+        if closure in out:
+            continue
+        out[closure] = [_primitive(k) for k in basis]
+        if depth < max_rank:
+            for i in range(len(rows) - 1, start - 1, -1):
+                if i not in closure:
+                    stack.append((kernel_step(node, rows[i]), i + 1, depth + 1))
+    return out
+
+
 def subtree_kernels(rows, first: int) -> set[tuple[int, ...]]:
     """Primitive kernel vectors of the independent N-subsets of the rows
     whose least index is `first`, N one less than the row length.
@@ -293,13 +329,6 @@ class AffineFlat:
         """Whether the point whose homogeneous row (any positive multiple of
         (1, z), such as an `integer_lift` row) is given lies in the flat."""
         return bool(self.rows) and all(sum(map(mul, normal, row)) == 0 for normal in self.normals)
-
-    def extended(self, points) -> "AffineFlat":
-        """Smallest flat containing self and the given points."""
-        points = list(points)
-        if not points:
-            return self
-        return row_span(self.ambient_dim, self.rows + tuple(_integer_row((1, *p)) for p in points))
 
     def equations(self):
         """Basis of affine functionals (c0, c) with c0 + c.z = 0 on the flat.

@@ -9,7 +9,8 @@ curves of degree at most e (pad with a far-away line), and a subset S is
 such a section exactly when its vanishing space at degree e has a
 nonconstant element whose dimension strictly drops when any point of B\\S
 is adjoined; over an infinite field that guarantees a curve through S
-avoiding the rest of B.
+avoiding the rest of B.  So the sections are the flats of rank below
+C(e+2,2) of the matroid of B's degree-e rows (`linalg.flats`).
 
 The chain grower extends a seed set one point at a time, always picking the
 first candidate outside the union of forbidden pullback regions attached to
@@ -26,22 +27,22 @@ row).  A configuration's rows come from its cache; points given outside one
 (a bare point list, the carrier sample) are lifted once per call.
 Vanishing dimensions and affine dimensions are ranks of those rows, and a
 point lies in a flat when its row is orthogonal to the flat's integer
-normals.  The grower keeps each span V_e across its steps, keyed by e and
-D's indices, since V_e depends on D only; alpha, gamma, W_e and beta are
-recomputed for the grown B.
+normals.  A forbidden region U_e(B, D) depends on D only through the span
+V_e of its degree-e rows, so the grower takes one region per flat of B's
+degree-e rows, with V_e and B & V_e read off the flats walk; W_e and beta
+are recomputed for each flat at each step.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from .bipoly import PlaneCurve, rational_points_on_curve
 from .determined import PointConfiguration, contained_in_curve
 from .errors import HypothesisViolation, InvariantViolation
-from .linalg import AffineFlat, rank, row_span
+from .linalg import AffineFlat, flats, kernel_leaves, kernel_root, rank, row_span
 from .veronese import ambient_dim, as_point, integer_lift
 
 
@@ -86,15 +87,15 @@ def _degree_rows(source, d: int) -> dict:
     return {e: tuple(integer_lift(p, e) for p in points) for e in range(1, d + 1)}
 
 
-def _quantities(R, b, v_e: AffineFlat, e: int, d: int) -> NdQuantities:
+def _quantities(R, b, v_e: AffineFlat, section, e: int, d: int) -> NdQuantities:
     """`nd_quantities` on rows: R[k][i] is point i's degree-k row, b indexes
-    B, and v_e is the span of D's degree-e rows."""
-    rows_e, rows_w = R[e], R[d - e]
-    in_v = {i for i in b if v_e.contains_row(rows_e[i])}
-    w_e = row_span(ambient_dim(d - e), [rows_w[i] for i in b if i not in in_v])
+    B, v_e is the span of D's degree-e rows and `section` holds the
+    positions in b of the points of B in v_e."""
+    rows_w = R[d - e]
+    w_e = row_span(ambient_dim(d - e), [rows_w[i] for k, i in enumerate(b) if k not in section])
     alpha = comb(e + 2, 2) - 2 - v_e.dim
     beta = comb(d - e + 2, 2) - 3 - w_e.dim
-    gamma = len(in_v)
+    gamma = len(section)
     mu = 0 if alpha < 0 else alpha + gamma + comb(d - e + 2, 2)
     section_cut = comb(d + 2, 2) - comb(d - e + 2, 2) - 1
     if min(alpha, beta) < 0 or gamma > section_cut:
@@ -117,7 +118,8 @@ def nd_quantities(B, D, e: int, d: int) -> NdQuantities:
         raise HypothesisViolation("D subset of B", "D contains a point outside B")
     R = _degree_rows(B, d)
     v_e = row_span(ambient_dim(e), [R[e][position[p]] for p in D])
-    return _quantities(R, range(len(B)), v_e, e, d)
+    b = range(len(B))
+    return _quantities(R, b, v_e, {k for k in b if v_e.contains_row(R[e][k])}, e, d)
 
 
 @dataclass(frozen=True)
@@ -149,27 +151,12 @@ def forbidden_region_membership(B, D, e: int, d: int, pt) -> bool:
 def realizable_sections(rows, e: int):
     """Subsets S of B occurring as C & B for a curve C of degree exactly e.
 
-    `rows` are B's degree-e integer rows (`integer_lift`).  Yields index
-    tuples into B in decreasing size; the decision is the vanishing-space
-    drop test described in the module docstring.
+    `rows` are B's degree-e integer rows (`integer_lift`).  The sections are
+    the flats of rank below C(e+2,2) (module docstring), as index tuples
+    into B in decreasing size, then in `combinations` order.
     """
     monomials = comb(e + 2, 2)
-    dims: dict[frozenset, int] = {}
-
-    def vdim(idx_set: frozenset) -> int:
-        if idx_set not in dims:
-            dims[idx_set] = monomials - rank([rows[i] for i in idx_set])
-        return dims[idx_set]
-
-    n = len(rows)
-    for size in range(n, -1, -1):
-        for idx in combinations(range(n), size):
-            s = frozenset(idx)
-            dim_s = vdim(s)
-            if dim_s == 0:
-                continue
-            if all(vdim(s | {j}) < dim_s for j in range(n) if j not in s):
-                yield idx
+    return sorted(flats(rows, monomials, monomials - 1), key=lambda idx: (-len(idx), idx))
 
 
 @dataclass(frozen=True)
@@ -266,32 +253,31 @@ def nd_verify(A: PointConfiguration | None, B, d: int | None = None) -> NdVerify
 GUARD_NAME = "growth guard max(tau, mu) < C(d+2,2)"
 
 
-def _active_pairs(R, b, d: int, sample, spans: dict):
+def _active_pairs(R, b, d: int, sample):
     """I(B, C0): (e, D, region) triples where C0 is not inside the region.
 
     B is the index tuple b into the rows R (R[k][i] is point i's degree-k
-    row) and D is given as positions in b.  `sample` holds the carrier
-    sample's rows in the same layout; with no carrier (C0 = the whole
-    plane, `sample` None), every pair is active because a region is covered
-    by at most three curves.  `spans` keeps each V_e across calls, keyed by
-    e and D's indices, since V_e depends on D only.
+    row).  Two subsets D with the same span V_e give the same region, so D
+    runs over the flats of B's degree-e rows, each once, as its positions in
+    b: the points of B in V_e.  `sample` holds the carrier sample's rows in
+    the same layout; with no carrier (C0 = the whole plane, `sample` None),
+    every pair is active because a region is covered by at most three
+    curves.
     """
     v_d_b = row_span(ambient_dim(d), [R[d][i] for i in b])
     sample_size = 0 if sample is None else len(sample[d])
     out = []
     for e in range(1, d):
-        for size in range(len(b) + 1):
-            for idx in combinations(range(len(b)), size):
-                D = tuple(b[i] for i in idx)
-                v_e = spans.get((e, D))
-                if v_e is None:
-                    v_e = spans[e, D] = row_span(ambient_dim(e), [R[e][i] for i in D])
-                region = ForbiddenRegion(_quantities(R, b, v_e, e, d), v_d_b)
-                if sample is not None and all(
-                    region.contains(sample, k) for k in range(sample_size)
-                ):
-                    continue
-                out.append((e, idx, region))
+        rows_e = [R[e][i] for i in b]
+        monomials = comb(e + 2, 2)
+        for idx, normals in flats(rows_e, monomials, monomials).items():
+            v_e = AffineFlat(ambient_dim(e), tuple(rows_e[k] for k in idx), tuple(normals))
+            region = ForbiddenRegion(_quantities(R, b, v_e, idx, e, d), v_d_b)
+            if sample is not None and all(
+                region.contains(sample, k) for k in range(sample_size)
+            ):
+                continue
+            out.append((e, idx, region))
     return out
 
 
@@ -417,8 +403,7 @@ def grow_nd_chain(
     chain = list(b0_indices)
     blocked = []
     guard_trace = []
-    spans: dict = {}
-    pairs = _active_pairs(R, tuple(chain), d, sample, spans)
+    pairs = _active_pairs(R, tuple(chain), d, sample)
     guard_trace.append(_assert_guard(pairs, A.subset(chain), d, step=0))
     step = 0
     while len(chain) < target:
@@ -440,7 +425,7 @@ def grow_nd_chain(
             )
             return GrowthResult(False, None, tuple(chain), tuple(blocked), tuple(guard_trace))
         chain.append(chosen)
-        pairs = _active_pairs(R, tuple(chain), d, sample, spans)
+        pairs = _active_pairs(R, tuple(chain), d, sample)
         guard_trace.append(_assert_guard(pairs, A.subset(chain), d, step=step))
 
     basis = BasisCandidate(A.subset(chain), d)
@@ -465,12 +450,7 @@ def count_spanning_subsets(A: PointConfiguration, e: int) -> int:
             "A not contained in a degree-<=e curve", f"witness {witness}"
         )
     size = comb(e + 2, 2)
-    rows = A.homogeneous_lifts(e)
-    count = sum(
-        1
-        for idx in combinations(range(len(A)), size)
-        if rank([rows[i] for i in idx]) == size
-    )
+    count = sum(1 for _ in kernel_leaves(A.homogeneous_lifts(e), size, kernel_root(size)))
     if count * 2 ** (size - 1) < len(A):
         raise InvariantViolation(
             "spanning-subset count below |A| / 2^(C(e+2,2)-1)",

@@ -353,7 +353,11 @@ def test_invariant_violation_exit_4(square, capsys, monkeypatch):
 # order files were recorded with Fraction lifts in the grower and the
 # projection, before those took integer rows; carrier_points.json is the
 # cubic y = x^3 at x = -7..7 plus the off point (1, 2), and the carrier's
-# sample points lie outside A.
+# sample points lie outside A.  The nd-verify_fail files pin the section a
+# failing basis reports first, recorded with the 2^|B| subset scan before
+# the flats walk replaced it: on sections_points.json the d=3 basis holds two
+# 4-point lines through (0, 0), and at d=2 the basis is the collinear
+# triple of points.json.
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_RUNS = [
     (f"{command}_d{d}.out", "points.json", [command, "--d", str(d), *extra])
@@ -374,6 +378,9 @@ GOLDEN_RUNS = [
      ["nd-grow", "--d", "2", "--order", "0,2,3"]),
     ("nd-grow_carrier_d3.out", "carrier_points.json",
      ["nd-grow", "--d", "3", "--carrier", "y - x^3", "--b0", "15", "--seed", "0"]),
+    ("nd-verify_fail_d3.out", "sections_points.json",
+     ["nd-verify", "--d", "3", "--basis", "1,4,5,6,2,3,0"]),
+    ("nd-verify_fail_d2.out", "points.json", ["nd-verify", "--d", "2", "--basis", "3,0,2"]),
     ("project_carrier_d3.out", "carrier_points.json",
      ["project", "--d", "3", "--basis", "15,1,10,9,5,3,4"]),
     # the only golden whose chart is not (1, 0, 0), which depends on the

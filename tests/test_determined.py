@@ -4,6 +4,7 @@ import weakref
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import mul
 
 import pytest
 
@@ -20,7 +21,7 @@ from ordcurves.determined import (
     spanned_hyperplanes,
 )
 from ordcurves.errors import HypothesisViolation
-from ordcurves.linalg import kernel, kernel_leaves, kernel_root, rank
+from ordcurves.linalg import flats, kernel, kernel_leaves, kernel_root, rank
 from ordcurves.ndfamilies import grow_nd_chain
 from ordcurves.oracle import oracle_determined
 from ordcurves.projection import curves_from_basis
@@ -309,6 +310,43 @@ def test_prefix_tree_matches_bareiss_scan(d, curve, k, free):
     # one leaf per independent subset: none lost, no dependent one kept
     root = kernel_root(len(rows[0]))
     assert sum(1 for _ in kernel_leaves(rows, len(rows[0]) - 1, root)) == full_rank
+
+
+def _closure_scan(rows, n_cols):
+    """Every subset's closure, the rows orthogonal to its Bareiss kernel,
+    mapped to the kernel of the closure's rows."""
+    out = {}
+    for size in range(len(rows) + 1):
+        for idx in combinations(range(len(rows)), size):
+            basis = kernel([rows[i] for i in idx], n_cols)
+            closure = tuple(
+                j for j, row in enumerate(rows)
+                if all(sum(map(mul, k, row)) == 0 for k in basis)
+            )
+            if closure not in out:
+                out[closure] = kernel([rows[j] for j in closure], n_cols)
+    return out
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+@pytest.mark.parametrize("curve, k, free", [("line", 5, 4), ("conic", 8, 1), ("cubic", 10, 0)])
+def test_flats_match_closure_scan(e, curve, k, free):
+    pts = _adversarial_set(300 + 10 * e + k, curve, k, free)
+    rows = PointConfiguration.from_points(pts, e).homogeneous_lifts(e)
+    n_cols = comb(e + 2, 2)
+    every = _closure_scan(rows, n_cols)
+    for max_rank in (n_cols - 1, n_cols):
+        walked = flats(rows, n_cols, max_rank)
+        # a closure has its subset's rank, n_cols less the kernel's size
+        assert walked == {
+            key: basis for key, basis in every.items() if n_cols - len(basis) <= max_rank
+        }
+        assert all(list(key) == sorted(key) for key in walked)
+    # degree-e curves cut a vector space of this dimension on the curve, so
+    # its k points form a dependent flat when that is below C(e+2,2)
+    on_curve = {"line": e + 1, "conic": 2 * e + 1, "cubic": 3 * e}[curve]
+    if on_curve < n_cols:
+        assert any(len(key) + len(basis) > n_cols for key, basis in walked.items() if basis)
 
 
 def _dependent_prefix(rows, size):

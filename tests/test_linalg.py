@@ -18,6 +18,7 @@ from ordcurves.linalg import (
     nullspace,
     primitive,
     rank,
+    row_span,
     vec_dot,
 )
 from ordcurves.oracle import _gauss, _monomials_upto, _row, _vanishing_basis
@@ -251,9 +252,9 @@ def test_flat_monotone_dimensions(points):
         assert sub.dim <= cut - 1
 
 
-def test_flat_extended_joins_points():
+def test_row_span_joins_points():
     f = flat_span([(0, 0, 0)])
-    g = f.extended([(1, 0, 0), (0, 1, 0)])
+    g = row_span(3, [*f.rows, (1, 1, 0, 0), (1, 0, 1, 0)])
     assert g.dim == 2
     assert g.contains((1, 1, 0)) and not g.contains((0, 0, 1))
 

@@ -1,15 +1,22 @@
+import json
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from ordcurves.bipoly import PlaneCurve, parse_poly, rational_points_on_curve
+from ordcurves.constructions import sample_configuration
 from ordcurves.determined import PointConfiguration, vanishing_dim
 from ordcurves.errors import HypothesisViolation
-from ordcurves.linalg import affine_rank
+from ordcurves.linalg import affine_rank, rank, row_span
 from ordcurves.ndfamilies import (
     BasisCandidate,
+    ForbiddenRegion,
+    _active_pairs,
+    _degree_rows,
     count_spanning_subsets,
     forbidden_region_membership,
     grow_nd_chain,
@@ -17,7 +24,7 @@ from ordcurves.ndfamilies import (
     nd_verify,
     realizable_sections,
 )
-from ordcurves.veronese import integer_lift, lift
+from ordcurves.veronese import ambient_dim, integer_lift, lift
 
 OCTET = [(0, 0), (1, 0), (0, 1), (3, 5), (2, 7), (5, 1), (1, 4), (6, 2)]
 TRIPLE = [(0, 0), (1, 0), (0, 1)]
@@ -132,6 +139,71 @@ def test_realizable_sections_collinear():
     sections = {frozenset(s) for s in realizable_sections(rows, 1)}
     assert frozenset({0, 1, 2}) in sections
     assert frozenset({0, 1}) not in sections  # any line through two hits the third
+
+
+def _sections_by_subset_scan(rows, e):
+    """Realizable sections by their definition: every subset in decreasing
+    size, then in `combinations` order, kept when its vanishing dimension at
+    degree e is positive and drops when any other point is adjoined."""
+    monomials, n = comb(e + 2, 2), len(rows)
+    dims = {}
+
+    def vdim(idx):
+        key = frozenset(idx)
+        if key not in dims:
+            dims[key] = monomials - rank([rows[i] for i in key])
+        return dims[key]
+
+    return [
+        idx
+        for size in range(n, -1, -1)
+        for idx in combinations(range(n), size)
+        if vdim(idx) and all(vdim(idx + (j,)) < vdim(idx) for j in range(n) if j not in idx)
+    ]
+
+
+def _q(t, scale=3):
+    return Fraction(t, scale)
+
+
+_FREE = [(_q(7, 5), _q(-9, 4)), (_q(-11), _q(2, 7)), (_q(5, 9), _q(13, 2)),
+         (_q(-8, 7), _q(-5)), (_q(17, 4), _q(1, 6)), (_q(-3, 8), _q(19, 5))]
+
+
+def _on_line(k, slope, start):
+    return [(_q(t), slope * _q(t) + _q(1, 2)) for t in range(start, start + k)]
+
+
+def _on_conic(k):
+    return [(_q(t, 2), _q(t * t, 4) - 1) for t in range(1, k + 1)]
+
+
+# (d, points, first failing condition or None); B is all of the points.  At
+# d = 2 and 3 only condition (ii) can fail first.  At d = 4 the line meets B
+# in 5, 4 or 3 points, and the conic's 8 points make the line's complement
+# dependent at degree 3.
+SECTION_BASES = [
+    (2, OCTET[:3], None),
+    (2, _on_line(3, _q(1, 2), 0), "ii"),
+    (3, [OCTET[i] for i in (0, 1, 2, 3, 5, 6, 7)], None),
+    (3, _on_line(4, _q(1, 2), -1) + _FREE[:3], "ii"),
+    (3, _on_conic(7), "ii"),
+    (4, _on_line(2, _q(1, 2), 0) + _on_conic(4) + _FREE, None),
+    (4, _on_line(5, _q(1, 2), -2) + _FREE + [(_q(2, 11), _q(-7, 2))], "ii"),
+    (4, _on_line(4, -2, 1) + _on_conic(8), "iii"),
+    (4, _on_line(3, -2, 1) + _on_conic(8) + _FREE[:1], "iv"),
+]
+
+
+@pytest.mark.parametrize("d, points, condition", SECTION_BASES,
+                         ids=[f"d{d}-{c or 'ok'}-{i}" for i, (d, _, c) in enumerate(SECTION_BASES)])
+def test_realizable_sections_match_subset_scan(d, points, condition):
+    A = PointConfiguration.from_points(points, d)
+    verdict = nd_verify(A, list(range(len(A))), d)
+    assert (verdict.failures[0]["condition"] if verdict.failures else None) == condition
+    for e in range(1, d):
+        rows = A.homogeneous_lifts(e)
+        assert list(realizable_sections(rows, e)) == _sections_by_subset_scan(rows, e)
 
 
 def test_nd_verify_examples():
@@ -285,3 +357,64 @@ def test_dimension_dichotomy_with_curve_samples():
     sample = rational_points_on_curve(c, 14)
     dim_union = affine_rank([lift(p, d) for p in B + sample]) - 1
     assert dim_union == comb(d + 2, 2) - 1
+
+
+def _regions_by_subset_scan(A, b, d, sample):
+    """Distinct (e, v_e, w_e, alpha, beta, gamma, mu, tau) over all 2^|b|
+    subsets D of B, from `nd_quantities`, less the regions holding the
+    whole carrier sample."""
+    B = A.subset(b)
+    v_d_b = row_span(ambient_dim(d), [integer_lift(p, d) for p in B])
+    out = set()
+    for e in range(1, d):
+        for size in range(len(B) + 1):
+            for idx in combinations(range(len(B)), size):
+                q = nd_quantities(B, [B[i] for i in idx], e, d)
+                if sample is not None and all(
+                    ForbiddenRegion(q, v_d_b).contains(sample, k)
+                    for k in range(len(sample[d]))
+                ):
+                    continue
+                out.add((e, q.v_e, q.w_e, q.alpha, q.beta, q.gamma, q.mu, q.tau))
+    return out
+
+
+def _octet_grow():
+    A = PointConfiguration.from_points(OCTET, 2)
+    return A, grow_nd_chain(A, [], None, 2, seed=7), 0, None
+
+
+def _random_general_grow():
+    A = sample_configuration("random_general", seed=3001, count=9, d=3, genericity=3).config
+    return A, grow_nd_chain(A, [], None, 3, seed=0), 0, None
+
+
+def _carrier_grow():
+    golden = Path(__file__).resolve().parent / "golden" / "carrier_points.json"
+    points = [tuple(Fraction(x) for x in p) for p in json.loads(golden.read_text())["points"]]
+    A = PointConfiguration.from_points(points, 3)
+    c0 = PlaneCurve.from_poly(parse_poly("y - x^3"))
+    sample = _degree_rows(rational_points_on_curve(c0, 2 * 3 * 3 + 1), 3)
+    return A, grow_nd_chain(A, [15], c0, 3, seed=0), 1, sample
+
+
+@pytest.mark.parametrize("grow", [_octet_grow, _random_general_grow, _carrier_grow],
+                         ids=["octet-d2", "random_general-d3", "carrier-d3"])
+def test_grow_regions_match_subset_scan(grow):
+    A, res, seed_size, sample = grow()
+    assert res.success
+    d = A.d
+    R = _degree_rows(A, d)
+    for step in range(seed_size, len(res.chain) + 1):
+        b = res.chain[:step]
+        pairs = _active_pairs(R, b, d, sample)
+        quantities = [(e, region.quantities) for e, _, region in pairs]
+        regions = [
+            (e, q.v_e, q.w_e, q.alpha, q.beta, q.gamma, q.mu, q.tau) for e, q in quantities
+        ]
+        assert len(set(regions)) == len(regions)  # one region per flat
+        assert set(regions) == _regions_by_subset_scan(A, b, d, sample)
+        for e, idx, region in pairs:
+            # D is a flat's positions in b: the points of B in V_e
+            in_v = [k for k, i in enumerate(b) if region.quantities.v_e.contains_row(R[e][i])]
+            assert list(idx) == in_v

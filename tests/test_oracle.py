@@ -204,7 +204,7 @@ def test_oracle_imports_no_fast_path_module():
 
 
 @pytest.mark.parametrize("module, forbidden", [
-    (ordcurves.ndfamilies, set()),
+    (ordcurves.ndfamilies, {"combinations"}),
     (ordcurves.projection, {"vector_to_curve", "squarefree_radical",
                             "Fraction", "fractions", "normalized", "vec_dot"}),
     (ordcurves.determined, set()),
@@ -213,7 +213,8 @@ def test_row_layers_import_no_fraction_lift(module, forbidden):
     # the verifier, the grower, the projection and the span scan take points
     # as integer rows (integer_lift, homogeneous_lifts), span flats from those
     # rows and hold each hyperplane as its primitive integer vector; every
-    # curve the projection emits is spanned, so it computes no radical
+    # curve the projection emits is spanned, so it computes no radical; the
+    # verifier and the grower walk flats, not subsets
     fraction_path = {"lift", "flat_span", "HyperplaneForm", "tau", "tau_inverse"} | forbidden
     imported = _imported_names(module)
     assert not imported & fraction_path, sorted(imported & fraction_path)

@@ -12,7 +12,7 @@ from ordcurves.bipoly import parse_poly
 from ordcurves.constructions import sample_configuration
 from ordcurves.determined import PointConfiguration, ordinary_curves
 from ordcurves.errors import HypothesisViolation
-from ordcurves.linalg import flat_span, kernel
+from ordcurves.linalg import flat_span, kernel, row_span
 from ordcurves.ndfamilies import grow_nd_chain
 from ordcurves.projection import (
     ProjectivePoint,
@@ -45,7 +45,7 @@ def test_projection_collapses_flat_lines():
     assert not center.contains(z)
     image = pm.project(z)
     # points of Fl(center + {z}) off the center share the image
-    joined = center.extended([z])
+    joined = row_span(center.ambient_dim, [*center.rows, integer_lift((4, 7), 2)])
     a, b = lift(TRIPLE[0], 2), lift(TRIPLE[1], 2)
     half = tuple(Fraction(1, 2) * (x + y) for x, y in zip(z, a))
     mixed = tuple(h + y - x for h, x, y in zip(half, a, b))
