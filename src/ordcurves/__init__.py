@@ -52,7 +52,6 @@ from .oracle import (
 )
 from .projection import (
     HyperprojectionMap,
-    ProjectivePoint,
     build_pipeline,
     curves_from_basis,
     exceptional_catalog,
@@ -74,7 +73,6 @@ __all__ = [
     "OracleReport",
     "PlaneCurve",
     "PointConfiguration",
-    "ProjectivePoint",
     "build_pipeline",
     "compare_determined",
     "construct_theorem6",

@@ -11,16 +11,18 @@ as a prefix tree, skipping every subset with a dependent prefix; the
 determined-curve scan (`subtree_kernels`) and the samplers' genericity test
 are built on it.  `flats` walks the same tree over the independent subsets
 and reads off each flat of the row matroid (Oxley, Matroid Theory, ch. 1)
-with its kernel; the basis verifier's sections and the grower's forbidden
-regions are built on it.  `nullspace` is the Fraction view of `kernel`, through
+with the raw kernel basis of the node that reached it; the basis verifier's
+sections, the exceptional catalog and the grower's forbidden regions are
+built on it.  `nullspace` is the Fraction view of `kernel`, through
 `normalized`, the package's one first-nonzero-is-1 scaling;
 `normalized_key` sorts primitive vectors in the order of their normalized
 forms by integer arithmetic.
 
 An affine flat of Q^n is held as integer homogeneous data: spanning rows,
 each a positive multiple of (1, z) for a point z of the flat, and their
-primitive kernel, which are the flat's equations.  Membership is integer
-dot products with those equations.  Flats follow the convention
+primitive kernel, which are the flat's equations (c0, *c) of
+c0 + c.z = 0, the row layout `flat_from_equations` takes.  Membership is
+integer dot products with those equations.  Flats follow the convention
 dim(empty) = -1.
 """
 
@@ -192,18 +194,18 @@ def kernel_leaves(rows, size: int, node, start: int = 0):
 
 def flats(rows, n_cols: int, max_rank: int) -> dict:
     """The flats of rank at most max_rank of the row matroid of integer rows:
-    each flat's closure, an ascending index tuple, maps to its primitive
-    kernel basis.
+    each flat's closure, an ascending index tuple, maps to the kernel basis
+    of the node that reached it, as `kernel_step` left it.
 
     A lexicographic DFS over the independent row subsets on `kernel_step`.
     A node's closure is the set of rows orthogonal to every vector of its
     kernel basis, and only rows outside it extend the node.  `kernel_step`
     eliminates the first free column with a nonzero dot, so the basis keeps
-    the echelon form's free columns: made primitive, it is `kernel` of the
-    closure's rows.  The first independent set with a given closure in
-    lexicographic order is the closure's greedy basis, and a prefix of a
-    greedy basis is a greedy basis too, so the subtree of a node whose
-    closure was already reached holds no new flat and is skipped.
+    the echelon form's free columns: each vector made primitive, it is
+    `kernel` of the closure's rows.  The first independent set with a given
+    closure in lexicographic order is the closure's greedy basis, and a
+    prefix of a greedy basis is a greedy basis too, so the subtree of a node
+    whose closure was already reached holds no new flat and is skipped.
     """
     out: dict = {}
     stack = [(kernel_root(n_cols), 0, 0)]
@@ -215,7 +217,7 @@ def flats(rows, n_cols: int, max_rank: int) -> dict:
         )
         if closure in out:
             continue
-        out[closure] = [_primitive(k) for k in basis]
+        out[closure] = basis
         if depth < max_rank:
             for i in range(len(rows) - 1, start - 1, -1):
                 if i not in closure:
@@ -330,22 +332,6 @@ class AffineFlat:
         (1, z), such as an `integer_lift` row) is given lies in the flat."""
         return bool(self.rows) and all(sum(map(mul, normal, row)) == 0 for normal in self.normals)
 
-    def equations(self):
-        """Basis of affine functionals (c0, c) with c0 + c.z = 0 on the flat.
-
-        One per normal, scaled so the first nonzero entry of c is 1; a
-        normal's c is never zero on a nonempty flat, so that entry is also
-        the first nonzero one of (c, c0).  Only defined for nonempty flats;
-        returns ambient_dim - dim functionals.
-        """
-        if self.is_empty:
-            raise ValueError("empty flat has no canonical equation system")
-        out = []
-        for c0, *c in self.normals:
-            *c, c0 = normalized((*c, c0))
-            out.append((c0, tuple(c)))
-        return out
-
 
 def row_span(ambient_dim: int, rows) -> AffineFlat:
     """Flat spanned by the points whose integer homogeneous rows are given.
@@ -357,35 +343,32 @@ def row_span(ambient_dim: int, rows) -> AffineFlat:
     return AffineFlat(ambient_dim, rows, tuple(kernel(rows, ambient_dim + 1)))
 
 
-def empty_flat(ambient_dim: int) -> AffineFlat:
-    return row_span(ambient_dim, ())
-
-
 def flat_span(points, ambient_dim=None) -> AffineFlat:
     """Smallest affine flat containing the given points (Fl of the set)."""
     points = list(points)
     if not points:
         if ambient_dim is None:
             raise ValueError("ambient dimension required for the empty flat")
-        return empty_flat(ambient_dim)
+        return row_span(ambient_dim, ())
     n = len(points[0])
     if ambient_dim is not None and ambient_dim != n:
         raise ValueError("ambient dimension mismatch")
     return row_span(n, [_integer_row((1, *p)) for p in points])
 
 
-def flat_from_equations(ambient_dim: int, equations) -> AffineFlat:
-    """Flat cut out by affine functionals (c0, c): {z : c0 + c.z = 0 for all}.
+def flat_from_equations(ambient_dim: int, rows) -> AffineFlat:
+    """Flat cut out by affine equations, each a row (c0, *c) of the
+    functional c0 + c.z: {z : c0 + c.z = 0 for all}.
 
     The solutions (w0, w) of the homogeneous system are spanned by its
     kernel basis; the flat is empty when every one has w0 = 0.  Otherwise a
     vector u with u0 > 0 turns each w with w0 = 0 into u + w, which keeps
     the span and makes every row a positive multiple of some (1, z).
     """
-    basis = kernel([(c0, *c) for c0, c in equations], ambient_dim + 1)
+    basis = kernel(rows, ambient_dim + 1)
     base = next((w for w in basis if w[0]), None)
     if base is None:
-        return empty_flat(ambient_dim)
+        return row_span(ambient_dim, ())
     return row_span(
         ambient_dim, [w if w[0] else [a + b for a, b in zip(base, w)] for w in basis]
     )

@@ -42,7 +42,7 @@ from math import comb
 from .bipoly import PlaneCurve, rational_points_on_curve
 from .determined import PointConfiguration, contained_in_curve
 from .errors import HypothesisViolation, InvariantViolation
-from .linalg import AffineFlat, flats, kernel_leaves, kernel_root, rank, row_span
+from .linalg import AffineFlat, _primitive, flats, kernel_leaves, kernel_root, rank, row_span
 from .veronese import ambient_dim, as_point, integer_lift
 
 
@@ -152,18 +152,24 @@ def realizable_sections(rows, e: int):
     """Subsets S of B occurring as C & B for a curve C of degree exactly e.
 
     `rows` are B's degree-e integer rows (`integer_lift`).  The sections are
-    the flats of rank below C(e+2,2) (module docstring), as index tuples
-    into B in decreasing size, then in `combinations` order.
+    the flats of rank below C(e+2,2) (module docstring), as (index tuple
+    into B, kernel basis from `linalg.flats`) pairs in decreasing size, then
+    in `combinations` order.  The basis spans the section's vanishing space;
+    its vectors are not made primitive.
     """
     monomials = comb(e + 2, 2)
-    return sorted(flats(rows, monomials, monomials - 1), key=lambda idx: (-len(idx), idx))
+    return sorted(
+        flats(rows, monomials, monomials - 1).items(), key=lambda item: (-len(item[0]), item[0])
+    )
 
 
 @dataclass(frozen=True)
 class NdVerifyResult:
-    """Verdict of `nd_verify`.  On success `sections` holds the (e, section)
-    pairs of size C(d+2,2)-C(d-e+2,2)-1 that condition (iii) examined: every
-    realizable section of B of that size, as index tuples into B."""
+    """Verdict of `nd_verify`.  On success `sections` holds the
+    (e, section, basis) triples of size C(d+2,2)-C(d-e+2,2)-1 that condition
+    (iii) examined: every realizable section of B of that size, as an index
+    tuple into B with the kernel basis of its degree-e rows
+    (`realizable_sections`)."""
 
     ok: bool
     failures: tuple
@@ -235,7 +241,7 @@ def nd_verify(A: PointConfiguration | None, B, d: int | None = None) -> NdVerify
     for e in range(1, d):
         cut = comb(d + 2, 2) - comb(d - e + 2, 2)
         rest_target = comb(d - e + 2, 2) - 3
-        for idx in realizable_sections(rows[e], e):
+        for idx, vecs in realizable_sections(rows[e], e):
             size = len(idx)
             if size >= cut:
                 return failure("ii", e, idx, size, cut)
@@ -244,7 +250,7 @@ def nd_verify(A: PointConfiguration | None, B, d: int | None = None) -> NdVerify
             if size == cut - 1:
                 if dim_rest != rest_target:
                     return failure("iii", e, idx, dim_rest, rest_target)
-                sections.append((e, idx))
+                sections.append((e, idx, vecs))
             elif dim_rest <= rest_target:
                 return failure("iv", e, idx, dim_rest, rest_target)
     return NdVerifyResult(True, (), tuple(sections))
@@ -270,8 +276,9 @@ def _active_pairs(R, b, d: int, sample):
     for e in range(1, d):
         rows_e = [R[e][i] for i in b]
         monomials = comb(e + 2, 2)
-        for idx, normals in flats(rows_e, monomials, monomials).items():
-            v_e = AffineFlat(ambient_dim(e), tuple(rows_e[k] for k in idx), tuple(normals))
+        for idx, basis in flats(rows_e, monomials, monomials).items():
+            normals = tuple(map(_primitive, basis))
+            v_e = AffineFlat(ambient_dim(e), tuple(rows_e[k] for k in idx), normals)
             region = ForbiddenRegion(_quantities(R, b, v_e, idx, e, d), v_d_b)
             if sample is not None and all(
                 region.contains(sample, k) for k in range(sample_size)

@@ -17,12 +17,16 @@ Points are indices into A, lifted as its cached integer rows Z^d * (1, lift)
 (`PointConfiguration.homogeneous_lifts`).  Flats are spanned by those rows,
 membership is integer dot products with a flat's normals, and the projector
 evaluates integer forms on the rows: a positive multiple of (1, z) has the
-same image as z.  Image points and lines of P^2 are primitive integer
+same image as z.  Image points and lines of P^2 are bare primitive integer
 triples, sorted in the order of their first-nonzero-is-1 forms
-(`linalg.normalized_key`).  Hyperplanes are primitive integer vectors
-throughout: a line pulls back to the primitive vector of its combination of
-the forms, which is checked on the basis rows, and whose zero rows are the
-emitted curve's incidence with A.
+(`linalg.normalized_key`); a point lies on a line when their dot product is
+0.  Hyperplanes and curves are primitive integer vectors throughout: a
+catalog curve is (e, its degree-e vector), read off the kernel basis that
+the verifier's flats walk built for its section, and its lift flat is cut
+out by that vector's monomial shifts; a line pulls back to the primitive
+vector of its combination of the forms, which is checked on the basis rows,
+and whose zero rows are the emitted curve's incidence with A.  A curve's
+polynomial is built only to name it in an `InvariantViolation`.
 
 Every curve the pipeline emits is spanned, so by the lemma at
 `veronese.spanned_curve` its polynomial is squarefree and is read as its own
@@ -40,10 +44,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, lcm
+from math import lcm
 from operator import mul
 
-from .bipoly import PlaneCurve, monomial
+from .bipoly import monomial_order
 from .determined import (
     CurveRecord,
     DeterminedCurveSet,
@@ -56,59 +60,28 @@ from .linalg import (
     AffineFlat,
     _integer_row,
     flat_from_equations,
-    kernel,
     normalized_key,
     primitive,
     rank,
     row_span,
 )
 from .ndfamilies import BasisCandidate, _basis_rows, nd_verify
-from .veronese import ambient_dim, poly_to_vector, spanned_curve
+from .veronese import ambient_dim, spanned_curve
 
 
 def _dot(u, v) -> int:
     return sum(map(mul, u, v))
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
-    """Point of P^2 as its primitive integer coordinate triple."""
-
-    coords: tuple[int, ...]
-
-    @staticmethod
-    def normalize(vec) -> "ProjectivePoint":
-        return ProjectivePoint(primitive(vec))
-
-    def sort_key(self):
-        return normalized_key(self.coords)
+def _curve_text(e: int, vec) -> str:
+    """The polynomial of a catalog curve's vector, for messages."""
+    return spanned_curve(vec, e).representative.text()
 
 
-@dataclass(frozen=True)
-class ProjectiveLine:
-    """Line of P^2 as its primitive integer coefficient triple."""
-
-    coeffs: tuple[int, ...]
-
-    @staticmethod
-    def normalize(vec) -> "ProjectiveLine":
-        return ProjectiveLine(primitive(vec))
-
-    def contains(self, p: ProjectivePoint) -> bool:
-        return _dot(self.coeffs, p.coords) == 0
-
-    def sort_key(self):
-        return normalized_key(self.coeffs)
-
-
-def line_through(p: ProjectivePoint, q: ProjectivePoint) -> ProjectiveLine:
-    (a0, a1, a2), (b0, b1, b2) = p.coords, q.coords
-    cross = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
-    return ProjectiveLine.normalize(cross)
-
-
-def projective_collinear(points) -> bool:
-    return rank([p.coords for p in points]) <= 2
+def line_through(p, q) -> tuple[int, ...]:
+    """The primitive line through two points of P^2: their cross product."""
+    (a0, a1, a2), (b0, b1, b2) = p, q
+    return primitive((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
 
 
 @dataclass(frozen=True)
@@ -127,8 +100,9 @@ class HyperprojectionMap:
     @staticmethod
     def from_flat(center: AffineFlat) -> "HyperprojectionMap":
         """The center's normals, each divided by the first nonzero entry of
-        its c and all multiplied by one positive integer: the ratios of
-        `AffineFlat.equations`, on which the image coordinates depend."""
+        its c and all multiplied by one positive integer, so the three forms
+        share one positive first linear entry; the image coordinates depend
+        on these ratios."""
         if center.is_empty:
             raise HypothesisViolation("nonempty center", "projection center is empty")
         if center.dim != center.ambient_dim - 3:
@@ -150,42 +124,47 @@ class HyperprojectionMap:
         )
         return HyperprojectionMap(center, forms)
 
-    def project(self, z) -> ProjectivePoint:
+    def project(self, z) -> tuple[int, ...]:
         """Image of a point z of lift space."""
         return self.project_row(_integer_row((1, *z)))
 
-    def project_row(self, row) -> ProjectivePoint:
-        """Image of a homogeneous row: any nonzero multiple of (1, z), such
-        as an `integer_lift` row, has the image of z."""
+    def project_row(self, row) -> tuple[int, ...]:
+        """Image of a homogeneous row, as a primitive triple: any nonzero
+        multiple of (1, z), such as an `integer_lift` row, has the image of z."""
         w = [_dot(f, row) for f in self.forms]
         if not any(w):
             raise HypothesisViolation(
                 "point off the projection center", "z lies on the center flat"
             )
-        return ProjectivePoint.normalize(w)
+        return primitive(w)
 
-    def pull_back_line(self, line: ProjectiveLine) -> tuple[int, ...]:
+    def pull_back_line(self, line) -> tuple[int, ...]:
         """Primitive vector of the hyperplane through the center whose image
         is the given line: the line's combination of the forms."""
-        return primitive([_dot(line.coeffs, column) for column in zip(*self.forms)])
+        return primitive([_dot(line, column) for column in zip(*self.forms)])
 
 
-def curve_lift_flat(curve: PlaneCurve, d: int) -> AffineFlat:
-    """Span of the degree-d lifts of all points of the curve.
+def curve_lift_flat(e: int, vec, d: int) -> AffineFlat:
+    """Span of the degree-d lifts of all points of a degree-e curve.
 
-    Derived from the equation system of the degree-<=d multiples of the
-    curve's radical; exact whenever every component of the zero set is
-    infinite, which holds for every curve this pipeline feeds in.
+    `vec` is the curve's squarefree polynomial p as a degree-e vector
+    (constant, `monomial_order(e)`).  The equations are the degree-<=d
+    multiples x^a y^b p, a+b <= d-e: each is `vec` with the coefficient of
+    x^n y^m moved to x^(n+a) y^(m+b) in the degree-d layout.  Exact whenever
+    every component of the zero set is infinite, which holds for every curve
+    this pipeline feeds in.
     """
-    p = curve.radical
-    e = p.degree
     if e > d:
         raise HypothesisViolation("curve degree <= d", f"degree {e} > {d}")
+    source = ((0, 0),) + monomial_order(e)
+    position = {mon: k for k, mon in enumerate(((0, 0),) + monomial_order(d))}
     eqs = []
-    for shift_total in range(0, d - e + 1):
-        for sn in range(shift_total, -1, -1):
-            c0, *c = poly_to_vector(p * monomial(sn, shift_total - sn), d)
-            eqs.append((c0, c))
+    for shift_total in range(d - e + 1):
+        for a in range(shift_total, -1, -1):
+            row = [0] * len(position)
+            for (n, m), c in zip(source, vec):
+                row[position[n + a, m + shift_total - a]] = c
+            eqs.append(row)
     return flat_from_equations(ambient_dim(d), eqs)
 
 
@@ -196,38 +175,40 @@ def exceptional_catalog(A: PointConfiguration | None, B, d: int):
     in degree-e lift space, so candidates are the sections whose vanishing
     space is one-dimensional and realized exactly: the primitive vector
     spanning it vanishes on no other row of B.  `nd_verify` has already
-    listed the realizable sections of that size (`NdVerifyResult.sections`),
-    and a realizable section's vanishing space loses dimension at every
-    other point of B, so a one-dimensional one is realized exactly.  Its
-    vector is the curve, read by `spanned_curve`.  A curve's section is its
-    whole incidence with B, so each section gives a different curve.
+    listed the realizable sections of that size with the kernel bases of
+    their rows (`NdVerifyResult.sections`), and a realizable section's
+    vanishing space loses dimension at every other point of B, so a
+    one-dimensional one is realized exactly.  Its one basis vector, made
+    primitive, is the curve.  A curve's section is its whole incidence with
+    B, so each section gives a different curve.
+
+    Returns (e, primitive degree-e vector) pairs ordered by e, then by
+    `normalized_key`.
     """
-    basis, indices, rows = _basis_rows(A, B, d)
-    verdict = nd_verify(A, basis if indices is None else indices, d)
+    verdict = nd_verify(A, B, d)
     if not verdict.ok:
         raise HypothesisViolation(
             "B satisfies the basis conditions", str(verdict.failures)
         )
     catalog = []
-    for e, idx in verdict.sections:
-        basis_vecs = kernel([rows[e][i] for i in idx], comb(e + 2, 2))
-        if len(basis_vecs) != 1:
+    for e, _, vecs in verdict.sections:
+        if len(vecs) != 1:
             continue
-        curve = spanned_curve(basis_vecs[0], e)
-        if curve.representative.degree != e:
+        vec = primitive(vecs[0])
+        # the last e+1 entries are the degree-e monomials
+        if not any(vec[-(e + 1):]):
             raise InvariantViolation(
                 "exceptional curve with unexpected degree",
-                {"e": e, "curve": curve.representative.text()},
+                {"e": e, "curve": _curve_text(e, vec)},
             )
-        catalog.append((e, curve))
+        catalog.append((e, vec))
     bound = 2 ** (2 ** (d + 2))
     for e, count in Counter(e for e, _ in catalog).items():
         if count >= bound:
             raise InvariantViolation(
                 "exceptional catalog bound exceeded", {"e": e, "count": count, "bound": bound}
             )
-    # a curve's sort key starts with its degree e, so this orders by e first
-    return tuple(sorted(catalog, key=lambda pair: pair[1].sort_key()))
+    return tuple(sorted(catalog, key=lambda pair: (pair[0], normalized_key(pair[1]))))
 
 
 @dataclass(frozen=True)
@@ -239,8 +220,8 @@ class ProjectionPipelineState:
     catalog: tuple
     d_indices: tuple[int, ...]
     e_indices: tuple[int, ...]
-    s_points: tuple[ProjectivePoint, ...]
-    t_points: tuple[ProjectivePoint, ...]
+    s_points: tuple[tuple[int, ...], ...]
+    t_points: tuple[tuple[int, ...], ...]
     fibers: dict
     delta: int
     n: int
@@ -277,19 +258,19 @@ def build_pipeline(A: PointConfiguration, B, d: int | None = None) -> Projection
 
     t_points = []
     exceptional = set(d_indices)
-    for e, curve in catalog:
-        joined = row_span(n_amb, curve_lift_flat(curve, d).rows + center.rows)
+    for e, vec in catalog:
+        joined = row_span(n_amb, curve_lift_flat(e, vec, d).rows + center.rows)
         if joined.dim != n_amb - 2:
             raise InvariantViolation(
                 "exceptional span is not one above the center",
-                {"e": e, "curve": curve.representative.text(), "dim": joined.dim},
+                {"e": e, "curve": _curve_text(e, vec), "dim": joined.dim},
             )
         # the forms have rank 1 on the joined span, so every point of the
         # joined flat off the center projects to the same image point
         probe = next((row for row in joined.rows if not center.contains_row(row)), None)
         if probe is None:
             raise InvariantViolation(
-                "exceptional flat equals the center", {"curve": curve.representative.text()}
+                "exceptional flat equals the center", {"curve": _curve_text(e, vec)}
             )
         image = projector.project_row(probe)
         members = [
@@ -303,34 +284,35 @@ def build_pipeline(A: PointConfiguration, B, d: int | None = None) -> Projection
                 raise InvariantViolation(
                     "exceptional curve image is not a single point",
                     {
-                        "curve": curve.representative.text(),
+                        "curve": _curve_text(e, vec),
                         "point": [str(A.points[i][0]), str(A.points[i][1])],
                     },
                 )
-        for i in _zero_rows(poly_to_vector(curve.radical, e), A.homogeneous_lifts(e)):
+        for i in _zero_rows(vec, A.homogeneous_lifts(e)):
             if i not in exceptional:
                 raise InvariantViolation(
                     "curve point missing from the exceptional set",
-                    {"curve": curve.representative.text(), "index": i},
+                    {"curve": _curve_text(e, vec), "index": i},
                 )
         t_points.append(image)
-    t_points = tuple(sorted(set(t_points), key=ProjectivePoint.sort_key))
+    t_points = tuple(sorted(set(t_points), key=normalized_key))
 
     e_indices = tuple(sorted(exceptional))
-    fibers: dict[ProjectivePoint, list[int]] = {}
+    fibers: dict[tuple[int, ...], list[int]] = {}
     for i in range(len(A)):
         if i in exceptional:
             continue
         image = projector.project_row(rows[i])
         fibers.setdefault(image, []).append(i)
-    s_points = tuple(sorted(fibers, key=ProjectivePoint.sort_key))
+    s_points = tuple(sorted(fibers, key=normalized_key))
     delta = max((len(v) for v in fibers.values()), default=0)
 
+    forbidden = set(t_points)
     for image in s_points:
-        if image in set(t_points):
+        if image in forbidden:
             raise InvariantViolation(
                 "surviving image collides with the forbidden set",
-                {"image": [str(c) for c in image.coords]},
+                {"image": [str(c) for c in image]},
             )
     n_threshold = 2 * delta + len(d_indices)
     if delta + len(d_indices) > d * d:
@@ -376,12 +358,12 @@ def two_point_lines(S, T):
         if line in seen:
             continue
         seen.add(line)
-        if sum(1 for p in S if line.contains(p)) != 2:
+        if sum(1 for p in S if _dot(line, p) == 0) != 2:
             continue
-        if any(line.contains(t) for t in T):
+        if any(_dot(line, t) == 0 for t in T):
             continue
         out.append(line)
-    return tuple(sorted(out, key=ProjectiveLine.sort_key))
+    return tuple(sorted(out, key=normalized_key))
 
 
 def find_affine_chart(points):
@@ -394,7 +376,7 @@ def find_affine_chart(points):
     k = 0
     while k <= 2 * len(points) + 1:
         form = (1, k, k * k)
-        if all(_dot(form, p.coords) for p in points):
+        if all(_dot(form, p) for p in points):
             return form
         k += 1
     raise InvariantViolation(
@@ -414,7 +396,8 @@ def curves_from_basis(A: PointConfiguration, B, d: int | None = None,
         state = build_pipeline(A, B, d)
     d = state.basis.d
     trace = state.trace
-    if not state.s_points or projective_collinear(state.s_points):
+    # the image points are collinear when their triples have rank <= 2
+    if not state.s_points or rank(state.s_points) <= 2:
         trace.update({"emitted": 0, "image_collinear": bool(state.s_points)})
         return DeterminedCurveSet(d, state.n, ()), state
 
@@ -432,7 +415,7 @@ def curves_from_basis(A: PointConfiguration, B, d: int | None = None,
         if any(_dot(vec, row) for row in basis_rows):
             raise InvariantViolation(
                 "pulled-back hyperplane misses the basis",
-                {"line": [str(c) for c in line.coeffs]},
+                {"line": [str(c) for c in line]},
             )
         incidence = _zero_rows(vec, rows)
         if len(incidence) <= state.n:

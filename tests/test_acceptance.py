@@ -199,31 +199,41 @@ def test_criterion_5_line_heavy_construction():
         assert not failures, f"line-heavy construction: {failures}"
 
 
+# (d, m) of the carrier-heavy sets, built with seed = m: the smallest
+# admissible m = N+1 and the two after it, N = C(d+2,2)-1
+CARRIER_HEAVY_CASES = [(3, 10), (3, 11), (3, 12), (4, 15), (4, 16), (4, 17), (5, 21), (5, 22)]
+
+
 def test_criterion_6_carrier_heavy_construction():
-    # Exact count of O_(3,9)(A) for A = one off point plus the set K of m-1
-    # points on the irreducible carrier y = x^3, with n' = 2*9 + 1 - C(5, 2)
-    # = 9.  Property ii says every 9 points of A lie on exactly one cubic;
-    # with property i and Bezout, every curve in O_(3,9) meets A in exactly
-    # 9 points.  A curve other than the carrier cannot hold 9 points of K,
-    # since the carrier is the only cubic through them; so it passes through
-    # the off point and exactly 8 points of K, one curve per 8-subset of K:
-    # C(m-1, 8) curves.  The carrier meets A in its m-1 points of K, so it
-    # lies in O_(3,9) exactly when m-1 <= n'.  Hence
-    #     |O_(3,9)(A)| = C(m-1, 8) + [m-1 <= n'],
-    # which is O(m^8) as the paper claims.  At the smallest admissible m = 10
-    # the carrier is one curve beyond C(m-1, 8); from m = 11 on it is not in
-    # O_(3,9).  Parts (a), (b) and (c) below assert this record by record.
+    # Exact count of O_(d,N)(A), N = C(d+2,2)-1, for A = one off point plus
+    # the set K of m-1 points on the irreducible carrier y = x^d, with
+    # n' = 2N + 1 - C(d+2,2) = N.  Property ii says every N points of A lie
+    # on exactly one curve of degree d; with property i, every curve in
+    # O_(d,N) meets A in exactly N points.  A curve other than the carrier
+    # cannot hold N points of K, since the carrier is the only degree-d
+    # curve through them; so it passes through the off point and exactly N-1
+    # points of K, one curve per (N-1)-subset of K: C(m-1, N-1) curves.  The
+    # carrier is determined, since the construction keeps any N of its
+    # points independent, and it meets A in its m-1 points of K, so it lies
+    # in O_(d,N) exactly when m-1 <= n'.  Hence
+    #     |O_(d,N)(A)| = C(m-1, N-1) + [m-1 <= n'],
+    # which is O(m^(N-1)) as the paper claims (O(m^8) at d = 3).  At the
+    # smallest admissible m = N+1 the carrier is one curve beyond
+    # C(m-1, N-1); from m = N+2 on it is not in O_(d,N).  Parts (a), (b) and
+    # (c) below assert this record by record.
     with criterion("6 (carrier-heavy extremal sets)", 1800):
-        n_prime = 2 * 9 + 1 - comb(5, 2)
         failures = []
-        for m in (10, 11, 12):
-            built = construct_theorem8(3, 9, m, seed=m)
+        for d, m in CARRIER_HEAVY_CASES:
+            N = comb(d + 2, 2) - 1
+            n_prime = 2 * N + 1 - comb(d + 2, 2)
+            case = f"d={d}, m={m}"
+            built = construct_theorem8(d, N, m, seed=m)
             cfg = built.config
-            if contained_in_curve(cfg, 3)[0]:
-                failures.append(f"m={m}: property i")
-            for idx in combinations(range(m), 9):
-                if vanishing_dim(cfg.subset(idx), 3) != 1:
-                    failures.append(f"m={m}: property ii at {idx}")
+            if contained_in_curve(cfg, d)[0]:
+                failures.append(f"{case}: property i")
+            for idx in combinations(range(m), N):
+                if vanishing_dim(cfg.subset(idx), d) != 1:
+                    failures.append(f"{case}: property ii at {idx}")
                     break
             ords = ordinary_curves(cfg, n_prime)
             carrier = PlaneCurve.from_poly(parse_poly(built.provenance["carrier"]))
@@ -231,32 +241,32 @@ def test_criterion_6_carrier_heavy_construction():
             off_idx = built.provenance["off_index"]
             carrier_recs = [rec for rec in ords.records if rec.incidence == carrier_idx]
             other_recs = [rec for rec in ords.records if rec.incidence != carrier_idx]
-            # (a) the carrier is in O_(3,9) exactly when m-1 <= n'
+            # (a) the carrier is in O_(d,N) exactly when m-1 <= n'
             expected_carrier = 1 if m - 1 <= n_prime else 0
             if len(carrier_recs) != expected_carrier:
                 failures.append(
-                    f"m={m}: property iii(a): {len(carrier_recs)} carrier records,"
+                    f"{case}: property iii(a): {len(carrier_recs)} carrier records,"
                     f" expected {expected_carrier}"
                 )
             if any(rec.curve != carrier for rec in carrier_recs):
-                failures.append(f"m={m}: property iii(a): carrier record is not the carrier")
-            # (b) every other curve passes through the off point and 8 of K
+                failures.append(f"{case}: property iii(a): carrier record is not the carrier")
+            # (b) every other curve passes through the off point and N-1 of K
             for rec in other_recs:
                 on_carrier = rec.incidence & carrier_idx
-                if rec.incidence - carrier_idx != {off_idx} or len(on_carrier) != 8:
+                if rec.incidence - carrier_idx != {off_idx} or len(on_carrier) != N - 1:
                     failures.append(
-                        f"m={m}: property iii(b): incidence {sorted(rec.incidence)}"
+                        f"{case}: property iii(b): incidence {sorted(rec.incidence)}"
                     )
                     break
-            # (c) one such curve per 8-subset of K
-            if len(other_recs) != comb(m - 1, 8):
+            # (c) one such curve per (N-1)-subset of K
+            if len(other_recs) != comb(m - 1, N - 1):
                 failures.append(
-                    f"m={m}: property iii(c): {len(other_recs)} curves through the"
-                    f" off point, expected C({m - 1}, 8) = {comb(m - 1, 8)}"
+                    f"{case}: property iii(c): {len(other_recs)} curves through the"
+                    f" off point, expected C({m - 1}, {N - 1}) = {comb(m - 1, N - 1)}"
                 )
             traces = [rec.incidence & carrier_idx for rec in ords.records]
             if len(set(traces)) != len(traces):
-                failures.append(f"m={m}: carrier traces collide")
+                failures.append(f"{case}: carrier traces collide")
         assert not failures, f"carrier-heavy construction: {failures}"
 
 

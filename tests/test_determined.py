@@ -21,10 +21,11 @@ from ordcurves.determined import (
     spanned_hyperplanes,
 )
 from ordcurves.errors import HypothesisViolation
-from ordcurves.linalg import flats, kernel, kernel_leaves, kernel_root, rank
+from ordcurves.linalg import flats, kernel, kernel_leaves, kernel_root, primitive, rank
 from ordcurves.ndfamilies import grow_nd_chain
 from ordcurves.oracle import oracle_determined
 from ordcurves.projection import curves_from_basis
+from ordcurves.veronese import spanned_curve
 
 SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
 THREE_PLUS_ONE = [(0, 0), (1, 0), (2, 0), (0, 1)]
@@ -123,7 +124,8 @@ def test_spanned_hyperplane_is_its_own_radical(build, check_hyperplanes):
     curves, state = curves_from_basis(config, list(grown.chain), d)
     for rec in determined.records + curves.records:
         check_hyperplanes(rec, config.points, d)
-    for _, curve in state.catalog:
+    for e, vec in state.catalog:
+        curve = spanned_curve(vec, e)
         assert curve.representative == curve.radical == squarefree_radical(curve.representative)
 
 
@@ -336,7 +338,11 @@ def test_flats_match_closure_scan(e, curve, k, free):
     n_cols = comb(e + 2, 2)
     every = _closure_scan(rows, n_cols)
     for max_rank in (n_cols - 1, n_cols):
-        walked = flats(rows, n_cols, max_rank)
+        # each basis is the kernel of its closure's rows once made primitive
+        walked = {
+            key: [primitive(k) for k in basis]
+            for key, basis in flats(rows, n_cols, max_rank).items()
+        }
         # a closure has its subset's rank, n_cols less the kernel's size
         assert walked == {
             key: basis for key, basis in every.items() if n_cols - len(basis) <= max_rank

@@ -262,11 +262,11 @@ def test_row_span_joins_points():
 def test_flat_equations_roundtrip():
     pts = [(1, 2, 3), (2, 3, 4), (1, 1, 1)]
     f = flat_span(pts)
-    eqs = f.equations()
+    eqs = f.normals
     assert len(eqs) == 3 - f.dim
-    for c0, c in eqs:
+    for c0, *c in eqs:
         for p in pts:
-            assert c0 + vec_dot(c, tuple(map(Fraction, p))) == 0
+            assert c0 + sum(a * b for a, b in zip(c, p)) == 0
     g = flat_from_equations(3, eqs)
     assert g.dim == f.dim
     probe = [(0, 1, 2), (5, 5, 5), (1, 2, 3)]
@@ -275,7 +275,7 @@ def test_flat_equations_roundtrip():
 
 
 def test_flat_from_inconsistent_equations():
-    f = flat_from_equations(2, [(Fraction(0), (1, 0)), (Fraction(1), (1, 0))])
+    f = flat_from_equations(2, [(0, 1, 0), (1, 1, 0)])
     assert f.is_empty
 
 
@@ -288,7 +288,7 @@ def test_affine_rank():
 def test_flat_intersection():
     # two flats meet in the flat cut out by both equation systems
     def meet(a, b):
-        return flat_from_equations(a.ambient_dim, a.equations() + b.equations())
+        return flat_from_equations(a.ambient_dim, a.normals + b.normals)
 
     xy_plane = flat_span([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
     diag = flat_span([(0, 0, 0), (1, 1, 1)])
@@ -297,8 +297,10 @@ def test_flat_intersection():
     line1 = flat_span([(0, 0), (1, 1)])
     line2 = flat_span([(0, 1), (1, 2)])  # parallel shifted copy
     assert meet(line1, line2).is_empty
-    with pytest.raises(ValueError):
-        flat_span([], 2).equations()
+    # the empty flat's normals are all of Z^3, (1, 0, 0) among them
+    empty = flat_span([], 2)
+    assert flat_from_equations(2, empty.normals).is_empty
+    assert meet(line1, empty).is_empty
     same = meet(line1, line1)
     assert same.dim == 1 and same.contains((5, 5))
     assert same == line1
@@ -358,27 +360,6 @@ def test_flat_contains_matches_affine_rank(points, z, weights):
         w.append(1 - sum(w))
         combo = tuple(sum(wi * p[j] for wi, p in zip(w, points)) for j in range(3))
         assert f.contains(combo)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(rationals, rationals, rationals), min_size=1, max_size=4))
-def test_equations_scaled_to_first_nonzero_of_c(points):
-    f = flat_span(points, 3)
-    eqs = f.equations()
-    assert len(eqs) == 3 - f.dim
-    for c0, c in eqs:
-        assert next(x for x in c if x != 0) == 1
-        assert all(c0 + vec_dot(c, tuple(map(Fraction, p))) == 0 for p in points)
-
-
-def test_equations_scaling_example():
-    # the primitive normal (2, -1, 0) of {x = 2} is rescaled by c's first entry
-    f = flat_span([(2, 0), (2, 1)])
-    assert f.equations() == [(Fraction(-2), (Fraction(1), Fraction(0)))]
-    assert flat_span([(1, 2)]).equations() == [
-        (Fraction(-1), (Fraction(1), Fraction(0))),
-        (Fraction(-2), (Fraction(0), Fraction(1))),
-    ]
 
 
 def test_normalized_key_matches_fraction_order():

@@ -11,7 +11,7 @@ from ordcurves.bipoly import PlaneCurve, parse_poly, rational_points_on_curve
 from ordcurves.constructions import sample_configuration
 from ordcurves.determined import PointConfiguration, vanishing_dim
 from ordcurves.errors import HypothesisViolation
-from ordcurves.linalg import affine_rank, rank, row_span
+from ordcurves.linalg import affine_rank, kernel, primitive, rank, row_span
 from ordcurves.ndfamilies import (
     BasisCandidate,
     ForbiddenRegion,
@@ -125,7 +125,7 @@ def test_forbidden_region_point_outside():
 
 def test_realizable_sections_triple():
     rows = [integer_lift(p, 1) for p in TRIPLE]
-    sections = {frozenset(s) for s in realizable_sections(rows, 1)}
+    sections = {frozenset(s) for s, _ in realizable_sections(rows, 1)}
     # the whole triple is not a line section; everything smaller is
     assert frozenset({0, 1, 2}) not in sections
     for size in (0, 1, 2):
@@ -136,7 +136,7 @@ def test_realizable_sections_triple():
 def test_realizable_sections_collinear():
     pts = [(0, 0), (1, 0), (2, 0)]
     rows = [integer_lift(p, 1) for p in pts]
-    sections = {frozenset(s) for s in realizable_sections(rows, 1)}
+    sections = {frozenset(s) for s, _ in realizable_sections(rows, 1)}
     assert frozenset({0, 1, 2}) in sections
     assert frozenset({0, 1}) not in sections  # any line through two hits the third
 
@@ -203,7 +203,12 @@ def test_realizable_sections_match_subset_scan(d, points, condition):
     assert (verdict.failures[0]["condition"] if verdict.failures else None) == condition
     for e in range(1, d):
         rows = A.homogeneous_lifts(e)
-        assert list(realizable_sections(rows, e)) == _sections_by_subset_scan(rows, e)
+        sections = realizable_sections(rows, e)
+        assert [idx for idx, _ in sections] == _sections_by_subset_scan(rows, e)
+        # each section comes with the kernel of its rows, once made primitive
+        for idx, basis in sections:
+            expected = kernel([rows[i] for i in idx], comb(e + 2, 2))
+            assert [primitive(k) for k in basis] == expected
 
 
 def test_nd_verify_examples():

@@ -206,7 +206,8 @@ def test_oracle_imports_no_fast_path_module():
 @pytest.mark.parametrize("module, forbidden", [
     (ordcurves.ndfamilies, {"combinations"}),
     (ordcurves.projection, {"vector_to_curve", "squarefree_radical",
-                            "Fraction", "fractions", "normalized", "vec_dot"}),
+                            "Fraction", "fractions", "normalized", "vec_dot",
+                            "PlaneCurve", "monomial", "poly_to_vector", "kernel"}),
     (ordcurves.determined, set()),
 ], ids=["ndfamilies", "projection", "determined"])
 def test_row_layers_import_no_fraction_lift(module, forbidden):
@@ -214,7 +215,8 @@ def test_row_layers_import_no_fraction_lift(module, forbidden):
     # as integer rows (integer_lift, homogeneous_lifts), span flats from those
     # rows and hold each hyperplane as its primitive integer vector; every
     # curve the projection emits is spanned, so it computes no radical; the
-    # verifier and the grower walk flats, not subsets
+    # verifier and the grower walk flats, not subsets; the projection holds
+    # catalog curves as vectors and takes their kernels from the verifier
     fraction_path = {"lift", "flat_span", "HyperplaneForm", "tau", "tau_inverse"} | forbidden
     imported = _imported_names(module)
     assert not imported & fraction_path, sorted(imported & fraction_path)

@@ -8,14 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from ordcurves.bipoly import parse_poly
+from ordcurves.bipoly import PlaneCurve, parse_poly, rational_points_on_curve
 from ordcurves.constructions import sample_configuration
 from ordcurves.determined import PointConfiguration, ordinary_curves
 from ordcurves.errors import HypothesisViolation
-from ordcurves.linalg import flat_span, kernel, row_span
+from ordcurves.linalg import flat_span, kernel, normalized_key, primitive, row_span
 from ordcurves.ndfamilies import grow_nd_chain
 from ordcurves.projection import (
-    ProjectivePoint,
     build_pipeline,
     curve_lift_flat,
     curves_from_basis,
@@ -25,7 +24,7 @@ from ordcurves.projection import (
     two_point_lines,
 )
 from ordcurves.projection import HyperprojectionMap
-from ordcurves.veronese import ambient_dim, integer_lift, lift, spanned_curve
+from ordcurves.veronese import ambient_dim, integer_lift, lift, poly_to_vector, spanned_curve
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -52,9 +51,11 @@ def test_projection_collapses_flat_lines():
     for w in (half, mixed):
         assert joined.contains(w) and not center.contains(w)
         assert pm.project(w) == image
+    # the conics through TRIPLE and (4, 7) meet only in those four points,
+    # so a fifth point spans another flat with the center
     other = lift((5, 5), 2)
-    if not center.contains(other):
-        assert pm.project(other) != image or True  # distinct flats may share nothing
+    assert not center.contains(other)
+    assert pm.project(other) != image
 
 
 def test_projection_of_rows_matches_points():
@@ -80,16 +81,14 @@ def test_projection_requires_codim3():
 
 
 def test_curve_lift_flat_dimensions():
-    line = parse_poly("x + y - 1")
-    from ordcurves.bipoly import PlaneCurve
-
+    line = poly_to_vector(parse_poly("x + y - 1"), 1)
     for d in (1, 2, 3):
-        flat = curve_lift_flat(PlaneCurve.from_poly(line), d)
+        flat = curve_lift_flat(1, line, d)
         assert flat.dim == ambient_dim(d) - comb(d - 1 + 2, 2)
         for t in range(-3, 4):
             assert flat.contains(lift((t, 1 - t), d))
-    conic = PlaneCurve.from_poly(parse_poly("y - x^2"))
-    flat = curve_lift_flat(conic, 3)
+    conic = poly_to_vector(parse_poly("y - x^2"), 2)
+    flat = curve_lift_flat(2, conic, 3)
     assert flat.dim == ambient_dim(3) - comb(3, 2)
     for t in range(-3, 4):
         assert flat.contains(lift((t, t * t), 3))
@@ -99,13 +98,17 @@ def test_exceptional_catalog_triple():
     A = PointConfiguration.from_points(OCTET, 2)
     catalog = exceptional_catalog(A, [0, 1, 2], 2)
     assert len(catalog) == 3
-    assert all(e == 1 and curve.degree == 1 for e, curve in catalog)
+    curves = [spanned_curve(vec, e) for e, vec in catalog]
+    assert all(e == 1 and vec == primitive(vec) for e, vec in catalog)
+    assert all(curve.degree == 1 for curve in curves)
     # each catalog line passes through exactly two basis points
-    for _, curve in catalog:
+    for curve in curves:
         assert sum(1 for p in TRIPLE if curve.contains(p)) == 2
     assert len(catalog) < 2 ** (2 ** 4)
 
 
+SCALED_TRIPLE = [(-2, 4), (4, 2), (6, -2)]
+FRACTION_TRIPLE = [(Fraction(1, 2), 0), (0, Fraction(1, 3)), (Fraction(3, 2), Fraction(5, 4))]
 HANDCRAFTED_D3 = [(0, 0), (1, 0), (3, 0), (0, 1), (2, 3), (5, 2), (1, 6)]
 HANDCRAFTED_EXTRAS = (
     [(7, 0), (4, 0), (6, 5), (8, 3), (-2, 7), (9, -4), (-5, -3)],
@@ -114,8 +117,8 @@ HANDCRAFTED_EXTRAS = (
 
 
 def _catalog_by_definition(A, basis, d):
-    """For each e < d, the curve of every (cut-1)-subset of B whose degree-e
-    kernel is one vector vanishing on no other row of B."""
+    """For each e < d, (e, vector) for every (cut-1)-subset of B whose
+    degree-e kernel is one primitive vector vanishing on no other row of B."""
     out = []
     for e in range(1, d):
         rows = [integer_lift(A.points[i], e) for i in basis]
@@ -126,20 +129,25 @@ def _catalog_by_definition(A, basis, d):
                 continue
             zeros = {i for i, row in enumerate(rows) if sum(map(mul, vecs[0], row)) == 0}
             if zeros == set(idx):
-                out.append((e, spanned_curve(vecs[0], e)))
-    return sorted(out, key=lambda pair: (pair[0], pair[1].sort_key()))
+                out.append((e, vecs[0]))
+    return sorted(out, key=lambda pair: (pair[0], normalized_key(pair[1])))
 
 
-def test_exceptional_catalog_matches_section_bruteforce():
-    # (A, B, catalog size): the octet's three lines through two of its
-    # triple; the two lines through three points of the handcrafted bases;
-    # none on the carrier golden basis or a grown one
+def _catalog_cases():
+    """(A, B, catalog size): the three lines through two points of the
+    octet's triple and of two more d=2 triples, whose sections' kernel
+    vectors come out of the flats walk with a content above 1 or a negative
+    first entry; the two lines through three points of the handcrafted
+    bases; none on the carrier golden basis or a grown one."""
     carrier = json.loads((GOLDEN / "carrier_points.json").read_text())
     carrier_pts = [tuple(map(Fraction, p)) for p in carrier["points"]]
     built = sample_configuration("random_general", seed=3000, count=11, d=3, genericity=3)
     grown = grow_nd_chain(built.config, [], None, 3, seed=0)
     assert grown.success
-    cases = [(PointConfiguration.from_points(OCTET, 2), [0, 1, 2], 3)]
+    cases = [
+        (PointConfiguration.from_points(triple + OCTET[3:], 2), [0, 1, 2], 3)
+        for triple in (TRIPLE, SCALED_TRIPLE, FRACTION_TRIPLE)
+    ]
     cases += [
         (PointConfiguration.from_points(HANDCRAFTED_D3 + extras, 3), list(range(7)), 2)
         for extras in HANDCRAFTED_EXTRAS
@@ -148,10 +156,43 @@ def test_exceptional_catalog_matches_section_bruteforce():
         (PointConfiguration.from_points(carrier_pts, 3), [15, 1, 10, 9, 5, 3, 4], 0),
         (built.config, list(grown.chain), 0),
     ]
-    for A, basis, size in cases:
+    return cases
+
+
+def test_exceptional_catalog_matches_section_bruteforce():
+    for A, basis, size in _catalog_cases():
         catalog = exceptional_catalog(A, basis, A.d)
         assert list(catalog) == _catalog_by_definition(A, basis, A.d)
         assert len(catalog) == size
+
+
+def _point_span(curve: PlaneCurve, d: int):
+    """Span of the degree-d lifts of C(d+2,2) points of the curve."""
+    points = rational_points_on_curve(curve, comb(d + 2, 2))
+    return row_span(ambient_dim(d), [integer_lift(p, d) for p in points])
+
+
+def test_curve_lift_flat_matches_point_span():
+    # the shifted vector rows cut out the span of the curve's lifted points:
+    # curves linear in y (lines, y = x^2, y = x^3) and one linear in x
+    texts = ["x + y - 1", "y - 2", "x - 3", "2*x - 3*y + 1", "y - x^2", "y - x^3",
+             "x - y^2 - y"]
+    checked = 0
+    for text in texts:
+        p = parse_poly(text)
+        curve, e = PlaneCurve.from_poly(p), p.degree
+        for d in range(e, 5):
+            assert curve_lift_flat(e, poly_to_vector(p, e), d) == _point_span(curve, d)
+            checked += 1
+    # the catalog vectors of the d=2 triples and the handcrafted bases (none
+    # on the carrier and grown ones)
+    for A, basis, _ in _catalog_cases():
+        for e, vec in exceptional_catalog(A, basis, A.d):
+            for d in range(e, 5):
+                assert curve_lift_flat(e, vec, d) == _point_span(spanned_curve(vec, e), d)
+                checked += 1
+    assert checked == 24 + 13 * 4
+    assert curve_lift_flat(1, (0, 1, 0), 3) != curve_lift_flat(1, (0, 0, 1), 3)
 
 
 def test_build_pipeline_d2_classification():
@@ -193,23 +234,24 @@ def test_pipeline_exceptional_points_share_image():
 
 
 def test_two_point_lines_examples():
-    pts = [ProjectivePoint.normalize(v) for v in [(1, 0, 0), (1, 1, 0), (1, 0, 1)]]
+    pts = [primitive(v) for v in [(1, 0, 0), (1, 1, 0), (1, 0, 1)]]
     assert len(two_point_lines(pts, [])) == 3
     assert two_point_lines(pts[:1], []) == ()
     # five points with a 3-rich line: pair brute force
     raw = [(1, 0, 0), (1, 1, 0), (1, 2, 0), (1, 0, 1), (1, 1, 2)]
-    pts5 = [ProjectivePoint.normalize(v) for v in raw]
+    pts5 = [primitive(v) for v in raw]
     lines = two_point_lines(pts5, [])
     expected = set()
     for i, j in combinations(range(5), 2):
         line = line_through(pts5[i], pts5[j])
-        if sum(1 for p in pts5 if line.contains(p)) == 2:
+        assert line == primitive(line)
+        if sum(1 for p in pts5 if sum(map(mul, line, p)) == 0) == 2:
             expected.add(line)
     assert set(lines) == expected
     # forbid one line's direction point: the count drops by the killed lines
     t = [pts5[3]]
     filtered = two_point_lines(pts5, t)
-    assert set(filtered) == {ln for ln in expected if not ln.contains(t[0])}
+    assert set(filtered) == {ln for ln in expected if sum(map(mul, ln, t[0])) != 0}
 
 
 def test_curves_from_basis_sound_d2(check_hyperplanes):
@@ -243,9 +285,9 @@ def test_curves_from_basis_sound_d3(check_hyperplanes):
 
 
 def test_find_affine_chart():
-    pts = [ProjectivePoint.normalize(v) for v in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]]
+    pts = [primitive(v) for v in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]]
     chart = find_affine_chart(pts)
-    assert all(sum(a * b for a, b in zip(chart, p.coords)) != 0 for p in pts)
+    assert all(sum(a * b for a, b in zip(chart, p)) != 0 for p in pts)
 
 
 def test_pipeline_rejects_unverified_basis():
@@ -285,10 +327,8 @@ def test_from_flat_forms_follow_the_equations(index):
     firsts = [next(filter(None, form[1:])) for form in pm.forms]
     # one common positive first linear entry across the three forms
     assert firsts[0] > 0 and firsts.count(firsts[0]) == 3
-    for form, normal, (c0, c) in zip(pm.forms, center.normals, center.equations()):
+    for form, normal in zip(pm.forms, center.normals):
         # a multiple of its normal, of the sign of the normal's first linear
-        # entry ...
+        # entry
         ratio = Fraction(firsts[0], next(filter(None, normal[1:])))
         assert tuple(ratio * x for x in normal) == form
-        # ... which is the equation's (c0, c) scaled by the common first entry
-        assert form == tuple(firsts[0] * x for x in (c0, *c))
