@@ -9,11 +9,14 @@ row space.  `kernel_step` runs the same elimination on the kernel side, one
 row at a time, and `kernel_leaves` walks it over the subsets of a row list
 as a prefix tree, skipping every subset with a dependent prefix; the
 determined-curve scan (`subtree_kernels`) and the samplers' genericity test
-are built on it.  `flats` walks the same tree over the independent subsets
-and reads off each flat of the row matroid (Oxley, Matroid Theory, ch. 1)
-with the raw kernel basis of the node that reached it; the basis verifier's
-sections, the exceptional catalog and the grower's forbidden regions are
-built on it.  `nullspace` is the Fraction view of `kernel`, through
+are built on it.  `flats` walks the same tree over the independent subsets,
+each kernel vector carrying its dots with every row, and reads off each
+flat of the row matroid (Oxley, Matroid Theory, ch. 1) with the raw kernel
+basis of the node that reached it; the basis verifier's sections, the
+exceptional catalog and the grower's forbidden regions are built on it.
+`prefix_kernels` gives the kernel node of any index tuple, one step from
+the memoized node of its prefix; the spans of the complements of those
+flats are built on it.  `nullspace` is the Fraction view of `kernel`, through
 `normalized`, the package's one first-nonzero-is-1 scaling;
 `normalized_key` sorts primitive vectors in the order of their normalized
 forms by integer arithmetic.
@@ -150,16 +153,26 @@ def kernel_step(node, row):
 
     A node (basis, pivot) holds a kernel basis of its prefix: one vector per
     free column, zero on the other free columns, and equal to the pivot on
-    its own.  With s_i = k_i.row and the first k_p with s_p != 0, the child
-    keeps (s_p k_i - s_i k_p) / pivot for every i != p, all orthogonal to
-    the row, and s_p is the child's pivot.  This is Bareiss elimination on
-    the kernel side: by Cramer's rule each vector is the integral kernel
-    vector whose own free column holds the pivot, a minor of the prefix, so
-    the division is exact.  Returns None when every s_i is 0: the row lies
-    in the prefix's span, and so does every extension.
+    its own.  Returns None when the row lies in the prefix's span, and so
+    does every extension (`_eliminate`).
     """
     basis, pivot = node
-    dots = [sum(map(mul, k, row)) for k in basis]
+    return _eliminate(basis, pivot, [sum(map(mul, k, row)) for k in basis])
+
+
+def _eliminate(basis, pivot, dots):
+    """The child of the node (basis, pivot) for a row with the dots
+    s_i = k_i.row.
+
+    With the first k_p with s_p != 0, the child keeps (s_p k_i - s_i k_p) /
+    pivot for every i != p, all orthogonal to the row, and s_p is the
+    child's pivot.  This is Bareiss elimination on the kernel side: by
+    Cramer's rule each vector is the integral kernel vector whose own free
+    column holds the pivot, a minor of the prefix, so the division is exact.
+    The formula is linear, so columns appended to the vectors, such as their
+    dots with other rows, are carried along exactly.  None when every s_i
+    is 0.
+    """
     p = next((i for i, s in enumerate(dots) if s), None)
     if p is None:
         return None
@@ -197,32 +210,62 @@ def flats(rows, n_cols: int, max_rank: int) -> dict:
     each flat's closure, an ascending index tuple, maps to the kernel basis
     of the node that reached it, as `kernel_step` left it.
 
-    A lexicographic DFS over the independent row subsets on `kernel_step`.
-    A node's closure is the set of rows orthogonal to every vector of its
-    kernel basis, and only rows outside it extend the node.  `kernel_step`
-    eliminates the first free column with a nonzero dot, so the basis keeps
-    the echelon form's free columns: each vector made primitive, it is
-    `kernel` of the closure's rows.  The first independent set with a given
-    closure in lexicographic order is the closure's greedy basis, and a
-    prefix of a greedy basis is a greedy basis too, so the subtree of a node
-    whose closure was already reached holds no new flat and is skipped.
+    A lexicographic DFS over the independent row subsets on the kernel-side
+    elimination.  Each kernel vector carries its dots with every row as
+    extra columns, updated by the same formula (`_eliminate`), so a node's
+    closure, the rows orthogonal to every vector of its basis, is a zero
+    test on the carried dots, and a child's dots s_i are read off them.
+    Only rows outside the closure extend the node.  The elimination takes
+    the first free column with a nonzero dot, so the basis keeps the
+    echelon form's free columns: each vector made primitive, it is `kernel`
+    of the closure's rows.  The first independent set with a given closure
+    in lexicographic order is the closure's greedy basis, and a prefix of a
+    greedy basis is a greedy basis too, so the subtree of a node whose
+    closure was already reached holds no new flat and is skipped.
     """
+    n_rows = len(rows)
+    identity, _ = kernel_root(n_cols)
+    root = [k + [row[c] for row in rows] for c, k in enumerate(identity)]
     out: dict = {}
-    stack = [(kernel_root(n_cols), 0, 0)]
+    stack = [((root, 1), 0, 0)]
     while stack:
-        node, start, depth = stack.pop()
-        basis = node[0]
-        closure = tuple(
-            j for j, row in enumerate(rows) if not any(sum(map(mul, k, row)) for k in basis)
-        )
+        (basis, pivot), start, depth = stack.pop()
+        dots = [k[n_cols:] for k in basis]
+        outside = [any(col) for col in zip(*dots)] if basis else [False] * n_rows
+        closure = tuple(j for j, x in enumerate(outside) if not x)
         if closure in out:
             continue
-        out[closure] = basis
+        out[closure] = [k[:n_cols] for k in basis]
         if depth < max_rank:
-            for i in range(len(rows) - 1, start - 1, -1):
-                if i not in closure:
-                    stack.append((kernel_step(node, rows[i]), i + 1, depth + 1))
+            for i in range(n_rows - 1, start - 1, -1):
+                if outside[i]:
+                    child = _eliminate(basis, pivot, [s[i] for s in dots])
+                    stack.append((child, i + 1, depth + 1))
     return out
+
+
+def prefix_kernels(rows, n_cols: int):
+    """The kernel node of any ascending index tuple of the rows, as a
+    function of the tuple.
+
+    Each node is `kernel_step` on the node of the tuple without its last
+    index, memoized by prefix, so tuples that share a prefix share its
+    elimination; a dependent row keeps the parent node.  The node's basis
+    has n_cols less the rows' rank vectors, and made primitive it is
+    `kernel` of the rows, whatever their order: the step eliminates the
+    first free column with a nonzero dot, so each vector's last nonzero
+    entry is its free column.
+    """
+    memo = {(): kernel_root(n_cols)}
+
+    def node(idx):
+        got = memo.get(idx)
+        if got is None:
+            parent = node(idx[:-1])
+            got = memo[idx] = kernel_step(parent, rows[idx[-1]]) or parent
+        return got
+
+    return node
 
 
 def subtree_kernels(rows, first: int) -> set[tuple[int, ...]]:

@@ -29,8 +29,12 @@ Vanishing dimensions and affine dimensions are ranks of those rows, and a
 point lies in a flat when its row is orthogonal to the flat's integer
 normals.  A forbidden region U_e(B, D) depends on D only through the span
 V_e of its degree-e rows, so the grower takes one region per flat of B's
-degree-e rows, with V_e and B & V_e read off the flats walk; W_e and beta
-are recomputed for each flat at each step.
+degree-e rows, with V_e and B & V_e read off the flats walk.  The rest of
+B, outside a flat or a section, is an ascending index tuple, and its span
+(W_e, and the complement dimension of conditions (iii) and (iv)) is read
+off its kernel node from `linalg.prefix_kernels`: one `kernel_step` on the
+node of its prefix, shared with every other complement through that
+prefix.  Nothing is kept between grow steps.
 """
 
 from __future__ import annotations
@@ -42,7 +46,9 @@ from math import comb
 from .bipoly import PlaneCurve, rational_points_on_curve
 from .determined import PointConfiguration, contained_in_curve
 from .errors import HypothesisViolation, InvariantViolation
-from .linalg import AffineFlat, _primitive, flats, kernel_leaves, kernel_root, rank, row_span
+from .linalg import (
+    AffineFlat, _primitive, flats, kernel_leaves, kernel_root, prefix_kernels, rank, row_span,
+)
 from .veronese import ambient_dim, as_point, integer_lift
 
 
@@ -87,23 +93,20 @@ def _degree_rows(source, d: int) -> dict:
     return {e: tuple(integer_lift(p, e) for p in points) for e in range(1, d + 1)}
 
 
-def _quantities(R, b, v_e: AffineFlat, section, e: int, d: int) -> NdQuantities:
-    """`nd_quantities` on rows: R[k][i] is point i's degree-k row, b indexes
-    B, v_e is the span of D's degree-e rows and `section` holds the
-    positions in b of the points of B in v_e."""
-    rows_w = R[d - e]
-    w_e = row_span(ambient_dim(d - e), [rows_w[i] for k, i in enumerate(b) if k not in section])
+def _quantities(n_b: int, v_e, w_e, gamma: int, e: int, d: int) -> NdQuantities:
+    """`nd_quantities` from the spans: |B| = n_b, v_e is the span of D's
+    degree-e rows, gamma the number of points of B in v_e and w_e the span
+    of the other points' degree-(d-e) rows."""
     alpha = comb(e + 2, 2) - 2 - v_e.dim
     beta = comb(d - e + 2, 2) - 3 - w_e.dim
-    gamma = len(section)
     mu = 0 if alpha < 0 else alpha + gamma + comb(d - e + 2, 2)
     section_cut = comb(d + 2, 2) - comb(d - e + 2, 2) - 1
     if min(alpha, beta) < 0 or gamma > section_cut:
         tau = 0
     elif gamma == section_cut:
-        tau = alpha + beta + len(b) + 2
+        tau = alpha + beta + n_b + 2
     else:
-        tau = alpha + beta + len(b) + 3
+        tau = alpha + beta + n_b + 3
     return NdQuantities(d, e, v_e, w_e, alpha, beta, gamma, mu, tau)
 
 
@@ -118,8 +121,9 @@ def nd_quantities(B, D, e: int, d: int) -> NdQuantities:
         raise HypothesisViolation("D subset of B", "D contains a point outside B")
     R = _degree_rows(B, d)
     v_e = row_span(ambient_dim(e), [R[e][position[p]] for p in D])
-    b = range(len(B))
-    return _quantities(R, b, v_e, {k for k in b if v_e.contains_row(R[e][k])}, e, d)
+    rest = [row_w for row, row_w in zip(R[e], R[d - e]) if not v_e.contains_row(row)]
+    w_e = row_span(ambient_dim(d - e), rest)
+    return _quantities(len(B), v_e, w_e, len(B) - len(rest), e, d)
 
 
 @dataclass(frozen=True)
@@ -239,14 +243,16 @@ def nd_verify(A: PointConfiguration | None, B, d: int | None = None) -> NdVerify
 
     sections = []
     for e in range(1, d):
-        cut = comb(d + 2, 2) - comb(d - e + 2, 2)
-        rest_target = comb(d - e + 2, 2) - 3
+        monomials_rest = comb(d - e + 2, 2)
+        cut = comb(d + 2, 2) - monomials_rest
+        rest_target = monomials_rest - 3
+        rest_node = prefix_kernels(rows[d - e], monomials_rest)
         for idx, vecs in realizable_sections(rows[e], e):
             size = len(idx)
             if size >= cut:
                 return failure("ii", e, idx, size, cut)
-            rest = [rows[d - e][i] for i in range(n_b) if i not in idx]
-            dim_rest = rank(rest) - 1
+            rest = tuple(i for i in range(n_b) if i not in idx)
+            dim_rest = monomials_rest - len(rest_node(rest)[0]) - 1
             if size == cut - 1:
                 if dim_rest != rest_target:
                     return failure("iii", e, idx, dim_rest, rest_target)
@@ -275,11 +281,16 @@ def _active_pairs(R, b, d: int, sample):
     out = []
     for e in range(1, d):
         rows_e = [R[e][i] for i in b]
+        rows_w = [R[d - e][i] for i in b]
         monomials = comb(e + 2, 2)
+        w_node = prefix_kernels(rows_w, comb(d - e + 2, 2))
         for idx, basis in flats(rows_e, monomials, monomials).items():
             normals = tuple(map(_primitive, basis))
             v_e = AffineFlat(ambient_dim(e), tuple(rows_e[k] for k in idx), normals)
-            region = ForbiddenRegion(_quantities(R, b, v_e, idx, e, d), v_d_b)
+            rest = tuple(k for k in range(len(b)) if k not in idx)
+            normals = tuple(map(_primitive, w_node(rest)[0]))
+            w_e = AffineFlat(ambient_dim(d - e), tuple(rows_w[k] for k in rest), normals)
+            region = ForbiddenRegion(_quantities(len(b), v_e, w_e, len(idx), e, d), v_d_b)
             if sample is not None and all(
                 region.contains(sample, k) for k in range(sample_size)
             ):
@@ -387,6 +398,8 @@ def grow_nd_chain(
             )
         if any(c0.contains(p) for p in A.subset(b0_indices)):
             raise HypothesisViolation("B0 disjoint from carrier", "seed point on C0")
+        if len(set(b0_indices)) != len(b0_indices):
+            raise HypothesisViolation("distinct seed points", "duplicate index in B0")
         if f >= 1 and rank([R[f][i] for i in b0_indices]) < comb(f + 2, 2):
             raise HypothesisViolation(
                 "B0 not contained in a curve of degree <= f",

@@ -313,6 +313,13 @@ def _pipeline_instance_d3(k: int):
     return None
 
 
+def _pipeline_instance_d4():
+    built = sample_configuration("random_general", seed=3000, count=15, d=4, genericity=4)
+    res = grow_nd_chain(built.config, [], None, 4, seed=0)
+    assert res.success
+    return built.config, list(res.chain)
+
+
 def test_criterion_7_pipeline_soundness(check_hyperplanes):
     with criterion("7 (projection pipeline soundness)", 900):
         instances = []
@@ -329,6 +336,7 @@ def test_criterion_7_pipeline_soundness(check_hyperplanes):
                 instances.append(inst)
             k += 1
         assert len(instances) == 20
+        instances.append(_pipeline_instance_d4())
         for cfg, basis_idx in instances:
             d = cfg.d
             # build_pipeline asserts the single-image, image-avoidance and

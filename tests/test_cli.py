@@ -197,6 +197,16 @@ def test_rejected_option_exits_with_name(octet, capsys, argv, code, name):
     assert name in err
 
 
+def test_nd_grow_duplicate_seed_exits_with_name(tmp_path, capsys):
+    # a repeated seed index is refused by name, not as a seed on a curve
+    pts = [(0, 1), (1, 0), (2, 5)] + [(t, t * t) for t in range(-4, 5)]
+    path = write(tmp_path, "seeded.json", {"d": 3, "points": [[str(x), str(y)] for x, y in pts]})
+    code, out, err = run(["nd-grow", "--input", path, "--carrier", "y - x^2", "--b0", "1,1,2"],
+                         capsys)
+    assert (code, out) == (3, "")
+    assert "distinct seed points" in err
+
+
 def test_construct_output_feeds_back(tmp_path, capsys):
     code, out, _ = run(
         ["construct", "--kind", "theorem6", "--d", "2", "--m", "7", "--seed", "1"], capsys

@@ -21,7 +21,9 @@ from ordcurves.determined import (
     spanned_hyperplanes,
 )
 from ordcurves.errors import HypothesisViolation
-from ordcurves.linalg import flats, kernel, kernel_leaves, kernel_root, primitive, rank
+from ordcurves.linalg import (
+    flats, kernel, kernel_leaves, kernel_root, prefix_kernels, primitive, rank,
+)
 from ordcurves.ndfamilies import grow_nd_chain
 from ordcurves.oracle import oracle_determined
 from ordcurves.projection import curves_from_basis
@@ -353,6 +355,25 @@ def test_flats_match_closure_scan(e, curve, k, free):
     on_curve = {"line": e + 1, "conic": 2 * e + 1, "cubic": 3 * e}[curve]
     if on_curve < n_cols:
         assert any(len(key) + len(basis) > n_cols for key, basis in walked.items() if basis)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+@pytest.mark.parametrize("curve, k, free", [("line", 5, 4), ("conic", 8, 1), ("cubic", 10, 0)])
+def test_prefix_kernels_match_kernel_on_flat_complements(e, curve, k, free):
+    pts = _adversarial_set(300 + 10 * e + k, curve, k, free)
+    rows = PointConfiguration.from_points(pts, e).homogeneous_lifts(e)
+    n_cols = comb(e + 2, 2)
+    node = prefix_kernels(rows, n_cols)
+    dependent = 0
+    for closure in flats(rows, n_cols, n_cols):
+        rest = tuple(j for j in range(len(rows)) if j not in closure)
+        sub = [rows[j] for j in rest]
+        basis, _ = node(rest)
+        # the node reached through shared prefixes is the slow path's kernel
+        assert [primitive(v) for v in basis] == kernel(sub, n_cols)
+        assert n_cols - len(basis) - 1 == rank(sub) - 1
+        dependent += rank(sub) < len(sub)
+    assert dependent  # some complements hold dependent rows
 
 
 def _dependent_prefix(rows, size):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from ordcurves import ndfamilies
 from ordcurves.bipoly import PlaneCurve, parse_poly, rational_points_on_curve
 from ordcurves.constructions import sample_configuration
 from ordcurves.determined import PointConfiguration, vanishing_dim
@@ -423,3 +424,30 @@ def test_grow_regions_match_subset_scan(grow):
             # D is a flat's positions in b: the points of B in V_e
             in_v = [k for k, i in enumerate(b) if region.quantities.v_e.contains_row(R[e][i])]
             assert list(idx) == in_v
+
+
+def test_complement_spans_take_no_bareiss_per_section(monkeypatch):
+    # the complement of every section and flat is a prefix-tree node, so
+    # no rank or span is computed per section: a guard against one Bareiss
+    # elimination per section or per flat
+    A, res, _, _ = _random_general_grow()
+    assert res.success
+    calls = {"rank": 0, "row_span": 0}
+
+    def counting(name):
+        real = getattr(ndfamilies, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ndfamilies, name, counted)
+
+    counting("rank")
+    counting("row_span")
+    assert nd_verify(A, list(res.chain), 3).ok
+    assert calls == {"rank": 1, "row_span": 0}  # condition (i) only
+    R = _degree_rows(A, 3)
+    for step in range(len(res.chain) + 1):
+        _active_pairs(R, res.chain[:step], 3, None)
+    assert calls == {"rank": 1, "row_span": len(res.chain) + 1}  # V_d(B) once a step
