@@ -58,6 +58,10 @@ class PointConfiguration:
     d: int
     # degree -> rows; per instance, so a configuration is freed with its rows
     _rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # {(basis index tuple, d): verdict} of the last basis `ndfamilies`
+    # verified or grew on this configuration with success; one entry, so a
+    # grow, its verify and the projection's catalog walk the basis once
+    _verdict: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @staticmethod
     def from_points(points, d: int) -> "PointConfiguration":

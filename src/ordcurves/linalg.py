@@ -208,7 +208,8 @@ def kernel_leaves(rows, size: int, node, start: int = 0):
 def flats(rows, n_cols: int, max_rank: int) -> dict:
     """The flats of rank at most max_rank of the row matroid of integer rows:
     each flat's closure, an ascending index tuple, maps to the kernel basis
-    of the node that reached it, as `kernel_step` left it.
+    of the node that reached it, as `kernel_step` left it, as a tuple of
+    tuples so that callers sharing it cannot change it.
 
     A lexicographic DFS over the independent row subsets on the kernel-side
     elimination.  Each kernel vector carries its dots with every row as
@@ -235,7 +236,7 @@ def flats(rows, n_cols: int, max_rank: int) -> dict:
         closure = tuple(j for j, x in enumerate(outside) if not x)
         if closure in out:
             continue
-        out[closure] = [k[:n_cols] for k in basis]
+        out[closure] = tuple(tuple(k[:n_cols]) for k in basis)
         if depth < max_rank:
             for i in range(n_rows - 1, start - 1, -1):
                 if outside[i]:

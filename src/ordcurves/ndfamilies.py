@@ -15,11 +15,12 @@ C(e+2,2) of the matroid of B's degree-e rows (`linalg.flats`).
 The chain grower extends a seed set one point at a time, always picking the
 first candidate outside the union of forbidden pullback regions attached to
 the current set; on success the result provably satisfies the four
-conditions, and this implementation re-verifies and treats a mismatch as an
-internal defect.  Whether a carrier curve sits inside a forbidden region is
-decided exactly by sampling 2d^2+1 of its points: a region is covered by
-three curves of degree at most d, so a carrier not inside it meets it in at
-most 2d^2 points.
+conditions.  This implementation checks them on the last step's walk, the
+flats and complement nodes the regions were read off, and treats a
+mismatch as an internal defect.  Whether a carrier curve sits inside a
+forbidden region is decided exactly by sampling 2d^2+1 of its points: a
+region is covered by three curves of degree at most d, so a carrier not
+inside it meets it in at most 2d^2 points.
 
 Points enter as indices, and each degree e of a point as its integer row
 Z^e * (1, lift) (`integer_lift`, a positive multiple of the homogeneous
@@ -34,7 +35,8 @@ B, outside a flat or a section, is an ascending index tuple, and its span
 (W_e, and the complement dimension of conditions (iii) and (iv)) is read
 off its kernel node from `linalg.prefix_kernels`: one `kernel_step` on the
 node of its prefix, shared with every other complement through that
-prefix.  Nothing is kept between grow steps.
+prefix.  Nothing is kept between grow steps; a configuration keeps only the
+verdict of the last basis verified or grown on it.
 """
 
 from __future__ import annotations
@@ -152,19 +154,27 @@ def forbidden_region_membership(B, D, e: int, d: int, pt) -> bool:
     return region.contains(_degree_rows([pt], d), 0)
 
 
+def _section_order(found) -> list:
+    """The flats of a `linalg.flats` map with a nonempty kernel basis, of
+    rank below the column count, as (index tuple, basis) pairs in section
+    order: decreasing size, then `combinations` order."""
+    return sorted(
+        ((idx, basis) for idx, basis in found.items() if basis),
+        key=lambda item: (-len(item[0]), item[0]),
+    )
+
+
 def realizable_sections(rows, e: int):
     """Subsets S of B occurring as C & B for a curve C of degree exactly e.
 
     `rows` are B's degree-e integer rows (`integer_lift`).  The sections are
     the flats of rank below C(e+2,2) (module docstring), as (index tuple
-    into B, kernel basis from `linalg.flats`) pairs in decreasing size, then
-    in `combinations` order.  The basis spans the section's vanishing space;
-    its vectors are not made primitive.
+    into B, kernel basis from `linalg.flats`) pairs in `_section_order`.
+    The basis spans the section's vanishing space; its vectors are not made
+    primitive.
     """
     monomials = comb(e + 2, 2)
-    return sorted(
-        flats(rows, monomials, monomials - 1).items(), key=lambda item: (-len(item[0]), item[0])
-    )
+    return _section_order(flats(rows, monomials, monomials - 1))
 
 
 @dataclass(frozen=True)
@@ -219,17 +229,15 @@ def _basis_rows(A: PointConfiguration | None, B, d: int):
     return basis, indices, {e: tuple(R[e][i] for i in indices) for e in R}
 
 
-def nd_verify(A: PointConfiguration | None, B, d: int | None = None) -> NdVerifyResult:
-    """Check the four basis conditions; early exit on the first failure.
+def _verdict(d: int, n_b: int, dim_b: int, walk) -> NdVerifyResult:
+    """The four basis conditions on one walk of B, |B| = n_b; early exit on
+    the first failure.
 
-    B may be a BasisCandidate, a point list, or an index list into A.
+    dim_b is the dimension of the span of B's degree-d rows.  `walk` yields,
+    for e = 1..d-1 in turn, (e, B's realizable sections at degree e in
+    `_section_order`, the `prefix_kernels` node function of B's
+    degree-(d-e) rows); a lazy walk stops at the first failure too.
     """
-    if d is None:
-        d = B.d if isinstance(B, BasisCandidate) else (A.d if A is not None else None)
-    if d is None or d < 2:
-        raise HypothesisViolation("d >= 2", f"d={d}")
-    basis, _, rows = _basis_rows(A, B, d)
-    n_b = len(basis.points)
 
     def failure(condition, e, section, measured, threshold) -> NdVerifyResult:
         record = {"condition": condition, "e": e, "section": list(section),
@@ -237,17 +245,15 @@ def nd_verify(A: PointConfiguration | None, B, d: int | None = None) -> NdVerify
         return NdVerifyResult(False, (record,))
 
     target_dim = comb(d + 2, 2) - 4
-    dim_b = rank(rows[d]) - 1
     if dim_b != target_dim:
         return failure("i", d, range(n_b), dim_b, target_dim)
 
     sections = []
-    for e in range(1, d):
+    for e, found, rest_node in walk:
         monomials_rest = comb(d - e + 2, 2)
         cut = comb(d + 2, 2) - monomials_rest
         rest_target = monomials_rest - 3
-        rest_node = prefix_kernels(rows[d - e], monomials_rest)
-        for idx, vecs in realizable_sections(rows[e], e):
+        for idx, vecs in found:
             size = len(idx)
             if size >= cut:
                 return failure("ii", e, idx, size, cut)
@@ -262,11 +268,52 @@ def nd_verify(A: PointConfiguration | None, B, d: int | None = None) -> NdVerify
     return NdVerifyResult(True, (), tuple(sections))
 
 
+def _keep(A: PointConfiguration, key, verdict: NdVerifyResult) -> None:
+    """Keep the verdict on A as its only one, under (basis index tuple, d)."""
+    A._verdict.clear()
+    A._verdict[key] = verdict
+
+
+def nd_verify(A: PointConfiguration | None, B, d: int | None = None) -> NdVerifyResult:
+    """Check the four basis conditions; early exit on the first failure.
+
+    B may be a BasisCandidate, a point list, or an index list into A.  The
+    walk is the rank of B's degree-d rows, then for each e its
+    `realizable_sections` and the `prefix_kernels` node function of its
+    degree-(d-e) rows; `_verdict` reads the conditions off it.  On a
+    configuration a passing verdict, all tuples, is kept with the basis's
+    index tuple and d, as the last grow keeps its own, so asking again for
+    the same basis walks nothing.  A failing verdict's record is a dict for
+    the JSON report, which a caller could change, so it is not kept, and
+    without a configuration nothing is.
+    """
+    if d is None:
+        d = B.d if isinstance(B, BasisCandidate) else (A.d if A is not None else None)
+    if d is None or d < 2:
+        raise HypothesisViolation("d >= 2", f"d={d}")
+    basis, indices, rows = _basis_rows(A, B, d)
+    if A is not None:
+        key = (tuple(indices), d)
+        if key in A._verdict:
+            return A._verdict[key]
+    walk = (
+        (e, realizable_sections(rows[e], e), prefix_kernels(rows[d - e], comb(d - e + 2, 2)))
+        for e in range(1, d)
+    )
+    verdict = _verdict(d, len(basis.points), rank(rows[d]) - 1, walk)
+    if A is not None and verdict.ok:
+        _keep(A, key, verdict)
+    return verdict
+
+
 GUARD_NAME = "growth guard max(tau, mu) < C(d+2,2)"
 
 
 def _active_pairs(R, b, d: int, sample):
-    """I(B, C0): (e, D, region) triples where C0 is not inside the region.
+    """I(B, C0) and the walk it was read off: the (e, D, region) triples
+    where C0 is not inside the region, V_d(B), and for each e = 1..d-1 the
+    triple (e, flats of B's degree-e rows, `prefix_kernels` node function of
+    its degree-(d-e) rows).
 
     B is the index tuple b into the rows R (R[k][i] is point i's degree-k
     row).  Two subsets D with the same span V_e give the same region, so D
@@ -279,12 +326,15 @@ def _active_pairs(R, b, d: int, sample):
     v_d_b = row_span(ambient_dim(d), [R[d][i] for i in b])
     sample_size = 0 if sample is None else len(sample[d])
     out = []
+    walk = []
     for e in range(1, d):
         rows_e = [R[e][i] for i in b]
         rows_w = [R[d - e][i] for i in b]
         monomials = comb(e + 2, 2)
         w_node = prefix_kernels(rows_w, comb(d - e + 2, 2))
-        for idx, basis in flats(rows_e, monomials, monomials).items():
+        found = flats(rows_e, monomials, monomials)
+        walk.append((e, found, w_node))
+        for idx, basis in found.items():
             normals = tuple(map(_primitive, basis))
             v_e = AffineFlat(ambient_dim(e), tuple(rows_e[k] for k in idx), normals)
             rest = tuple(k for k in range(len(b)) if k not in idx)
@@ -296,7 +346,7 @@ def _active_pairs(R, b, d: int, sample):
             ):
                 continue
             out.append((e, idx, region))
-    return out
+    return out, v_d_b, walk
 
 
 def _assert_guard(pairs, B_pts, d: int, step: int) -> int:
@@ -364,8 +414,16 @@ def grow_nd_chain(
     Without a carrier, grows from the empty set over all of A; with an
     irreducible carrier C0 of degree d-f, grows a seed B0 of C(f+2,2) points
     off C0 (not on any curve of degree <= f) using candidates on C0 only.
-    Candidate order is an explicit index sequence or a seeded shuffle, so
-    failures reproduce exactly.
+    Candidate order is an explicit index sequence of distinct indices or a
+    seeded shuffle, so failures reproduce exactly.
+
+    The four basis conditions are checked on the last step's walk: its
+    flats of rank below C(e+2,2) are B's realizable sections with the same
+    kernel bases `realizable_sections` finds (a closure's rank is the depth
+    of the node that reaches it, so the deeper leaves change none of them),
+    its W_e nodes give the complements and V_d(B) condition (i).  A
+    mismatch is an internal defect; a success is kept on A as the verdict
+    `nd_verify` returns for the chain.
     """
     if d < 2:
         raise HypothesisViolation("d >= 2", f"d={d}")
@@ -414,7 +472,12 @@ def grow_nd_chain(
 
     if order is not None:
         order = [int(i) for i in order]
-        ordered_pool = [i for i in order if i in set(pool)]
+        if len(set(order)) != len(order):
+            raise HypothesisViolation(
+                "distinct order indices", "duplicate index in the candidate order"
+            )
+        in_pool = set(pool)
+        ordered_pool = [i for i in order if i in in_pool]
     else:
         rng = random.Random(seed)
         ordered_pool = list(pool)
@@ -423,7 +486,7 @@ def grow_nd_chain(
     chain = list(b0_indices)
     blocked = []
     guard_trace = []
-    pairs = _active_pairs(R, tuple(chain), d, sample)
+    pairs, v_d_b, walk = _active_pairs(R, tuple(chain), d, sample)
     guard_trace.append(_assert_guard(pairs, A.subset(chain), d, step=0))
     step = 0
     while len(chain) < target:
@@ -445,16 +508,20 @@ def grow_nd_chain(
             )
             return GrowthResult(False, None, tuple(chain), tuple(blocked), tuple(guard_trace))
         chain.append(chosen)
-        pairs = _active_pairs(R, tuple(chain), d, sample)
+        pairs, v_d_b, walk = _active_pairs(R, tuple(chain), d, sample)
         guard_trace.append(_assert_guard(pairs, A.subset(chain), d, step=step))
 
     basis = BasisCandidate(A.subset(chain), d)
-    verdict = nd_verify(A, chain, d)
+    verdict = _verdict(
+        d, len(chain), v_d_b.dim,
+        ((e, _section_order(found), w_node) for e, found, w_node in walk),
+    )
     if not verdict.ok:
         raise InvariantViolation(
             "grown chain fails the basis conditions",
             {"chain": chain, "failures": list(verdict.failures)},
         )
+    _keep(A, (tuple(chain), d), verdict)
     return GrowthResult(True, basis, tuple(chain), tuple(blocked), tuple(guard_trace))
 
 

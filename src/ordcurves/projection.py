@@ -240,7 +240,8 @@ def build_pipeline(A: PointConfiguration, B, d: int | None = None) -> Projection
         raise HypothesisViolation(
             "configuration not contained in a degree-<=d curve", f"witness {witness}"
         )
-    # the catalog verifies B first, so the basis conditions are checked once
+    # the catalog verifies B first; a basis just verified or grown on A is
+    # not walked again, its verdict is kept on A
     catalog = exceptional_catalog(A, b, d)
     n_amb = ambient_dim(d)
     center = row_span(n_amb, basis_rows[d])

@@ -339,6 +339,11 @@ def test_criterion_7_pipeline_soundness(check_hyperplanes):
         instances.append(_pipeline_instance_d4())
         for cfg, basis_idx in instances:
             d = cfg.d
+            # the verdict kept from the grow or the instance check equals
+            # one walk of the basis on a fresh configuration
+            kept = nd_verify(cfg, basis_idx, d)
+            fresh = nd_verify(PointConfiguration.from_points(cfg.points, d), basis_idx, d)
+            assert kept.ok and (kept.failures, kept.sections) == (fresh.failures, fresh.sections)
             # build_pipeline asserts the single-image, image-avoidance and
             # fiber-bound invariants internally; reaching the result means
             # they held exactly

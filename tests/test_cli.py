@@ -207,6 +207,14 @@ def test_nd_grow_duplicate_seed_exits_with_name(tmp_path, capsys):
     assert "distinct seed points" in err
 
 
+def test_nd_grow_duplicate_order_exits_with_name(capsys):
+    # a repeated candidate is refused by name, not tested and reported twice
+    path = str(GOLDEN / "points.json")
+    code, out, err = run(["nd-grow", "--input", path, "--d", "2", "--order", "0,2,3,3"], capsys)
+    assert (code, out) == (3, "")
+    assert "distinct order indices" in err
+
+
 def test_construct_output_feeds_back(tmp_path, capsys):
     code, out, _ = run(
         ["construct", "--kind", "theorem6", "--d", "2", "--m", "7", "--seed", "1"], capsys

@@ -340,11 +340,14 @@ def test_flats_match_closure_scan(e, curve, k, free):
     n_cols = comb(e + 2, 2)
     every = _closure_scan(rows, n_cols)
     for max_rank in (n_cols - 1, n_cols):
+        found = flats(rows, n_cols, max_rank)
+        # each basis is immutable, a tuple of tuples
+        assert all(
+            type(basis) is tuple and all(type(k) is tuple for k in basis)
+            for basis in found.values()
+        )
         # each basis is the kernel of its closure's rows once made primitive
-        walked = {
-            key: [primitive(k) for k in basis]
-            for key, basis in flats(rows, n_cols, max_rank).items()
-        }
+        walked = {key: [primitive(k) for k in basis] for key, basis in found.items()}
         # a closure has its subset's rank, n_cols less the kernel's size
         assert walked == {
             key: basis for key, basis in every.items() if n_cols - len(basis) <= max_rank

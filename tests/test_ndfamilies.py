@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -25,6 +26,7 @@ from ordcurves.ndfamilies import (
     nd_verify,
     realizable_sections,
 )
+from ordcurves.projection import build_pipeline, curves_from_basis
 from ordcurves.veronese import ambient_dim, integer_lift, lift
 
 OCTET = [(0, 0), (1, 0), (0, 1), (3, 5), (2, 7), (5, 1), (1, 4), (6, 2)]
@@ -225,6 +227,14 @@ def test_nd_verify_examples():
         nd_verify(A, [0, 1], 2)
 
 
+def test_failing_verdict_is_not_kept():
+    # a failure record is a mutable dict, so a change to it must not reach
+    # the next verify of the same basis
+    A = PointConfiguration.from_points([(0, 0), (1, 0), (2, 0), (0, 1)], 2)
+    nd_verify(A, [0, 1, 2], 2).failures[0]["section"].append(3)
+    assert nd_verify(A, [0, 1, 2], 2).failures[0]["section"] == [0, 1, 2]
+
+
 def test_grow_d2_success_and_guard_profile():
     A = PointConfiguration.from_points(OCTET, 2)
     res = grow_nd_chain(A, [], None, 2, seed=7)
@@ -413,7 +423,7 @@ def test_grow_regions_match_subset_scan(grow):
     R = _degree_rows(A, d)
     for step in range(seed_size, len(res.chain) + 1):
         b = res.chain[:step]
-        pairs = _active_pairs(R, b, d, sample)
+        pairs, _, _ = _active_pairs(R, b, d, sample)
         quantities = [(e, region.quantities) for e, _, region in pairs]
         regions = [
             (e, q.v_e, q.w_e, q.alpha, q.beta, q.gamma, q.mu, q.tau) for e, q in quantities
@@ -429,7 +439,8 @@ def test_grow_regions_match_subset_scan(grow):
 def test_complement_spans_take_no_bareiss_per_section(monkeypatch):
     # the complement of every section and flat is a prefix-tree node, so
     # no rank or span is computed per section: a guard against one Bareiss
-    # elimination per section or per flat
+    # elimination per section or per flat; the verify runs on a fresh
+    # configuration, since the grown one keeps the grow's verdict
     A, res, _, _ = _random_general_grow()
     assert res.success
     calls = {"rank": 0, "row_span": 0}
@@ -445,9 +456,72 @@ def test_complement_spans_take_no_bareiss_per_section(monkeypatch):
 
     counting("rank")
     counting("row_span")
-    assert nd_verify(A, list(res.chain), 3).ok
+    assert nd_verify(PointConfiguration.from_points(A.points, 3), list(res.chain), 3).ok
     assert calls == {"rank": 1, "row_span": 0}  # condition (i) only
     R = _degree_rows(A, 3)
     for step in range(len(res.chain) + 1):
         _active_pairs(R, res.chain[:step], 3, None)
     assert calls == {"rank": 1, "row_span": len(res.chain) + 1}  # V_d(B) once a step
+
+
+def _grown_instances():
+    yield _octet_grow()[:2]
+    for k in range(3000, 3008):
+        A = sample_configuration("random_general", seed=k, count=11, d=3, genericity=3).config
+        for gs in (0, 1):
+            yield A, grow_nd_chain(A, [], None, 3, seed=gs)
+    yield _carrier_grow()[:2]
+
+
+def test_grown_verdict_equals_fresh_verify():
+    # the verdict the grower read off its last step's walk, kept on A, is
+    # the one a fresh configuration's own walk gives
+    grown = 0
+    for A, res in _grown_instances():
+        if not res.success:
+            continue
+        grown += 1
+        assert (res.chain, A.d) in A._verdict
+        kept = nd_verify(A, list(res.chain), A.d)
+        fresh = nd_verify(PointConfiguration.from_points(A.points, A.d), list(res.chain), A.d)
+        assert (kept.ok, kept.failures) == (fresh.ok, fresh.failures) == (True, ())
+        assert kept.sections == fresh.sections
+    assert grown == 18
+
+
+def _count_flats(monkeypatch):
+    # every flats walk, as the name of the function that asked for it
+    callers = []
+    real = ndfamilies.flats
+
+    def counted(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ndfamilies, "flats", counted)
+    return callers
+
+
+def test_chain_walks_its_basis_once(monkeypatch):
+    A = sample_configuration("random_general", seed=3000, count=11, d=3, genericity=3).config
+    callers = _count_flats(monkeypatch)
+    res = grow_nd_chain(A, [], None, 3, seed=0)
+    assert res.success
+    assert nd_verify(A, list(res.chain), 3).ok
+    state = build_pipeline(A, list(res.chain), 3)
+    curves_from_basis(A, list(res.chain), 3, state=state)
+    # one walk per degree e < d at each grow step and at the seed, none after
+    assert callers == ["_active_pairs"] * (3 - 1) * (len(res.chain) + 1)
+
+
+def test_verdict_memo_keeps_one_basis(monkeypatch):
+    A = sample_configuration("random_general", seed=3000, count=11, d=3, genericity=3).config
+    b1 = list(grow_nd_chain(A, [], None, 3, seed=0).chain)
+    b2 = list(grow_nd_chain(A, [], None, 3, seed=1).chain)
+    assert b1 != b2
+    fresh = PointConfiguration.from_points(A.points, 3)
+    callers = _count_flats(monkeypatch)
+    for b in (b1, b2, b1):
+        assert nd_verify(fresh, b, 3).ok
+    # B2 takes B1's place, so the second B1 walks again
+    assert callers == ["realizable_sections"] * 3 * (3 - 1)
