@@ -11,6 +11,11 @@ trigger it.  `PlaneCurve.from_poly` computes the radical; every curve the
 package emits is spanned, hence squarefree by the lemma at
 `veronese.spanned_curve`, and is built there with no radical computed.
 
+Gcds, exact quotients and divisibility run on the canonical integer form
+alone, held densely as an element of Z[x][y]: one primitive
+pseudo-remainder sequence in y, whose contents are gcds in Z[x] taken by the
+same code one level down.  No Fraction enters that path.
+
 The global coordinate order used for Veronese vectors and file formats lists
 (n, m) by total degree ascending, then n descending: x, y, x^2, xy, y^2, ...
 """
@@ -81,14 +86,6 @@ class BivariatePolynomial:
     @property
     def is_constant(self) -> bool:
         return self.degree <= 0
-
-    def coefficient(self, n: int, m: int) -> Fraction:
-        return self.as_dict().get((n, m), _ZERO)
-
-    def leading(self) -> tuple[Monomial, Fraction]:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading term")
-        return self.terms[-1]
 
     def __add__(self, other):
         out = self.as_dict()
@@ -238,176 +235,140 @@ def parse_poly(text: str) -> BivariatePolynomial:
 
 
 # --- division and gcd ------------------------------------------------------
+#
+# The gcd code runs on a canonical integer form held densely, one list level
+# per variable: a list over the y-degree whose entries are int lists over the
+# x-degree.  Zero is 0 at every level and no list has a zero last entry, so a
+# nonzero element's list length is its degree plus one.  The helpers below
+# take an element of either level (Z[x] with int entries, or Z[x][y] with
+# Z[x] entries), so the content gcds in Z[x] and the pseudo-remainder
+# sequence in y share one code path.
 
 
-def poly_divmod(p: BivariatePolynomial, g: BivariatePolynomial):
-    """Divide by a single polynomial in graded lex order; returns (q, r).
-
-    A single divisor is a Groebner basis of the ideal it generates, so r = 0
-    exactly when g divides p.
-    """
-    if g.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    (gn, gm), gc = g.leading()
-    q: dict = {}
-    r: dict = {}
-    work = p.as_dict()
-    while work:
-        mon = max(work, key=_term_key)
-        c = work.pop(mon)
-        n, m = mon
-        if n >= gn and m >= gm:
-            fac_mon = (n - gn, m - gm)
-            fac = c / gc
-            q[fac_mon] = q.get(fac_mon, _ZERO) + fac
-            for (tn, tm), tc in g.terms:
-                key = (tn + fac_mon[0], tm + fac_mon[1])
-                if key == mon:
-                    continue
-                nv = work.get(key, _ZERO) - fac * tc
-                if nv == 0:
-                    work.pop(key, None)
-                else:
-                    work[key] = nv
-        else:
-            r[mon] = c
-    return BivariatePolynomial.from_dict(q), BivariatePolynomial.from_dict(r)
+def _trim(v: list):
+    while v and not v[-1]:
+        v.pop()
+    return v or 0
 
 
-def divides(g: BivariatePolynomial, p: BivariatePolynomial) -> bool:
-    return poly_divmod(p, g)[1].is_zero
+def _neg(a):
+    return -a if isinstance(a, int) else [_neg(c) for c in a]
 
 
-def exact_quotient(p: BivariatePolynomial, g: BivariatePolynomial) -> BivariatePolynomial:
-    if g.degree == 0:
-        return p.scale(1 / g.terms[0][1])
-    q, r = poly_divmod(p, g)
-    if not r.is_zero:
-        raise InvariantViolation(
-            "exact division with nonzero remainder",
-            {"p": p.text(), "g": g.text()},
-        )
-    return q
+def _add(a, b):
+    if not a or not b:
+        return a or b
+    if isinstance(a, int):
+        return a + b
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([_add(c, e) for c, e in zip(a, b)] + a[len(b):])
 
 
-# univariate helpers on dict degree -> Fraction (polynomials in x)
-
-
-def _univ_normalize(u: dict) -> dict:
-    return {k: v for k, v in u.items() if v != 0}
-
-
-def _univ_degree(u: dict) -> int:
-    return max(u) if u else -1
-
-
-def _univ_divmod(a: dict, b: dict):
-    if not b:
-        raise ZeroDivisionError
-    a = dict(a)
-    q: dict = {}
-    db, lb = _univ_degree(b), b[_univ_degree(b)]
-    while a and _univ_degree(a) >= db:
-        da, la = _univ_degree(a), a[_univ_degree(a)]
-        f = la / lb
-        q[da - db] = f
-        for j, c in b.items():
-            key = da - db + j
-            nv = a.get(key, _ZERO) - f * c
-            if nv == 0:
-                a.pop(key, None)
-            else:
-                a[key] = nv
-    return q, a
-
-
-def _univ_gcd(a: dict, b: dict) -> dict:
-    a, b = _univ_normalize(a), _univ_normalize(b)
-    while b:
-        a, b = b, _univ_divmod(a, b)[1]
-    if not a:
-        return {}
-    lead = a[_univ_degree(a)]
-    return {k: v / lead for k, v in a.items()}
-
-
-def _to_y_coeffs(p: BivariatePolynomial) -> dict:
-    """Represent p as a map deg_y -> (univariate poly in x as dict)."""
-    out: dict = {}
-    for (n, m), c in p.terms:
-        out.setdefault(m, {})[n] = c
+def _mul(a, b):
+    if not a or not b:
+        return 0
+    if isinstance(a, int):
+        return a * b
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, e in enumerate(b):
+            out[i + j] = _add(out[i + j], _mul(c, e))
     return out
 
 
-def _from_y_coeffs(yc: dict) -> BivariatePolynomial:
-    out = {}
-    for m, u in yc.items():
-        for n, c in u.items():
-            out[(n, m)] = c
-    return BivariatePolynomial.from_dict(out)
+def _scale(a: list, s):
+    """a times s, an element of the level below a's."""
+    return [_mul(c, s) for c in a]
 
 
-def _content_y(p: BivariatePolynomial) -> BivariatePolynomial:
-    """gcd in Q[x] of the Q[x]-coefficients of p viewed in (Q[x])[y]."""
-    yc = _to_y_coeffs(p)
-    g: dict = {}
-    for u in yc.values():
-        g = _univ_gcd(g, u)
-        if _univ_degree(g) == 0:
-            break  # a monic constant: the content is 1
-    return BivariatePolynomial.from_dict({(n, 0): c for n, c in g.items()})
+def _submul(a, b: list, c, k: int):
+    """a - c * t^k * b, with t the variable of b's level and c below it."""
+    return _add(a, [0] * k + _scale(b, _neg(c)))
 
 
-def _pseudo_rem_y(p: BivariatePolynomial, g: BivariatePolynomial) -> BivariatePolynomial:
-    """Pseudo-remainder of p by g in (Q[x])[y]."""
-    yp, yg = _to_y_coeffs(p), _to_y_coeffs(g)
-    dg = max(yg)
-    lg = _from_y_coeffs({0: yg[dg]})
-    r = p
-    while not r.is_zero:
-        yr = _to_y_coeffs(r)
-        dr = max(yr)
-        if dr < dg:
+def _quo(a, b):
+    """Exact quotient a / b in Z, Z[x] or Z[x][y]; ArithmeticError if inexact."""
+    if not a:
+        return 0
+    if isinstance(a, int):
+        q, r = divmod(a, b)
+        if r:
+            raise ArithmeticError(f"{b} does not divide {a}")
+        return q
+    q = [0] * (len(a) - len(b) + 1)
+    while a:
+        k = len(a) - len(b)
+        if k < 0:
+            raise ArithmeticError("inexact polynomial division")
+        q[k] = _quo(a[-1], b[-1])
+        a = _submul(a, b, q[k], k)
+    return q
+
+
+def _split(a: list):
+    """(content, primitive part): the gcd of a's entries, and a over it."""
+    content = 0
+    for c in a:
+        content = _gcd(content, c)
+    return content, [_quo(c, content) for c in a]
+
+
+def _gcd(a, b):
+    """A gcd in Z, Z[x] or Z[x][y], up to sign (Knuth 4.6.1, Algorithm E).
+
+    A list splits into its content (the gcd of its entries, one level down)
+    and its primitive part; the primitive parts run one primitive
+    pseudo-remainder sequence in the list's variable.
+    """
+    if not a or not b:
+        return a or b
+    if isinstance(a, int):
+        return gcd(a, b)
+    (ca, pa), (cb, pb) = _split(a), _split(b)
+    if len(pa) < len(pb):
+        pa, pb = pb, pa
+    # stops at a zero pseudo-remainder, or at a primitive constant, which is 1
+    while len(pb) > 1:
+        r = pa
+        while r and len(r) >= len(pb):
+            r = _submul(_scale(r, pb[-1]), pb, r[-1], len(r) - len(pb))
+        if not r:
             break
-        lr = _from_y_coeffs({0: yr[dr]})
-        shift_g = BivariatePolynomial.from_dict(
-            {(n, m + dr - dg): c for (n, m), c in g.terms}
-        )
-        r = lg * r - lr * shift_g
-    return r
+        pa, pb = pb, _split(r)[1]
+    return _scale(pb, _gcd(ca, cb))
+
+
+def _dense(p: BivariatePolynomial):
+    """p's canonical integer form in the dense Z[x][y] layout."""
+    out = [[0] * (p.degree + 1) for _ in range(p.degree + 1)]
+    for (n, m), c in p.canonical().terms:
+        out[m][n] = c.numerator
+    return _trim([_trim(row) for row in out])
+
+
+def _sparse(a: list) -> BivariatePolynomial:
+    return BivariatePolynomial.from_dict(
+        {(n, m): c for m, row in enumerate(a) if row for n, c in enumerate(row)}
+    ).canonical()
+
+
+def divides(g: BivariatePolynomial, p: BivariatePolynomial) -> bool:
+    """Whether g divides p in Q[x, y]."""
+    if g.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    try:
+        _quo(_dense(p), _dense(g))
+    except ArithmeticError:
+        return False
+    return True
 
 
 def poly_gcd(p: BivariatePolynomial, q: BivariatePolynomial) -> BivariatePolynomial:
-    """Primitive gcd in Q[x, y] via a primitive pseudo-remainder sequence in y."""
+    """Canonical gcd in Q[x, y] via a primitive pseudo-remainder sequence in y."""
     if p.is_zero or q.is_zero:
         raise ValueError("gcd of zero polynomial")
-    dp = max(m for (_, m), _ in p.terms)
-    dq = max(m for (_, m), _ in q.terms)
-    if dp == 0 and dq == 0:
-        g = _univ_gcd(_to_y_coeffs(p).get(0, {}), _to_y_coeffs(q).get(0, {}))
-        return BivariatePolynomial.from_dict({(n, 0): c for n, c in g.items()}).canonical()
-    if dp == 0:
-        return poly_gcd(q, p)
-    if dq == 0:
-        # a pure-x polynomial divides p iff it divides every y-coefficient
-        return poly_gcd(_content_y(p), q)
-    cont_p, cont_q = _content_y(p), _content_y(q)
-    cont_gcd = poly_gcd(cont_p, cont_q)
-    a = exact_quotient(p, cont_p).canonical()
-    b = exact_quotient(q, cont_q).canonical()
-    if max(m for (_, m), _ in a.terms) < max(m for (_, m), _ in b.terms):
-        a, b = b, a
-    while True:
-        r = _pseudo_rem_y(a, b)
-        if r.is_zero:
-            g = b
-            break
-        if max((m for (_, m), _ in r.terms), default=0) == 0:
-            g = constant(1)
-            break
-        a, b = b, exact_quotient(r, _content_y(r)).canonical()
-    g = exact_quotient(g, _content_y(g)).canonical()
-    return (cont_gcd * g).canonical()
+    return _sparse(_gcd(_dense(p), _dense(q)))
 
 
 def squarefree_radical(p: BivariatePolynomial) -> BivariatePolynomial:
@@ -415,14 +376,11 @@ def squarefree_radical(p: BivariatePolynomial) -> BivariatePolynomial:
     squarefree, canonical."""
     if p.is_zero or p.is_constant:
         raise ValueError("radical requires degree >= 1")
-    g = p
+    a = _dense(p)
+    g = a
     for var in ("x", "y"):
-        dv = p.derivative(var)
-        if not dv.is_zero:
-            g = poly_gcd(g, dv)
-            if g.is_constant:
-                break
-    return exact_quotient(p, g).canonical()
+        g = _gcd(g, _dense(p.derivative(var)))
+    return _sparse(_quo(a, g))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Command-line surface: ingestion, enumeration, verification, sweeps.
 
 Exit codes separate the failure classes: 2 for unparseable input (with
-line/column when known), 3 for a violated operation hypothesis (named), 4
-for a violated internal invariant (with a reproduction dump on stderr).
+line/column when known) or an unwritable --output path, 3 for a violated
+operation hypothesis (named), 4 for a violated internal invariant (with a
+reproduction dump on stderr).
 Outputs are canonical: JSON is key-sorted with fixed indentation, CSV rows
 follow the documented column order, and identical inputs with identical
 seeds produce identical bytes (sweep timings excepted unless --no-timing).
@@ -106,6 +107,16 @@ def _point_indices(text: str, config: PointConfiguration):
     return indices
 
 
+def _carrier(text):
+    """The --carrier curve, or None when the option is absent."""
+    if not text:
+        return None
+    try:
+        return PlaneCurve.from_poly(parse_poly(text))
+    except ValueError as exc:
+        raise InputFormatError(f"--carrier: {exc}") from exc
+
+
 def _cmd_lift(args, out):
     config = load_config(args.input, args.d)
     payload = {
@@ -155,7 +166,7 @@ def _cmd_nd_verify(args, out):
 
 def _cmd_nd_grow(args, out):
     config = load_config(args.input, args.d)
-    carrier = PlaneCurve.from_poly(parse_poly(args.carrier)) if args.carrier else None
+    carrier = _carrier(args.carrier)
     b0 = _point_indices(args.b0, config) if args.b0 else []
     order = _point_indices(args.order, config) if args.order else None
     result = grow_nd_chain(config, b0, carrier, config.d, order=order, seed=args.seed)
@@ -181,8 +192,8 @@ def _cmd_construct(args, out):
     if args.kind == "theorem6":
         built = construct_theorem6(args.d, args.m, seed=args.seed)
     elif args.kind == "theorem8":
-        carrier = PlaneCurve.from_poly(parse_poly(args.carrier)) if args.carrier else None
-        built = construct_theorem8(args.d, args.n, args.m, seed=args.seed, carrier=carrier)
+        built = construct_theorem8(args.d, args.n, args.m, seed=args.seed,
+                                   carrier=_carrier(args.carrier))
     elif args.kind in ("random_general", "grid"):
         params = {"d": args.d}
         if args.count is not None:
@@ -382,8 +393,13 @@ def main(argv=None) -> int:
     if getattr(args, "output", "-") in ("-", None):
         sys.stdout.write(text)
     else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"output error: cannot write {args.output}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
     return 0
 
 

@@ -188,13 +188,27 @@ def test_point_index_out_of_range_exit_2(octet, capsys, argv, bad):
     (["sigma-count", "--d", "2", "--degrees", "0"], 3, "component degrees >= 1"),
     (["nd-grow", "--input", "{octet}", "--b0", "0", "--carrier", "x^2 + y^2 - 1"], 3,
      "parametrizable curve (radical linear in x or in y)"),
+    (["nd-grow", "--input", "{octet}", "--d", "3", "--carrier", "5", "--b0", "0"], 2,
+     "--carrier"),
+    (["construct", "--kind", "theorem8", "--d", "3", "--n", "9", "--m", "12", "--carrier", "7"],
+     2, "--carrier"),
 ], ids=["theorem6-no-m", "theorem8-no-m-n", "random-no-count", "threshold-abc",
-        "threshold-1/0", "degrees-empty", "degrees-0", "carrier-circle"])
+        "threshold-1/0", "degrees-empty", "degrees-0", "carrier-circle", "nd-grow-carrier-constant",
+        "theorem8-carrier-constant"])
 def test_rejected_option_exits_with_name(octet, capsys, argv, code, name):
     # malformed input exits 2 and a violated hypothesis 3, with no traceback
     got, out, err = run([arg.format(octet=octet) for arg in argv], capsys)
     assert (got, out) == (code, "")
     assert name in err
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run(["determined", "--input", str(GOLDEN / "points.json"),
+                          "--output", str(target)], capsys)
+    assert (code, out) == (2, "")
+    assert f"output error: cannot write {target}: " in err
+    assert "Traceback" not in err and not target.parent.exists()
 
 
 def test_nd_grow_duplicate_seed_exits_with_name(tmp_path, capsys):

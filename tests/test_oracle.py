@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+import ordcurves.bipoly
 import ordcurves.ndfamilies
 import ordcurves.oracle
 import ordcurves.projection
@@ -197,10 +198,13 @@ def _imported_names(module) -> set[str]:
 
 def test_oracle_imports_no_fast_path_module():
     # the oracles re-derive results from the definitions; the fast path's
-    # linear algebra, lifts, basis verifier and projection stay out of reach
+    # linear algebra, lifts, basis verifier and projection stay out of reach,
+    # also through bipoly, where the oracle takes its radicals
     fast_path = {"linalg", "veronese", "ndfamilies", "projection"}
-    imported = _imported_names(ordcurves.oracle)
-    assert not imported & fast_path, sorted(imported & fast_path)
+    for module, forbidden in ((ordcurves.oracle, fast_path),
+                              (ordcurves.bipoly, fast_path | {"determined"})):
+        imported = _imported_names(module)
+        assert not imported & forbidden, (module.__name__, sorted(imported & forbidden))
 
 
 @pytest.mark.parametrize("module, forbidden", [
