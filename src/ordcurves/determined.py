@@ -159,7 +159,7 @@ class DeterminedCurveSet:
         }
 
 
-def _kernel_vectors(rows, workers: int = 1) -> set[tuple[int, ...]]:
+def _spanned_vectors(rows, workers: int = 1) -> set[tuple[int, ...]]:
     """Distinct primitive kernel vectors of the independent N-subsets of the
     rows, N one less than the row length; one task per first-index subtree."""
     size = len(rows[0]) - 1
@@ -186,7 +186,7 @@ def spanned_hyperplanes(config: PointConfiguration, workers: int = 1):
     The distinct vectors come sorted by their `normalized` form.
     """
     d = config.d
-    vectors = _kernel_vectors(config.homogeneous_lifts(d), workers)
+    vectors = _spanned_vectors(config.homogeneous_lifts(d), workers)
     return sorted(vectors, key=normalized_key)
 
 
@@ -251,7 +251,7 @@ def max_curve_richness(config: PointConfiguration, e: int):
     rows = config.homogeneous_lifts(e)
     if rank(rows) < comb(e + 2, 2):
         return len(rows), tuple(range(len(rows)))
-    return richest(_zero_rows(v, rows) for v in _kernel_vectors(rows))
+    return richest(_zero_rows(v, rows) for v in _spanned_vectors(rows))
 
 
 # the default threshold's denominator has 2^(3e+8) bits: 128 KiB at e = 4, and

@@ -1,25 +1,26 @@
 """Exact linear algebra over the integers and the rationals.
 
-Everything rests on fraction-free (Bareiss 1968) elimination: every entry
-it produces is a minor of the input, so all of its divisions are exact and
-no `Fraction` is ever built.  `_bareiss`, the forward elimination, gives
-`rank` and the primitive kernel basis of any matrix (`kernel`).  Rational
-rows are scaled by the lcm of their denominators first, which keeps the
-row space.  `kernel_step` runs the same elimination on the kernel side, one
-row at a time, and `kernel_leaves` walks it over the subsets of a row list
-as a prefix tree, skipping every subset with a dependent prefix; the
-determined-curve scan (`subtree_kernels`) and the samplers' genericity test
-are built on it.  `flats` walks the same tree over the independent subsets,
-each kernel vector carrying its dots with every row, and reads off each
-flat of the row matroid (Oxley, Matroid Theory, ch. 1) with the raw kernel
-basis of the node that reached it; the basis verifier's sections, the
-exceptional catalog and the grower's forbidden regions are built on it.
+Everything rests on one fraction-free elimination, Bareiss (1968) run on
+the kernel side (`_eliminate`): a node holds an integer kernel basis of a
+prefix of rows, and `kernel_step` extends it by one row.  Every entry is a
+minor of the input, so all of its divisions are exact and no `Fraction` is
+ever built.  Rational rows are scaled by the lcm of their denominators
+first, which keeps the row space.  Folding a matrix's rows through the step
+gives its `rank` and its primitive kernel basis (`kernel`).  `kernel_leaves`
+walks the step over the subsets of a row list as a prefix tree, skipping
+every subset with a dependent prefix; the determined-curve scan
+(`subtree_kernels`) and the samplers' genericity test are built on it.
+`flats` walks the same tree over the independent subsets, each kernel
+vector carrying its dots with every row, and reads off each flat of the row
+matroid (Oxley, Matroid Theory, ch. 1) with the raw kernel basis of the
+node that reached it; the basis verifier's sections, the exceptional
+catalog and the grower's forbidden regions are built on it.
 `prefix_kernels` gives the kernel node of any index tuple, one step from
 the memoized node of its prefix; the spans of the complements of those
-flats are built on it.  `nullspace` is the Fraction view of `kernel`, through
-`normalized`, the package's one first-nonzero-is-1 scaling;
-`normalized_key` sorts primitive vectors in the order of their normalized
-forms by integer arithmetic.
+flats and the grower's V_d(B) are built on it.  `nullspace` is the Fraction
+view of `kernel`, through `normalized`, the package's one
+first-nonzero-is-1 scaling; `normalized_key` sorts primitive vectors in the
+order of their normalized forms by integer arithmetic.
 
 An affine flat of Q^n is held as integer homogeneous data: spanning rows,
 each a positive multiple of (1, z) for a point z of the flat, and their
@@ -50,62 +51,18 @@ def _integer_row(row) -> list[int]:
     return [x.numerator * (mult // x.denominator) for x in row]
 
 
-def _integer_matrix(rows) -> list[list[int]]:
-    """Integer rows with the same row space; int rows are only copied."""
+def _integer_matrix(rows, n_cols: int) -> list:
+    """Integer rows with the same row space; int rows are kept as given.
+
+    Raises ValueError on a row whose length is not n_cols.
+    """
     rows = list(rows)
+    for row in rows:
+        if len(row) != n_cols:
+            raise ValueError(f"ragged matrix: a row of length {len(row)} in {n_cols} columns")
     if {int}.issuperset(map(type, chain.from_iterable(rows))):
-        return [list(row) for row in rows]
+        return rows
     return [_integer_row(row) for row in rows]
-
-
-def _bareiss(mat) -> list[int]:
-    """Fraction-free row echelon form of an integer matrix, in place.
-
-    Returns the pivot columns.  After the step at pivot r, every entry of
-    the rows below is an (r+2)-minor of the row-permuted input, so the
-    division by the previous pivot is exact.
-    """
-    n_rows = len(mat)
-    pivots: list[int] = []
-    prev = 1
-    for c in range(len(mat[0])):
-        r = len(pivots)
-        pivot_row = next((i for i in range(r, n_rows) if mat[i][c]), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        top = mat[r]
-        pivot = top[c]
-        for i in range(r + 1, n_rows):
-            a = mat[i][c]
-            if a:
-                mat[i] = [(x * pivot - a * y) // prev for x, y in zip(mat[i], top)]
-            elif pivot != prev:
-                mat[i] = [x * pivot // prev for x in mat[i]]
-        prev = pivot
-        pivots.append(c)
-        if r + 1 == n_rows:
-            break
-    return pivots
-
-
-def _kernel_vector(mat, pivots, free: int, n_cols: int) -> tuple[int, ...]:
-    """Primitive kernel vector of an echelon matrix for one free column.
-
-    The vector is zero on the other free columns and has a positive first
-    nonzero entry.  Back-substitution starts from the last Bareiss pivot D,
-    which is +-det of the pivot columns of independent rows: by Cramer's
-    rule the kernel vector with D in the free column is integral, so each
-    division below is exact.
-    """
-    v = [0] * n_cols
-    v[free] = mat[len(pivots) - 1][pivots[-1]] if pivots else 1
-    for i in range(len(pivots) - 1, -1, -1):
-        c = pivots[i]
-        row = mat[i]
-        v[c] = -sum(row[j] * v[j] for j in range(c + 1, n_cols)) // row[c]
-    return _primitive(v)
 
 
 def _primitive(v) -> tuple[int, ...]:
@@ -122,12 +79,29 @@ def primitive(vec) -> tuple[int, ...]:
     return _primitive(_integer_row(vec))
 
 
+def _kernel_basis(rows, n_cols: int) -> list:
+    """The kernel basis of a rational matrix: its integer rows folded
+    through `kernel_step` from `kernel_root`, a dependent row keeping the
+    node, until the basis is empty.
+
+    One vector per free column, in ascending order: the step eliminates the
+    first free column with a nonzero dot, so the free columns are those of
+    the echelon form, and each vector is zero on the other free columns.
+    """
+    node = kernel_root(n_cols)
+    for row in _integer_matrix(rows, n_cols):
+        if not node[0]:
+            break
+        node = kernel_step(node, row) or node
+    return node[0]
+
+
 def rank(rows) -> int:
-    """Exact rank of a rectangular matrix via Bareiss elimination."""
-    mat = _integer_matrix(rows)
-    if not mat or not mat[0]:
-        return 0
-    return len(_bareiss(mat))
+    """Exact rank of a rectangular matrix: the column count less the
+    kernel's dimension."""
+    rows = list(rows)
+    n_cols = len(rows[0]) if rows else 0
+    return n_cols - len(_kernel_basis(rows, n_cols))
 
 
 def kernel(rows, n_cols: int) -> list[tuple[int, ...]]:
@@ -137,10 +111,7 @@ def kernel(rows, n_cols: int) -> list[tuple[int, ...]]:
     free columns, has content 1 and a positive first nonzero entry.
     `n_cols` is the column count, which a matrix with no rows cannot give.
     """
-    mat = _integer_matrix(rows)
-    pivots = _bareiss(mat) if mat and n_cols else []
-    taken = set(pivots)
-    return [_kernel_vector(mat, pivots, f, n_cols) for f in range(n_cols) if f not in taken]
+    return [_primitive(v) for v in _kernel_basis(rows, n_cols)]
 
 
 def kernel_root(n_cols: int):
@@ -246,8 +217,8 @@ def flats(rows, n_cols: int, max_rank: int) -> dict:
 
 
 def prefix_kernels(rows, n_cols: int):
-    """The kernel node of any ascending index tuple of the rows, as a
-    function of the tuple.
+    """The kernel node of any index tuple of the rows, as a function of the
+    tuple.
 
     Each node is `kernel_step` on the node of the tuple without its last
     index, memoized by prefix, so tuples that share a prefix share its

@@ -35,7 +35,9 @@ B, outside a flat or a section, is an ascending index tuple, and its span
 (W_e, and the complement dimension of conditions (iii) and (iv)) is read
 off its kernel node from `linalg.prefix_kernels`: one `kernel_step` on the
 node of its prefix, shared with every other complement through that
-prefix.  Nothing is kept between grow steps; a configuration keeps only the
+prefix.  Between grow steps the grower keeps only the `prefix_kernels`
+node function of A's degree-d rows, so V_d(B) of the chain, in growth
+order, gains one `kernel_step` a step; a configuration keeps only the
 verdict of the last basis verified or grown on it.
 """
 
@@ -309,21 +311,25 @@ def nd_verify(A: PointConfiguration | None, B, d: int | None = None) -> NdVerify
 GUARD_NAME = "growth guard max(tau, mu) < C(d+2,2)"
 
 
-def _active_pairs(R, b, d: int, sample):
+def _active_pairs(R, b, d: int, sample, d_node):
     """I(B, C0) and the walk it was read off: the (e, D, region) triples
     where C0 is not inside the region, V_d(B), and for each e = 1..d-1 the
     triple (e, flats of B's degree-e rows, `prefix_kernels` node function of
     its degree-(d-e) rows).
 
     B is the index tuple b into the rows R (R[k][i] is point i's degree-k
-    row).  Two subsets D with the same span V_e give the same region, so D
-    runs over the flats of B's degree-e rows, each once, as its positions in
-    b: the points of B in V_e.  `sample` holds the carrier sample's rows in
-    the same layout; with no carrier (C0 = the whole plane, `sample` None),
-    every pair is active because a region is covered by at most three
-    curves.
+    row), and `d_node` the `prefix_kernels` node function of R[d], whose
+    node of b gives V_d(B): a chain in growth order extends its previous
+    step's node by one `kernel_step`.  Two subsets D with the same span V_e
+    give the same region, so D runs over the flats of B's degree-e rows,
+    each once, as its positions in b: the points of B in V_e.  `sample`
+    holds the carrier sample's rows in the same layout; with no carrier
+    (C0 = the whole plane, `sample` None), every pair is active because a
+    region is covered by at most three curves.
     """
-    v_d_b = row_span(ambient_dim(d), [R[d][i] for i in b])
+    v_d_b = AffineFlat(
+        ambient_dim(d), tuple(R[d][i] for i in b), tuple(map(_primitive, d_node(b)[0]))
+    )
     sample_size = 0 if sample is None else len(sample[d])
     out = []
     walk = []
@@ -486,7 +492,8 @@ def grow_nd_chain(
     chain = list(b0_indices)
     blocked = []
     guard_trace = []
-    pairs, v_d_b, walk = _active_pairs(R, tuple(chain), d, sample)
+    d_node = prefix_kernels(R[d], comb(d + 2, 2))
+    pairs, v_d_b, walk = _active_pairs(R, tuple(chain), d, sample, d_node)
     guard_trace.append(_assert_guard(pairs, A.subset(chain), d, step=0))
     step = 0
     while len(chain) < target:
@@ -508,7 +515,7 @@ def grow_nd_chain(
             )
             return GrowthResult(False, None, tuple(chain), tuple(blocked), tuple(guard_trace))
         chain.append(chosen)
-        pairs, v_d_b, walk = _active_pairs(R, tuple(chain), d, sample)
+        pairs, v_d_b, walk = _active_pairs(R, tuple(chain), d, sample, d_node)
         guard_trace.append(_assert_guard(pairs, A.subset(chain), d, step=step))
 
     basis = BasisCandidate(A.subset(chain), d)

@@ -155,11 +155,12 @@ def test_criterion_5_line_heavy_construction():
     # Hence
     #     |O_(d,n)(A)| = C(m-b, d) + b*[m-1 <= n],
     # which is Theta(m^d) as the paper claims.  The b extra curves occur only
-    # at the smallest admissible m = n+1, which is m = 12 at d = 3; at d = 2
-    # the smallest admissible m is 7 > n+1.
+    # at the smallest admissible m = n+1, which is m = 12 at d = 3 and m = 21
+    # at d = 4 (C(11, 4) + 10 = 340 curves); at d = 2 the smallest admissible
+    # m is 7 > n+1.
     with criterion("5 (line-heavy extremal sets)", 300):
         failures = []
-        for d, ms in ((2, (7, 8, 9, 10)), (3, (12, 13, 14, 15, 16))):
+        for d, ms in ((2, (7, 8, 9, 10)), (3, (12, 13, 14, 15, 16)), (4, (21,))):
             n = (3 * d * d - 3 * d + 4) // 2
             b = comb(d + 1, 2)
             for m in ms:

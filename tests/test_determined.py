@@ -282,8 +282,9 @@ def _adversarial_set(seed, curve, k, free):
 
 
 def _bareiss_scan(rows):
-    """The subset-by-subset scan: every N-subset's Bareiss kernel, kept
-    when it is one vector (N one less than the row length)."""
+    """The subset-by-subset scan: every N-subset's own `kernel` (checked
+    against Gauss-Jordan in test_linalg), kept when it is one vector (N one
+    less than the row length)."""
     n_cols = len(rows[0])
     vectors, full_rank = set(), 0
     for idx in combinations(range(len(rows)), n_cols - 1):
@@ -317,7 +318,7 @@ def test_prefix_tree_matches_bareiss_scan(d, curve, k, free):
 
 
 def _closure_scan(rows, n_cols):
-    """Every subset's closure, the rows orthogonal to its Bareiss kernel,
+    """Every subset's closure, the rows orthogonal to its `kernel`,
     mapped to the kernel of the closure's rows."""
     out = {}
     for size in range(len(rows) + 1):

@@ -68,9 +68,11 @@ def _sparse_matrix(rng, n_rows, n_cols):
             for _ in range(n_rows)]
 
 
-def _gauss_nullspace(rows):
-    """Nullspace basis by the oracle's Gauss-Jordan, first nonzero entries 1."""
-    n_cols = len(rows[0])
+def _gauss_nullspace(rows, n_cols=None):
+    """Nullspace basis by the oracle's Gauss-Jordan, first nonzero entries 1;
+    n_cols is needed for a matrix with no rows."""
+    if rows:
+        n_cols = len(rows[0])
     _, reduced, pivots = _gauss([[Fraction(x) for x in row] for row in rows])
     basis = []
     for free in (c for c in range(n_cols) if c not in pivots):
@@ -83,13 +85,54 @@ def _gauss_nullspace(rows):
     return basis
 
 
-def test_rank_matches_gauss_jordan():
+def _oracle_matrices():
+    """(rows, column count): random matrices, wide (0-7 x 10) and tall
+    (11-16 x 10) ones, and ones with entries up to 10^6."""
     rng = random.Random(11)
     for _ in range(400):
-        rows = _sparse_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
-        assert rank(rows) == _gauss([[Fraction(x) for x in row] for row in rows])[0], rows
+        n_cols = rng.randint(1, 7)
+        yield _sparse_matrix(rng, rng.randint(1, 7), n_cols), n_cols
+    for n_rows in (*range(8), *range(11, 17)):
+        for _ in range(6):
+            yield _sparse_matrix(rng, n_rows, 10), 10
+            yield _deficient_rows(rng, n_rows, 10), 10
+    for _ in range(40):
+        n_rows, n_cols = rng.randint(1, 8), rng.randint(1, 8)
+        yield [[rng.choice((0, rng.randint(-10**6, 10**6))) for _ in range(n_cols)]
+               for _ in range(n_rows)], n_cols
+
+
+def _deficient_rows(rng, n_rows, n_cols):
+    """Integer combinations of at most 4 base rows, some with zero columns."""
+    zero = rng.sample(range(n_cols), rng.randint(0, 3))
+    base = [[0 if j in zero else rng.randint(-9, 9) for j in range(n_cols)]
+            for _ in range(rng.randint(1, 4))]
+    return [[sum(c * b[j] for c, b in zip(coeffs, base)) for j in range(n_cols)]
+            for coeffs in ([rng.randint(-2, 2) for _ in base] for _ in range(n_rows))]
+
+
+def test_rank_matches_gauss_jordan():
+    # rank and kernel against the oracle's Gauss-Jordan, on the wide and
+    # tall shapes the spans use, and on the rows' Fraction halves
+    for rows, n_cols in _oracle_matrices():
+        expected = [primitive(v) for v in _gauss_nullspace(rows, n_cols)]
+        oracle_rank = _gauss([[Fraction(x) for x in row] for row in rows])[0]
         halves = [[Fraction(x, 2) for x in row] for row in rows]
-        assert rank(halves) == rank(rows)
+        for matrix in (rows, halves):
+            assert rank(matrix) == oracle_rank, rows
+            assert kernel(matrix, n_cols) == expected, rows
+
+
+def test_ragged_rows_raise():
+    # a row whose length is not the column count is refused, not truncated
+    with pytest.raises(ValueError):
+        kernel([[1, 2, 3]], 2)
+    with pytest.raises(ValueError):
+        rank([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        nullspace([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        kernel([[1, 2], [Fraction(1, 2)]], 2)
 
 
 def _deficient_matrix(rng, k):

@@ -13,7 +13,7 @@ from ordcurves.bipoly import PlaneCurve, parse_poly, rational_points_on_curve
 from ordcurves.constructions import sample_configuration
 from ordcurves.determined import PointConfiguration, vanishing_dim
 from ordcurves.errors import HypothesisViolation
-from ordcurves.linalg import affine_rank, kernel, primitive, rank, row_span
+from ordcurves.linalg import affine_rank, kernel, prefix_kernels, primitive, rank, row_span
 from ordcurves.ndfamilies import (
     BasisCandidate,
     ForbiddenRegion,
@@ -421,9 +421,10 @@ def test_grow_regions_match_subset_scan(grow):
     assert res.success
     d = A.d
     R = _degree_rows(A, d)
+    d_node = prefix_kernels(R[d], comb(d + 2, 2))
     for step in range(seed_size, len(res.chain) + 1):
         b = res.chain[:step]
-        pairs, _, _ = _active_pairs(R, b, d, sample)
+        pairs, _, _ = _active_pairs(R, b, d, sample, d_node)
         quantities = [(e, region.quantities) for e, _, region in pairs]
         regions = [
             (e, q.v_e, q.w_e, q.alpha, q.beta, q.gamma, q.mu, q.tau) for e, q in quantities
@@ -438,9 +439,10 @@ def test_grow_regions_match_subset_scan(grow):
 
 def test_complement_spans_take_no_bareiss_per_section(monkeypatch):
     # the complement of every section and flat is a prefix-tree node, so
-    # no rank or span is computed per section: a guard against one Bareiss
-    # elimination per section or per flat; the verify runs on a fresh
-    # configuration, since the grown one keeps the grow's verdict
+    # no rank or span is computed per section: a guard against one whole
+    # elimination per section or per flat, and V_d(B) is one step from the
+    # previous step's node; the verify runs on a fresh configuration, since
+    # the grown one keeps the grow's verdict
     A, res, _, _ = _random_general_grow()
     assert res.success
     calls = {"rank": 0, "row_span": 0}
@@ -459,9 +461,10 @@ def test_complement_spans_take_no_bareiss_per_section(monkeypatch):
     assert nd_verify(PointConfiguration.from_points(A.points, 3), list(res.chain), 3).ok
     assert calls == {"rank": 1, "row_span": 0}  # condition (i) only
     R = _degree_rows(A, 3)
+    d_node = prefix_kernels(R[3], comb(3 + 2, 2))
     for step in range(len(res.chain) + 1):
-        _active_pairs(R, res.chain[:step], 3, None)
-    assert calls == {"rank": 1, "row_span": len(res.chain) + 1}  # V_d(B) once a step
+        _active_pairs(R, res.chain[:step], 3, None, d_node)
+    assert calls == {"rank": 1, "row_span": 0}  # V_d(B) is one step from its prefix
 
 
 def _grown_instances():
@@ -471,6 +474,20 @@ def _grown_instances():
         for gs in (0, 1):
             yield A, grow_nd_chain(A, [], None, 3, seed=gs)
     yield _carrier_grow()[:2]
+
+
+def test_grown_v_d_b_equals_row_span():
+    # V_d(B) at every step, from the node of the chain in growth order, is
+    # the span of the chain's degree-d rows
+    for A, res in _grown_instances():
+        d = A.d
+        R = _degree_rows(A, d)
+        d_node = prefix_kernels(R[d], comb(d + 2, 2))
+        for step in range(len(res.chain) + 1):
+            b = res.chain[:step]
+            _, v_d_b, _ = _active_pairs(R, b, d, None, d_node)
+            span = row_span(ambient_dim(d), [R[d][i] for i in b])
+            assert (v_d_b.rows, v_d_b.normals, v_d_b.dim) == (span.rows, span.normals, span.dim)
 
 
 def test_grown_verdict_equals_fresh_verify():
