@@ -222,7 +222,9 @@ def _cmd_sweep(args, out):
     try:
         lo, hi = int(lo), int(hi)
     except ValueError as exc:
-        raise InputFormatError(f"bad size range {args.sizes!r}") from exc
+        raise InputFormatError(f"--sizes: bad size range {args.sizes!r}") from exc
+    if lo > hi:
+        raise InputFormatError(f"--sizes: empty size range {args.sizes!r}, lo above hi")
     out.write(
         "# note: the asymptotic lower bound c*|A|^d on ordinary-curve counts "
         "is not verifiable at this scale; counts below are exact per instance\n"

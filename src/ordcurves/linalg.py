@@ -6,28 +6,31 @@ prefix of rows, and `kernel_step` extends it by one row.  Every entry is a
 minor of the input, so all of its divisions are exact and no `Fraction` is
 ever built.  Rational rows are scaled by the lcm of their denominators
 first, which keeps the row space.  Folding a matrix's rows through the step
-gives its `rank` and its primitive kernel basis (`kernel`).  `kernel_leaves`
-walks the step over the subsets of a row list as a prefix tree, skipping
-every subset with a dependent prefix; the determined-curve scan
-(`subtree_kernels`) and the samplers' genericity test are built on it.
+gives its `rank` and its primitive kernel basis (`kernel`); folded on from
+the node of other rows (`kernel_node`), it gives the node of their join.
+`kernel_leaves` walks the step over the subsets of a row list as a prefix
+tree, skipping every subset with a dependent prefix; the determined-curve
+scan (`subtree_kernels`) and the samplers' genericity test are built on it.
 `flats` walks the same tree over the independent subsets, each kernel
 vector carrying its dots with every row, and reads off each flat of the row
 matroid (Oxley, Matroid Theory, ch. 1) with the raw kernel basis of the
-node that reached it; the basis verifier's sections, the exceptional
-catalog and the grower's forbidden regions are built on it.
-`prefix_kernels` gives the kernel node of any index tuple, one step from
-the memoized node of its prefix; the spans of the complements of those
-flats and the grower's V_d(B) are built on it.  `nullspace` is the Fraction
+node that reached it; the basis verifier's sections and the exceptional
+catalog are built on it.  For a growing row list, `flats_step` turns the
+walk of the rows so far into the walk with one more row in one pass over
+its flats, the same flats with the same bases, each flat also carrying the
+kernel node of its complement's rows in a second row list; the grower's
+forbidden regions are built on it.  `prefix_kernels` gives the kernel node
+of any index tuple, one step from the memoized node of its prefix; the
+verifier's complement spans are built on it.  `nullspace` is the Fraction
 view of `kernel`, through `normalized`, the package's one
 first-nonzero-is-1 scaling; `normalized_key` sorts primitive vectors in the
 order of their normalized forms by integer arithmetic.
 
 An affine flat of Q^n is held as integer homogeneous data: spanning rows,
-each a positive multiple of (1, z) for a point z of the flat, and their
-primitive kernel, which are the flat's equations (c0, *c) of
-c0 + c.z = 0, the row layout `flat_from_equations` takes.  Membership is
-integer dot products with those equations.  Flats follow the convention
-dim(empty) = -1.
+each a positive multiple of (1, z) for a point z of the flat, and a kernel
+basis of them, which are the flat's equations (c0, *c) of c0 + c.z = 0, the
+row layout `flat_from_equations` takes.  Membership is integer dot products
+with those equations.  Flats follow the convention dim(empty) = -1.
 """
 
 from __future__ import annotations
@@ -79,21 +82,22 @@ def primitive(vec) -> tuple[int, ...]:
     return _primitive(_integer_row(vec))
 
 
-def _kernel_basis(rows, n_cols: int) -> list:
-    """The kernel basis of a rational matrix: its integer rows folded
-    through `kernel_step` from `kernel_root`, a dependent row keeping the
-    node, until the basis is empty.
+def kernel_node(rows, n_cols: int, node=None):
+    """The kernel node of a rational matrix: its integer rows folded
+    through `kernel_step` from `node` (default `kernel_root`), a dependent
+    row keeping the node, until the basis is empty.  From the node of other
+    rows it is the node of their join.
 
     One vector per free column, in ascending order: the step eliminates the
     first free column with a nonzero dot, so the free columns are those of
     the echelon form, and each vector is zero on the other free columns.
     """
-    node = kernel_root(n_cols)
+    node = node or kernel_root(n_cols)
     for row in _integer_matrix(rows, n_cols):
         if not node[0]:
             break
         node = kernel_step(node, row) or node
-    return node[0]
+    return node
 
 
 def rank(rows) -> int:
@@ -101,7 +105,7 @@ def rank(rows) -> int:
     kernel's dimension."""
     rows = list(rows)
     n_cols = len(rows[0]) if rows else 0
-    return n_cols - len(_kernel_basis(rows, n_cols))
+    return n_cols - len(kernel_node(rows, n_cols)[0])
 
 
 def kernel(rows, n_cols: int) -> list[tuple[int, ...]]:
@@ -111,7 +115,7 @@ def kernel(rows, n_cols: int) -> list[tuple[int, ...]]:
     free columns, has content 1 and a positive first nonzero entry.
     `n_cols` is the column count, which a matrix with no rows cannot give.
     """
-    return [_primitive(v) for v in _kernel_basis(rows, n_cols)]
+    return [_primitive(v) for v in kernel_node(rows, n_cols)[0]]
 
 
 def kernel_root(n_cols: int):
@@ -216,6 +220,59 @@ def flats(rows, n_cols: int, max_rank: int) -> dict:
     return out
 
 
+def flats_root(n_cols: int, co_cols: int) -> dict:
+    """The flats walk of no rows, to be grown one row at a time by
+    `flats_step`: the empty closure with the identity basis, pivot 1 and
+    the `kernel_root` of the co-rows."""
+    basis, pivot = kernel_root(n_cols)
+    return {(): (basis, pivot, kernel_root(co_cols))}
+
+
+def flats_step(walk: dict, m: int, row, co_row) -> dict:
+    """The flats walk of rows[:m] extended by row = rows[m].
+
+    A walk maps each flat, an ascending index tuple, to its node (basis,
+    pivot, co-node): the basis is the one `flats` gives the closure with
+    max_rank the column count, each vector carrying its dots with every row
+    so far, and the co-node is the `kernel_step` node of the complement's
+    co-rows in index order.  The new row is dotted with every basis and the
+    dot appended to each vector, in place, so the given walk is spent.  A
+    flat whose dots are all 0 gains m.  Any other flat stays, its co-node
+    stepped by co_row, and its `_eliminate` child by the row is a new flat
+    exactly when the child's closure less m is the flat itself, with the
+    flat's co-node from before the step.  That flat is the prefix of the
+    new flat's greedy basis, as m comes last (the greedy-basis argument at
+    `flats`), so every flat of rows[:m+1] arises once, with the basis and
+    co-node `flats` and `prefix_kernels` give it.
+    """
+    n_cols = len(row)
+    out = {}
+    for closure, (basis, pivot, co_node) in walk.items():
+        # map stops at the row's end, so the carried dots are left out
+        dots = [sum(map(mul, k, row)) for k in basis]
+        for k, s in zip(basis, dots):
+            k.append(s)
+        if not any(dots):
+            out[closure + (m,)] = basis, pivot, co_node
+            continue
+        out[closure] = basis, pivot, kernel_step(co_node, co_row) or co_node
+        child, sp = _eliminate(basis, pivot, dots)
+        # the child's closure holds the flat and m, and no more exactly
+        # when each of the other m - |closure| rows has a nonzero dot
+        if sum(map(any, zip(*[k[n_cols:] for k in child]))) == m - len(closure):
+            out[closure + (m,)] = child, sp, co_node
+    return out
+
+
+def walk_bases(walk: dict, n_cols: int) -> dict:
+    """The `flats` map of a `flats_step` walk: each closure to its basis
+    without the carried dots, as a tuple of tuples."""
+    return {
+        closure: tuple(tuple(k[:n_cols]) for k in basis)
+        for closure, (basis, _, _) in walk.items()
+    }
+
+
 def prefix_kernels(rows, n_cols: int):
     """The kernel node of any index tuple of the rows, as a function of the
     tuple.
@@ -318,9 +375,11 @@ class AffineFlat:
     """Affine subspace of Q^n as integer homogeneous data; empty if no rows.
 
     Each of `rows` is a positive multiple of (1, z) for a point z of the
-    flat, and they span it.  `normals` is their primitive kernel basis (see
-    `kernel`): z lies in the flat exactly when (1, z) is orthogonal to every
-    normal.  The normals depend on the flat only, so flats compare by them.
+    flat, and they span it.  `normals` is a kernel basis of them: z lies in
+    the flat exactly when (1, z) is orthogonal to every normal.  `row_span`
+    takes the primitive one (`kernel`), which depends on the flat only, so
+    such flats compare by it; a flat given a raw kernel node's basis, as the
+    grower's regions are, is only tested for membership and dimension.
     """
 
     ambient_dim: int

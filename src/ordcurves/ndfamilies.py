@@ -33,12 +33,15 @@ V_e of its degree-e rows, so the grower takes one region per flat of B's
 degree-e rows, with V_e and B & V_e read off the flats walk.  The rest of
 B, outside a flat or a section, is an ascending index tuple, and its span
 (W_e, and the complement dimension of conditions (iii) and (iv)) is read
-off its kernel node from `linalg.prefix_kernels`: one `kernel_step` on the
-node of its prefix, shared with every other complement through that
-prefix.  Between grow steps the grower keeps only the `prefix_kernels`
-node function of A's degree-d rows, so V_d(B) of the chain, in growth
-order, gains one `kernel_step` a step; a configuration keeps only the
-verdict of the last basis verified or grown on it.
+off the kernel node of its degree-(d-e) rows.  The verifier walks a fixed B
+once with `linalg.flats` and takes each complement's node from
+`linalg.prefix_kernels`, one `kernel_step` on the node of its prefix.  The
+grower's B gains one point a step, so it keeps its walk between steps and
+extends it by the new point (`linalg.flats_step`): one pass over the flats
+of each degree e, each flat carrying its complement's node, and V_d(B)'s
+node gains one `kernel_step`.  A region's normals are those raw kernel
+vectors, as a region is only tested by zero dot products.  A configuration
+keeps only the verdict of the last basis verified or grown on it.
 """
 
 from __future__ import annotations
@@ -51,7 +54,8 @@ from .bipoly import PlaneCurve, rational_points_on_curve
 from .determined import PointConfiguration, contained_in_curve
 from .errors import HypothesisViolation, InvariantViolation
 from .linalg import (
-    AffineFlat, _primitive, flats, kernel_leaves, kernel_root, prefix_kernels, rank, row_span,
+    AffineFlat, flats, flats_root, flats_step, kernel_leaves, kernel_root, kernel_step,
+    prefix_kernels, rank, row_span, walk_bases,
 )
 from .veronese import ambient_dim, as_point, integer_lift
 
@@ -157,12 +161,11 @@ def forbidden_region_membership(B, D, e: int, d: int, pt) -> bool:
 
 
 def _section_order(found) -> list:
-    """The flats of a `linalg.flats` map with a nonempty kernel basis, of
-    rank below the column count, as (index tuple, basis) pairs in section
-    order: decreasing size, then `combinations` order."""
+    """The flats among (index tuple, basis, ...) items with a nonempty
+    kernel basis, of rank below the column count, in section order:
+    decreasing size, then `combinations` order."""
     return sorted(
-        ((idx, basis) for idx, basis in found.items() if basis),
-        key=lambda item: (-len(item[0]), item[0]),
+        (item for item in found if item[1]), key=lambda item: (-len(item[0]), item[0])
     )
 
 
@@ -176,7 +179,7 @@ def realizable_sections(rows, e: int):
     primitive.
     """
     monomials = comb(e + 2, 2)
-    return _section_order(flats(rows, monomials, monomials - 1))
+    return _section_order(flats(rows, monomials, monomials - 1).items())
 
 
 @dataclass(frozen=True)
@@ -237,8 +240,9 @@ def _verdict(d: int, n_b: int, dim_b: int, walk) -> NdVerifyResult:
 
     dim_b is the dimension of the span of B's degree-d rows.  `walk` yields,
     for e = 1..d-1 in turn, (e, B's realizable sections at degree e in
-    `_section_order`, the `prefix_kernels` node function of B's
-    degree-(d-e) rows); a lazy walk stops at the first failure too.
+    `_section_order`, each as (index tuple, kernel basis, kernel node of the
+    rest of B's degree-(d-e) rows)); a lazy walk stops at the first failure
+    too.
     """
 
     def failure(condition, e, section, measured, threshold) -> NdVerifyResult:
@@ -251,16 +255,15 @@ def _verdict(d: int, n_b: int, dim_b: int, walk) -> NdVerifyResult:
         return failure("i", d, range(n_b), dim_b, target_dim)
 
     sections = []
-    for e, found, rest_node in walk:
+    for e, found in walk:
         monomials_rest = comb(d - e + 2, 2)
         cut = comb(d + 2, 2) - monomials_rest
         rest_target = monomials_rest - 3
-        for idx, vecs in found:
+        for idx, vecs, rest_node in found:
             size = len(idx)
             if size >= cut:
                 return failure("ii", e, idx, size, cut)
-            rest = tuple(i for i in range(n_b) if i not in idx)
-            dim_rest = monomials_rest - len(rest_node(rest)[0]) - 1
+            dim_rest = monomials_rest - len(rest_node[0]) - 1
             if size == cut - 1:
                 if dim_rest != rest_target:
                     return failure("iii", e, idx, dim_rest, rest_target)
@@ -281,8 +284,9 @@ def nd_verify(A: PointConfiguration | None, B, d: int | None = None) -> NdVerify
 
     B may be a BasisCandidate, a point list, or an index list into A.  The
     walk is the rank of B's degree-d rows, then for each e its
-    `realizable_sections` and the `prefix_kernels` node function of its
-    degree-(d-e) rows; `_verdict` reads the conditions off it.  On a
+    `realizable_sections`, each with the node of the rest of B from the
+    `prefix_kernels` node function of its degree-(d-e) rows; `_verdict`
+    reads the conditions off it.  On a
     configuration a passing verdict, all tuples, is kept with the basis's
     index tuple and d, as the last grow keeps its own, so asking again for
     the same basis walks nothing.  A failing verdict's record is a dict for
@@ -298,11 +302,15 @@ def nd_verify(A: PointConfiguration | None, B, d: int | None = None) -> NdVerify
         key = (tuple(indices), d)
         if key in A._verdict:
             return A._verdict[key]
-    walk = (
-        (e, realizable_sections(rows[e], e), prefix_kernels(rows[d - e], comb(d - e + 2, 2)))
-        for e in range(1, d)
-    )
-    verdict = _verdict(d, len(basis.points), rank(rows[d]) - 1, walk)
+    n_b = len(basis.points)
+
+    def sections(e):
+        rest_node = prefix_kernels(rows[d - e], comb(d - e + 2, 2))
+        for idx, vecs in realizable_sections(rows[e], e):
+            yield idx, vecs, rest_node(tuple(i for i in range(n_b) if i not in idx))
+
+    walk = ((e, sections(e)) for e in range(1, d))
+    verdict = _verdict(d, n_b, rank(rows[d]) - 1, walk)
     if A is not None and verdict.ok:
         _keep(A, key, verdict)
     return verdict
@@ -311,48 +319,67 @@ def nd_verify(A: PointConfiguration | None, B, d: int | None = None) -> NdVerify
 GUARD_NAME = "growth guard max(tau, mu) < C(d+2,2)"
 
 
-def _active_pairs(R, b, d: int, sample, d_node):
-    """I(B, C0) and the walk it was read off: the (e, D, region) triples
-    where C0 is not inside the region, V_d(B), and for each e = 1..d-1 the
-    triple (e, flats of B's degree-e rows, `prefix_kernels` node function of
-    its degree-(d-e) rows).
+def _root_walk(d: int):
+    """The grower's walk of the empty chain: V_d's `kernel_root`, and for
+    each e = 1..d-1 the `linalg.flats_root` of degree e with the degree-(d-e)
+    rows as co-rows."""
+    walks = {e: flats_root(comb(e + 2, 2), comb(d - e + 2, 2)) for e in range(1, d)}
+    return kernel_root(comb(d + 2, 2)), walks
+
+
+def _extend_walk(walk, R, d: int, m: int, i: int):
+    """The grower's walk of a chain of m points extended by point i: V_d's
+    node by one `kernel_step`, and each degree's flats by one
+    `linalg.flats_step` on point i's degree-e row, its degree-(d-e) row
+    stepping the complement nodes.  The given walk is spent."""
+    d_node, walks = walk
+    walks = {
+        e: flats_step(found, m, R[e][i], R[d - e][i])
+        for e, found in walks.items()
+    }
+    return kernel_step(d_node, R[d][i]) or d_node, walks
+
+
+def _active_pairs(R, b, d: int, sample, walk):
+    """I(B, C0) and V_d(B): the (e, D, region) triples where C0 is not
+    inside the region.
 
     B is the index tuple b into the rows R (R[k][i] is point i's degree-k
-    row), and `d_node` the `prefix_kernels` node function of R[d], whose
-    node of b gives V_d(B): a chain in growth order extends its previous
-    step's node by one `kernel_step`.  Two subsets D with the same span V_e
-    give the same region, so D runs over the flats of B's degree-e rows,
-    each once, as its positions in b: the points of B in V_e.  `sample`
-    holds the carrier sample's rows in the same layout; with no carrier
-    (C0 = the whole plane, `sample` None), every pair is active because a
-    region is covered by at most three curves.
+    row), and `walk` the chain's walk (`_extend_walk`): V_d(B) is its node,
+    and each flat of B's degree-e rows carries its kernel basis, V_e's
+    normals, and the kernel node of the rest of B's degree-(d-e) rows,
+    W_e's.  Two subsets D with the same span V_e give the same region, so D
+    runs over those flats, each once, as its positions in b: the points of B
+    in V_e.  The normals are raw kernel vectors, not made primitive, since a
+    region only tests points by zero dot products.  `sample` holds the
+    carrier sample's rows in the same layout; with no carrier (C0 = the
+    whole plane, `sample` None), every pair is active because a region is
+    covered by at most three curves.
     """
-    v_d_b = AffineFlat(
-        ambient_dim(d), tuple(R[d][i] for i in b), tuple(map(_primitive, d_node(b)[0]))
-    )
+    d_node, walks = walk
+    v_d_b = AffineFlat(ambient_dim(d), tuple(R[d][i] for i in b), tuple(map(tuple, d_node[0])))
     sample_size = 0 if sample is None else len(sample[d])
     out = []
-    walk = []
-    for e in range(1, d):
+    for e, found in walks.items():
+        n_cols = comb(e + 2, 2)
         rows_e = [R[e][i] for i in b]
         rows_w = [R[d - e][i] for i in b]
-        monomials = comb(e + 2, 2)
-        w_node = prefix_kernels(rows_w, comb(d - e + 2, 2))
-        found = flats(rows_e, monomials, monomials)
-        walk.append((e, found, w_node))
-        for idx, basis in found.items():
-            normals = tuple(map(_primitive, basis))
-            v_e = AffineFlat(ambient_dim(e), tuple(rows_e[k] for k in idx), normals)
-            rest = tuple(k for k in range(len(b)) if k not in idx)
-            normals = tuple(map(_primitive, w_node(rest)[0]))
-            w_e = AffineFlat(ambient_dim(d - e), tuple(rows_w[k] for k in rest), normals)
+        for idx, (basis, _, w_node) in found.items():
+            v_e = AffineFlat(
+                ambient_dim(e), tuple([rows_e[k] for k in idx]),
+                tuple([tuple(k[:n_cols]) for k in basis]),
+            )
+            rest = rows_w.copy()
+            for k in reversed(idx):
+                del rest[k]
+            w_e = AffineFlat(ambient_dim(d - e), tuple(rest), tuple(map(tuple, w_node[0])))
             region = ForbiddenRegion(_quantities(len(b), v_e, w_e, len(idx), e, d), v_d_b)
             if sample is not None and all(
                 region.contains(sample, k) for k in range(sample_size)
             ):
                 continue
             out.append((e, idx, region))
-    return out, v_d_b, walk
+    return out, v_d_b
 
 
 def _assert_guard(pairs, B_pts, d: int, step: int) -> int:
@@ -423,11 +450,13 @@ def grow_nd_chain(
     Candidate order is an explicit index sequence of distinct indices or a
     seeded shuffle, so failures reproduce exactly.
 
-    The four basis conditions are checked on the last step's walk: its
-    flats of rank below C(e+2,2) are B's realizable sections with the same
-    kernel bases `realizable_sections` finds (a closure's rank is the depth
-    of the node that reaches it, so the deeper leaves change none of them),
-    its W_e nodes give the complements and V_d(B) condition (i).  A
+    The walk starts at `_root_walk` and gains each seed point, then each
+    chosen point, by `_extend_walk`.  The four basis conditions are checked
+    on the last step's walk: its flats of rank below C(e+2,2) are B's
+    realizable sections with the same kernel bases `realizable_sections`
+    finds (the walks of both ranks agree on the flats below the lower one),
+    its complement nodes give conditions (iii) and (iv) and V_d(B)
+    condition (i).  A
     mismatch is an internal defect; a success is kept on A as the verdict
     `nd_verify` returns for the chain.
     """
@@ -489,11 +518,14 @@ def grow_nd_chain(
         ordered_pool = list(pool)
         rng.shuffle(ordered_pool)
 
-    chain = list(b0_indices)
+    chain = []
+    walk = _root_walk(d)
+    for i in b0_indices:
+        walk = _extend_walk(walk, R, d, len(chain), i)
+        chain.append(i)
     blocked = []
     guard_trace = []
-    d_node = prefix_kernels(R[d], comb(d + 2, 2))
-    pairs, v_d_b, walk = _active_pairs(R, tuple(chain), d, sample, d_node)
+    pairs, v_d_b = _active_pairs(R, tuple(chain), d, sample, walk)
     guard_trace.append(_assert_guard(pairs, A.subset(chain), d, step=0))
     step = 0
     while len(chain) < target:
@@ -514,14 +546,20 @@ def grow_nd_chain(
                  "reason": "candidate pool exhausted inside forbidden regions"}
             )
             return GrowthResult(False, None, tuple(chain), tuple(blocked), tuple(guard_trace))
+        walk = _extend_walk(walk, R, d, len(chain), chosen)
         chain.append(chosen)
-        pairs, v_d_b, walk = _active_pairs(R, tuple(chain), d, sample, d_node)
+        pairs, v_d_b = _active_pairs(R, tuple(chain), d, sample, walk)
         guard_trace.append(_assert_guard(pairs, A.subset(chain), d, step=step))
 
     basis = BasisCandidate(A.subset(chain), d)
+
+    def sections(e, found):
+        bases = walk_bases(found, comb(e + 2, 2))
+        return _section_order((idx, bases[idx], node[2]) for idx, node in found.items())
+
+    _, walks = walk
     verdict = _verdict(
-        d, len(chain), v_d_b.dim,
-        ((e, _section_order(found), w_node) for e, found, w_node in walk),
+        d, len(chain), v_d_b.dim, ((e, sections(e, found)) for e, found in walks.items())
     )
     if not verdict.ok:
         raise InvariantViolation(

@@ -59,11 +59,12 @@ from .errors import HypothesisViolation, InvariantViolation
 from .linalg import (
     AffineFlat,
     _integer_row,
+    _primitive,
     flat_from_equations,
+    kernel_node,
     normalized_key,
     primitive,
     rank,
-    row_span,
 )
 from .ndfamilies import BasisCandidate, _basis_rows, nd_verify
 from .veronese import ambient_dim, spanned_curve
@@ -244,7 +245,12 @@ def build_pipeline(A: PointConfiguration, B, d: int | None = None) -> Projection
     # not walked again, its verdict is kept on A
     catalog = exceptional_catalog(A, b, d)
     n_amb = ambient_dim(d)
-    center = row_span(n_amb, basis_rows[d])
+    # the center's kernel node, made primitive, gives its normals as
+    # `row_span` would, and each exceptional join is stepped on from it
+    center_node = kernel_node(basis_rows[d], n_amb + 1)
+    center = AffineFlat(
+        n_amb, tuple(map(tuple, basis_rows[d])), tuple(map(_primitive, center_node[0]))
+    )
     if center.dim != n_amb - 3:
         raise InvariantViolation(
             "basis span is not codimension 3",
@@ -260,7 +266,11 @@ def build_pipeline(A: PointConfiguration, B, d: int | None = None) -> Projection
     t_points = []
     exceptional = set(d_indices)
     for e, vec in catalog:
-        joined = row_span(n_amb, curve_lift_flat(e, vec, d).rows + center.rows)
+        # the join's kernel node is the center's stepped by the curve's
+        # lift rows; its raw normals only test points by zero dot products
+        curve_rows = curve_lift_flat(e, vec, d).rows
+        normals, _ = kernel_node(curve_rows, n_amb + 1, center_node)
+        joined = AffineFlat(n_amb, curve_rows + center.rows, tuple(map(tuple, normals)))
         if joined.dim != n_amb - 2:
             raise InvariantViolation(
                 "exceptional span is not one above the center",
@@ -268,7 +278,7 @@ def build_pipeline(A: PointConfiguration, B, d: int | None = None) -> Projection
             )
         # the forms have rank 1 on the joined span, so every point of the
         # joined flat off the center projects to the same image point
-        probe = next((row for row in joined.rows if not center.contains_row(row)), None)
+        probe = next((row for row in curve_rows if not center.contains_row(row)), None)
         if probe is None:
             raise InvariantViolation(
                 "exceptional flat equals the center", {"curve": _curve_text(e, vec)}

@@ -192,9 +192,11 @@ def test_point_index_out_of_range_exit_2(octet, capsys, argv, bad):
      "--carrier"),
     (["construct", "--kind", "theorem8", "--d", "3", "--n", "9", "--m", "12", "--carrier", "7"],
      2, "--carrier"),
+    (["sweep", "--d", "2", "--n", "5", "--sizes", "9:8"], 2, "--sizes"),
+    (["sweep", "--d", "2", "--n", "5", "--sizes", "8-9"], 2, "--sizes"),
 ], ids=["theorem6-no-m", "theorem8-no-m-n", "random-no-count", "threshold-abc",
         "threshold-1/0", "degrees-empty", "degrees-0", "carrier-circle", "nd-grow-carrier-constant",
-        "theorem8-carrier-constant"])
+        "theorem8-carrier-constant", "sweep-sizes-reversed", "sweep-sizes-malformed"])
 def test_rejected_option_exits_with_name(octet, capsys, argv, code, name):
     # malformed input exits 2 and a violated hypothesis 3, with no traceback
     got, out, err = run([arg.format(octet=octet) for arg in argv], capsys)

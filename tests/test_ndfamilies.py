@@ -13,12 +13,14 @@ from ordcurves.bipoly import PlaneCurve, parse_poly, rational_points_on_curve
 from ordcurves.constructions import sample_configuration
 from ordcurves.determined import PointConfiguration, vanishing_dim
 from ordcurves.errors import HypothesisViolation
-from ordcurves.linalg import affine_rank, kernel, prefix_kernels, primitive, rank, row_span
+from ordcurves.linalg import AffineFlat, affine_rank, kernel, primitive, rank, row_span
 from ordcurves.ndfamilies import (
     BasisCandidate,
     ForbiddenRegion,
     _active_pairs,
     _degree_rows,
+    _extend_walk,
+    _root_walk,
     count_spanning_subsets,
     forbidden_region_membership,
     grow_nd_chain,
@@ -414,6 +416,22 @@ def _carrier_grow():
     return A, grow_nd_chain(A, [15], c0, 3, seed=0), 1, sample
 
 
+def _walks_along(R, chain, d):
+    """The grower's walk of every prefix of the chain, the empty one first,
+    as (prefix, walk) pairs; each walk is spent by the next step."""
+    walk = _root_walk(d)
+    yield (), walk
+    for m, i in enumerate(chain):
+        walk = _extend_walk(walk, R, d, m, i)
+        yield tuple(chain[:m + 1]), walk
+
+
+def _primitive_flat(flat):
+    """The flat with its normals made primitive, as `row_span` gives them:
+    a flat's raw kernel basis made primitive is `kernel` of its rows."""
+    return AffineFlat(flat.ambient_dim, flat.rows, tuple(primitive(v) for v in flat.normals))
+
+
 @pytest.mark.parametrize("grow", [_octet_grow, _random_general_grow, _carrier_grow],
                          ids=["octet-d2", "random_general-d3", "carrier-d3"])
 def test_grow_regions_match_subset_scan(grow):
@@ -421,20 +439,30 @@ def test_grow_regions_match_subset_scan(grow):
     assert res.success
     d = A.d
     R = _degree_rows(A, d)
-    d_node = prefix_kernels(R[d], comb(d + 2, 2))
-    for step in range(seed_size, len(res.chain) + 1):
-        b = res.chain[:step]
-        pairs, _, _ = _active_pairs(R, b, d, sample, d_node)
+    for b, walk in _walks_along(R, res.chain, d):
+        if len(b) < seed_size:
+            continue
+        pairs, _ = _active_pairs(R, b, d, sample, walk)
         quantities = [(e, region.quantities) for e, _, region in pairs]
+        # the grower's normals are raw kernel vectors; made primitive they
+        # are the subset scan's
         regions = [
-            (e, q.v_e, q.w_e, q.alpha, q.beta, q.gamma, q.mu, q.tau) for e, q in quantities
+            (e, _primitive_flat(q.v_e), _primitive_flat(q.w_e), q.alpha, q.beta, q.gamma,
+             q.mu, q.tau)
+            for e, q in quantities
         ]
         assert len(set(regions)) == len(regions)  # one region per flat
         assert set(regions) == _regions_by_subset_scan(A, b, d, sample)
+        B = A.subset(b)
         for e, idx, region in pairs:
             # D is a flat's positions in b: the points of B in V_e
-            in_v = [k for k, i in enumerate(b) if region.quantities.v_e.contains_row(R[e][i])]
+            q = region.quantities
+            in_v = [k for k, i in enumerate(b) if q.v_e.contains_row(R[e][i])]
             assert list(idx) == in_v
+            # the spanning rows too, which normals alone do not pin: V_e's
+            # are D's and W_e's the rest of B's, as `nd_quantities` takes them
+            by_d = nd_quantities(B, [B[k] for k in idx], e, d)
+            assert (q.v_e.rows, q.w_e.rows) == (by_d.v_e.rows, by_d.w_e.rows)
 
 
 def test_complement_spans_take_no_bareiss_per_section(monkeypatch):
@@ -461,9 +489,8 @@ def test_complement_spans_take_no_bareiss_per_section(monkeypatch):
     assert nd_verify(PointConfiguration.from_points(A.points, 3), list(res.chain), 3).ok
     assert calls == {"rank": 1, "row_span": 0}  # condition (i) only
     R = _degree_rows(A, 3)
-    d_node = prefix_kernels(R[3], comb(3 + 2, 2))
-    for step in range(len(res.chain) + 1):
-        _active_pairs(R, res.chain[:step], 3, None, d_node)
+    for b, walk in _walks_along(R, res.chain, 3):
+        _active_pairs(R, b, 3, None, walk)
     assert calls == {"rank": 1, "row_span": 0}  # V_d(B) is one step from its prefix
 
 
@@ -482,12 +509,24 @@ def test_grown_v_d_b_equals_row_span():
     for A, res in _grown_instances():
         d = A.d
         R = _degree_rows(A, d)
-        d_node = prefix_kernels(R[d], comb(d + 2, 2))
-        for step in range(len(res.chain) + 1):
-            b = res.chain[:step]
-            _, v_d_b, _ = _active_pairs(R, b, d, None, d_node)
+        for b, walk in _walks_along(R, res.chain, d):
+            _, v_d_b = _active_pairs(R, b, d, None, walk)
             span = row_span(ambient_dim(d), [R[d][i] for i in b])
-            assert (v_d_b.rows, v_d_b.normals, v_d_b.dim) == (span.rows, span.normals, span.dim)
+            assert (v_d_b.rows, v_d_b.dim) == (span.rows, span.dim)
+            assert _primitive_flat(v_d_b).normals == span.normals
+
+
+# (chain, guard_trace, blocked) of each `_grown_instances` grow, recorded
+# before the grower took its flats walk one row per step
+GROWN_PINS = [((6, 7, 2), (6, 6, 6, 5), ())] + [
+    ((8, 9, 1, 2, 5, 3, 7), (9,) * 7 + (8,), ()),
+    ((6, 8, 10, 7, 5, 3, 0), (9,) * 7 + (8,), ()),
+] * 8 + [((15, 1, 10, 9, 5, 3, 4), (9,) * 6 + (8,), ())]
+
+
+def test_grown_instances_are_pinned():
+    grown = [(res.chain, res.guard_trace, res.blocked) for _, res in _grown_instances()]
+    assert grown == GROWN_PINS
 
 
 def test_grown_verdict_equals_fresh_verify():
@@ -506,29 +545,31 @@ def test_grown_verdict_equals_fresh_verify():
     assert grown == 18
 
 
-def _count_flats(monkeypatch):
-    # every flats walk, as the name of the function that asked for it
+def _count_calls(monkeypatch, name="flats"):
+    # every call of a walk function, as the name of the function that made it
     callers = []
-    real = ndfamilies.flats
+    real = getattr(ndfamilies, name)
 
     def counted(*args, **kwargs):
         callers.append(sys._getframe(1).f_code.co_name)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(ndfamilies, "flats", counted)
+    monkeypatch.setattr(ndfamilies, name, counted)
     return callers
 
 
 def test_chain_walks_its_basis_once(monkeypatch):
     A = sample_configuration("random_general", seed=3000, count=11, d=3, genericity=3).config
-    callers = _count_flats(monkeypatch)
+    walks = _count_calls(monkeypatch)
+    steps = _count_calls(monkeypatch, "flats_step")
     res = grow_nd_chain(A, [], None, 3, seed=0)
     assert res.success
     assert nd_verify(A, list(res.chain), 3).ok
     state = build_pipeline(A, list(res.chain), 3)
     curves_from_basis(A, list(res.chain), 3, state=state)
-    # one walk per degree e < d at each grow step and at the seed, none after
-    assert callers == ["_active_pairs"] * (3 - 1) * (len(res.chain) + 1)
+    # no whole walk: one extend step per degree e < d at each chain point
+    assert walks == []
+    assert len(steps) == (3 - 1) * len(res.chain)
 
 
 def test_verdict_memo_keeps_one_basis(monkeypatch):
@@ -537,7 +578,7 @@ def test_verdict_memo_keeps_one_basis(monkeypatch):
     b2 = list(grow_nd_chain(A, [], None, 3, seed=1).chain)
     assert b1 != b2
     fresh = PointConfiguration.from_points(A.points, 3)
-    callers = _count_flats(monkeypatch)
+    callers = _count_calls(monkeypatch)
     for b in (b1, b2, b1):
         assert nd_verify(fresh, b, 3).ok
     # B2 takes B1's place, so the second B1 walks again
