@@ -37,8 +37,6 @@ from .errors import HypothesisViolation, InputFormatError, InvariantViolation
 from .linalg import AffineFlat, flat_span, nullspace, rank
 from .ndfamilies import (
     BasisCandidate,
-    count_spanning_subsets,
-    forbidden_region_membership,
     grow_nd_chain,
     nd_quantities,
     nd_verify,
@@ -78,12 +76,10 @@ __all__ = [
     "construct_theorem6",
     "construct_theorem8",
     "contained_in_curve",
-    "count_spanning_subsets",
     "curves_from_basis",
     "enumerate_determined",
     "exceptional_catalog",
     "flat_span",
-    "forbidden_region_membership",
     "grow_nd_chain",
     "lift",
     "max_curve_richness",

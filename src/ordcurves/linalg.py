@@ -18,10 +18,10 @@ node that reached it; the basis verifier's sections and the exceptional
 catalog are built on it.  For a growing row list, `flats_step` turns the
 walk of the rows so far into the walk with one more row in one pass over
 its flats, the same flats with the same bases, each flat also carrying the
-kernel node of its complement's rows in a second row list; the grower's
-forbidden regions are built on it.  `prefix_kernels` gives the kernel node
-of any index tuple, one step from the memoized node of its prefix; the
-verifier's complement spans are built on it.  `nullspace` is the Fraction
+kernel node of its complement's rows in a second row list; the grower
+reads its forbidden regions off those kernel bases.  `prefix_kernels`
+gives the kernel node of any index tuple, one step from the memoized node
+of its prefix; the verifier's complement spans are built on it.  `nullspace` is the Fraction
 view of `kernel`, through `normalized`, the package's one
 first-nonzero-is-1 scaling; `normalized_key` sorts primitive vectors in the
 order of their normalized forms by integer arithmetic.
@@ -379,7 +379,8 @@ class AffineFlat:
     the flat exactly when (1, z) is orthogonal to every normal.  `row_span`
     takes the primitive one (`kernel`), which depends on the flat only, so
     such flats compare by it; a flat given a raw kernel node's basis, as the
-    grower's regions are, is only tested for membership and dimension.
+    projection's exceptional joins are, is only tested for membership and
+    dimension.
     """
 
     ambient_dim: int

@@ -39,9 +39,13 @@ once with `linalg.flats` and takes each complement's node from
 grower's B gains one point a step, so it keeps its walk between steps and
 extends it by the new point (`linalg.flats_step`): one pass over the flats
 of each degree e, each flat carrying its complement's node, and V_d(B)'s
-node gains one `kernel_step`.  A region's normals are those raw kernel
-vectors, as a region is only tested by zero dot products.  A configuration
-keeps only the verdict of the last basis verified or grown on it.
+node gains one `kernel_step`.  The grower builds no region object: one pass
+over the walk reads each region's quantities off the lengths of the V_e
+and W_e kernel bases and keeps those raw bases as its membership tests,
+since a region only tests points by zero dot products.  Every region holds
+V_d(B), so a candidate is tested against V_d(B) once, and a region with
+alpha < 0 holds nothing more.  A configuration keeps only the verdict of
+the last basis verified or grown on it.
 """
 
 from __future__ import annotations
@@ -49,13 +53,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 
 from .bipoly import PlaneCurve, rational_points_on_curve
-from .determined import PointConfiguration, contained_in_curve
+from .determined import PointConfiguration
 from .errors import HypothesisViolation, InvariantViolation
 from .linalg import (
-    AffineFlat, flats, flats_root, flats_step, kernel_leaves, kernel_root, kernel_step,
-    prefix_kernels, rank, row_span, walk_bases,
+    AffineFlat, flats, flats_root, flats_step, kernel_root, kernel_step, prefix_kernels, rank,
+    row_span, walk_bases,
 )
 from .veronese import ambient_dim, as_point, integer_lift
 
@@ -101,12 +106,13 @@ def _degree_rows(source, d: int) -> dict:
     return {e: tuple(integer_lift(p, e) for p in points) for e in range(1, d + 1)}
 
 
-def _quantities(n_b: int, v_e, w_e, gamma: int, e: int, d: int) -> NdQuantities:
-    """`nd_quantities` from the spans: |B| = n_b, v_e is the span of D's
-    degree-e rows, gamma the number of points of B in v_e and w_e the span
-    of the other points' degree-(d-e) rows."""
-    alpha = comb(e + 2, 2) - 2 - v_e.dim
-    beta = comb(d - e + 2, 2) - 3 - w_e.dim
+def _quantities(n_b: int, dim_v: int, dim_w: int, gamma: int, e: int, d: int) -> tuple:
+    """(alpha, beta, mu, tau) of D inside B at split degree e: |B| = n_b,
+    dim_v is the dimension of the span V_e of D's degree-e rows, gamma the
+    number of points of B in V_e and dim_w the dimension of the span W_e of
+    the other points' degree-(d-e) rows."""
+    alpha = comb(e + 2, 2) - 2 - dim_v
+    beta = comb(d - e + 2, 2) - 3 - dim_w
     mu = 0 if alpha < 0 else alpha + gamma + comb(d - e + 2, 2)
     section_cut = comb(d + 2, 2) - comb(d - e + 2, 2) - 1
     if min(alpha, beta) < 0 or gamma > section_cut:
@@ -115,7 +121,7 @@ def _quantities(n_b: int, v_e, w_e, gamma: int, e: int, d: int) -> NdQuantities:
         tau = alpha + beta + n_b + 2
     else:
         tau = alpha + beta + n_b + 3
-    return NdQuantities(d, e, v_e, w_e, alpha, beta, gamma, mu, tau)
+    return alpha, beta, mu, tau
 
 
 def nd_quantities(B, D, e: int, d: int) -> NdQuantities:
@@ -131,33 +137,9 @@ def nd_quantities(B, D, e: int, d: int) -> NdQuantities:
     v_e = row_span(ambient_dim(e), [R[e][position[p]] for p in D])
     rest = [row_w for row, row_w in zip(R[e], R[d - e]) if not v_e.contains_row(row)]
     w_e = row_span(ambient_dim(d - e), rest)
-    return _quantities(len(B), v_e, w_e, len(B) - len(rest), e, d)
-
-
-@dataclass(frozen=True)
-class ForbiddenRegion:
-    """Point membership in U_e(B, D): up to three lift-flat pullbacks."""
-
-    quantities: NdQuantities
-    v_d_b: AffineFlat
-
-    def contains(self, R, i: int) -> bool:
-        """Whether point i lies in the region; R[k][i] is its degree-k row."""
-        q = self.quantities
-        if self.v_d_b.contains_row(R[q.d][i]):
-            return True
-        if q.alpha < 0:
-            return False
-        return q.v_e.contains_row(R[q.e][i]) or (
-            q.beta >= 0 and q.w_e.contains_row(R[q.d - q.e][i])
-        )
-
-
-def forbidden_region_membership(B, D, e: int, d: int, pt) -> bool:
-    """Whether pt lies in the forbidden region U_e(B, D)."""
-    v_d_b = row_span(ambient_dim(d), [integer_lift(b, d) for b in B])
-    region = ForbiddenRegion(nd_quantities(B, D, e, d), v_d_b)
-    return region.contains(_degree_rows([pt], d), 0)
+    gamma = len(B) - len(rest)
+    alpha, beta, mu, tau = _quantities(len(B), v_e.dim, w_e.dim, gamma, e, d)
+    return NdQuantities(d, e, v_e, w_e, alpha, beta, gamma, mu, tau)
 
 
 def _section_order(found) -> list:
@@ -340,50 +322,65 @@ def _extend_walk(walk, R, d: int, m: int, i: int):
     return kernel_step(d_node, R[d][i]) or d_node, walks
 
 
-def _active_pairs(R, b, d: int, sample, walk):
-    """I(B, C0) and V_d(B): the (e, D, region) triples where C0 is not
-    inside the region.
+def _holds(basis, row) -> bool:
+    """Whether the flat with the raw kernel basis holds the point with the
+    homogeneous row: every dot product is 0.  `map` stops at the row's end,
+    so a basis still carrying its dots with rows needs no copy.
 
-    B is the index tuple b into the rows R (R[k][i] is point i's degree-k
-    row), and `walk` the chain's walk (`_extend_walk`): V_d(B) is its node,
-    and each flat of B's degree-e rows carries its kernel basis, V_e's
-    normals, and the kernel node of the rest of B's degree-(d-e) rows,
-    W_e's.  Two subsets D with the same span V_e give the same region, so D
-    runs over those flats, each once, as its positions in b: the points of B
-    in V_e.  The normals are raw kernel vectors, not made primitive, since a
-    region only tests points by zero dot products.  `sample` holds the
-    carrier sample's rows in the same layout; with no carrier (C0 = the
-    whole plane, `sample` None), every pair is active because a region is
-    covered by at most three curves.
+    A flat of no points (V_e of the empty flat, W_e when D = B, V_d of the
+    empty chain) has the identity as its basis, and no `integer_lift` row
+    is orthogonal to it, since the row's first entry Z^e is positive; so
+    unlike `AffineFlat.contains_row` this needs no test of the flat's rows.
+    """
+    return all(sum(map(mul, k, row)) == 0 for k in basis)
+
+
+def _active_flats(walk, n_b: int, d: int, sample):
+    """The flats of the grower's walk whose region is active, as (e, D, V_e
+    basis, W_e basis, alpha, beta, gamma, mu, tau).
+
+    `walk` is the walk of a chain of n_b points (`_extend_walk`).  Each
+    flat of B's degree-e rows gives one region U_e(B, D) (module
+    docstring): D is the flat, the points of B in V_e, as positions in the
+    chain; V_e's basis is the flat's kernel basis, still carrying its dots,
+    and W_e's the kernel basis of the flat's complement node, so their
+    dimensions are read off the lengths of those bases.  `sample` holds the
+    carrier sample's rows by degree, and a region holding every sample
+    point is inactive.  Every region holds V_d(B), so only the sample
+    points outside V_d(B) are tested against the rest of a region: alpha
+    >= 0 and (V_e, or beta >= 0 and W_e).  With no carrier (C0 = the whole
+    plane, `sample` None) every region is active, as a region is covered
+    by at most three curves.
     """
     d_node, walks = walk
-    v_d_b = AffineFlat(ambient_dim(d), tuple(R[d][i] for i in b), tuple(map(tuple, d_node[0])))
-    sample_size = 0 if sample is None else len(sample[d])
-    out = []
+    outside = None if sample is None else [
+        k for k, row in enumerate(sample[d]) if not _holds(d_node[0], row)
+    ]
     for e, found in walks.items():
-        n_cols = comb(e + 2, 2)
-        rows_e = [R[e][i] for i in b]
-        rows_w = [R[d - e][i] for i in b]
-        for idx, (basis, _, w_node) in found.items():
-            v_e = AffineFlat(
-                ambient_dim(e), tuple([rows_e[k] for k in idx]),
-                tuple([tuple(k[:n_cols]) for k in basis]),
+        n_v, n_w = comb(e + 2, 2), comb(d - e + 2, 2)
+        for idx, (v, _, (w, _)) in found.items():
+            gamma = len(idx)
+            alpha, beta, mu, tau = _quantities(
+                n_b, n_v - 1 - len(v), n_w - 1 - len(w), gamma, e, d
             )
-            rest = rows_w.copy()
-            for k in reversed(idx):
-                del rest[k]
-            w_e = AffineFlat(ambient_dim(d - e), tuple(rest), tuple(map(tuple, w_node[0])))
-            region = ForbiddenRegion(_quantities(len(b), v_e, w_e, len(idx), e, d), v_d_b)
-            if sample is not None and all(
-                region.contains(sample, k) for k in range(sample_size)
+            if outside is not None and all(
+                alpha >= 0
+                and (_holds(v, sample[e][k]) or beta >= 0 and _holds(w, sample[d - e][k]))
+                for k in outside
             ):
                 continue
-            out.append((e, idx, region))
-    return out, v_d_b
+            yield e, idx, v, w, alpha, beta, gamma, mu, tau
 
 
-def _assert_guard(pairs, B_pts, d: int, step: int) -> int:
-    """Check the growth guard and return the step's max(tau, mu).
+def _regions(A: PointConfiguration, chain, d: int, sample, walk, step: int):
+    """The step's regions, read off the chain's walk in one pass over its
+    active flats (`_active_flats`), with the growth guard checked.
+
+    Returns (V_d(B)'s kernel basis, tests, max(tau, mu)).  `tests` holds
+    (e, V_e basis, W_e basis, or None when beta < 0) for the active regions
+    with alpha >= 0; a region with alpha < 0 holds nothing beyond V_d(B).
+    With no active region nothing is forbidden, and V_d(B)'s basis is
+    None.
 
     The strict bound max(tau, mu) < C(d+2,2) holds at every step for d >= 3
     and for completed sets at d = 2.  At d = 2 a growing set of fewer than
@@ -392,13 +389,10 @@ def _assert_guard(pairs, B_pts, d: int, step: int) -> int:
     enforced bound during d = 2 growth is non-strict.
     """
     bound = comb(d + 2, 2)
-    completed = len(B_pts) >= comb(d + 2, 2) - 3
-    strict = d >= 3 or completed
-    worst = 0
-    for e, idx, region in pairs:
-        q = region.quantities
-        value = max(q.tau, q.mu)
-        worst = max(worst, value)
+    strict = d >= 3 or len(chain) >= bound - 3
+    worst, tests = -1, []
+    for e, idx, v, w, alpha, beta, _, mu, tau in _active_flats(walk, len(chain), d, sample):
+        value = max(tau, mu)
         if value > bound or (strict and value == bound):
             raise InvariantViolation(
                 GUARD_NAME,
@@ -406,15 +400,31 @@ def _assert_guard(pairs, B_pts, d: int, step: int) -> int:
                     "step": step,
                     "d": d,
                     "e": e,
-                    "B": [[str(x), str(y)] for x, y in B_pts],
+                    "B": [[str(x), str(y)] for x, y in A.subset(chain)],
                     "D": list(idx),
-                    "tau": q.tau,
-                    "mu": q.mu,
+                    "tau": tau,
+                    "mu": mu,
                     "bound": bound,
                     "strict": strict,
                 },
             )
-    return worst
+        worst = max(worst, value)
+        if alpha >= 0:
+            tests.append((e, v, w if beta >= 0 else None))
+    return (walk[0][0] if worst >= 0 else None), tests, max(worst, 0)
+
+
+def _forbidden(R, d: int, i: int, v_d, tests) -> bool:
+    """Whether point i lies in one of the step's regions (`_regions`):
+    V_d(B) is tested once, then each region's V_e and W_e.  R[k][i] is the
+    point's degree-k row."""
+    return v_d is not None and (
+        _holds(v_d, R[d][i])
+        or any(
+            _holds(v, R[e][i]) or (w is not None and _holds(w, R[d - e][i]))
+            for e, v, w in tests
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -445,20 +455,20 @@ def grow_nd_chain(
     """Greedy basis construction by forbidden-region avoidance.
 
     Without a carrier, grows from the empty set over all of A; with an
-    irreducible carrier C0 of degree d-f, grows a seed B0 of C(f+2,2) points
-    off C0 (not on any curve of degree <= f) using candidates on C0 only.
-    Candidate order is an explicit index sequence of distinct indices or a
-    seeded shuffle, so failures reproduce exactly.
+    irreducible carrier C0 of degree d-f, grows a seed B0 of C(f+2,2)
+    indices into A, points off C0 (not on any curve of degree <= f), using
+    candidates on C0 only.  Candidate order is an explicit index sequence
+    of distinct indices or a seeded shuffle, so failures reproduce exactly.
 
     The walk starts at `_root_walk` and gains each seed point, then each
-    chosen point, by `_extend_walk`.  The four basis conditions are checked
-    on the last step's walk: its flats of rank below C(e+2,2) are B's
-    realizable sections with the same kernel bases `realizable_sections`
-    finds (the walks of both ranks agree on the flats below the lower one),
-    its complement nodes give conditions (iii) and (iv) and V_d(B)
-    condition (i).  A
-    mismatch is an internal defect; a success is kept on A as the verdict
-    `nd_verify` returns for the chain.
+    chosen point, by `_extend_walk`; after each, `_regions` reads the
+    step's regions off it and `_forbidden` tests the candidates.  The four
+    basis conditions are checked on the last step's walk: its flats of rank
+    below C(e+2,2) are B's realizable sections with the same kernel bases
+    `realizable_sections` finds (the walks of both ranks agree on the flats
+    below the lower one), its complement nodes give conditions (iii) and
+    (iv) and V_d(B) condition (i).  A mismatch is an internal defect; a
+    success is kept on A as the verdict `nd_verify` returns for the chain.
     """
     if d < 2:
         raise HypothesisViolation("d >= 2", f"d={d}")
@@ -489,6 +499,9 @@ def grow_nd_chain(
                 "|B0| = C(f+2,2)",
                 f"got {len(b0_indices)}, expected {comb(f + 2, 2)} at f={f}",
             )
+        bad = [i for i in b0_indices if not 0 <= i < len(A)]
+        if bad:
+            raise HypothesisViolation("seed index in range", f"index {bad[0]} outside [0, {len(A)})")
         if any(c0.contains(p) for p in A.subset(b0_indices)):
             raise HypothesisViolation("B0 disjoint from carrier", "seed point on C0")
         if len(set(b0_indices)) != len(b0_indices):
@@ -524,9 +537,8 @@ def grow_nd_chain(
         walk = _extend_walk(walk, R, d, len(chain), i)
         chain.append(i)
     blocked = []
-    guard_trace = []
-    pairs, v_d_b = _active_pairs(R, tuple(chain), d, sample, walk)
-    guard_trace.append(_assert_guard(pairs, A.subset(chain), d, step=0))
+    v_d, tests, worst = _regions(A, chain, d, sample, walk, 0)
+    guard_trace = [worst]
     step = 0
     while len(chain) < target:
         step += 1
@@ -535,7 +547,7 @@ def grow_nd_chain(
         for i in ordered_pool:
             if i in chain:
                 continue
-            if any(region.contains(R, i) for _, _, region in pairs):
+            if _forbidden(R, d, i, v_d, tests):
                 rejected.append(i)
                 continue
             chosen = i
@@ -548,8 +560,8 @@ def grow_nd_chain(
             return GrowthResult(False, None, tuple(chain), tuple(blocked), tuple(guard_trace))
         walk = _extend_walk(walk, R, d, len(chain), chosen)
         chain.append(chosen)
-        pairs, v_d_b = _active_pairs(R, tuple(chain), d, sample, walk)
-        guard_trace.append(_assert_guard(pairs, A.subset(chain), d, step=step))
+        v_d, tests, worst = _regions(A, chain, d, sample, walk, step)
+        guard_trace.append(worst)
 
     basis = BasisCandidate(A.subset(chain), d)
 
@@ -557,9 +569,10 @@ def grow_nd_chain(
         bases = walk_bases(found, comb(e + 2, 2))
         return _section_order((idx, bases[idx], node[2]) for idx, node in found.items())
 
-    _, walks = walk
+    d_node, walks = walk
     verdict = _verdict(
-        d, len(chain), v_d_b.dim, ((e, sections(e, found)) for e, found in walks.items())
+        d, len(chain), comb(d + 2, 2) - 1 - len(d_node[0]),
+        ((e, sections(e, found)) for e, found in walks.items()),
     )
     if not verdict.ok:
         raise InvariantViolation(
@@ -569,23 +582,3 @@ def grow_nd_chain(
     _keep(A, (tuple(chain), d), verdict)
     return GrowthResult(True, basis, tuple(chain), tuple(blocked), tuple(guard_trace))
 
-
-def count_spanning_subsets(A: PointConfiguration, e: int) -> int:
-    """Subsets of size C(e+2,2) not contained in any curve of degree <= e."""
-    if e == 0:
-        return len(A)
-    if e < 0:
-        raise HypothesisViolation("e >= 0", f"e={e}")
-    contained, witness = contained_in_curve(A, e)
-    if contained:
-        raise HypothesisViolation(
-            "A not contained in a degree-<=e curve", f"witness {witness}"
-        )
-    size = comb(e + 2, 2)
-    count = sum(1 for _ in kernel_leaves(A.homogeneous_lifts(e), size, kernel_root(size)))
-    if count * 2 ** (size - 1) < len(A):
-        raise InvariantViolation(
-            "spanning-subset count below |A| / 2^(C(e+2,2)-1)",
-            {"e": e, "count": count, "n_points": len(A)},
-        )
-    return count

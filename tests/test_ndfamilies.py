@@ -11,18 +11,20 @@ import pytest
 from ordcurves import ndfamilies
 from ordcurves.bipoly import PlaneCurve, parse_poly, rational_points_on_curve
 from ordcurves.constructions import sample_configuration
-from ordcurves.determined import PointConfiguration, vanishing_dim
+from ordcurves.determined import PointConfiguration, contained_in_curve, vanishing_dim
 from ordcurves.errors import HypothesisViolation
-from ordcurves.linalg import AffineFlat, affine_rank, kernel, primitive, rank, row_span
+from ordcurves.linalg import (
+    AffineFlat, affine_rank, kernel, kernel_leaves, kernel_root, primitive, rank, row_span,
+)
 from ordcurves.ndfamilies import (
     BasisCandidate,
-    ForbiddenRegion,
-    _active_pairs,
+    NdQuantities,
+    _active_flats,
     _degree_rows,
     _extend_walk,
+    _forbidden,
+    _regions,
     _root_walk,
-    count_spanning_subsets,
-    forbidden_region_membership,
     grow_nd_chain,
     nd_quantities,
     nd_verify,
@@ -96,9 +98,47 @@ def test_quantities_reject_bad_e():
         nd_quantities(TRIPLE, [], 2, 2)
 
 
+def _reference_holds(q, v_d_b, R, i):
+    """The region rule on `nd_quantities`: point i, whose degree-k row is
+    R[k][i], lies in U_e(B, D) when it lies in V_d(B), or alpha >= 0 and it
+    lies in V_e, or beta >= 0 and in W_e."""
+    if v_d_b.contains_row(R[q.d][i]):
+        return True
+    return q.alpha >= 0 and (
+        q.v_e.contains_row(R[q.e][i]) or (q.beta >= 0 and q.w_e.contains_row(R[q.d - q.e][i]))
+    )
+
+
+def _region_membership(B, D, e, d, pt):
+    """Whether pt lies in the forbidden region U_e(B, D), by `_reference_holds`."""
+    v_d_b = row_span(ambient_dim(d), [integer_lift(b, d) for b in B])
+    return _reference_holds(nd_quantities(B, D, e, d), v_d_b, _degree_rows([pt], d), 0)
+
+
+def _triple_step(points, sample=None):
+    """The grower's regions at d = 2 once B = TRIPLE, on TRIPLE + points:
+    the rows, the active flats and `_regions`."""
+    A = PointConfiguration.from_points(TRIPLE + points, 2)
+    R = _degree_rows(A, 2)
+    _, walk = list(_walks_along(R, (0, 1, 2), 2))[-1]
+    active = list(_active_flats(walk, 3, 2, sample))
+    return R, active, _regions(A, [0, 1, 2], 2, sample, walk, 3)
+
+
 def test_forbidden_region_contains_basis():
     for b in TRIPLE:
-        assert forbidden_region_membership(TRIPLE, [TRIPLE[0]], 1, 2, b)
+        assert _region_membership(TRIPLE, [TRIPLE[0]], 1, 2, b)
+    # the grower's test of V_d(B) alone forbids B too
+    R, _, (v_d, _, _) = _triple_step([])
+    assert all(_forbidden(R, 2, k, v_d, []) for k in range(3))
+
+
+def test_no_active_region_forbids_nothing():
+    # a carrier sample inside V_d(B) lies in every region, so none is
+    # active, and not even V_d(B) is forbidden
+    R, active, (v_d, tests, worst) = _triple_step([(5, 7)], _degree_rows(TRIPLE, 2))
+    assert (active, v_d, tests, worst) == ([], None, [], 0)
+    assert not any(_forbidden(R, 2, i, v_d, tests) for i in range(4))
 
 
 def test_forbidden_region_alpha_negative_reduces_to_span():
@@ -108,21 +148,30 @@ def test_forbidden_region_alpha_negative_reduces_to_span():
     rng = random.Random(9)
     for _ in range(30):
         pt = (rng.randint(-7, 7), rng.randint(-7, 7))
-        direct = forbidden_region_membership(TRIPLE, TRIPLE, 1, 2, pt)
+        direct = _region_membership(TRIPLE, TRIPLE, 1, 2, pt)
         from ordcurves.linalg import flat_span
         v_db = flat_span([lift(p, 2) for p in TRIPLE], 5)
         assert direct == v_db.contains(lift(pt, 2))
+    # the grower keeps a test for each active region but that one, whose
+    # flat is all of B
+    _, active, (_, tests, _) = _triple_step([])
+    assert [idx for _, idx, _, _, alpha, *_ in active if alpha < 0] == [(0, 1, 2)]
+    assert len(tests) == len(active) - 1
 
 
 def test_forbidden_region_point_outside():
     found = None
     for x in range(2, 30):
         pt = (x, x + 11)
-        if not any(
-            forbidden_region_membership(TRIPLE, list(D), 1, 2, pt)
+        outside = not any(
+            _region_membership(TRIPLE, list(D), 1, 2, pt)
             for size in range(0, 4)
             for D in combinations(TRIPLE, size)
-        ):
+        )
+        # the grower's regions are those of every D, and forbid pt alike
+        R, _, (v_d, tests, _) = _triple_step([pt])
+        assert _forbidden(R, 2, 3, v_d, tests) == (not outside)
+        if outside:
             found = pt
             break
     assert found is not None
@@ -288,6 +337,22 @@ def test_grow_rejects_bad_seed():
         grow_nd_chain(A, [0], c0, 2, seed=0)
 
 
+def _carrier_config():
+    """The carrier golden's points at d = 3, and the carrier y = x^3."""
+    golden = Path(__file__).resolve().parent / "golden" / "carrier_points.json"
+    points = [tuple(Fraction(x) for x in p) for p in json.loads(golden.read_text())["points"]]
+    return PointConfiguration.from_points(points, 3), PlaneCurve.from_poly(parse_poly("y - x^3"))
+
+
+def test_grow_rejects_seed_index_out_of_range():
+    # a negative index would wrap to the last point and one past |A| raise a
+    # raw IndexError; both are refused by name, as a basis index is
+    A, c0 = _carrier_config()
+    for bad in (-1, len(A)):
+        with pytest.raises(HypothesisViolation, match="seed index in range"):
+            grow_nd_chain(A, [bad], c0, 3, seed=0)
+
+
 def test_grow_explicit_order_reproducible():
     A = PointConfiguration.from_points(OCTET, 2)
     order = [3, 4, 5, 6, 7, 0, 1, 2]
@@ -296,20 +361,24 @@ def test_grow_explicit_order_reproducible():
     assert r1.chain == r2.chain
 
 
+def _spanning_subsets(A, e):
+    """Subsets of size C(e+2,2) on no curve of degree <= e: the leaves of the
+    prefix tree over the points' degree-e rows, the degree-0 row being (1,)."""
+    size = comb(e + 2, 2)
+    rows = A.homogeneous_lifts(e) if e else [(1,)] * len(A)
+    return sum(1 for _ in kernel_leaves(rows, size, kernel_root(size)))
+
+
 def test_count_spanning_subsets():
-    assert count_spanning_subsets(
-        PointConfiguration.from_points([(0, 0), (1, 0), (0, 1), (1, 1)], 1), 1
-    ) == 4
-    assert count_spanning_subsets(
-        PointConfiguration.from_points([(0, 0), (1, 0), (2, 0), (0, 1)], 1), 1
-    ) == 3
-    assert count_spanning_subsets(
-        PointConfiguration.from_points([(0, 0), (1, 0), (2, 0), (0, 1)], 1), 0
-    ) == 4
-    with pytest.raises(HypothesisViolation):
-        count_spanning_subsets(
-            PointConfiguration.from_points([(0, 0), (1, 0), (2, 0)], 1), 1
-        )
+    square = PointConfiguration.from_points([(0, 0), (1, 0), (0, 1), (1, 1)], 1)
+    assert not contained_in_curve(square, 1)[0]
+    assert _spanning_subsets(square, 1) == 4
+    three_on_line = PointConfiguration.from_points([(0, 0), (1, 0), (2, 0), (0, 1)], 1)
+    assert not contained_in_curve(three_on_line, 1)[0]
+    assert _spanning_subsets(three_on_line, 1) == 3
+    assert _spanning_subsets(three_on_line, 0) == 4
+    # a set on a line has no spanning subset to count
+    assert contained_in_curve(PointConfiguration.from_points([(0, 0), (1, 0), (2, 0)], 1), 1)[0]
 
 
 def test_seed_guard_bound_all_subsets():
@@ -378,42 +447,52 @@ def test_dimension_dichotomy_with_curve_samples():
 
 
 def _regions_by_subset_scan(A, b, d, sample):
-    """Distinct (e, v_e, w_e, alpha, beta, gamma, mu, tau) over all 2^|b|
-    subsets D of B, from `nd_quantities`, less the regions holding the
-    whole carrier sample."""
+    """V_d(B) and the active regions over all 2^|b| subsets D of B, from
+    `nd_quantities`: each distinct (e, D's closure as positions in b,
+    primitive V_e and W_e normals, alpha, beta, gamma, mu, tau) maps to its
+    quantities, less the regions holding the whole carrier sample by
+    `_reference_holds`."""
     B = A.subset(b)
-    v_d_b = row_span(ambient_dim(d), [integer_lift(p, d) for p in B])
-    out = set()
+    R = _degree_rows(A, d)
+    v_d_b = row_span(ambient_dim(d), [R[d][i] for i in b])
+    out = {}
     for e in range(1, d):
         for size in range(len(B) + 1):
             for idx in combinations(range(len(B)), size):
                 q = nd_quantities(B, [B[i] for i in idx], e, d)
                 if sample is not None and all(
-                    ForbiddenRegion(q, v_d_b).contains(sample, k)
-                    for k in range(len(sample[d]))
+                    _reference_holds(q, v_d_b, sample, k) for k in range(len(sample[d]))
                 ):
                     continue
-                out.add((e, q.v_e, q.w_e, q.alpha, q.beta, q.gamma, q.mu, q.tau))
-    return out
+                closure = tuple(k for k, i in enumerate(b) if q.v_e.contains_row(R[e][i]))
+                key = (e, closure, q.v_e.normals, q.w_e.normals, q.alpha, q.beta, q.gamma,
+                       q.mu, q.tau)
+                out[key] = q
+    return v_d_b, out
+
+
+def _seeded_order(pool, seed):
+    """The grower's candidate order for a seed: its shuffle of the pool."""
+    order = list(pool)
+    random.Random(seed).shuffle(order)
+    return order
 
 
 def _octet_grow():
     A = PointConfiguration.from_points(OCTET, 2)
-    return A, grow_nd_chain(A, [], None, 2, seed=7), 0, None
+    return A, grow_nd_chain(A, [], None, 2, seed=7), 0, None, _seeded_order(range(len(A)), 7)
 
 
 def _random_general_grow():
     A = sample_configuration("random_general", seed=3001, count=9, d=3, genericity=3).config
-    return A, grow_nd_chain(A, [], None, 3, seed=0), 0, None
+    return A, grow_nd_chain(A, [], None, 3, seed=0), 0, None, _seeded_order(range(len(A)), 0)
 
 
 def _carrier_grow():
-    golden = Path(__file__).resolve().parent / "golden" / "carrier_points.json"
-    points = [tuple(Fraction(x) for x in p) for p in json.loads(golden.read_text())["points"]]
-    A = PointConfiguration.from_points(points, 3)
-    c0 = PlaneCurve.from_poly(parse_poly("y - x^3"))
+    A, c0 = _carrier_config()
     sample = _degree_rows(rational_points_on_curve(c0, 2 * 3 * 3 + 1), 3)
-    return A, grow_nd_chain(A, [15], c0, 3, seed=0), 1, sample
+    pool = [i for i in range(len(A)) if i != 15 and c0.contains(A.points[i])]
+    return A, grow_nd_chain(A, [15], c0, 3, seed=0), 1, sample, _seeded_order(pool, 0)
 
 
 def _walks_along(R, chain, d):
@@ -426,43 +505,54 @@ def _walks_along(R, chain, d):
         yield tuple(chain[:m + 1]), walk
 
 
-def _primitive_flat(flat):
-    """The flat with its normals made primitive, as `row_span` gives them:
-    a flat's raw kernel basis made primitive is `kernel` of its rows."""
-    return AffineFlat(flat.ambient_dim, flat.rows, tuple(primitive(v) for v in flat.normals))
-
-
 @pytest.mark.parametrize("grow", [_octet_grow, _random_general_grow, _carrier_grow],
                          ids=["octet-d2", "random_general-d3", "carrier-d3"])
 def test_grow_regions_match_subset_scan(grow):
-    A, res, seed_size, sample = grow()
+    A, res, seed_size, sample, order = grow()
     assert res.success
     d = A.d
     R = _degree_rows(A, d)
     for b, walk in _walks_along(R, res.chain, d):
         if len(b) < seed_size:
             continue
-        pairs, _ = _active_pairs(R, b, d, sample, walk)
-        quantities = [(e, region.quantities) for e, _, region in pairs]
-        # the grower's normals are raw kernel vectors; made primitive they
-        # are the subset scan's
-        regions = [
-            (e, _primitive_flat(q.v_e), _primitive_flat(q.w_e), q.alpha, q.beta, q.gamma,
-             q.mu, q.tau)
-            for e, q in quantities
+        step = len(b) - seed_size
+        v_d_b, regions = _regions_by_subset_scan(A, b, d, sample)
+        # one active flat per region of the scan; the grower's normals are
+        # raw kernel vectors, and made primitive they are the scan's
+        flats = [
+            (e, idx, tuple(primitive(k[:comb(e + 2, 2)]) for k in v),
+             tuple(primitive(k) for k in w), *quantities)
+            for e, idx, v, w, *quantities in _active_flats(walk, len(b), d, sample)
         ]
-        assert len(set(regions)) == len(regions)  # one region per flat
-        assert set(regions) == _regions_by_subset_scan(A, b, d, sample)
-        B = A.subset(b)
-        for e, idx, region in pairs:
-            # D is a flat's positions in b: the points of B in V_e
-            q = region.quantities
-            in_v = [k for k, i in enumerate(b) if q.v_e.contains_row(R[e][i])]
-            assert list(idx) == in_v
-            # the spanning rows too, which normals alone do not pin: V_e's
-            # are D's and W_e's the rest of B's, as `nd_quantities` takes them
-            by_d = nd_quantities(B, [B[k] for k in idx], e, d)
-            assert (q.v_e.rows, q.w_e.rows) == (by_d.v_e.rows, by_d.w_e.rows)
+        assert len(set(flats)) == len(flats)
+        assert set(flats) == set(regions)
+        # the guard value, from the pass and in the grower's trace
+        v_d, tests, worst = _regions(A, list(b), d, sample, walk, step)
+        guard = max((max(q.tau, q.mu) for q in regions.values()), default=0)
+        assert worst == guard == res.guard_trace[step]
+        # every candidate the scan's regions forbid, and no other, is
+        # rejected, and the grower takes the first allowed one in its order
+        candidates = [i for i in range(len(A)) if i not in b]
+        rejected = [i for i in candidates if _forbidden(R, d, i, v_d, tests)]
+        assert rejected == [
+            i for i in candidates
+            if any(_reference_holds(q, v_d_b, R, i) for q in regions.values())
+        ]
+        if len(b) < len(res.chain):
+            assert res.chain[len(b)] == next(i for i in order if i in candidates
+                                             and i not in rejected)
+        # each region's own test on every point of A, V_d(B) put aside as
+        # the V_d of no points: the points of B outside V_e lie in W_e
+        # when beta >= 0
+        no_points = kernel_root(comb(d + 2, 2))[0]
+        kept = [regions[key] for key in flats if key[4] >= 0]
+        assert len(kept) == len(tests)
+        for q, test in zip(kept, tests):
+            for i in range(len(A)):
+                assert _forbidden(R, d, i, no_points, [test]) == (
+                    q.v_e.contains_row(R[q.e][i])
+                    or (q.beta >= 0 and q.w_e.contains_row(R[d - q.e][i]))
+                )
 
 
 def test_complement_spans_take_no_bareiss_per_section(monkeypatch):
@@ -471,7 +561,7 @@ def test_complement_spans_take_no_bareiss_per_section(monkeypatch):
     # elimination per section or per flat, and V_d(B) is one step from the
     # previous step's node; the verify runs on a fresh configuration, since
     # the grown one keeps the grow's verdict
-    A, res, _, _ = _random_general_grow()
+    A, res, *_ = _random_general_grow()
     assert res.success
     calls = {"rank": 0, "row_span": 0}
 
@@ -490,8 +580,34 @@ def test_complement_spans_take_no_bareiss_per_section(monkeypatch):
     assert calls == {"rank": 1, "row_span": 0}  # condition (i) only
     R = _degree_rows(A, 3)
     for b, walk in _walks_along(R, res.chain, 3):
-        _active_pairs(R, b, 3, None, walk)
+        _regions(A, list(b), 3, None, walk, len(b))
     assert calls == {"rank": 1, "row_span": 0}  # V_d(B) is one step from its prefix
+
+
+def test_grower_builds_no_region_objects(monkeypatch):
+    # the grower reads its regions off its walk's kernel bases, so no step
+    # builds a flat or a quantities record; `nd_quantities` builds both,
+    # which shows the count works
+    made = {AffineFlat: 0, NdQuantities: 0}
+
+    def counting(cls):
+        real = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            made[cls] += 1
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    A = sample_configuration("random_general", seed=3001, count=9, d=3, genericity=3).config
+    on_carrier, c0 = _carrier_config()
+    counting(AffineFlat)
+    counting(NdQuantities)
+    nd_quantities(TRIPLE, [TRIPLE[0]], 1, 2)
+    assert made == {AffineFlat: 2, NdQuantities: 1}
+    assert grow_nd_chain(A, [], None, 3, seed=0).success
+    assert grow_nd_chain(on_carrier, [15], c0, 3, seed=0).success
+    assert made == {AffineFlat: 2, NdQuantities: 1}
 
 
 def _grown_instances():
@@ -504,16 +620,17 @@ def _grown_instances():
 
 
 def test_grown_v_d_b_equals_row_span():
-    # V_d(B) at every step, from the node of the chain in growth order, is
-    # the span of the chain's degree-d rows
+    # V_d(B) at every step, the basis the grower tests candidates against,
+    # is the span of the chain's degree-d rows: its node in growth order,
+    # made primitive, is the span's normals
     for A, res in _grown_instances():
         d = A.d
         R = _degree_rows(A, d)
         for b, walk in _walks_along(R, res.chain, d):
-            _, v_d_b = _active_pairs(R, b, d, None, walk)
+            v_d, _, _ = _regions(A, list(b), d, None, walk, len(b))
             span = row_span(ambient_dim(d), [R[d][i] for i in b])
-            assert (v_d_b.rows, v_d_b.dim) == (span.rows, span.dim)
-            assert _primitive_flat(v_d_b).normals == span.normals
+            assert ambient_dim(d) - len(v_d) == span.dim
+            assert tuple(primitive(k) for k in v_d) == span.normals
 
 
 # (chain, guard_trace, blocked) of each `_grown_instances` grow, recorded
