@@ -205,9 +205,12 @@ class _SpanGuard:
     induction every subset of at most cap + 1 accepted rows is independent.
     A row then lies in the span of such a subset exactly when it is
     orthogonal to every vector of the subset's kernel basis: the test
-    `rank([*sub, z]) == len(sub)` without an elimination.  An accepted row
-    adds only the new subsets, those that contain it, and only when the
-    next row is tested, so the last accepted row costs nothing.
+    `rank([*sub, z]) == len(sub)` without an elimination, so it depends on
+    the kernel's span only, not on the order of the subset's rows.  Below
+    the cap the one subset is every row, and an accepted row steps the last
+    leaf once; from the cap on it adds the new subsets, those that contain
+    it.  Either happens only when the next row is tested, so the last
+    accepted row costs nothing.
     """
 
     def __init__(self, n_cols: int, cap: int):
@@ -230,17 +233,18 @@ class _SpanGuard:
 
     def _add(self, z) -> None:
         k = len(self.rows)
-        size = min(k, self.cap - 1)
-        root = kernel_step(kernel_root(self.n_cols), z)
-        new = list(kernel_leaves(self.rows, size, root)) if root else []
-        if len(new) != comb(k, size):
+        if k < self.cap:
+            # below the cap the one subset, every row, is the last one and z
+            leaf = kernel_step(self.leaves.pop(), z)
+            new = [leaf] if leaf else []
+        else:
+            root = kernel_step(kernel_root(self.n_cols), z)
+            new = list(kernel_leaves(self.rows, self.cap - 1, root)) if root else []
+        if len(new) != comb(k, min(k, self.cap - 1)):
             raise InvariantViolation(
                 "an accepted row reduced a sampler prefix to zero",
                 {"rows": self.rows, "row": list(z), "cap": self.cap},
             )
-        if k < self.cap:
-            # below the cap, the one subset (every row) replaces the last one
-            self.leaves = []
         self.leaves += new
         self.rows.append(z)
 

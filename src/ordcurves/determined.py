@@ -12,9 +12,11 @@ A node holds an integer kernel basis of its prefix's rows, starting from the
 identity; a child reduces that basis by its one new row with one
 fraction-free step (`linalg.kernel_step`).  A row orthogonal to every basis
 vector lies in the prefix's span, so every subset through that child is
-rank-deficient and its whole subtree is skipped.  At full depth the basis is
-one vector, made primitive: the subset's hyperplane, the same vector a
-subset-by-subset elimination gives.  The subtrees under each first index are
+rank-deficient and its whole subtree is skipped.  One level above the
+leaves the basis is a pencil, and each later row's two dots with it give
+that leaf's one kernel vector with no further elimination, made primitive:
+the subset's hyperplane, the same vector a subset-by-subset elimination
+gives (`linalg.subtree_kernels`).  The subtrees under each first index are
 independent tasks, which `--workers` hands to a process pool.
 
 The primitive vector is the hyperplane's only representation.  It is also
@@ -23,10 +25,15 @@ hyperplane is squarefree (the lemma at `veronese.spanned_curve`), so it is
 its own radical, and two distinct primitive vectors are two distinct curves.
 Dedup on the vectors is therefore dedup on curves, each `CurveRecord` holds
 one vector, and a record's polynomial and `PlaneCurve` are built only when a
-caller asks for them.  A curve's incidence is recomputed at every point of A
-as the integer dot product of its primitive vector with the point's row: an
-exact evaluation at each point, never inferred from which subsets spanned
-the hyperplane, so coincident lifts cannot be double counted.
+caller asks for them.  A curve's incidence is read off the same pencil, once
+per distinct vector and inside the task that found it: the vector vanishes
+on the prefix's rows, on each later row whose pencil dots are proportional
+to the leaf row's (two products; rows in the prefix's span count too), and
+on an earlier row outside the prefix exactly when its integer dot product
+with the vector is 0.  Each is an exact evaluation of the curve at the
+point, never inferred from which subsets spanned the hyperplane, so
+coincident lifts cannot be double counted, and no curve is evaluated again
+at every point.
 
 Curve richness (the largest section of A on a curve of degree <= e) falls
 out of the same scan at degree e: a richest section is the zero set of one
@@ -41,7 +48,6 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 from math import comb
-from operator import mul
 
 from .bipoly import PlaneCurve
 from .errors import HypothesisViolation, InvariantViolation
@@ -159,17 +165,16 @@ class DeterminedCurveSet:
         }
 
 
-def _spanned_vectors(rows, workers: int = 1) -> set[tuple[int, ...]]:
-    """Distinct primitive kernel vectors of the independent N-subsets of the
-    rows, N one less than the row length; one task per first-index subtree."""
+def _spanned_vectors(rows, workers: int = 1) -> dict:
+    """The distinct primitive kernel vectors of the independent N-subsets of
+    the rows, N one less than the row length, each mapped to its incidence;
+    one task per first-index subtree, whose maps are merged."""
     size = len(rows[0]) - 1
     firsts = range(len(rows) - size + 1)
-    return set().union(*pmap(partial(subtree_kernels, rows), firsts, workers=workers))
-
-
-def _zero_rows(vec, rows) -> frozenset[int]:
-    """Indices of the integer rows on which the integer vector vanishes."""
-    return frozenset(i for i, row in enumerate(rows) if sum(map(mul, vec, row)) == 0)
+    found = {}
+    for part in pmap(partial(subtree_kernels, rows), firsts, workers=workers):
+        found.update(part)
+    return found
 
 
 def richest(sections) -> tuple[int, tuple[int, ...]]:
@@ -179,15 +184,17 @@ def richest(sections) -> tuple[int, tuple[int, ...]]:
 
 
 def spanned_hyperplanes(config: PointConfiguration, workers: int = 1):
-    """Primitive vectors of the hyperplanes spanned by lifted subsets.
+    """The hyperplanes spanned by lifted subsets, as (primitive vector,
+    incidence) pairs.
 
     Every spanned hyperplane contains N = C(d+2,2)-1 affinely independent
     lifted points, so scanning N-subsets with full affine rank is complete.
-    The distinct vectors come sorted by their `normalized` form.
+    The incidence is the set of indices of the points whose lifts lie on
+    the hyperplane, read off the scan (`linalg.subtree_kernels`).  The pairs
+    come sorted by their vectors' `normalized` forms.
     """
-    d = config.d
-    vectors = _spanned_vectors(config.homogeneous_lifts(d), workers)
-    return sorted(vectors, key=normalized_key)
+    found = _spanned_vectors(config.homogeneous_lifts(config.d), workers)
+    return sorted(found.items(), key=lambda item: normalized_key(item[0]))
 
 
 def enumerate_determined(config: PointConfiguration, workers: int = 1) -> DeterminedCurveSet:
@@ -200,8 +207,10 @@ def enumerate_determined(config: PointConfiguration, workers: int = 1) -> Determ
     N-subset, N = C(d+2,2)-1, with independent rows, a space of dimension
     1; by the lemma at `veronese.spanned_curve` it is squarefree, so it is
     its own radical up to a scalar, distinct primitive vectors are distinct
-    curves, and every curve has exactly one hyperplane.  Records come in
-    the order of their vectors' `normalized` forms.
+    curves, and every curve has exactly one hyperplane.  Each record's
+    incidence is the one the scan read off its pencil (`spanned_hyperplanes`),
+    with no second pass over the points.  Records come in the order of
+    their vectors' `normalized` forms.
     """
     d = config.d
     contained, witness = contained_in_curve(config, d)
@@ -210,10 +219,9 @@ def enumerate_determined(config: PointConfiguration, workers: int = 1) -> Determ
             "configuration not contained in a degree-<=d curve",
             f"witness curve {witness}",
         )
-    hom = config.homogeneous_lifts(d)
     records = []
-    for vec in spanned_hyperplanes(config, workers=workers):
-        rec = CurveRecord(d, _zero_rows(vec, hom), (vec,))
+    for vec, incidence in spanned_hyperplanes(config, workers=workers):
+        rec = CurveRecord(d, incidence, (vec,))
         if len(rec.incidence) < comb(d + 2, 2) - 1:
             raise InvariantViolation(
                 "determined curve with fewer than C(d+2,2)-1 incidences",
@@ -241,17 +249,18 @@ def max_curve_richness(config: PointConfiguration, e: int):
     leave a nonzero polynomial, a curve through more than |I| points.  So I
     holds N = C(e+2,2)-1 points with independent rows, their primitive
     kernel vector spans the vanishing space of I, and its zero rows are
-    exactly I.  Every kernel vector's zero rows are a section, so the
-    richest of them is a richest section.  The witness is the
-    lexicographically first richest section (sorted indices), the one the
-    top-down subset scan `oracle.oracle_max_richness` returns.
+    exactly I.  Every kernel vector's zero rows, the incidence the scan
+    gives it, are a section, so the richest of them is a richest section.
+    The witness is the lexicographically first richest section (sorted
+    indices), the one the top-down subset scan `oracle.oracle_max_richness`
+    returns.
     """
     if e < 1:
         raise HypothesisViolation("e >= 1", f"e={e}")
     rows = config.homogeneous_lifts(e)
     if rank(rows) < comb(e + 2, 2):
         return len(rows), tuple(range(len(rows)))
-    return richest(_zero_rows(v, rows) for v in _spanned_vectors(rows))
+    return richest(_spanned_vectors(rows).values())
 
 
 # the default threshold's denominator has 2^(3e+8) bits: 128 KiB at e = 4, and

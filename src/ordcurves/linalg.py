@@ -9,8 +9,10 @@ first, which keeps the row space.  Folding a matrix's rows through the step
 gives its `rank` and its primitive kernel basis (`kernel`); folded on from
 the node of other rows (`kernel_node`), it gives the node of their join.
 `kernel_leaves` walks the step over the subsets of a row list as a prefix
-tree, skipping every subset with a dependent prefix; the determined-curve
-scan (`subtree_kernels`) and the samplers' genericity test are built on it.
+tree, skipping every subset with a dependent prefix; the samplers'
+genericity test is built on it, and the determined-curve scan
+(`subtree_kernels`) walks it to one level above the leaves and reads each
+leaf's vector and incidence off the pencil there.
 `flats` walks the same tree over the independent subsets, each kernel
 vector carrying its dots with every row, and reads off each flat of the row
 matroid (Oxley, Matroid Theory, ch. 1) with the raw kernel basis of the
@@ -167,17 +169,24 @@ def kernel_leaves(rows, size: int, node, start: int = 0):
     subtree is skipped: every subset through it is rank-deficient.  Leaves
     come in lexicographic order of their index subsets.
     """
-    stack = [(node, start, 0)]
-    last = len(rows) - size
+    return (node for node, _ in _prefix_nodes(rows, size, node, start))
+
+
+def _prefix_nodes(rows, size: int, node, start: int, spare: int = 0):
+    """The `kernel_leaves` DFS, each leaf with its index tuple; only subsets
+    whose last index leaves at least `spare` rows after it are walked."""
+    stack = [(node, start, ())]
+    last = len(rows) - size - spare
     while stack:
-        node, j, depth = stack.pop()
+        node, j, idx = stack.pop()
+        depth = len(idx)
         if depth == size:
-            yield node
+            yield node, idx
             continue
         for i in range(last + depth, j - 1, -1):
             child = kernel_step(node, rows[i])
             if child is not None:
-                stack.append((child, i + 1, depth + 1))
+                stack.append((child, i + 1, idx + (i,)))
 
 
 def flats(rows, n_cols: int, max_rank: int) -> dict:
@@ -264,15 +273,6 @@ def flats_step(walk: dict, m: int, row, co_row) -> dict:
     return out
 
 
-def walk_bases(walk: dict, n_cols: int) -> dict:
-    """The `flats` map of a `flats_step` walk: each closure to its basis
-    without the carried dots, as a tuple of tuples."""
-    return {
-        closure: tuple(tuple(k[:n_cols]) for k in basis)
-        for closure, (basis, _, _) in walk.items()
-    }
-
-
 def prefix_kernels(rows, n_cols: int):
     """The kernel node of any index tuple of the rows, as a function of the
     tuple.
@@ -297,18 +297,46 @@ def prefix_kernels(rows, n_cols: int):
     return node
 
 
-def subtree_kernels(rows, first: int) -> set[tuple[int, ...]]:
-    """Primitive kernel vectors of the independent N-subsets of the rows
-    whose least index is `first`, N one less than the row length.
+def subtree_kernels(rows, first: int) -> dict:
+    """The primitive kernel vectors of the independent N-subsets of the rows
+    whose least index is `first`, N one less than the row length, each
+    mapped to its incidence: the indices of the rows it is orthogonal to.
 
-    One subtree of the prefix tree; a leaf's basis is its one kernel
-    vector, made primitive with a positive first nonzero entry.
+    One subtree of the prefix tree, walked to depth N-1, where a node's
+    basis is a pencil (k0, k1).  Each later row r has the dots
+    (a_r, b_r) = (k0.row_r, k1.row_r), those of the leaf step by row r; a
+    row with both 0 lies in the prefix's span, and any other gives the leaf
+    vector v = a_r k1 - b_r k0, the `_eliminate` child times the pivot, made
+    primitive with no division.  v is orthogonal to the prefix rows, to each
+    later row s exactly when a_r b_s == b_r a_s (v.row_s = a_r b_s - b_r
+    a_s, so rows in the prefix's span count too), and to an earlier row
+    outside the prefix by one dot product, taken only for a vector new to
+    the subtree.
     """
-    root = kernel_step(kernel_root(len(rows[0])), rows[first])
+    n_cols = len(rows[0])
+    root = kernel_step(kernel_root(n_cols), rows[first])
     if root is None:
-        return set()
-    size = len(rows[0]) - 2
-    return {_primitive(basis[0]) for basis, _ in kernel_leaves(rows, size, root, first + 1)}
+        return {}
+    found = {}
+    for ((k0, k1), _), idx in _prefix_nodes(rows, n_cols - 3, root, first + 1, 1):
+        prefix = (first, *idx)
+        j = prefix[-1] + 1
+        dots = [(sum(map(mul, k0, row)), sum(map(mul, k1, row))) for row in rows[j:]]
+        earlier = None
+        for a, b in dots:
+            if not (a or b):
+                continue
+            v = _primitive([a * y - b * x for x, y in zip(k0, k1)])
+            if v in found:
+                continue
+            if earlier is None:
+                earlier = [r for r in range(j) if r not in prefix]
+            found[v] = frozenset(chain(
+                prefix,
+                (r for r in earlier if sum(map(mul, v, rows[r])) == 0),
+                (j + s for s, (x, y) in enumerate(dots) if a * y == b * x),
+            ))
+    return found
 
 
 def nullspace(rows, n_cols=None) -> list[Vector]:

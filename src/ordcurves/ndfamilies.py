@@ -60,7 +60,7 @@ from .determined import PointConfiguration
 from .errors import HypothesisViolation, InvariantViolation
 from .linalg import (
     AffineFlat, flats, flats_root, flats_step, kernel_root, kernel_step, prefix_kernels, rank,
-    row_span, walk_bases,
+    row_span,
 )
 from .veronese import ambient_dim, as_point, integer_lift
 
@@ -224,7 +224,8 @@ def _verdict(d: int, n_b: int, dim_b: int, walk) -> NdVerifyResult:
     for e = 1..d-1 in turn, (e, B's realizable sections at degree e in
     `_section_order`, each as (index tuple, kernel basis, kernel node of the
     rest of B's degree-(d-e) rows)); a lazy walk stops at the first failure
-    too.
+    too.  A basis may carry further columns, such as the grower's dots; a
+    condition-(iii) section keeps only its first C(e+2,2), as tuples.
     """
 
     def failure(condition, e, section, measured, threshold) -> NdVerifyResult:
@@ -240,6 +241,7 @@ def _verdict(d: int, n_b: int, dim_b: int, walk) -> NdVerifyResult:
     for e, found in walk:
         monomials_rest = comb(d - e + 2, 2)
         cut = comb(d + 2, 2) - monomials_rest
+        monomials = comb(e + 2, 2)
         rest_target = monomials_rest - 3
         for idx, vecs, rest_node in found:
             size = len(idx)
@@ -249,7 +251,7 @@ def _verdict(d: int, n_b: int, dim_b: int, walk) -> NdVerifyResult:
             if size == cut - 1:
                 if dim_rest != rest_target:
                     return failure("iii", e, idx, dim_rest, rest_target)
-                sections.append((e, idx, vecs))
+                sections.append((e, idx, tuple(tuple(k[:monomials]) for k in vecs)))
             elif dim_rest <= rest_target:
                 return failure("iv", e, idx, dim_rest, rest_target)
     return NdVerifyResult(True, (), tuple(sections))
@@ -566,8 +568,7 @@ def grow_nd_chain(
     basis = BasisCandidate(A.subset(chain), d)
 
     def sections(e, found):
-        bases = walk_bases(found, comb(e + 2, 2))
-        return _section_order((idx, bases[idx], node[2]) for idx, node in found.items())
+        return _section_order((idx, vecs, co) for idx, (vecs, _, co) in found.items())
 
     d_node, walks = walk
     verdict = _verdict(

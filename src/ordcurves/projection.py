@@ -52,7 +52,6 @@ from .determined import (
     CurveRecord,
     DeterminedCurveSet,
     PointConfiguration,
-    _zero_rows,
     contained_in_curve,
 )
 from .errors import HypothesisViolation, InvariantViolation
@@ -72,6 +71,11 @@ from .veronese import ambient_dim, spanned_curve
 
 def _dot(u, v) -> int:
     return sum(map(mul, u, v))
+
+
+def _zero_rows(vec, rows) -> frozenset[int]:
+    """Indices of the integer rows on which the integer vector vanishes."""
+    return frozenset(i for i, row in enumerate(rows) if _dot(vec, row) == 0)
 
 
 def _curve_text(e: int, vec) -> str:

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -302,6 +304,8 @@ def test_workers_equivalence(octet, capsys):
 def recording_pool(monkeypatch):
     """Replaces the process pool by a serial stand-in on a 3-CPU host;
     returns the max_workers of every pool asked for."""
+    import concurrent.futures
+
     from ordcurves import parallel
 
     requested = []
@@ -319,7 +323,7 @@ def recording_pool(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: 3)
     return requested
 
@@ -338,6 +342,19 @@ def test_pmap_never_asks_for_more_workers_than_cpus(recording_pool):
     assert pmap(abs, [-1, -2, -3], workers=100_000) == [1, 2, 3]
     assert pmap(abs, [-1, -2], workers=2) == [1, 2]
     assert recording_pool == [3, 2]
+
+
+def test_cli_import_leaves_the_pool_unloaded():
+    # a serial run never loads the process pool's module
+    import ordcurves
+
+    src = str(Path(ordcurves.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import ordcurves.cli; "
+        "print('concurrent.futures.process' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_large_workers_flag_is_capped(octet, capsys, recording_pool):

@@ -25,7 +25,7 @@ from ordcurves.linalg import (
     flats, kernel, kernel_leaves, kernel_root, prefix_kernels, primitive, rank,
 )
 from ordcurves.ndfamilies import grow_nd_chain
-from ordcurves.oracle import oracle_determined
+from ordcurves.oracle import oracle_determined, oracle_max_richness
 from ordcurves.projection import curves_from_basis
 from ordcurves.veronese import spanned_curve
 
@@ -216,6 +216,27 @@ def test_deterministic_output_order():
     assert a == b
 
 
+def _checked_scan(config):
+    """The scan's vectors, serial and pooled, after checking that each
+    hyperplane's incidence is its vector's zero rows by an independent
+    evaluation at every row, that the records carry the same pairs, and
+    that richness is the oracle's top-down scan's."""
+    d = config.d
+    rows = config.homogeneous_lifts(d)
+    contained = contained_in_curve(config, d)[0]
+    vectors = []
+    for workers in (1, 2):
+        pairs = spanned_hyperplanes(config, workers=workers)
+        for vec, incidence in pairs:
+            assert incidence == {i for i, row in enumerate(rows) if sum(map(mul, vec, row)) == 0}
+        if not contained:
+            records = enumerate_determined(config, workers=workers).records
+            assert [(rec.hyperplanes[0], rec.incidence) for rec in records] == pairs
+        vectors.append({vec for vec, _ in pairs})
+    assert max_curve_richness(config, d) == oracle_max_richness(config, d)
+    return vectors
+
+
 def _rational(rng, height=10**6):
     return Fraction(rng.randint(-height, height), rng.randint(1, height))
 
@@ -255,6 +276,7 @@ def test_enumeration_matches_oracle_on_large_heights(d, on_line, on_parabola, fr
     for rec in result.records:
         assert rec.incidence == config.incidence_of(rec.curve)
     assert max(len(rec.incidence) for rec in result.records) >= on_line
+    _checked_scan(config)
 
 
 def _on_curve_points(rng, curve, k):
@@ -310,8 +332,7 @@ def test_prefix_tree_matches_bareiss_scan(d, curve, k, free):
     assert any(p[0].denominator > 1 for p in config.points)
     rows = config.homogeneous_lifts(d)
     expected, full_rank = _bareiss_scan(rows)
-    assert set(spanned_hyperplanes(config)) == expected
-    assert set(spanned_hyperplanes(config, workers=2)) == expected
+    assert _checked_scan(config) == [expected, expected]
     # one leaf per independent subset: none lost, no dependent one kept
     root = kernel_root(len(rows[0]))
     assert sum(1 for _ in kernel_leaves(rows, len(rows[0]) - 1, root)) == full_rank
@@ -401,7 +422,7 @@ def test_prefix_tree_prunes_and_stays_exact(build, d):
     expected, full_rank = _bareiss_scan(rows)
     assert full_rank < comb(len(rows), n_cols - 1)
     assert _dependent_prefix(rows, n_cols - 1)
-    assert set(spanned_hyperplanes(config)) == expected
+    assert _checked_scan(config) == [expected, expected]
     root = kernel_root(n_cols)
     assert sum(1 for _ in kernel_leaves(rows, n_cols - 1, root)) == full_rank
 
@@ -411,3 +432,4 @@ def test_pruned_enumeration_matches_oracle():
     result = enumerate_determined(config)
     assert frozenset(rec.curve.radical for rec in result.records) == oracle_determined(config)
     assert len(result) == len(oracle_determined(config))
+    _checked_scan(config)

@@ -25,7 +25,6 @@ from ordcurves.linalg import (
     rank,
     row_span,
     vec_dot,
-    walk_bases,
 )
 from ordcurves.ndfamilies import grow_nd_chain
 from ordcurves.oracle import _gauss, _monomials_upto, _row, _vanishing_basis
@@ -448,6 +447,15 @@ def _heavy_points(seed, curve, k, free):
     pts = sorted(pts)
     rng.shuffle(pts)
     return pts
+
+
+def walk_bases(walk: dict, n_cols: int) -> dict:
+    """The `flats` map of a `flats_step` walk: each closure to its basis
+    without the carried dots, as a tuple of tuples."""
+    return {
+        closure: tuple(tuple(k[:n_cols]) for k in basis)
+        for closure, (basis, _, _) in walk.items()
+    }
 
 
 def _assert_fold_matches_flats(rows, co_rows, n_cols, co_cols):
