@@ -118,7 +118,7 @@ def _carrier(text):
 
 
 def _cmd_lift(args, out):
-    config = load_config(args.input, args.d)
+    config = args.config
     payload = {
         "d": config.d,
         "points": [[str(x), str(y)] for x, y in config.points],
@@ -128,19 +128,19 @@ def _cmd_lift(args, out):
 
 
 def _cmd_determined(args, out):
-    config = load_config(args.input, args.d)
+    config = args.config
     result = enumerate_determined(config, workers=args.workers)
     dump_json(result.to_json_obj(), out)
 
 
 def _cmd_ordinary(args, out):
-    config = load_config(args.input, args.d)
+    config = args.config
     result = ordinary_curves(config, args.n, workers=args.workers)
     dump_json(result.to_json_obj(), out)
 
 
 def _cmd_richness(args, out):
-    config = load_config(args.input, args.d)
+    config = args.config
     e = args.e if args.e is not None else config.d
     try:
         threshold = None if args.threshold is None else Fraction(args.threshold)
@@ -158,14 +158,14 @@ def _cmd_richness(args, out):
 
 
 def _cmd_nd_verify(args, out):
-    config = load_config(args.input, args.d)
+    config = args.config
     indices = _point_indices(args.basis, config)
     verdict = nd_verify(config, indices, config.d)
     dump_json({"ok": verdict.ok, "failures": list(verdict.failures)}, out)
 
 
 def _cmd_nd_grow(args, out):
-    config = load_config(args.input, args.d)
+    config = args.config
     carrier = _carrier(args.carrier)
     b0 = _point_indices(args.b0, config) if args.b0 else []
     order = _point_indices(args.order, config) if args.order else None
@@ -174,7 +174,7 @@ def _cmd_nd_grow(args, out):
 
 
 def _cmd_project(args, out):
-    config = load_config(args.input, args.d)
+    config = args.config
     indices = _point_indices(args.basis, config)
     state = build_pipeline(config, indices, config.d)
     curves, state = curves_from_basis(config, indices, config.d, state=state)
@@ -248,7 +248,7 @@ def _cmd_sweep(args, out):
 
 
 def _cmd_oracle_check(args, out):
-    config = load_config(args.input, args.d)
+    config = args.config
     reports = []
     main_set = enumerate_determined(config, workers=args.workers)
     reports.append(compare_determined(config, main_set, instance=args.input))
@@ -362,7 +362,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _repro(exc: InvariantViolation, argv, config) -> dict:
+    """The invariant's own dump with the command's argv and, for a command
+    that reads --input, the parsed input: d (after --d) and the points as
+    canonical rational strings.  Written to the --input path, the input
+    reruns argv to the same dump."""
+    repro = {**exc.repro, "argv": argv}
+    if config is not None:
+        repro["input"] = {"d": config.d, "points": [[str(x), str(y)] for x, y in config.points]}
+    return repro
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -375,7 +387,10 @@ def main(argv=None) -> int:
         print(f"--workers must be at least 1, got {args.workers}", file=sys.stderr)
         return 2
     buffer = io.StringIO()
+    args.config = None
     try:
+        if getattr(args, "input", None) is not None:
+            args.config = load_config(args.input, args.d)
         args.func(args, buffer)
     except InputFormatError as exc:
         loc = ""
@@ -389,7 +404,8 @@ def main(argv=None) -> int:
         return 3
     except InvariantViolation as exc:
         print(f"internal invariant violated: {exc.name}", file=sys.stderr)
-        print(json.dumps({"repro": exc.repro}, sort_keys=True), file=sys.stderr)
+        print(json.dumps({"repro": _repro(exc, argv, args.config)}, sort_keys=True),
+              file=sys.stderr)
         return 4
     text = buffer.getvalue()
     if getattr(args, "output", "-") in ("-", None):

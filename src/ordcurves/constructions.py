@@ -19,7 +19,7 @@ from operator import mul
 from .bipoly import PlaneCurve, parse_poly
 from .determined import PointConfiguration, contained_in_curve
 from .errors import HypothesisViolation, InvariantViolation
-from .linalg import kernel_leaves, kernel_root, kernel_step
+from .linalg import hyperplane_leaves, kernel_root, kernel_step
 from .veronese import integer_lift
 
 
@@ -117,6 +117,15 @@ def construct_theorem8(
     C(d+2,2)-1 stays affinely independent; each step's obstruction flats are
     finite and each excludes at most d^2 carrier parameters, bounding the
     sweep.
+
+    The test runs in carrier coordinates.  On the integer lift of every
+    point (t, t^d), the y column equals the x^d column (the same column at
+    d = 1), so the lifts span a subspace of the hyperplane where the two
+    agree, and dropping the y column is injective there: a subset of lifts
+    keeps its rank, and a lift lies in the span of others exactly when it
+    does without that column.  In these N columns, N-1 independent lifts
+    span a hyperplane, so the span guard's leaves are hyperplanes there, as
+    they are in the samplers.
     """
     N = comb(d + 2, 2) - 1
     if n < N:
@@ -133,8 +142,9 @@ def construct_theorem8(
     window = list(range(-3 * m - 4, 3 * m + 5))
     rng.shuffle(window)
     chosen: list = []
-    # every N-subset of the chosen lifts stays independent
-    guard = _SpanGuard(N + 1, N - 1)
+    # every N-subset of the chosen lifts stays independent, tested in
+    # carrier coordinates: the lifts without their y column
+    guard = _SpanGuard(N)
     pos = 0
     for step in range(m - 1):
         r = min(len(chosen), N - 1)
@@ -155,6 +165,7 @@ def construct_theorem8(
                 continue
             tried += 1
             z = integer_lift(pt, d)
+            z = z[:2] + z[3:]
             if guard.spans(z):
                 continue
             chosen.append(pt)
@@ -199,53 +210,53 @@ def construct_theorem8(
 
 
 class _SpanGuard:
-    """The kernel nodes of the min(k, cap)-subsets of k accepted rows.
+    """The hyperplanes spanned by the accepted rows, N = n_cols - 1 at a time.
 
-    A row is accepted only when it lies in the span of none of them, so by
-    induction every subset of at most cap + 1 accepted rows is independent.
-    A row then lies in the span of such a subset exactly when it is
-    orthogonal to every vector of the subset's kernel basis: the test
-    `rank([*sub, z]) == len(sub)` without an elimination, so it depends on
-    the kernel's span only, not on the order of the subset's rows.  Below
-    the cap the one subset is every row, and an accepted row steps the last
-    leaf once; from the cap on it adds the new subsets, those that contain
-    it.  Either happens only when the next row is tested, so the last
+    A row is accepted only when it lies in the span of no N accepted rows,
+    so by induction every subset of at most N + 1 accepted rows is
+    independent.  Once there are N rows, each N of them span a hyperplane,
+    so the test is one dot product with each hyperplane's kernel vector,
+    and it depends on the hyperplane only, not on the order of its rows.
+    An accepted row adds the hyperplanes through it and N-1 earlier rows:
+    the leaves of `linalg.hyperplane_leaves` over the row and the earlier
+    rows at first index 0, read off the nets two levels above them.  Below
+    N rows the one subset is every row, and a row steps its kernel node
+    once.  Either happens only when the next row is tested, so the last
     accepted row costs nothing.
     """
 
-    def __init__(self, n_cols: int, cap: int):
-        self.n_cols = n_cols
-        self.cap = cap
+    def __init__(self, n_cols: int):
         self.rows: list = []
-        self.leaves = [kernel_root(n_cols)]
+        self.node = kernel_root(n_cols)
+        self.planes: list = []
         self.pending: list = []
 
     def spans(self, z) -> bool:
         for row in self.pending:
             self._add(row)
         self.pending.clear()
-        return any(
-            not any(sum(map(mul, v, z)) for v in basis) for basis, _ in self.leaves
-        )
+        if self.planes:
+            return any(not sum(map(mul, v, z)) for v in self.planes)
+        return not any(sum(map(mul, v, z)) for v in self.node[0])
 
     def accept(self, z) -> None:
         self.pending.append(z)
 
     def _add(self, z) -> None:
-        k = len(self.rows)
-        if k < self.cap:
-            # below the cap the one subset, every row, is the last one and z
-            leaf = kernel_step(self.leaves.pop(), z)
-            new = [leaf] if leaf else []
+        k, size = len(self.rows), len(z) - 1
+        if k + 1 < size:
+            node = kernel_step(self.node, z)
+            self.node = node or self.node
+            new = 1 if node else 0
         else:
-            root = kernel_step(kernel_root(self.n_cols), z)
-            new = list(kernel_leaves(self.rows, self.cap - 1, root)) if root else []
-        if len(new) != comb(k, min(k, self.cap - 1)):
+            planes = [v for v, _, _ in hyperplane_leaves([z, *self.rows], 0)]
+            self.planes += planes
+            new = len(planes)
+        if new != comb(k, min(k, size - 1)):
             raise InvariantViolation(
                 "an accepted row reduced a sampler prefix to zero",
-                {"rows": self.rows, "row": list(z), "cap": self.cap},
+                {"rows": self.rows, "row": list(z)},
             )
-        self.leaves += new
         self.rows.append(z)
 
 
@@ -275,7 +286,7 @@ def sample_configuration(kind: str, seed: int = 0, **params) -> Construction:
     span = int(params.get("span", 6 * count + 8))
     rng = random.Random(seed)
     pts: list = []
-    guards = [_SpanGuard(comb(e + 2, 2), comb(e + 2, 2) - 1) for e in range(1, g + 1)]
+    guards = [_SpanGuard(comb(e + 2, 2)) for e in range(1, g + 1)]
     budget = 600 * count + 200
     tries = 0
     while len(pts) < count:

@@ -7,17 +7,22 @@ subsets of A, so enumeration reduces to finding the C(d+2,2)-1 sized subsets
 with affinely independent lifts and deduplicating their hyperplanes.
 
 The scan works on each point's integer row Z^d * (1, lift) (`integer_lift`)
-and walks the subsets as a lexicographic prefix tree (`linalg.kernel_leaves`).
-A node holds an integer kernel basis of its prefix's rows, starting from the
-identity; a child reduces that basis by its one new row with one
-fraction-free step (`linalg.kernel_step`).  A row orthogonal to every basis
-vector lies in the prefix's span, so every subset through that child is
-rank-deficient and its whole subtree is skipped.  One level above the
-leaves the basis is a pencil, and each later row's two dots with it give
-that leaf's one kernel vector with no further elimination, made primitive:
+and walks the subsets as a lexicographic prefix tree
+(`linalg.hyperplane_leaves`).  A node holds an integer kernel basis of its
+prefix's rows, starting from the identity; a child reduces that basis by its
+one new row with one fraction-free step (`linalg.kernel_step`).  A row
+orthogonal to every basis vector lies in the prefix's span, so every subset
+through that child is rank-deficient and its whole subtree is skipped.  So
+is every subtree whose later rows cannot complete it: a child on row i
+still needing k rows needs rank(rows[i:]) >= k, and these suffix ranks come
+from one fold from the end.  Two levels above the leaves the basis is a net
+of three vectors; each later row's three dots with it are taken once, and
+each pair of later rows gives that leaf's one kernel vector as a
+combination of the net by a cross product of their dots, made primitive:
 the subset's hyperplane, the same vector a subset-by-subset elimination
-gives (`linalg.subtree_kernels`).  The subtrees under each first index are
-independent tasks, which `--workers` hands to a process pool.
+gives (`linalg.subtree_kernels`).  The subtrees under each first index
+whose suffix can complete an N-subset are independent tasks, which
+`--workers` hands to a process pool.
 
 The primitive vector is the hyperplane's only representation.  It is also
 the identity of the hyperplane's curve: the polynomial of a spanned
@@ -25,15 +30,15 @@ hyperplane is squarefree (the lemma at `veronese.spanned_curve`), so it is
 its own radical, and two distinct primitive vectors are two distinct curves.
 Dedup on the vectors is therefore dedup on curves, each `CurveRecord` holds
 one vector, and a record's polynomial and `PlaneCurve` are built only when a
-caller asks for them.  A curve's incidence is read off the same pencil, once
-per distinct vector and inside the task that found it: the vector vanishes
-on the prefix's rows, on each later row whose pencil dots are proportional
-to the leaf row's (two products; rows in the prefix's span count too), and
-on an earlier row outside the prefix exactly when its integer dot product
-with the vector is 0.  Each is an exact evaluation of the curve at the
-point, never inferred from which subsets spanned the hyperplane, so
-coincident lifts cannot be double counted, and no curve is evaluated again
-at every point.
+caller asks for them.  A curve's incidence is read off the same net, once
+per distinct vector and inside the task that found it: the vector's dot
+with a row is the cross product's dot with the row's three net dots, so it
+vanishes on a row exactly when those three products sum to 0.  The rows
+before the net's later rows are dotted with the net too, once, when the net
+first gives a new vector.
+Each is an exact evaluation of the curve at the point, never inferred from
+which subsets spanned the hyperplane, so coincident lifts cannot be double
+counted, and no curve is evaluated again at every point.
 
 Curve richness (the largest section of A on a curve of degree <= e) falls
 out of the same scan at degree e: a richest section is the zero set of one
@@ -51,7 +56,7 @@ from math import comb
 
 from .bipoly import PlaneCurve
 from .errors import HypothesisViolation, InvariantViolation
-from .linalg import kernel, normalized_key, rank, subtree_kernels
+from .linalg import kernel, kernel_root, kernel_step, normalized_key, rank, subtree_kernels
 from .parallel import pmap
 from .veronese import Point, as_point, integer_lift, spanned_curve, vector_to_curve
 
@@ -168,11 +173,24 @@ class DeterminedCurveSet:
 def _spanned_vectors(rows, workers: int = 1) -> dict:
     """The distinct primitive kernel vectors of the independent N-subsets of
     the rows, N one less than the row length, each mapped to its incidence;
-    one task per first-index subtree, whose maps are merged."""
-    size = len(rows[0]) - 1
-    firsts = range(len(rows) - size + 1)
+    one task per first-index subtree, whose maps are merged.
+
+    rank(rows[i:]) for every i comes from one fold from the end, which
+    stops once the basis is empty.  Only a first index whose suffix has
+    rank N gets a task, and the ranks go with the rows to every task, where
+    they skip each subtree whose later rows cannot complete it.
+    """
+    n_cols = len(rows[0])
+    ranks = [n_cols] * len(rows) + [0]
+    node = kernel_root(n_cols)
+    for i in range(len(rows) - 1, -1, -1):
+        if not node[0]:
+            break
+        node = kernel_step(node, rows[i]) or node
+        ranks[i] = n_cols - len(node[0])
+    firsts = [i for i in range(len(rows)) if ranks[i] >= n_cols - 1]
     found = {}
-    for part in pmap(partial(subtree_kernels, rows), firsts, workers=workers):
+    for part in pmap(partial(subtree_kernels, rows, ranks=ranks), firsts, workers=workers):
         found.update(part)
     return found
 

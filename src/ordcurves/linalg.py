@@ -8,11 +8,15 @@ ever built.  Rational rows are scaled by the lcm of their denominators
 first, which keeps the row space.  Folding a matrix's rows through the step
 gives its `rank` and its primitive kernel basis (`kernel`); folded on from
 the node of other rows (`kernel_node`), it gives the node of their join.
-`kernel_leaves` walks the step over the subsets of a row list as a prefix
-tree, skipping every subset with a dependent prefix; the samplers'
-genericity test is built on it, and the determined-curve scan
-(`subtree_kernels`) walks it to one level above the leaves and reads each
-leaf's vector and incidence off the pencil there.
+`hyperplane_leaves` walks the step over the N-subsets of a row list with a
+given least index as a prefix tree, N one less than the row length,
+skipping every subtree with a dependent prefix or with too few independent
+rows left to complete it.  It stops at the nets, the nodes two levels above
+the leaves, whose bases have three vectors: each later row is dotted with
+them once, and each pair of later rows gives its leaf's kernel vector by a
+cross product of those dots, with no further elimination.  The
+determined-curve scan (`subtree_kernels`) reads each curve's vector and
+incidence off it, and the samplers' span guard takes its hyperplanes.
 `flats` walks the same tree over the independent subsets, each kernel
 vector carrying its dots with every row, and reads off each flat of the row
 matroid (Oxley, Matroid Theory, ch. 1) with the raw kernel basis of the
@@ -73,9 +77,12 @@ def _integer_matrix(rows, n_cols: int) -> list:
 def _primitive(v) -> tuple[int, ...]:
     """A nonzero integer vector divided by its content, first nonzero entry positive."""
     g = gcd(*v)
-    if next(x for x in v if x) < 0:
+    for x in v:
+        if x:
+            break
+    if x < 0:
         g = -g
-    return tuple(x // g for x in v)
+    return tuple([x // g for x in v])
 
 
 def primitive(vec) -> tuple[int, ...]:
@@ -158,35 +165,6 @@ def _eliminate(basis, pivot, dots):
         [(sp * a - s * b) // pivot for a, b in zip(k, kp)]
         for i, (k, s) in enumerate(zip(basis, dots)) if i != p
     ], sp
-
-
-def kernel_leaves(rows, size: int, node, start: int = 0):
-    """Kernel nodes of every size-subset of rows[start:] whose rows extend
-    `node` independently, as a lexicographic prefix-tree DFS (Knuth, TAOCP
-    4A 7.2.1.3).
-
-    A node that reduces a row to zero has a dependent prefix, so its whole
-    subtree is skipped: every subset through it is rank-deficient.  Leaves
-    come in lexicographic order of their index subsets.
-    """
-    return (node for node, _ in _prefix_nodes(rows, size, node, start))
-
-
-def _prefix_nodes(rows, size: int, node, start: int, spare: int = 0):
-    """The `kernel_leaves` DFS, each leaf with its index tuple; only subsets
-    whose last index leaves at least `spare` rows after it are walked."""
-    stack = [(node, start, ())]
-    last = len(rows) - size - spare
-    while stack:
-        node, j, idx = stack.pop()
-        depth = len(idx)
-        if depth == size:
-            yield node, idx
-            continue
-        for i in range(last + depth, j - 1, -1):
-            child = kernel_step(node, rows[i])
-            if child is not None:
-                stack.append((child, i + 1, idx + (i,)))
 
 
 def flats(rows, n_cols: int, max_rank: int) -> dict:
@@ -297,45 +275,116 @@ def prefix_kernels(rows, n_cols: int):
     return node
 
 
-def subtree_kernels(rows, first: int) -> dict:
+def hyperplane_leaves(rows, first: int, ranks=None):
+    """The kernel vector of each independent N-subset of the rows whose
+    least index is `first`, N one less than the row length, as (v, c, net).
+
+    A lexicographic prefix-tree DFS on `kernel_step` (Knuth, TAOCP 4A
+    7.2.1.3) from the node of rows[first] down to the nets, the nodes of N-2
+    rows, two levels above the leaves.  A child whose row reduces its
+    parent's basis to zero has a dependent prefix, and a child on row i at
+    depth k cannot be completed from the rows left when rank(rows[i:]) =
+    ranks[i] is below N - k; either subtree is skipped.  `ranks` holds
+    rank(rows[i:]) for every i up to len(rows), where it is 0; without it
+    only the count of rows left bounds the walk.
+
+    A net's basis is three vectors (k0, k1, k2), and each later row t is
+    dotted with them once, D_t = (k0.row_t, k1.row_t, k2.row_t).  A pair
+    r < s of later rows completes the net to a leaf whose kernel vectors are
+    the combinations c0 k0 + c1 k1 + c2 k2 with c orthogonal to D_r and D_s,
+    so c = D_r x D_s: the leaf is dependent exactly when c = 0, and
+    otherwise v = c0 k0 + c1 k1 + c2 k2, not made primitive.  v.row = c.D
+    for every row, so a later row t lies on v's hyperplane exactly when
+    c.D_t = 0.  No `kernel_step` runs below the nets.  net is (prefix, j,
+    basis, dots): the net's row indices, the first later row j, the net's
+    basis and the D_t of rows[j:].
+
+    At N = 2 the net is the root, the identity basis with no prefix, and r
+    is `first`.  At N = 1 the leaf is the row (a, b) at `first` itself:
+    v = (-b, a), read off the basis (e0, e1, 0) with c = (-b, a, 0), and
+    j = len(rows).  Leaves come in lexicographic order of their index
+    subsets.
+    """
+    n_rows, n_cols = len(rows), len(rows[0])
+    size = n_cols - 1
+    if ranks is None:
+        ranks = range(n_rows, -1, -1)
+    if ranks[first] < size:
+        return
+    if size == 1:
+        a, b = rows[first]
+        if a or b:
+            yield [-b, a], (-b, a, 0), ((first,), n_rows, ([1, 0], [0, 1], [0, 0]), [])
+        return
+    # last[k]: the last index whose suffix still has rank k
+    last = [max(i for i, r in enumerate(ranks) if r >= k) for k in range(size + 1)]
+    for prefix, j, basis in _nets(rows, first, size, last):
+        k0, k1, k2 = basis
+        dots = [
+            (sum(map(mul, k0, row)), sum(map(mul, k1, row)), sum(map(mul, k2, row)))
+            for row in rows[j:]
+        ]
+        net = prefix, j, basis, dots
+        for a in range(1 if size == 2 else last[2] - j + 1):
+            x0, x1, x2 = dots[a]
+            if not (x0 or x1 or x2):
+                continue
+            for y0, y1, y2 in dots[a + 1:]:
+                c0, c1, c2 = x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0
+                if c0 or c1 or c2:
+                    v = [c0 * p + c1 * q + c2 * w for p, q, w in zip(k0, k1, k2)]
+                    yield v, (c0, c1, c2), net
+
+
+def _nets(rows, first: int, size: int, last):
+    """The `hyperplane_leaves` DFS: (prefix, j, basis) for each independent
+    prefix of size-2 rows starting at `first`, j its last index plus one;
+    the root with no prefix and j = first when size is 2.  A child of a node
+    of k rows takes its row from rows[:last[size - k] + 1]."""
+    root = kernel_root(len(rows[0]))
+    if size == 2:
+        yield (), first, root[0]
+        return
+    node = kernel_step(root, rows[first])
+    stack = [(node, first + 1, (first,))] if node else []
+    while stack:
+        node, start, prefix = stack.pop()
+        depth = len(prefix)
+        if depth == size - 2:
+            yield prefix, start, node[0]
+            continue
+        for i in range(last[size - depth], start - 1, -1):
+            child = kernel_step(node, rows[i])
+            if child is not None:
+                stack.append((child, i + 1, prefix + (i,)))
+
+
+def subtree_kernels(rows, first: int, ranks=None) -> dict:
     """The primitive kernel vectors of the independent N-subsets of the rows
     whose least index is `first`, N one less than the row length, each
     mapped to its incidence: the indices of the rows it is orthogonal to.
 
-    One subtree of the prefix tree, walked to depth N-1, where a node's
-    basis is a pencil (k0, k1).  Each later row r has the dots
-    (a_r, b_r) = (k0.row_r, k1.row_r), those of the leaf step by row r; a
-    row with both 0 lies in the prefix's span, and any other gives the leaf
-    vector v = a_r k1 - b_r k0, the `_eliminate` child times the pivot, made
-    primitive with no division.  v is orthogonal to the prefix rows, to each
-    later row s exactly when a_r b_s == b_r a_s (v.row_s = a_r b_s - b_r
-    a_s, so rows in the prefix's span count too), and to an earlier row
-    outside the prefix by one dot product, taken only for a vector new to
-    the subtree.
+    The leaves of `hyperplane_leaves`, made primitive; `ranks` as there.  A
+    vector new to the subtree gets its incidence from its leaf's net: the
+    net's prefix rows, each later row t with c.D_t = 0 (rows in the
+    prefix's span count too) and each earlier row outside the prefix whose
+    integer dot product with the vector is 0.
     """
-    n_cols = len(rows[0])
-    root = kernel_step(kernel_root(n_cols), rows[first])
-    if root is None:
-        return {}
     found = {}
-    for ((k0, k1), _), idx in _prefix_nodes(rows, n_cols - 3, root, first + 1, 1):
-        prefix = (first, *idx)
-        j = prefix[-1] + 1
-        dots = [(sum(map(mul, k0, row)), sum(map(mul, k1, row))) for row in rows[j:]]
-        earlier = None
-        for a, b in dots:
-            if not (a or b):
-                continue
-            v = _primitive([a * y - b * x for x, y in zip(k0, k1)])
-            if v in found:
-                continue
-            if earlier is None:
-                earlier = [r for r in range(j) if r not in prefix]
-            found[v] = frozenset(chain(
-                prefix,
-                (r for r in earlier if sum(map(mul, v, rows[r])) == 0),
-                (j + s for s, (x, y) in enumerate(dots) if a * y == b * x),
-            ))
+    seen = None
+    for v, (c0, c1, c2), net in hyperplane_leaves(rows, first, ranks):
+        v = _primitive(v)
+        if v in found:
+            continue
+        if net is not seen:
+            seen = net
+            prefix, j, _, dots = net
+            earlier = [r for r in range(j) if r not in prefix]
+        found[v] = frozenset(chain(
+            prefix,
+            [r for r in earlier if not sum(map(mul, v, rows[r]))],
+            [j + t for t, (x, y, z) in enumerate(dots) if not c0 * x + c1 * y + c2 * z],
+        ))
     return found
 
 

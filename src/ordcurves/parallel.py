@@ -3,12 +3,14 @@
 `pmap` is an ordered map of a pure function over a list of tasks, so any
 worker count yields the same results and callers merge them canonically,
 making output independent of `workers`.  The span scan's tasks are the
-subtrees of its prefix tree, one per first index: a task is one small int,
-the rows travel pickled with the function, and a worker returns the map of
-the kernel vectors its subtree found to their incidences, so the incidences
-are computed in the workers too.  The subtrees shrink fast with the first
-index and there are at most |A| of them, so the pool hands them out one at
-a time (chunksize 1): in larger chunks one worker would get them all.
+subtrees of its prefix tree, one per first index whose suffix of rows has
+rank N, so that it can complete an N-subset: a task is one small int, the
+rows and their suffix ranks travel pickled with the function, and a worker
+returns the map of the kernel vectors its subtree found to their
+incidences, so the incidences are computed in the workers too.  The
+subtrees shrink fast with the first index and there are at most |A| of
+them, so the pool hands them out one at a time (chunksize 1): in larger
+chunks one worker would get them all.
 The worker count is an explicit argument (the CLI's `--workers`), 1
 (serial) by default.  The pool starts all of its processes at the first
 submit, so it never asks for more than `os.cpu_count()` of them.

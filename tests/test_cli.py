@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from ordcurves import determined, ndfamilies, projection
 from ordcurves.cli import main
 from ordcurves.determined import default_regularity_threshold
 
@@ -449,3 +450,62 @@ def test_stdout_matches_golden(name, points, argv, capsysbinary):
     captured = capsysbinary.readouterr()
     assert code == 0, captured.err
     assert captured.out == (GOLDEN / name).read_bytes()
+
+
+def _shrunk_incidences(real):
+    # every curve keeps one point of its incidence
+    def fake(config, workers=1):
+        return [(vec, frozenset(sorted(inc)[:1])) for vec, inc in real(config, workers)]
+    return fake
+
+
+def _doubled_lines(real):
+    # every image line twice, so the pullback cannot be injective
+    def fake(*args):
+        lines = real(*args)
+        return [*lines, *lines]
+    return fake
+
+
+def _inflated_tau(real):
+    # every region's tau past the growth guard's bound
+    def fake(*args):
+        for *head, tau in real(*args):
+            yield (*head, tau + 100)
+    return fake
+
+
+@pytest.mark.parametrize("argv, module, name, fake, invariant", [
+    (["determined", "--d", "2"], determined, "spanned_hyperplanes", _shrunk_incidences,
+     "determined curve with fewer than C(d+2,2)-1 incidences"),
+    (["project", "--d", "2", "--basis", "7,8,1"], projection, "two_point_lines",
+     _doubled_lines, "line pullback is not injective"),
+    (["nd-grow", "--d", "3", "--seed", "0"], ndfamilies, "_active_flats", _inflated_tau,
+     "growth guard"),
+], ids=["determined", "project", "nd-grow"])
+def test_invariant_dump_reruns(argv, module, name, fake, invariant, tmp_path, monkeypatch,
+                               capsys):
+    monkeypatch.setattr(module, name, fake(getattr(module, name)))
+    first = tmp_path / "first"
+    first.mkdir()
+    (first / "points.json").write_bytes((GOLDEN / "points.json").read_bytes())
+    monkeypatch.chdir(first)
+    argv = [*argv, "--input", "points.json"]
+    code, out, err = run(argv, capsys)
+    assert code == 4 and out == ""
+    assert invariant in err.splitlines()[0]
+    repro = json.loads(err.splitlines()[-1])["repro"]
+    assert repro["argv"] == argv
+    config = json.loads((GOLDEN / "points.json").read_text())
+    assert repro["input"]["d"] == int(argv[2])
+    assert repro["input"]["points"] == [
+        [str(Fraction(x)), str(Fraction(y))] for x, y in config["points"]
+    ]
+    # the dump alone reruns: its input at the argv's --input path, its argv as given
+    again = tmp_path / "again"
+    again.mkdir()
+    (again / "points.json").write_text(json.dumps(repro["input"]))
+    monkeypatch.chdir(again)
+    code, out, err = run(repro["argv"], capsys)
+    assert code == 4 and out == ""
+    assert json.loads(err.splitlines()[-1])["repro"] == repro

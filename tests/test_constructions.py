@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from ordcurves import constructions
 from ordcurves.bipoly import PlaneCurve, parse_poly
 from ordcurves.constructions import (
     _SpanGuard,
@@ -22,8 +23,8 @@ from ordcurves.determined import (
     vanishing_dim,
 )
 from ordcurves.errors import HypothesisViolation, InvariantViolation
-from ordcurves.linalg import affine_rank
-from ordcurves.veronese import lift
+from ordcurves.linalg import affine_rank, rank
+from ordcurves.veronese import integer_lift, lift
 
 
 def test_theorem6_shape_and_certificates():
@@ -190,7 +191,7 @@ def test_sampler_reproduces_recorded_point_lists(kind, params, expected):
 
 
 def test_span_guard_refuses_a_dependent_accepted_row():
-    guard = _SpanGuard(3, 2)
+    guard = _SpanGuard(3)
     for row in [(1, 0, 0), (0, 1, 0)]:
         assert not guard.spans(row)
         guard.accept(row)
@@ -199,3 +200,50 @@ def test_span_guard_refuses_a_dependent_accepted_row():
     guard.accept((2, 0, 0))
     with pytest.raises(InvariantViolation):
         guard.spans((1, 1, 1))
+
+
+class _SubsetGuard:
+    """The span guard by its definition: a row is refused when it lies in
+    the span of some min(k, n_cols - 1) of the k accepted rows, tested by
+    rank, subset by subset."""
+
+    def __init__(self, n_cols):
+        self.size = n_cols - 1
+        self.rows = []
+
+    def spans(self, z):
+        return any(
+            rank([*sub, z]) == rank(sub)
+            for sub in combinations(self.rows, min(len(self.rows), self.size))
+        )
+
+    def accept(self, z):
+        self.rows.append(z)
+
+
+def _built_both_ways(monkeypatch, build):
+    walked = build().to_json_obj()
+    with monkeypatch.context() as patch:
+        patch.setattr(constructions, "_SpanGuard", _SubsetGuard)
+        by_subsets = build().to_json_obj()
+    return walked, by_subsets
+
+
+@pytest.mark.parametrize("g, count", [(1, 9), (2, 10), (3, 11)])
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_random_sampler_guard_is_the_subset_test(monkeypatch, g, count, seed):
+    walked, by_subsets = _built_both_ways(monkeypatch, lambda: sample_configuration(
+        "random_general", seed=seed, count=count, d=g, genericity=g))
+    assert walked == by_subsets
+
+
+@pytest.mark.parametrize("d, m", [(1, 7), (2, 9), (3, 12), (4, 16)])
+@pytest.mark.parametrize("seed", [0, 3, 4])
+def test_carrier_guard_is_the_subset_test(monkeypatch, d, m, seed):
+    N = comb(d + 2, 2) - 1
+    walked, by_subsets = _built_both_ways(
+        monkeypatch, lambda: construct_theorem8(d, N, m, seed=seed))
+    assert walked == by_subsets
+    # and in the full lift's columns every N-subset of carrier points is independent
+    rows = [integer_lift((Fraction(x), Fraction(y)), d) for x, y in walked["points"][1:]]
+    assert all(rank(sub) == N for sub in combinations(rows, N))

@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 import weakref
 from fractions import Fraction
 from itertools import combinations
@@ -22,7 +23,7 @@ from ordcurves.determined import (
 )
 from ordcurves.errors import HypothesisViolation
 from ordcurves.linalg import (
-    flats, kernel, kernel_leaves, kernel_root, prefix_kernels, primitive, rank,
+    flats, hyperplane_leaves, kernel, prefix_kernels, primitive, rank,
 )
 from ordcurves.ndfamilies import grow_nd_chain
 from ordcurves.oracle import oracle_determined, oracle_max_richness
@@ -317,6 +318,16 @@ def _bareiss_scan(rows):
     return vectors, full_rank
 
 
+def _leaf_counts(rows):
+    """The leaves `hyperplane_leaves` yields over every first index, walked
+    with no ranks and with the suffix ranks."""
+    ranks = [rank(rows[i:]) for i in range(len(rows))] + [0]
+    return [
+        sum(1 for first in range(len(rows)) for _ in hyperplane_leaves(rows, first, r))
+        for r in (None, ranks)
+    ]
+
+
 @pytest.mark.parametrize("d, curve, k, free", [
     (1, "line", 4, 3),
     (1, "conic", 5, 2),
@@ -334,8 +345,7 @@ def test_prefix_tree_matches_bareiss_scan(d, curve, k, free):
     expected, full_rank = _bareiss_scan(rows)
     assert _checked_scan(config) == [expected, expected]
     # one leaf per independent subset: none lost, no dependent one kept
-    root = kernel_root(len(rows[0]))
-    assert sum(1 for _ in kernel_leaves(rows, len(rows[0]) - 1, root)) == full_rank
+    assert _leaf_counts(rows) == [full_rank, full_rank]
 
 
 def _closure_scan(rows, n_cols):
@@ -423,8 +433,7 @@ def test_prefix_tree_prunes_and_stays_exact(build, d):
     assert full_rank < comb(len(rows), n_cols - 1)
     assert _dependent_prefix(rows, n_cols - 1)
     assert _checked_scan(config) == [expected, expected]
-    root = kernel_root(n_cols)
-    assert sum(1 for _ in kernel_leaves(rows, n_cols - 1, root)) == full_rank
+    assert _leaf_counts(rows) == [full_rank, full_rank]
 
 
 def test_pruned_enumeration_matches_oracle():
@@ -433,3 +442,86 @@ def test_pruned_enumeration_matches_oracle():
     assert frozenset(rec.curve.radical for rec in result.records) == oracle_determined(config)
     assert len(result) == len(oracle_determined(config))
     _checked_scan(config)
+
+
+def _scan_in_order(config, perm):
+    """(vector, incidence) of every record of `enumerate_determined` on the
+    points taken in the order perm, incidences mapped back to the given
+    indices."""
+    permuted = PointConfiguration.from_points([config.points[i] for i in perm], config.d)
+    return {
+        (rec.hyperplanes[0], frozenset(perm[i] for i in rec.incidence))
+        for rec in enumerate_determined(permuted).records
+    }
+
+
+def _orders(n, seed):
+    shuffled = list(range(n))
+    random.Random(seed).shuffle(shuffled)
+    return [list(range(n)), list(range(n - 1, -1, -1)), shuffled]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: construct_theorem6(2, 9, seed=4).config,
+    lambda: construct_theorem6(3, 12, seed=12).config,
+    lambda: PointConfiguration.from_points(_adversarial_set(207, "line", 5, 4), 2),
+    lambda: PointConfiguration.from_points(_adversarial_set(209, "conic", 7, 3), 2),
+    lambda: PointConfiguration.from_points(_adversarial_set(208, "cubic", 6, 3), 2),
+], ids=["theorem6-d2", "theorem6-d3", "line-d2", "conic-d2", "cubic-d2"])
+def test_scan_does_not_depend_on_row_order(build):
+    # the suffix-rank bound prunes more when the low-rank rows come last, so
+    # its strength depends on the order; the scan's output must not
+    config = build()
+    expected = {
+        (curve, frozenset(i for i, p in enumerate(config.points) if curve.evaluate(p) == 0))
+        for curve in oracle_determined(config)
+    }
+    for perm in _orders(len(config), len(config)):
+        got = _scan_in_order(config, perm)
+        assert {(spanned_curve(vec, config.d).radical, inc) for vec, inc in got} == expected
+
+
+def test_line_heavy_d4_scan_does_not_depend_on_row_order():
+    config = construct_theorem6(4, 21, seed=21).config
+    given, _, shuffled = _orders(len(config), 21)
+    expected = _scan_in_order(config, given)
+    assert len(expected) == 340
+    assert _scan_in_order(config, shuffled) == expected
+
+
+def _count_steps(monkeypatch):
+    """Every `kernel_step` call, under every name the package holds it by."""
+    from ordcurves import linalg
+
+    calls = []
+    real = linalg.kernel_step
+
+    def counted(node, row):
+        calls.append(None)
+        return real(node, row)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ordcurves") and getattr(module, "kernel_step", None) is real:
+            monkeypatch.setattr(module, "kernel_step", counted)
+    return calls
+
+
+def test_line_heavy_scan_skips_what_cannot_complete(monkeypatch):
+    # theorem6 at d=4, m=21: 4,950 independent 14-subsets give 340 curves;
+    # the scan stepped 151,727 times when it walked every independent prefix
+    config = construct_theorem6(4, 21, seed=21).config
+    steps = _count_steps(monkeypatch)
+    assert len(spanned_hyperplanes(config)) == 340
+    assert len(steps) == 1310
+
+
+def test_sweep_steps_below_the_nets_only(monkeypatch):
+    # the seed-1 sweep at d=2, |A| = 8..12: the samplers' guards and the
+    # scans stepped 1,908 + 1,256 times when both eliminated down to one
+    # level above their leaves
+    steps = _count_steps(monkeypatch)
+    for size in range(8, 13):
+        built = sample_configuration("random_general", seed=1 + size, count=size, d=2,
+                                     genericity=2)
+        enumerate_determined(built.config)
+    assert len(steps) == 850
