@@ -271,8 +271,9 @@ def sample_configuration(kind: str, seed: int = 0, **params) -> Construction:
     if kind == "grid":
         d = int(params.get("d", 1))
         side = params.get("side")
-        width = int(params.get("width", side or 3))
-        height = int(params.get("height", side or 3))
+        side = 3 if side is None else side
+        width = int(params.get("width", side))
+        height = int(params.get("height", side))
         pts = [(Fraction(x), Fraction(y)) for y in range(height) for x in range(width)]
         return Construction(
             PointConfiguration.from_points(pts, d),

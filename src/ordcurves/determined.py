@@ -56,7 +56,15 @@ from math import comb
 
 from .bipoly import PlaneCurve
 from .errors import HypothesisViolation, InvariantViolation
-from .linalg import kernel, kernel_root, kernel_step, normalized_key, rank, subtree_kernels
+from .linalg import (
+    _primitive,
+    kernel,
+    kernel_root,
+    kernel_step,
+    normalized_key,
+    rank,
+    subtree_kernels,
+)
 from .parallel import pmap
 from .veronese import Point, as_point, integer_lift, spanned_curve, vector_to_curve
 
@@ -178,7 +186,9 @@ def _spanned_vectors(rows, workers: int = 1) -> dict:
     rank(rows[i:]) for every i comes from one fold from the end, which
     stops once the basis is empty.  Only a first index whose suffix has
     rank N gets a task, and the ranks go with the rows to every task, where
-    they skip each subtree whose later rows cannot complete it.
+    they skip each subtree whose later rows cannot complete it.  Rows of
+    rank N all lie on one hyperplane, which every N-subset would give
+    again: the fold's last basis is its one vector, and no task runs.
     """
     n_cols = len(rows[0])
     ranks = [n_cols] * len(rows) + [0]
@@ -188,6 +198,8 @@ def _spanned_vectors(rows, workers: int = 1) -> dict:
             break
         node = kernel_step(node, rows[i]) or node
         ranks[i] = n_cols - len(node[0])
+    if ranks[0] == n_cols - 1:
+        return {_primitive(node[0][0]): frozenset(range(len(rows)))}
     firsts = [i for i in range(len(rows)) if ranks[i] >= n_cols - 1]
     found = {}
     for part in pmap(partial(subtree_kernels, rows, ranks=ranks), firsts, workers=workers):
@@ -261,24 +273,24 @@ def max_curve_richness(config: PointConfiguration, e: int):
     """Largest |A & C| over curves C of degree <= e, with a witness subset.
 
     If the degree-e rows of A have rank below C(e+2,2), all of A lies on one
-    curve.  Otherwise let I be a richest section.  Its vanishing space is
-    one-dimensional: were it larger, passing through a point of A outside I
-    (one exists, as A lies on no curve) is one linear condition and would
-    leave a nonzero polynomial, a curve through more than |I| points.  So I
-    holds N = C(e+2,2)-1 points with independent rows, their primitive
-    kernel vector spans the vanishing space of I, and its zero rows are
-    exactly I.  Every kernel vector's zero rows, the incidence the scan
-    gives it, are a section, so the richest of them is a richest section.
-    The witness is the lexicographically first richest section (sorted
-    indices), the one the top-down subset scan `oracle.oracle_max_richness`
-    returns.
+    curve, and the scan says so: below N = C(e+2,2)-1 its suffix ranks give
+    it no subtree and it finds no vector, and at N it finds the one vector
+    through every row.  Otherwise let I be a richest section.  Its
+    vanishing space is one-dimensional: were it larger, passing through a
+    point of A outside I (one exists, as A lies on no curve) is one linear
+    condition and would leave a nonzero polynomial, a curve through more
+    than |I| points.  So I holds N points with independent rows, their
+    primitive kernel vector spans the vanishing space of I, and its zero
+    rows are exactly I.  Every kernel vector's zero rows, the incidence the
+    scan gives it, are a section, so the richest of them is a richest
+    section.  The witness is the lexicographically first richest section
+    (sorted indices), the one the top-down subset scan
+    `oracle.oracle_max_richness` returns.
     """
     if e < 1:
         raise HypothesisViolation("e >= 1", f"e={e}")
     rows = config.homogeneous_lifts(e)
-    if rank(rows) < comb(e + 2, 2):
-        return len(rows), tuple(range(len(rows)))
-    return richest(_spanned_vectors(rows).values())
+    return richest(_spanned_vectors(rows).values() or [range(len(rows))])
 
 
 # the default threshold's denominator has 2^(3e+8) bits: 128 KiB at e = 4, and

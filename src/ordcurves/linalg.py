@@ -6,8 +6,7 @@ prefix of rows, and `kernel_step` extends it by one row.  Every entry is a
 minor of the input, so all of its divisions are exact and no `Fraction` is
 ever built.  Rational rows are scaled by the lcm of their denominators
 first, which keeps the row space.  Folding a matrix's rows through the step
-gives its `rank` and its primitive kernel basis (`kernel`); folded on from
-the node of other rows (`kernel_node`), it gives the node of their join.
+gives its `rank` and its primitive kernel basis (`kernel`).
 `hyperplane_leaves` walks the step over the N-subsets of a row list with a
 given least index as a prefix tree, N one less than the row length,
 skipping every subtree with a dependent prefix or with too few independent
@@ -91,17 +90,16 @@ def primitive(vec) -> tuple[int, ...]:
     return _primitive(_integer_row(vec))
 
 
-def kernel_node(rows, n_cols: int, node=None):
+def kernel_node(rows, n_cols: int):
     """The kernel node of a rational matrix: its integer rows folded
-    through `kernel_step` from `node` (default `kernel_root`), a dependent
-    row keeping the node, until the basis is empty.  From the node of other
-    rows it is the node of their join.
+    through `kernel_step` from `kernel_root`, a dependent row keeping the
+    node, until the basis is empty.
 
     One vector per free column, in ascending order: the step eliminates the
     first free column with a nonzero dot, so the free columns are those of
     the echelon form, and each vector is zero on the other free columns.
     """
-    node = node or kernel_root(n_cols)
+    node = kernel_root(n_cols)
     for row in _integer_matrix(rows, n_cols):
         if not node[0]:
             break
@@ -455,9 +453,7 @@ class AffineFlat:
     flat, and they span it.  `normals` is a kernel basis of them: z lies in
     the flat exactly when (1, z) is orthogonal to every normal.  `row_span`
     takes the primitive one (`kernel`), which depends on the flat only, so
-    such flats compare by it; a flat given a raw kernel node's basis, as the
-    projection's exceptional joins are, is only tested for membership and
-    dimension.
+    flats compare by it.
     """
 
     ambient_dim: int

@@ -6,12 +6,21 @@ projection of the complement onto the projective plane; hyperplanes through
 F correspond bijectively to projective lines.  Points of A whose lift lands
 in F are collected as D; the exceptional catalog consists of the lower
 degree curves meeting B in one point fewer than the forbidden threshold,
-and each such curve C contributes the flat spanned by the lifts of C and B,
-whose dimension must come out exactly one above F — that pins every point
-of C outside D to a single image point, the forbidden set T.  Lines through
-exactly two surviving image points and no forbidden point pull back to
-spanned hyperplanes and hence to determined curves whose incidence with A
-is controlled by twice the maximal fiber size plus |D & A|.
+and each such curve C must span with B a flat exactly one above F — that
+pins every point of C outside D to a single image point, the forbidden set
+T.  Lines through exactly two surviving image points and no forbidden point
+pull back to spanned hyperplanes and hence to determined curves whose
+incidence with A is controlled by twice the maximal fiber size plus |D & A|.
+
+Every point and every exceptional join is read off the three forms.  Each
+point's three values are taken once: D is the set of points where all
+three are 0, and any other point's image is their primitive triple, which
+the fibers and the exceptional set read.  The join of C's lift flat with F
+is cut out by the combinations of the forms vanishing on C's lift rows, so
+it has 3 - r normals, r the rank of the forms' values on those rows, and is
+one above F exactly when r = 1.  It is then the fiber of the one image
+point those values give, and its points of A off D are the points with
+that image.
 
 Points are indices into A, lifted as its cached integer rows Z^d * (1, lift)
 (`PointConfiguration.homogeneous_lifts`).  Flats are spanned by those rows,
@@ -58,12 +67,11 @@ from .errors import HypothesisViolation, InvariantViolation
 from .linalg import (
     AffineFlat,
     _integer_row,
-    _primitive,
     flat_from_equations,
-    kernel_node,
     normalized_key,
     primitive,
     rank,
+    row_span,
 )
 from .ndfamilies import BasisCandidate, _basis_rows, nd_verify
 from .veronese import ambient_dim, spanned_curve
@@ -115,11 +123,6 @@ class HyperprojectionMap:
                 "center has codimension 3",
                 f"dim {center.dim} in Q^{center.ambient_dim}",
             )
-        if len(center.normals) != 3:
-            raise InvariantViolation(
-                "codimension-3 flat without exactly three equations",
-                {"dim": center.dim, "ambient": center.ambient_dim},
-            )
         # a normal's c is never zero on a nonempty flat
         firsts = [next(filter(None, normal[1:])) for normal in center.normals]
         scale = lcm(*firsts)
@@ -133,10 +136,15 @@ class HyperprojectionMap:
         """Image of a point z of lift space."""
         return self.project_row(_integer_row((1, *z)))
 
+    def values(self, row) -> list[int]:
+        """The three forms' values on a homogeneous row, all 0 exactly when
+        the row's point lies on the center."""
+        return [_dot(f, row) for f in self.forms]
+
     def project_row(self, row) -> tuple[int, ...]:
         """Image of a homogeneous row, as a primitive triple: any nonzero
         multiple of (1, z), such as an `integer_lift` row, has the image of z."""
-        w = [_dot(f, row) for f in self.forms]
+        w = self.values(row)
         if not any(w):
             raise HypothesisViolation(
                 "point off the projection center", "z lies on the center flat"
@@ -249,12 +257,7 @@ def build_pipeline(A: PointConfiguration, B, d: int | None = None) -> Projection
     # not walked again, its verdict is kept on A
     catalog = exceptional_catalog(A, b, d)
     n_amb = ambient_dim(d)
-    # the center's kernel node, made primitive, gives its normals as
-    # `row_span` would, and each exceptional join is stepped on from it
-    center_node = kernel_node(basis_rows[d], n_amb + 1)
-    center = AffineFlat(
-        n_amb, tuple(map(tuple, basis_rows[d])), tuple(map(_primitive, center_node[0]))
-    )
+    center = row_span(n_amb, basis_rows[d])
     if center.dim != n_amb - 3:
         raise InvariantViolation(
             "basis span is not codimension 3",
@@ -262,63 +265,46 @@ def build_pipeline(A: PointConfiguration, B, d: int | None = None) -> Projection
         )
     projector = HyperprojectionMap.from_flat(center)
 
-    rows = A.homogeneous_lifts(d)
-    d_indices = tuple(i for i in range(len(A)) if center.contains_row(rows[i]))
-    if any(i not in d_indices for i in b):
+    # each point's three form values, taken once: D is where all three are
+    # 0, and every other point's image is their primitive triple
+    images = [
+        primitive(w) if any(w) else None
+        for w in map(projector.values, A.homogeneous_lifts(d))
+    ]
+    d_indices = tuple(i for i, image in enumerate(images) if image is None)
+    if any(images[i] is not None for i in b):
         raise InvariantViolation("basis point escaped its own span", {})
 
-    t_points = []
+    t_points = set()
     exceptional = set(d_indices)
     for e, vec in catalog:
-        # the join's kernel node is the center's stepped by the curve's
-        # lift rows; its raw normals only test points by zero dot products
-        curve_rows = curve_lift_flat(e, vec, d).rows
-        normals, _ = kernel_node(curve_rows, n_amb + 1, center_node)
-        joined = AffineFlat(n_amb, curve_rows + center.rows, tuple(map(tuple, normals)))
-        if joined.dim != n_amb - 2:
+        # the join of the curve's lift flat with the center has 3 - r
+        # normals, r the rank of the forms' values on the curve's lift rows
+        values = list(map(projector.values, curve_lift_flat(e, vec, d).rows))
+        r = rank(values)
+        if r != 1:
             raise InvariantViolation(
                 "exceptional span is not one above the center",
-                {"e": e, "curve": _curve_text(e, vec), "dim": joined.dim},
+                {"e": e, "curve": _curve_text(e, vec), "dim": n_amb - 3 + r},
             )
-        # the forms have rank 1 on the joined span, so every point of the
-        # joined flat off the center projects to the same image point
-        probe = next((row for row in curve_rows if not center.contains_row(row)), None)
-        if probe is None:
-            raise InvariantViolation(
-                "exceptional flat equals the center", {"curve": _curve_text(e, vec)}
-            )
-        image = projector.project_row(probe)
-        members = [
-            i
-            for i in range(len(A))
-            if i not in d_indices and joined.contains_row(rows[i])
-        ]
-        for i in members:
-            exceptional.add(i)
-            if projector.project_row(rows[i]) != image:
-                raise InvariantViolation(
-                    "exceptional curve image is not a single point",
-                    {
-                        "curve": _curve_text(e, vec),
-                        "point": [str(A.points[i][0]), str(A.points[i][1])],
-                    },
-                )
+        # at rank 1 the join is the fiber of the one nonzero image, so its
+        # points off D are exactly the points with that image
+        image = primitive(next(filter(any, values)))
+        exceptional.update(i for i, other in enumerate(images) if other == image)
         for i in _zero_rows(vec, A.homogeneous_lifts(e)):
             if i not in exceptional:
                 raise InvariantViolation(
                     "curve point missing from the exceptional set",
                     {"curve": _curve_text(e, vec), "index": i},
                 )
-        t_points.append(image)
-    t_points = tuple(sorted(set(t_points), key=normalized_key))
+        t_points.add(image)
+    t_points = tuple(sorted(t_points, key=normalized_key))
 
     e_indices = tuple(sorted(exceptional))
     fibers: dict[tuple[int, ...], list[int]] = {}
-    for i in range(len(A)):
-        if i in exceptional:
-            continue
-        image = projector.project_row(rows[i])
-        fibers.setdefault(image, []).append(i)
+    for i, image in enumerate(images):
+        if i not in exceptional:
+            fibers.setdefault(image, []).append(i)
     s_points = tuple(sorted(fibers, key=normalized_key))
     delta = max((len(v) for v in fibers.values()), default=0)
 

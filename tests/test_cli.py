@@ -197,9 +197,12 @@ def test_point_index_out_of_range_exit_2(octet, capsys, argv, bad):
      2, "--carrier"),
     (["sweep", "--d", "2", "--n", "5", "--sizes", "9:8"], 2, "--sizes"),
     (["sweep", "--d", "2", "--n", "5", "--sizes", "8-9"], 2, "--sizes"),
+    (["construct", "--kind", "grid", "--d", "2", "--side", "0"], 3, "nonempty configuration"),
+    (["construct", "--kind", "grid", "--d", "2", "--side", "-1"], 3, "nonempty configuration"),
 ], ids=["theorem6-no-m", "theorem8-no-m-n", "random-no-count", "threshold-abc",
         "threshold-1/0", "degrees-empty", "degrees-0", "carrier-circle", "nd-grow-carrier-constant",
-        "theorem8-carrier-constant", "sweep-sizes-reversed", "sweep-sizes-malformed"])
+        "theorem8-carrier-constant", "sweep-sizes-reversed", "sweep-sizes-malformed",
+        "grid-side-0", "grid-side-negative"])
 def test_rejected_option_exits_with_name(octet, capsys, argv, code, name):
     # malformed input exits 2 and a violated hypothesis 3, with no traceback
     got, out, err = run([arg.format(octet=octet) for arg in argv], capsys)
@@ -467,6 +470,14 @@ def _doubled_lines(real):
     return fake
 
 
+def _extra_catalog_line(real):
+    # the line x = 0, through no basis point: its lifts span with the center
+    # a flat more than one dimension above it
+    def fake(*args):
+        return (*real(*args), (1, (0, 1, 0)))
+    return fake
+
+
 def _inflated_tau(real):
     # every region's tau past the growth guard's bound
     def fake(*args):
@@ -480,9 +491,11 @@ def _inflated_tau(real):
      "determined curve with fewer than C(d+2,2)-1 incidences"),
     (["project", "--d", "2", "--basis", "7,8,1"], projection, "two_point_lines",
      _doubled_lines, "line pullback is not injective"),
+    (["project", "--d", "2", "--basis", "7,8,1"], projection, "exceptional_catalog",
+     _extra_catalog_line, "exceptional span is not one above the center"),
     (["nd-grow", "--d", "3", "--seed", "0"], ndfamilies, "_active_flats", _inflated_tau,
      "growth guard"),
-], ids=["determined", "project", "nd-grow"])
+], ids=["determined", "project", "project-join", "nd-grow"])
 def test_invariant_dump_reruns(argv, module, name, fake, invariant, tmp_path, monkeypatch,
                                capsys):
     monkeypatch.setattr(module, name, fake(getattr(module, name)))

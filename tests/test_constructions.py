@@ -105,6 +105,15 @@ def test_sample_grid():
     assert (Fraction(2), Fraction(2)) in built.config.points
 
 
+@pytest.mark.parametrize("side", [0, -2])
+def test_sample_grid_without_points_is_refused(side):
+    # only a missing side defaults to 3; side 0 asks for no points, as a
+    # negative side does
+    with pytest.raises(HypothesisViolation, match="nonempty configuration"):
+        sample_configuration("grid", side=side, d=2)
+    assert len(sample_configuration("grid", d=2).config) == 9
+
+
 def test_sample_random_general_deterministic():
     a = sample_configuration("random_general", seed=5, count=8, d=2, genericity=2)
     b = sample_configuration("random_general", seed=5, count=8, d=2, genericity=2)

@@ -233,6 +233,42 @@ def test_pipeline_exceptional_points_share_image():
         assert len(rec.incidence) <= state.n
 
 
+def _join_cases():
+    """(A, B) for the golden d=3 basis, the handcrafted bases and the d=2
+    triples, all but the golden one with exceptional lines."""
+    golden = json.loads((GOLDEN / "points.json").read_text())
+    golden_pts = [tuple(map(Fraction, p)) for p in golden["points"]]
+    yield PointConfiguration.from_points(golden_pts, 3), [7, 8, 1, 5, 3, 4, 9]
+    for extras in HANDCRAFTED_EXTRAS:
+        yield PointConfiguration.from_points(HANDCRAFTED_D3 + extras, 3), list(range(7))
+    for triple in (TRIPLE, SCALED_TRIPLE, FRACTION_TRIPLE):
+        yield PointConfiguration.from_points(triple + OCTET[3:], 2), [0, 1, 2]
+
+
+def test_exceptional_set_matches_spanned_joins():
+    # each catalog curve's join with the center, spanned by the rows of both:
+    # one above the center, its points of A together with D are the
+    # exceptional set, and its points off the center share one image, T's
+    joins = 0
+    for A, basis in _join_cases():
+        state = build_pipeline(A, basis, A.d)
+        center, rows = state.center, A.homogeneous_lifts(A.d)
+        exceptional, images = set(state.d_indices), set()
+        for e, vec in state.catalog:
+            curve_rows = curve_lift_flat(e, vec, A.d).rows
+            joined = row_span(center.ambient_dim, [*center.rows, *curve_rows])
+            assert joined.dim == center.dim + 1
+            exceptional |= {i for i, row in enumerate(rows) if joined.contains_row(row)}
+            off = [row for row in curve_rows if not center.contains_row(row)]
+            image = {state.projector.project_row(row) for row in off}
+            assert len(image) == 1
+            images |= image
+            joins += 1
+        assert state.e_indices == tuple(sorted(exceptional))
+        assert set(state.t_points) == images
+    assert joins == 2 * 2 + 3 * 3
+
+
 def test_two_point_lines_examples():
     pts = [primitive(v) for v in [(1, 0, 0), (1, 1, 0), (1, 0, 1)]]
     assert len(two_point_lines(pts, [])) == 3
