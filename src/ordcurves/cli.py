@@ -129,13 +129,13 @@ def _cmd_lift(args, out):
 
 def _cmd_determined(args, out):
     config = args.config
-    result = enumerate_determined(config, workers=args.workers)
+    result = enumerate_determined(config)
     dump_json(result.to_json_obj(), out)
 
 
 def _cmd_ordinary(args, out):
     config = args.config
-    result = ordinary_curves(config, args.n, workers=args.workers)
+    result = ordinary_curves(config, args.n)
     dump_json(result.to_json_obj(), out)
 
 
@@ -236,7 +236,7 @@ def _cmd_sweep(args, out):
             genericity=min(args.d, 2),
         )
         start = time.perf_counter()
-        determined = enumerate_determined(built.config, workers=args.workers)
+        determined = enumerate_determined(built.config)
         ordinary = [r for r in determined.records if len(r.incidence) <= args.n]
         # the richest degree-<=d section is a determined curve's incidence
         richness, _ = richest(r.incidence for r in determined.records)
@@ -250,7 +250,7 @@ def _cmd_sweep(args, out):
 def _cmd_oracle_check(args, out):
     config = args.config
     reports = []
-    main_set = enumerate_determined(config, workers=args.workers)
+    main_set = enumerate_determined(config)
     reports.append(compare_determined(config, main_set, instance=args.input))
     if args.nd_size is not None:
         from itertools import combinations
@@ -281,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact enumeration of determined and ordinary plane curves",
     )
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes (default 1)")
+                        help="accepted for compatibility and ignored: the scan runs in "
+                             "one process (must be at least 1; default 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, needs_input=True):

@@ -21,8 +21,8 @@ each pair of later rows gives that leaf's one kernel vector as a
 combination of the net by a cross product of their dots, made primitive:
 the subset's hyperplane, the same vector a subset-by-subset elimination
 gives (`linalg.subtree_kernels`).  The subtrees under each first index
-whose suffix can complete an N-subset are independent tasks, which
-`--workers` hands to a process pool.
+whose suffix can complete an N-subset are independent tasks, mapped in
+the calling process (`parallel.pmap`).
 
 The primitive vector is the hyperplane's only representation.  It is also
 the identity of the hyperplane's curve: the polynomial of a spanned
@@ -34,8 +34,8 @@ caller asks for them.  A curve's incidence is read off the same net, once
 per distinct vector and inside the task that found it: the vector's dot
 with a row is the cross product's dot with the row's three net dots, so it
 vanishes on a row exactly when those three products sum to 0.  The rows
-before the net's later rows are dotted with the net too, once, when the net
-first gives a new vector.
+of the net's prefix are on every vector of the net; each other row before
+the net's later rows is dotted with each new vector directly.
 Each is an exact evaluation of the curve at the point, never inferred from
 which subsets spanned the hyperplane, so coincident lifts cannot be double
 counted, and no curve is evaluated again at every point.
@@ -178,7 +178,7 @@ class DeterminedCurveSet:
         }
 
 
-def _spanned_vectors(rows, workers: int = 1) -> dict:
+def _spanned_vectors(rows) -> dict:
     """The distinct primitive kernel vectors of the independent N-subsets of
     the rows, N one less than the row length, each mapped to its incidence;
     one task per first-index subtree, whose maps are merged.
@@ -202,7 +202,7 @@ def _spanned_vectors(rows, workers: int = 1) -> dict:
         return {_primitive(node[0][0]): frozenset(range(len(rows)))}
     firsts = [i for i in range(len(rows)) if ranks[i] >= n_cols - 1]
     found = {}
-    for part in pmap(partial(subtree_kernels, rows, ranks=ranks), firsts, workers=workers):
+    for part in pmap(partial(subtree_kernels, rows, ranks=ranks), firsts):
         found.update(part)
     return found
 
@@ -213,7 +213,7 @@ def richest(sections) -> tuple[int, tuple[int, ...]]:
     return len(best), tuple(best)
 
 
-def spanned_hyperplanes(config: PointConfiguration, workers: int = 1):
+def spanned_hyperplanes(config: PointConfiguration):
     """The hyperplanes spanned by lifted subsets, as (primitive vector,
     incidence) pairs.
 
@@ -223,11 +223,11 @@ def spanned_hyperplanes(config: PointConfiguration, workers: int = 1):
     the hyperplane, read off the scan (`linalg.subtree_kernels`).  The pairs
     come sorted by their vectors' `normalized` forms.
     """
-    found = _spanned_vectors(config.homogeneous_lifts(config.d), workers)
+    found = _spanned_vectors(config.homogeneous_lifts(config.d))
     return sorted(found.items(), key=lambda item: normalized_key(item[0]))
 
 
-def enumerate_determined(config: PointConfiguration, workers: int = 1) -> DeterminedCurveSet:
+def enumerate_determined(config: PointConfiguration) -> DeterminedCurveSet:
     """All curves of degree d determined by the configuration, one per spanned hyperplane.
 
     Requires that no curve of degree <= d contains the whole set; then the
@@ -250,7 +250,7 @@ def enumerate_determined(config: PointConfiguration, workers: int = 1) -> Determ
             f"witness curve {witness}",
         )
     records = []
-    for vec, incidence in spanned_hyperplanes(config, workers=workers):
+    for vec, incidence in spanned_hyperplanes(config):
         rec = CurveRecord(d, incidence, (vec,))
         if len(rec.incidence) < comb(d + 2, 2) - 1:
             raise InvariantViolation(
@@ -263,8 +263,11 @@ def enumerate_determined(config: PointConfiguration, workers: int = 1) -> Determ
 
 
 def ordinary_curves(config: PointConfiguration, n: int, workers: int = 1) -> DeterminedCurveSet:
-    """Determined curves meeting the configuration in at most n points."""
-    full = enumerate_determined(config, workers=workers)
+    """Determined curves meeting the configuration in at most n points.
+
+    `workers` is accepted and ignored: the scan runs in the calling process.
+    """
+    full = enumerate_determined(config)
     kept = tuple(rec for rec in full.records if len(rec.incidence) <= n)
     return DeterminedCurveSet(config.d, n, kept)
 

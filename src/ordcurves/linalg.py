@@ -504,9 +504,10 @@ def flat_span(points, ambient_dim=None) -> AffineFlat:
     return row_span(n, [_integer_row((1, *p)) for p in points])
 
 
-def flat_from_equations(ambient_dim: int, rows) -> AffineFlat:
-    """Flat cut out by affine equations, each a row (c0, *c) of the
-    functional c0 + c.z: {z : c0 + c.z = 0 for all}.
+def equation_rows(ambient_dim: int, rows) -> tuple:
+    """Integer homogeneous rows spanning the flat cut out by affine
+    equations, each a row (c0, *c) of the functional c0 + c.z:
+    {z : c0 + c.z = 0 for all}; none when the flat is empty.
 
     The solutions (w0, w) of the homogeneous system are spanned by its
     kernel basis; the flat is empty when every one has w0 = 0.  Otherwise a
@@ -516,10 +517,13 @@ def flat_from_equations(ambient_dim: int, rows) -> AffineFlat:
     basis = kernel(rows, ambient_dim + 1)
     base = next((w for w in basis if w[0]), None)
     if base is None:
-        return row_span(ambient_dim, ())
-    return row_span(
-        ambient_dim, [w if w[0] else [a + b for a, b in zip(base, w)] for w in basis]
-    )
+        return ()
+    return tuple(tuple(w) if w[0] else tuple(a + b for a, b in zip(base, w)) for w in basis)
+
+
+def flat_from_equations(ambient_dim: int, rows) -> AffineFlat:
+    """Flat cut out by affine equations (see `equation_rows`)."""
+    return row_span(ambient_dim, equation_rows(ambient_dim, rows))
 
 
 def affine_rank(points) -> int:

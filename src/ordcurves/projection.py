@@ -67,7 +67,7 @@ from .errors import HypothesisViolation, InvariantViolation
 from .linalg import (
     AffineFlat,
     _integer_row,
-    flat_from_equations,
+    equation_rows,
     normalized_key,
     primitive,
     rank,
@@ -158,7 +158,14 @@ class HyperprojectionMap:
 
 
 def curve_lift_flat(e: int, vec, d: int) -> AffineFlat:
-    """Span of the degree-d lifts of all points of a degree-e curve.
+    """Span of the degree-d lifts of all points of a degree-e curve, the
+    flat of `curve_lift_rows`."""
+    return row_span(ambient_dim(d), curve_lift_rows(e, vec, d))
+
+
+def curve_lift_rows(e: int, vec, d: int) -> tuple:
+    """Integer homogeneous rows spanning the degree-d lifts of all points of
+    a degree-e curve (`linalg.equation_rows`).
 
     `vec` is the curve's squarefree polynomial p as a degree-e vector
     (constant, `monomial_order(e)`).  The equations are the degree-<=d
@@ -178,7 +185,7 @@ def curve_lift_flat(e: int, vec, d: int) -> AffineFlat:
             for (n, m), c in zip(source, vec):
                 row[position[n + a, m + shift_total - a]] = c
             eqs.append(row)
-    return flat_from_equations(ambient_dim(d), eqs)
+    return equation_rows(ambient_dim(d), eqs)
 
 
 def exceptional_catalog(A: PointConfiguration | None, B, d: int):
@@ -280,7 +287,7 @@ def build_pipeline(A: PointConfiguration, B, d: int | None = None) -> Projection
     for e, vec in catalog:
         # the join of the curve's lift flat with the center has 3 - r
         # normals, r the rank of the forms' values on the curve's lift rows
-        values = list(map(projector.values, curve_lift_flat(e, vec, d).rows))
+        values = list(map(projector.values, curve_lift_rows(e, vec, d)))
         r = rank(values)
         if r != 1:
             raise InvariantViolation(

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from decimal import Decimal
@@ -306,11 +307,9 @@ def test_workers_equivalence(octet, capsys):
 
 @pytest.fixture
 def recording_pool(monkeypatch):
-    """Replaces the process pool by a serial stand-in on a 3-CPU host;
-    returns the max_workers of every pool asked for."""
+    """Replaces the process pool by a serial stand-in; returns the
+    max_workers of every pool asked for."""
     import concurrent.futures
-
-    from ordcurves import parallel
 
     requested = []
 
@@ -328,7 +327,6 @@ def recording_pool(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 3)
     return requested
 
 
@@ -343,29 +341,33 @@ def test_workers_below_one_exit_2(octet, capsys, recording_pool, workers):
 def test_pmap_never_asks_for_more_workers_than_cpus(recording_pool):
     from ordcurves.parallel import pmap
 
-    assert pmap(abs, [-1, -2, -3], workers=100_000) == [1, 2, 3]
-    assert pmap(abs, [-1, -2], workers=2) == [1, 2]
-    assert recording_pool == [3, 2]
+    assert pmap(abs, [-1, -2, -3]) == [1, 2, 3]
+    assert pmap(abs, [-1, -2]) == [1, 2]
+    assert recording_pool == []
 
 
-def test_cli_import_leaves_the_pool_unloaded():
-    # a serial run never loads the process pool's module
+def test_cli_import_leaves_the_pool_unloaded(octet):
+    # neither the import nor a scan asked for 2 workers loads the process
+    # pool's module
     import ordcurves
 
     src = str(Path(ordcurves.__file__).resolve().parent.parent)
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import ordcurves.cli; "
-        "print('concurrent.futures.process' in sys.modules)"
+        "loaded = 'concurrent.futures.process' in sys.modules; "
+        "code = ordcurves.cli.main(['--workers', '2', 'determined', "
+        f"'--input', {octet!r}, '--output', {os.devnull!r}]); "
+        "print(loaded, code, 'concurrent.futures.process' in sys.modules)"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert done.stdout == "False\n"
+    assert done.stdout == "False 0 False\n"
 
 
 def test_large_workers_flag_is_capped(octet, capsys, recording_pool):
     _, serial, _ = run(["determined", "--input", octet], capsys)
     code, out, _ = run(["--workers", "100000", "determined", "--input", octet], capsys)
     assert code == 0 and out == serial
-    assert recording_pool == [3]
+    assert recording_pool == []
 
 
 def test_oracle_check(square, octet, capsys):
@@ -390,7 +392,7 @@ def test_invariant_violation_exit_4(square, capsys, monkeypatch):
     from ordcurves import cli
     from ordcurves.errors import InvariantViolation
 
-    def boom(config, workers=None):
+    def boom(config):
         raise InvariantViolation("synthetic defect", {"detail": 1})
 
     monkeypatch.setattr(cli, "enumerate_determined", boom)
@@ -457,8 +459,8 @@ def test_stdout_matches_golden(name, points, argv, capsysbinary):
 
 def _shrunk_incidences(real):
     # every curve keeps one point of its incidence
-    def fake(config, workers=1):
-        return [(vec, frozenset(sorted(inc)[:1])) for vec, inc in real(config, workers)]
+    def fake(config):
+        return [(vec, frozenset(sorted(inc)[:1])) for vec, inc in real(config)]
     return fake
 
 

@@ -1,4 +1,5 @@
 import gc
+import os
 import random
 import sys
 import weakref
@@ -191,9 +192,9 @@ def test_regularity_threshold_positive():
 
 def test_enumeration_independent_of_workers():
     config = PointConfiguration.from_points(OCTET, 2)
-    serial = enumerate_determined(config, workers=1)
-    parallel = enumerate_determined(config, workers=2)
-    assert serial.to_json_obj() == parallel.to_json_obj()
+    serial = ordinary_curves(config, len(OCTET), workers=1)
+    ignored = ordinary_curves(config, len(OCTET), workers=2)
+    assert serial.to_json_obj() == ignored.to_json_obj()
 
 
 @pytest.mark.parametrize("build", [
@@ -201,11 +202,18 @@ def test_enumeration_independent_of_workers():
     lambda: PointConfiguration.from_points(sample_configuration(
         "random_general", seed=3000, count=12, d=3, genericity=3).config.points, 3),
 ], ids=["theorem6-d2-m14", "random-general-d3-12"])
-def test_pooled_subtrees_match_serial(build):
-    # the real process pool, one task per first-index subtree
+def test_pooled_subtrees_match_serial(build, monkeypatch):
+    # workers=2 gives the serial records and starts no process
+    import concurrent.futures
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("the scan started a process")
+
     config = build()
-    serial = enumerate_determined(config, workers=1)
-    pooled = enumerate_determined(config, workers=2)
+    serial = ordinary_curves(config, len(config), workers=1)
+    monkeypatch.setattr(os, "fork", no_process)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_process)
+    pooled = ordinary_curves(config, len(config), workers=2)
     assert len(serial) > 0
     assert serial.records == pooled.records
 
@@ -218,24 +226,20 @@ def test_deterministic_output_order():
 
 
 def _checked_scan(config):
-    """The scan's vectors, serial and pooled, after checking that each
-    hyperplane's incidence is its vector's zero rows by an independent
-    evaluation at every row, that the records carry the same pairs, and
-    that richness is the oracle's top-down scan's."""
+    """The scan's vectors, after checking that each hyperplane's incidence
+    is its vector's zero rows by an independent evaluation at every row,
+    that the records carry the same pairs, and that richness is the
+    oracle's top-down scan's."""
     d = config.d
     rows = config.homogeneous_lifts(d)
-    contained = contained_in_curve(config, d)[0]
-    vectors = []
-    for workers in (1, 2):
-        pairs = spanned_hyperplanes(config, workers=workers)
-        for vec, incidence in pairs:
-            assert incidence == {i for i, row in enumerate(rows) if sum(map(mul, vec, row)) == 0}
-        if not contained:
-            records = enumerate_determined(config, workers=workers).records
-            assert [(rec.hyperplanes[0], rec.incidence) for rec in records] == pairs
-        vectors.append({vec for vec, _ in pairs})
+    pairs = spanned_hyperplanes(config)
+    for vec, incidence in pairs:
+        assert incidence == {i for i, row in enumerate(rows) if sum(map(mul, vec, row)) == 0}
+    if not contained_in_curve(config, d)[0]:
+        records = enumerate_determined(config).records
+        assert [(rec.hyperplanes[0], rec.incidence) for rec in records] == pairs
     assert max_curve_richness(config, d) == oracle_max_richness(config, d)
-    return vectors
+    return {vec for vec, _ in pairs}
 
 
 def _rational(rng, height=10**6):
@@ -343,7 +347,7 @@ def test_prefix_tree_matches_bareiss_scan(d, curve, k, free):
     assert any(p[0].denominator > 1 for p in config.points)
     rows = config.homogeneous_lifts(d)
     expected, full_rank = _bareiss_scan(rows)
-    assert _checked_scan(config) == [expected, expected]
+    assert _checked_scan(config) == expected
     # one leaf per independent subset: none lost, no dependent one kept
     assert _leaf_counts(rows) == [full_rank, full_rank]
 
@@ -432,7 +436,7 @@ def test_prefix_tree_prunes_and_stays_exact(build, d):
     expected, full_rank = _bareiss_scan(rows)
     assert full_rank < comb(len(rows), n_cols - 1)
     assert _dependent_prefix(rows, n_cols - 1)
-    assert _checked_scan(config) == [expected, expected]
+    assert _checked_scan(config) == expected
     assert _leaf_counts(rows) == [full_rank, full_rank]
 
 
