@@ -498,7 +498,8 @@ def sigma_fiber_count(component_degrees, d: int) -> int:
 
     This counts the polynomial classes of degree <= d sharing the zero set of
     a curve whose distinct irreducible components have the given degrees; the
-    count never exceeds d^d.
+    count never exceeds d^d.  A dynamic program over the budget, one pass
+    of d + 1 sums per component, with no recursion.
     """
     degs = list(component_degrees)
     if not degs:
@@ -508,18 +509,14 @@ def sigma_fiber_count(component_degrees, d: int) -> int:
     if d < 1:
         raise HypothesisViolation("d >= 1", f"d={d}")
 
-    def count(i: int, budget: int) -> int:
-        if i == len(degs):
-            return 1
-        rest_min = sum(degs[i + 1 :])
-        total = 0
-        m = 1
-        while m * degs[i] + rest_min <= budget:
-            total += count(i + 1, budget - m * degs[i])
-            m += 1
-        return total
-
-    result = count(0, d)
+    # f[b]: the count for the components from i on within budget b, from
+    # f_k = 1 down; m_i >= 1 gives f_i(b) = f_i(b - deg_i) + f_(i+1)(b - deg_i)
+    f = [1] * (d + 1)
+    for g in map(int, reversed(degs)):
+        prev, f = f, [0] * (d + 1)
+        for b in range(g, d + 1):
+            f[b] = f[b - g] + prev[b - g]
+    result = f[d]
     if result > d**d:
         raise InvariantViolation(
             "class-count bound d^d exceeded",

@@ -20,9 +20,10 @@ of three vectors; each later row's three dots with it are taken once, and
 each pair of later rows gives that leaf's one kernel vector as a
 combination of the net by a cross product of their dots, made primitive:
 the subset's hyperplane, the same vector a subset-by-subset elimination
-gives (`linalg.subtree_kernels`).  The subtrees under each first index
-whose suffix can complete an N-subset are independent tasks, mapped in
-the calling process (`parallel.pmap`).
+gives.  One walk over the subtrees of every first index whose suffix can
+complete an N-subset fills one map from vector to incidence
+(`linalg.spanned_vectors`); when the rows have rank N they all lie on one
+hyperplane, the fold's last kernel vector, and no subtree is walked.
 
 The primitive vector is the hyperplane's only representation.  It is also
 the identity of the hyperplane's curve: the polynomial of a spanned
@@ -31,7 +32,7 @@ its own radical, and two distinct primitive vectors are two distinct curves.
 Dedup on the vectors is therefore dedup on curves, each `CurveRecord` holds
 one vector, and a record's polynomial and `PlaneCurve` are built only when a
 caller asks for them.  A curve's incidence is read off the same net, once
-per distinct vector and inside the task that found it: the vector's dot
+per distinct vector, at the net that found it first: the vector's dot
 with a row is the cross product's dot with the row's three net dots, so it
 vanishes on a row exactly when those three products sum to 0.  The rows
 of the net's prefix are on every vector of the net; each other row before
@@ -51,21 +52,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from functools import partial
 from math import comb
 
 from .bipoly import PlaneCurve
 from .errors import HypothesisViolation, InvariantViolation
-from .linalg import (
-    _primitive,
-    kernel,
-    kernel_root,
-    kernel_step,
-    normalized_key,
-    rank,
-    subtree_kernels,
-)
-from .parallel import pmap
+from .linalg import kernel, normalized_key, rank, spanned_vectors
 from .veronese import Point, as_point, integer_lift, spanned_curve, vector_to_curve
 
 
@@ -178,35 +169,6 @@ class DeterminedCurveSet:
         }
 
 
-def _spanned_vectors(rows) -> dict:
-    """The distinct primitive kernel vectors of the independent N-subsets of
-    the rows, N one less than the row length, each mapped to its incidence;
-    one task per first-index subtree, whose maps are merged.
-
-    rank(rows[i:]) for every i comes from one fold from the end, which
-    stops once the basis is empty.  Only a first index whose suffix has
-    rank N gets a task, and the ranks go with the rows to every task, where
-    they skip each subtree whose later rows cannot complete it.  Rows of
-    rank N all lie on one hyperplane, which every N-subset would give
-    again: the fold's last basis is its one vector, and no task runs.
-    """
-    n_cols = len(rows[0])
-    ranks = [n_cols] * len(rows) + [0]
-    node = kernel_root(n_cols)
-    for i in range(len(rows) - 1, -1, -1):
-        if not node[0]:
-            break
-        node = kernel_step(node, rows[i]) or node
-        ranks[i] = n_cols - len(node[0])
-    if ranks[0] == n_cols - 1:
-        return {_primitive(node[0][0]): frozenset(range(len(rows)))}
-    firsts = [i for i in range(len(rows)) if ranks[i] >= n_cols - 1]
-    found = {}
-    for part in pmap(partial(subtree_kernels, rows, ranks=ranks), firsts):
-        found.update(part)
-    return found
-
-
 def richest(sections) -> tuple[int, tuple[int, ...]]:
     """Largest section size, with the lexicographically first sorted section of that size."""
     best = min((sorted(s) for s in sections), key=lambda s: (-len(s), s))
@@ -220,10 +182,10 @@ def spanned_hyperplanes(config: PointConfiguration):
     Every spanned hyperplane contains N = C(d+2,2)-1 affinely independent
     lifted points, so scanning N-subsets with full affine rank is complete.
     The incidence is the set of indices of the points whose lifts lie on
-    the hyperplane, read off the scan (`linalg.subtree_kernels`).  The pairs
+    the hyperplane, read off the scan (`linalg.spanned_vectors`).  The pairs
     come sorted by their vectors' `normalized` forms.
     """
-    found = _spanned_vectors(config.homogeneous_lifts(config.d))
+    found = spanned_vectors(config.homogeneous_lifts(config.d))
     return sorted(found.items(), key=lambda item: normalized_key(item[0]))
 
 
@@ -293,7 +255,7 @@ def max_curve_richness(config: PointConfiguration, e: int):
     if e < 1:
         raise HypothesisViolation("e >= 1", f"e={e}")
     rows = config.homogeneous_lifts(e)
-    return richest(_spanned_vectors(rows).values() or [range(len(rows))])
+    return richest(spanned_vectors(rows).values() or [range(len(rows))])
 
 
 # the default threshold's denominator has 2^(3e+8) bits: 128 KiB at e = 4, and

@@ -13,9 +13,11 @@ skipping every subtree with a dependent prefix or with too few independent
 rows left to complete it.  It stops at the nets, the nodes two levels above
 the leaves, whose bases have three vectors: each later row is dotted with
 them once, and each pair of later rows gives its leaf's kernel vector by a
-cross product of those dots, with no further elimination.  The
-determined-curve scan (`subtree_kernels`) reads each curve's vector and
-incidence off it, and the samplers' span guard takes its hyperplanes.
+cross product of those dots, with no further elimination.
+`spanned_vectors`, the determined-curve scan, is one such walk from every
+first index that can complete an N-subset, into one map from each curve's
+primitive vector to its incidence, both read off the nets; the samplers'
+span guard walks only the leaves through its new row.
 `flats` walks the same tree over the independent subsets, each kernel
 vector carrying its dots with every row, and reads off each flat of the row
 matroid (Oxley, Matroid Theory, ch. 1) with the raw kernel basis of the
@@ -34,7 +36,7 @@ order of their normalized forms by integer arithmetic.
 An affine flat of Q^n is held as integer homogeneous data: spanning rows,
 each a positive multiple of (1, z) for a point z of the flat, and a kernel
 basis of them, which are the flat's equations (c0, *c) of c0 + c.z = 0, the
-row layout `flat_from_equations` takes.  Membership is integer dot products
+row layout `equation_rows` takes.  Membership is integer dot products
 with those equations.  Flats follow the convention dim(empty) = -1.
 """
 
@@ -357,20 +359,37 @@ def _nets(rows, first: int, size: int, last):
                 stack.append((child, i + 1, prefix + (i,)))
 
 
-def subtree_kernels(rows, first: int, ranks=None) -> dict:
-    """The primitive kernel vectors of the independent N-subsets of the rows
-    whose least index is `first`, N one less than the row length, each
-    mapped to its incidence: the indices of the rows it is orthogonal to.
+def spanned_vectors(rows) -> dict:
+    """The distinct primitive kernel vectors of the independent N-subsets of
+    the rows, N one less than the row length, each mapped to its incidence:
+    the indices of the rows it is orthogonal to.
 
-    The leaves of `hyperplane_leaves`, made primitive; `ranks` as there.  A
-    vector new to the subtree gets its incidence from its leaf's net: the
-    net's prefix rows, each later row t with c.D_t = 0 (rows in the
-    prefix's span count too) and each earlier row outside the prefix whose
-    integer dot product with the vector is 0.
+    rank(rows[i:]) for every i comes from one fold from the end, which
+    stops once the basis is empty.  Rows of rank N all lie on one
+    hyperplane, which every N-subset would give again: the fold's last
+    basis is its one vector, mapped to every index.  Otherwise the leaves
+    of `hyperplane_leaves` from each first index whose suffix has rank N,
+    with the ranks, are made primitive, and a vector not found before gets
+    its incidence from its leaf's net: the net's prefix rows, each later
+    row t with c.D_t = 0 (rows in the prefix's span count too) and each
+    earlier row outside the prefix whose integer dot product with the
+    vector is 0.
     """
+    n_rows, n_cols = len(rows), len(rows[0])
+    ranks = [n_cols] * n_rows + [0]
+    node = kernel_root(n_cols)
+    for i in range(n_rows - 1, -1, -1):
+        if not node[0]:
+            break
+        node = kernel_step(node, rows[i]) or node
+        ranks[i] = n_cols - len(node[0])
+    if ranks[0] == n_cols - 1:
+        return {_primitive(node[0][0]): frozenset(range(n_rows))}
     found = {}
     seen = None
-    for v, (c0, c1, c2), net in hyperplane_leaves(rows, first, ranks):
+    # a first index whose suffix has rank below N yields no leaf
+    leaves = chain.from_iterable(hyperplane_leaves(rows, i, ranks) for i in range(n_rows))
+    for v, (c0, c1, c2), net in leaves:
         v = _primitive(v)
         if v in found:
             continue
@@ -519,11 +538,6 @@ def equation_rows(ambient_dim: int, rows) -> tuple:
     if base is None:
         return ()
     return tuple(tuple(w) if w[0] else tuple(a + b for a, b in zip(base, w)) for w in basis)
-
-
-def flat_from_equations(ambient_dim: int, rows) -> AffineFlat:
-    """Flat cut out by affine equations (see `equation_rows`)."""
-    return row_span(ambient_dim, equation_rows(ambient_dim, rows))
 
 
 def affine_rank(points) -> int:

@@ -1,12 +1,9 @@
-"""The span scan's ordered map over its tasks.
+"""An ordered map in the calling process, which no package code calls.
 
-The scan's tasks are the subtrees of its prefix tree, one per first index
-whose suffix of rows has rank N, so that it can complete an N-subset; each
-returns the map of the kernel vectors its subtree found to their
-incidences, and the scan merges them canonically.  Every task runs in the
-calling process.  A process pool does not pay here: starting one costs
-more than the whole scan on small inputs, and on larger ones the first
-subtree holds most of the leaves, so no split of the tasks gains.
+The span scan once split its prefix tree into one task per first index and
+mapped them here; it is now one walk (`linalg.spanned_vectors`).  The
+module stays only because the benchmark harness under perfbench/ imports
+it and traces `pmap`; it goes when the benchmark drops that traced name.
 """
 
 from __future__ import annotations

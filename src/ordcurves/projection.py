@@ -66,7 +66,6 @@ from .determined import (
 from .errors import HypothesisViolation, InvariantViolation
 from .linalg import (
     AffineFlat,
-    _integer_row,
     equation_rows,
     normalized_key,
     primitive,
@@ -132,10 +131,6 @@ class HyperprojectionMap:
         )
         return HyperprojectionMap(center, forms)
 
-    def project(self, z) -> tuple[int, ...]:
-        """Image of a point z of lift space."""
-        return self.project_row(_integer_row((1, *z)))
-
     def values(self, row) -> list[int]:
         """The three forms' values on a homogeneous row, all 0 exactly when
         the row's point lies on the center."""
@@ -155,12 +150,6 @@ class HyperprojectionMap:
         """Primitive vector of the hyperplane through the center whose image
         is the given line: the line's combination of the forms."""
         return primitive([_dot(line, column) for column in zip(*self.forms)])
-
-
-def curve_lift_flat(e: int, vec, d: int) -> AffineFlat:
-    """Span of the degree-d lifts of all points of a degree-e curve, the
-    flat of `curve_lift_rows`."""
-    return row_span(ambient_dim(d), curve_lift_rows(e, vec, d))
 
 
 def curve_lift_rows(e: int, vec, d: int) -> tuple:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -254,6 +255,15 @@ def test_sigma_count(capsys):
     code, out, _ = run(["sigma-count", "--degrees", "1,1", "--d", "3"], capsys)
     assert code == 0
     assert json.loads(out)["count"] == 3
+
+
+@pytest.mark.parametrize("d, k", [(40, 10), (1300, 1200)])
+def test_sigma_count_many_unit_degrees(d, k, capsys):
+    # once a search over C(40, 10) leaves, and a recursion 1,200 deep
+    code, out, err = run(["sigma-count", "--d", str(d), "--degrees", ",".join(["1"] * k)], capsys)
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["count"] == comb(d, k) and data["bound"] == d**d
 
 
 def test_sweep_deterministic_bytes(capsys):

@@ -24,7 +24,7 @@ from ordcurves.determined import (
 )
 from ordcurves.errors import HypothesisViolation
 from ordcurves.linalg import (
-    flats, hyperplane_leaves, kernel, prefix_kernels, primitive, rank,
+    flats, hyperplane_leaves, kernel, prefix_kernels, primitive, rank, spanned_vectors,
 )
 from ordcurves.ndfamilies import grow_nd_chain
 from ordcurves.oracle import oracle_determined, oracle_max_richness
@@ -171,6 +171,23 @@ def test_max_curve_richness_examples():
     assert size == 3 and set(witness) == {0, 1, 2}
     small = PointConfiguration.from_points(SQUARE, 2)
     assert max_curve_richness(small, 2)[0] == 4
+
+
+@pytest.mark.parametrize("points, e, found", [
+    ([(0, 0), (1, 1), (-1, 1), (2, 4), (3, 9)], 2, 1),
+    ([(0, 0), (1, 2), (3, 6)], 1, 1),
+    ([(0, 0), (1, 0), (0, 1), (2, 3)], 2, 0),
+], ids=["conic-rank-N", "line-rank-N", "below-rank-N"])
+def test_richness_of_a_set_on_one_curve(points, e, found):
+    # rows of rank N give the one hyperplane through every row without a
+    # walk; rows of rank below N give no hyperplane at all
+    config = PointConfiguration.from_points(points, e)
+    rows = config.homogeneous_lifts(e)
+    vectors = spanned_vectors(rows)
+    assert len(vectors) == found
+    assert all(incidence == set(range(len(points))) for incidence in vectors.values())
+    assert max_curve_richness(config, e) == oracle_max_richness(config, e)
+    assert max_curve_richness(config, e) == (len(points), tuple(range(len(points))))
 
 
 def test_regularity_report():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ordcurves.constructions import sample_configuration
 from ordcurves.linalg import (
     affine_rank,
-    flat_from_equations,
+    equation_rows,
     flat_span,
     flats,
     flats_root,
@@ -316,7 +316,7 @@ def test_flat_equations_roundtrip():
     for c0, *c in eqs:
         for p in pts:
             assert c0 + sum(a * b for a, b in zip(c, p)) == 0
-    g = flat_from_equations(3, eqs)
+    g = row_span(3, equation_rows(3, eqs))
     assert g.dim == f.dim
     probe = [(0, 1, 2), (5, 5, 5), (1, 2, 3)]
     for p in probe:
@@ -324,7 +324,7 @@ def test_flat_equations_roundtrip():
 
 
 def test_flat_from_inconsistent_equations():
-    f = flat_from_equations(2, [(0, 1, 0), (1, 1, 0)])
+    f = row_span(2, equation_rows(2, [(0, 1, 0), (1, 1, 0)]))
     assert f.is_empty
 
 
@@ -337,7 +337,7 @@ def test_affine_rank():
 def test_flat_intersection():
     # two flats meet in the flat cut out by both equation systems
     def meet(a, b):
-        return flat_from_equations(a.ambient_dim, a.normals + b.normals)
+        return row_span(a.ambient_dim, equation_rows(a.ambient_dim, a.normals + b.normals))
 
     xy_plane = flat_span([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
     diag = flat_span([(0, 0, 0), (1, 1, 1)])
@@ -348,7 +348,7 @@ def test_flat_intersection():
     assert meet(line1, line2).is_empty
     # the empty flat's normals are all of Z^3, (1, 0, 0) among them
     empty = flat_span([], 2)
-    assert flat_from_equations(2, empty.normals).is_empty
+    assert row_span(2, equation_rows(2, empty.normals)).is_empty
     assert meet(line1, empty).is_empty
     same = meet(line1, line1)
     assert same.dim == 1 and same.contains((5, 5))

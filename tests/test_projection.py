@@ -12,11 +12,11 @@ from ordcurves.bipoly import PlaneCurve, parse_poly, rational_points_on_curve
 from ordcurves.constructions import sample_configuration
 from ordcurves.determined import PointConfiguration, ordinary_curves
 from ordcurves.errors import HypothesisViolation
-from ordcurves.linalg import flat_span, kernel, normalized_key, primitive, row_span
+from ordcurves.linalg import _integer_row, flat_span, kernel, normalized_key, primitive, row_span
 from ordcurves.ndfamilies import grow_nd_chain
 from ordcurves.projection import (
     build_pipeline,
-    curve_lift_flat,
+    curve_lift_rows,
     curves_from_basis,
     exceptional_catalog,
     find_affine_chart,
@@ -42,7 +42,7 @@ def test_projection_collapses_flat_lines():
     center = pm.center
     z = lift((4, 7), 2)
     assert not center.contains(z)
-    image = pm.project(z)
+    image = pm.project_row(_integer_row((1, *z)))
     # points of Fl(center + {z}) off the center share the image
     joined = row_span(center.ambient_dim, [*center.rows, integer_lift((4, 7), 2)])
     a, b = lift(TRIPLE[0], 2), lift(TRIPLE[1], 2)
@@ -50,12 +50,12 @@ def test_projection_collapses_flat_lines():
     mixed = tuple(h + y - x for h, x, y in zip(half, a, b))
     for w in (half, mixed):
         assert joined.contains(w) and not center.contains(w)
-        assert pm.project(w) == image
+        assert pm.project_row(_integer_row((1, *w))) == image
     # the conics through TRIPLE and (4, 7) meet only in those four points,
     # so a fifth point spans another flat with the center
     other = lift((5, 5), 2)
     assert not center.contains(other)
-    assert pm.project(other) != image
+    assert pm.project_row(_integer_row((1, *other))) != image
 
 
 def test_projection_of_rows_matches_points():
@@ -63,7 +63,7 @@ def test_projection_of_rows_matches_points():
     pm = HyperprojectionMap(make_projector().center, make_projector().forms)
     for p in [(4, 7), (Fraction(1, 2), Fraction(-5, 3)), (-2, 9)]:
         row = integer_lift(p, 2)
-        image = pm.project(lift(p, 2))
+        image = pm.project_row(_integer_row((1, *lift(p, 2))))
         assert pm.project_row(row) == image
         assert pm.project_row(tuple(-3 * x for x in row)) == image
 
@@ -71,7 +71,7 @@ def test_projection_of_rows_matches_points():
 def test_projection_rejects_center_points():
     pm = make_projector()
     with pytest.raises(HypothesisViolation):
-        pm.project(lift(TRIPLE[0], 2))
+        pm.project_row(_integer_row((1, *lift(TRIPLE[0], 2))))
 
 
 def test_projection_requires_codim3():
@@ -83,12 +83,12 @@ def test_projection_requires_codim3():
 def test_curve_lift_flat_dimensions():
     line = poly_to_vector(parse_poly("x + y - 1"), 1)
     for d in (1, 2, 3):
-        flat = curve_lift_flat(1, line, d)
+        flat = row_span(ambient_dim(d), curve_lift_rows(1, line, d))
         assert flat.dim == ambient_dim(d) - comb(d - 1 + 2, 2)
         for t in range(-3, 4):
             assert flat.contains(lift((t, 1 - t), d))
     conic = poly_to_vector(parse_poly("y - x^2"), 2)
-    flat = curve_lift_flat(2, conic, 3)
+    flat = row_span(ambient_dim(3), curve_lift_rows(2, conic, 3))
     assert flat.dim == ambient_dim(3) - comb(3, 2)
     for t in range(-3, 4):
         assert flat.contains(lift((t, t * t), 3))
@@ -182,17 +182,20 @@ def test_curve_lift_flat_matches_point_span():
         p = parse_poly(text)
         curve, e = PlaneCurve.from_poly(p), p.degree
         for d in range(e, 5):
-            assert curve_lift_flat(e, poly_to_vector(p, e), d) == _point_span(curve, d)
+            flat = row_span(ambient_dim(d), curve_lift_rows(e, poly_to_vector(p, e), d))
+            assert flat == _point_span(curve, d)
             checked += 1
     # the catalog vectors of the d=2 triples and the handcrafted bases (none
     # on the carrier and grown ones)
     for A, basis, _ in _catalog_cases():
         for e, vec in exceptional_catalog(A, basis, A.d):
             for d in range(e, 5):
-                assert curve_lift_flat(e, vec, d) == _point_span(spanned_curve(vec, e), d)
+                flat = row_span(ambient_dim(d), curve_lift_rows(e, vec, d))
+                assert flat == _point_span(spanned_curve(vec, e), d)
                 checked += 1
     assert checked == 24 + 13 * 4
-    assert curve_lift_flat(1, (0, 1, 0), 3) != curve_lift_flat(1, (0, 0, 1), 3)
+    assert (row_span(ambient_dim(3), curve_lift_rows(1, (0, 1, 0), 3))
+            != row_span(ambient_dim(3), curve_lift_rows(1, (0, 0, 1), 3)))
 
 
 def test_build_pipeline_d2_classification():
@@ -223,7 +226,10 @@ def test_pipeline_exceptional_points_share_image():
     state = build_pipeline(A, [0, 1, 2], 2)
     on_line_idx = {3, 4}
     assert on_line_idx <= set(state.e_indices)
-    images = {state.projector.project(lift(A.points[i], 2)) for i in on_line_idx}
+    images = {
+        state.projector.project_row(_integer_row((1, *lift(A.points[i], 2))))
+        for i in on_line_idx
+    }
     assert len(images) == 1
     assert images <= set(state.t_points)
     curves, state = curves_from_basis(A, [0, 1, 2], 2, state=state)
@@ -255,7 +261,7 @@ def test_exceptional_set_matches_spanned_joins():
         center, rows = state.center, A.homogeneous_lifts(A.d)
         exceptional, images = set(state.d_indices), set()
         for e, vec in state.catalog:
-            curve_rows = curve_lift_flat(e, vec, A.d).rows
+            curve_rows = curve_lift_rows(e, vec, A.d)
             joined = row_span(center.ambient_dim, [*center.rows, *curve_rows])
             assert joined.dim == center.dim + 1
             exceptional |= {i for i, row in enumerate(rows) if joined.contains_row(row)}
