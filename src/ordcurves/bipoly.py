@@ -16,6 +16,9 @@ alone, held densely as an element of Z[x][y]: one primitive
 pseudo-remainder sequence in y, whose contents are gcds in Z[x] taken by the
 same code one level down.  No Fraction enters that path.
 
+`text` formats each term from its coefficient's numerator and denominator
+with integer tests alone, and takes the monomial part from a cache.
+
 The global coordinate order used for Veronese vectors and file formats lists
 (n, m) by total degree ascending, then n descending: x, y, x^2, xy, y^2, ...
 """
@@ -50,6 +53,14 @@ def monomial_order(d: int) -> tuple[Monomial, ...]:
 def _term_key(mon: Monomial):
     # graded lex with x > y; max key = leading term
     return (mon[0] + mon[1], mon[0])
+
+
+@lru_cache(maxsize=None)
+def _monomial_text(n: int, m: int) -> str:
+    """The monomial part of a term's text: 'x^2*y' for (2, 1), '' for (0, 0)."""
+    x = "" if n == 0 else "x" if n == 1 else f"x^{n}"
+    y = "" if m == 0 else "y" if m == 1 else f"y^{m}"
+    return f"{x}*{y}" if x and y else x or y
 
 
 @dataclass(frozen=True)
@@ -165,19 +176,22 @@ class BivariatePolynomial:
         """Exact text form: '+'-joined terms 'c*x^n*y^m' with rational c."""
         if self.is_zero:
             return "0"
-        parts = []
+        out = []
         for (n, m), c in reversed(self.terms):
-            factors = []
-            if n > 0:
-                factors.append("x" if n == 1 else f"x^{n}")
-            if m > 0:
-                factors.append("y" if m == 1 else f"y^{m}")
-            if not factors or abs(c) != 1:
-                factors.insert(0, str(abs(c)))
-            term = "*".join(factors)
-            parts.append(("- " if c < 0 else "+ ") + term)
-        joined = " ".join(parts)
-        return joined[2:] if joined.startswith("+ ") else "-" + joined[2:]
+            num, den = c.numerator, c.denominator
+            mono = _monomial_text(n, m)
+            if num < 0:
+                out.append(" - " if out else "-")
+                num = -num
+            elif out:
+                out.append(" + ")
+            if den != 1:
+                out.append(f"{num}/{den}*{mono}" if mono else f"{num}/{den}")
+            elif num != 1 or not mono:
+                out.append(f"{num}*{mono}" if mono else str(num))
+            else:
+                out.append(mono)
+        return "".join(out)
 
     def __str__(self):
         return self.text()

@@ -210,9 +210,17 @@ def _cmd_construct(args, out):
 
 def _cmd_sigma_count(args, out):
     degrees = _parse_indices(args.degrees)
+    d, limit = args.d, sys.get_int_max_str_digits()
+    # d^d has more than `limit` digits iff d^d >= 10^limit; as 2^4 > 10, the
+    # first test settles a large d without building d^d
+    if limit and d > 1 and (d * (d.bit_length() - 1) >= 4 * limit or d**d >= 10**limit):
+        raise HypothesisViolation(
+            "bound d^d within the int-to-str digit limit",
+            f"d={d}: d^d has more than {limit} digits (sys.get_int_max_str_digits())",
+        )
     dump_json(
-        {"component_degrees": degrees, "d": args.d,
-         "count": sigma_fiber_count(degrees, args.d), "bound": args.d ** args.d},
+        {"component_degrees": degrees, "d": d,
+         "count": sigma_fiber_count(degrees, d), "bound": d**d},
         out,
     )
 

@@ -10,8 +10,9 @@ source point.
 Inside the package a hyperplane is its primitive integer coefficient vector,
 constant first and then the monomial order.  `poly_to_vector` and
 `vector_to_curve` are the whole dictionary; `spanned_curve` reads the curve
-of a spanned hyperplane, which is squarefree, without a radical (the lemma is
-stated there).  `HyperplaneForm`, with `tau` and `tau_inverse`, is the
+of a spanned hyperplane, which is squarefree, straight off its integer
+vector, with no radical and no Fraction arithmetic (the lemma is stated
+there).  `HyperplaneForm`, with `tau` and `tau_inverse`, is the
 dictionary's Fraction view for library callers.
 """
 
@@ -19,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from functools import lru_cache
+from math import comb, gcd, lcm
 
-from .bipoly import BivariatePolynomial, PlaneCurve, X, constant, monomial_order
+from .bipoly import BivariatePolynomial, PlaneCurve, X, _term_key, constant, monomial_order
 from .linalg import Vector, normalized, primitive, vec_dot
 
 Point = tuple[Fraction, Fraction]
@@ -66,13 +68,16 @@ def integer_lift(point, d: int) -> tuple[int, ...]:
     return (zs[d],) + tuple(xs[n] * ys[m] * zs[d - n - m] for n, m in monomial_order(d))
 
 
+_NO_CURVE = "hyperplane has no non-constant coefficient; no curve"
+
+
 def _vector_poly(vec, d: int) -> BivariatePolynomial:
     """Polynomial whose coefficients are (constant, monomial_order(d))."""
     coeffs = dict(zip(monomial_order(d), vec[1:]))
     coeffs[(0, 0)] = vec[0]
     p = BivariatePolynomial.from_dict(coeffs)
     if p.is_constant:
-        raise ValueError("hyperplane has no non-constant coefficient; no curve")
+        raise ValueError(_NO_CURVE)
     return p
 
 
@@ -93,13 +98,32 @@ def spanned_curve(vec, d: int) -> PlaneCurve:
     <= deg g, of dimension C(deg g + 2, 2) >= 3: a contradiction.
 
     So p is its own radical up to a scalar, and its canonical form is both
-    the representative and the radical; no gcd is computed.  Every curve the
-    package emits is of this kind: the N-subset hyperplanes
+    the representative and the radical; no polynomial gcd is computed.  Every
+    curve the package emits is of this kind: the N-subset hyperplanes
     (`determined.enumerate_determined`), the exceptional catalog and the line
     pullbacks (`projection`).
+
+    The canonical form is read straight off the integer vector: its nonzero
+    entries in graded-lex order (`_graded_positions`), divided by the
+    vector's content, negated when the leading entry is negative.  Each
+    coefficient becomes a Fraction once, with no Fraction arithmetic.
     """
-    p = _vector_poly(vec, d).canonical()
+    terms = [(mon, vec[i]) for i, mon in _graded_positions(d) if vec[i]]
+    if not terms or terms[-1][0] == (0, 0):
+        raise ValueError(_NO_CURVE)
+    content = gcd(*vec)
+    if terms[-1][1] < 0:
+        content = -content
+    p = BivariatePolynomial(tuple((mon, Fraction(c // content)) for mon, c in terms))
     return PlaneCurve(p, p)
+
+
+@lru_cache(maxsize=None)
+def _graded_positions(d: int) -> tuple:
+    """(position, monomial) pairs of a vector (constant, monomial_order(d)),
+    in the graded-lex order of `BivariatePolynomial.terms`."""
+    mons = ((0, 0),) + monomial_order(d)
+    return tuple(sorted(enumerate(mons), key=lambda t: _term_key(t[1])))
 
 
 def poly_to_vector(p: BivariatePolynomial, d: int) -> tuple[int, ...]:

@@ -16,6 +16,8 @@ from ordcurves.bipoly import (
     sigma_fiber_count,
     squarefree_radical,
 )
+from ordcurves.constructions import construct_theorem6
+from ordcurves.oracle import oracle_determined
 
 coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
@@ -52,6 +54,51 @@ def test_text_roundtrip(p):
     if p.is_zero:
         return
     assert parse_poly(p.text()).terms == p.terms
+
+
+def _reference_text(p):
+    """The text form by Fraction arithmetic: abs, comparisons and str(Fraction)."""
+    if p.is_zero:
+        return "0"
+    parts = []
+    for (n, m), c in reversed(p.terms):
+        factors = []
+        if n > 0:
+            factors.append("x" if n == 1 else f"x^{n}")
+        if m > 0:
+            factors.append("y" if m == 1 else f"y^{m}")
+        if not factors or abs(c) != 1:
+            factors.insert(0, str(abs(c)))
+        parts.append(("- " if c < 0 else "+ ") + "*".join(factors))
+    joined = " ".join(parts)
+    return joined[2:] if joined.startswith("+ ") else "-" + joined[2:]
+
+
+@settings(max_examples=120, deadline=None)
+@given(polys(max_deg=4, max_terms=8))
+def test_text_matches_fraction_reference(p):
+    assert p.text() == _reference_text(p)
+
+
+@pytest.mark.parametrize("coeffs", [
+    {(2, 1): Fraction(3, 2)},
+    {(2, 1): Fraction(-3, 2), (0, 0): Fraction(1, 7)},
+    {(1, 0): -1, (0, 1): 1, (0, 0): -1},
+    {(0, 3): 1, (1, 1): Fraction(-1, 2), (0, 0): 12},
+    {(0, 0): 1},
+    {(0, 0): -1},
+    {(0, 0): Fraction(-5, 3)},
+    {(4, 0): -7, (0, 4): Fraction(10, 3), (1, 0): 1},
+    {},
+])
+def test_text_examples_match_fraction_reference(coeffs):
+    p = BivariatePolynomial.from_dict(coeffs)
+    assert p.text() == _reference_text(p)
+
+
+def test_text_of_oracle_radicals_matches_fraction_reference():
+    radicals = oracle_determined(construct_theorem6(2, 7, seed=2).config)
+    assert radicals and all(r.text() == _reference_text(r) for r in radicals)
 
 
 def test_parse_rejects_garbage():

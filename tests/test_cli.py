@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from ordcurves import determined, ndfamilies, projection
+from ordcurves import cli, determined, ndfamilies, projection
+from ordcurves.bipoly import sigma_fiber_count
 from ordcurves.cli import main
 from ordcurves.determined import default_regularity_threshold
 
@@ -128,6 +130,18 @@ def test_richness_default_threshold_printed_in_full(capsys):
     numerator, denominator = threshold.split("/")
     assert numerator == "1" and len(denominator) == 4933
     assert 1 / Fraction(Decimal(denominator)) == default_regularity_threshold(2)
+
+
+def test_richness_default_threshold_at_e4_bytes(capsys):
+    # 1/2^(2^20) at e = 4: its 315,653-digit denominator printed in full,
+    # the bytes pinned by digest
+    golden = str(Path(__file__).resolve().parent / "golden" / "points.json")
+    code, out, err = run(["richness", "--input", golden, "--e", "4"], capsys)
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["regularity"]["threshold"]) == len("1/") + 315653
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "469be09a4c8f234c5b59c4c0db2d581dcd306ff1ee90463294a1d09441cbca7d"
+    )
 
 
 def test_richness_default_threshold_refused_past_e4(monkeypatch, capsys):
@@ -264,6 +278,47 @@ def test_sigma_count_many_unit_degrees(d, k, capsys):
     assert (code, err) == (0, "")
     data = json.loads(out)
     assert data["count"] == comb(d, k) and data["bound"] == d**d
+
+
+@pytest.fixture
+def int_str_limit():
+    """Sets Python's int-to-str digit limit for one test."""
+    old = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)
+
+
+def test_sigma_count_refuses_a_bound_past_the_digit_limit(int_str_limit, monkeypatch, capsys):
+    int_str_limit(4300)
+
+    def never(*args):
+        raise AssertionError("refused before any counting")
+
+    monkeypatch.setattr(cli, "sigma_fiber_count", never)
+    code, out, err = run(["sigma-count", "--d", "1500", "--degrees", "1"], capsys)
+    assert code == 3 and out == ""
+    assert "bound d^d within the int-to-str digit limit" in err
+
+
+@pytest.mark.parametrize("limit", [640, 4300])
+def test_sigma_count_largest_printable_bound(int_str_limit, limit, capsys):
+    int_str_limit(limit)
+    d = 1
+    while (d + 1) ** (d + 1) < 10**limit:
+        d += 1
+    code, out, err = run(["sigma-count", "--d", str(d), "--degrees", "1,2"], capsys)
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["bound"] == d**d and data["count"] == sigma_fiber_count([1, 2], d)
+    code, out, err = run(["sigma-count", "--d", str(d + 1), "--degrees", "1,2"], capsys)
+    assert code == 3 and out == "" and "digit limit" in err
+
+
+def test_sigma_count_without_a_digit_limit(int_str_limit, capsys):
+    int_str_limit(0)
+    code, out, err = run(["sigma-count", "--d", "1500", "--degrees", "1"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["bound"] == 1500**1500
 
 
 def test_sweep_deterministic_bytes(capsys):

@@ -3,6 +3,7 @@ import os
 import random
 import sys
 import weakref
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -13,7 +14,9 @@ import pytest
 from ordcurves.bipoly import poly_gcd, squarefree_radical
 from ordcurves.constructions import construct_theorem6, construct_theorem8, sample_configuration
 from ordcurves.determined import (
+    _DIRECT_BITS,
     PointConfiguration,
+    _exact_str,
     contained_in_curve,
     default_regularity_threshold,
     enumerate_determined,
@@ -161,6 +164,18 @@ def test_sylvester_gallai_on_random_sets():
         if contained_in_curve(config, 1)[0]:
             continue
         assert len(ordinary_curves(config, 2)) > 0
+
+
+def test_exact_str_matches_decimal():
+    rng = random.Random(271)
+    sizes = [_DIRECT_BITS + k for k in (-1, 0, 1, 2)] + [2 * _DIRECT_BITS + 1, 5 * _DIRECT_BITS + 7]
+    numbers = [2**_DIRECT_BITS - 1, 2**_DIRECT_BITS, 2 ** (4 * _DIRECT_BITS), 0, 7]
+    numbers += [rng.getrandbits(bits) | 1 << (bits - 1) for bits in sizes]
+    for n in numbers:
+        for q in (Fraction(n), Fraction(-n)):
+            assert _exact_str(q) == str(Decimal(q.numerator))
+        q = Fraction(-n - 1, rng.getrandbits(3 * _DIRECT_BITS) | 1)
+        assert _exact_str(q) == f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
 
 
 def test_max_curve_richness_examples():

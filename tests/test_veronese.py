@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -11,7 +11,9 @@ from ordcurves.veronese import (
     ambient_dim,
     integer_lift,
     lift,
+    _vector_poly,
     pad_degree,
+    spanned_curve,
     tau,
     tau_inverse,
 )
@@ -103,6 +105,45 @@ def test_tau_inverse_examples():
     assert tau_inverse(h).representative.terms == parse_poly("x^2 - 1").terms
     h2 = HyperplaneForm.from_vector(2, (0, 0, 1, -1, 0, 0))
     assert tau_inverse(h2).radical.terms == parse_poly("y - x^2").canonical().terms
+
+
+def _spanned_test_vectors(rng, d):
+    """Integer vectors (constant, monomial_order(d)) whose leading degree t is
+    random, with zeros in the degree-t block, content above 1 and either
+    leading sign."""
+    n = ambient_dim(d) + 1
+    for _ in range(150):
+        t = rng.randint(1, d)
+        block = range(comb(t + 1, 2), comb(t + 2, 2))
+        vec = [rng.choice((0, rng.randint(-9, 9))) for _ in range(block.start)]
+        vec += [rng.choice((0, rng.randint(-9, 9))) for _ in block]
+        vec[rng.choice(block)] = rng.choice((-1, 1)) * rng.randint(1, 9)
+        vec += [0] * (n - len(vec))
+        yield tuple(rng.choice((1, 1, -2, 3, 6)) * c for c in vec)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_spanned_curve_is_the_canonical_vector_polynomial(d):
+    rng = random.Random(100 + d)
+    seen = set()
+    for vec in _spanned_test_vectors(rng, d):
+        curve = spanned_curve(vec, d)
+        raw = _vector_poly(vec, d)
+        assert curve.representative.terms == raw.canonical().terms, vec
+        assert curve.radical is curve.representative
+        assert all(type(c) is Fraction for _, c in curve.representative.terms)
+        (n, m), leading = raw.terms[-1]
+        top = vec[comb(n + m + 1, 2):comb(n + m + 2, 2)]
+        seen |= {("content", gcd(*vec) > 1), ("negative", leading < 0), ("block zeros", 0 in top)}
+    assert {("content", True), ("negative", True), ("block zeros", True)} <= seen
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_spanned_curve_refuses_constant_vectors(d):
+    n = ambient_dim(d) + 1
+    for vec in [(0,) * n, (5,) + (0,) * (n - 1), (-3,) + (0,) * (n - 1)]:
+        with pytest.raises(ValueError):
+            spanned_curve(vec, d)
 
 
 def test_hyperplane_form_requires_nonconstant():
