@@ -35,12 +35,7 @@ from .determined import (
 )
 from .errors import HypothesisViolation, InputFormatError, InvariantViolation
 from .linalg import AffineFlat, flat_span, nullspace, rank
-from .ndfamilies import (
-    BasisCandidate,
-    grow_nd_chain,
-    nd_quantities,
-    nd_verify,
-)
+from .ndfamilies import grow_nd_chain, nd_quantities, nd_verify
 from .oracle import (
     OracleReport,
     compare_determined,
@@ -59,7 +54,6 @@ from .veronese import HyperplaneForm, lift, pad_degree, tau, tau_inverse
 
 __all__ = [
     "AffineFlat",
-    "BasisCandidate",
     "BivariatePolynomial",
     "Construction",
     "DeterminedCurveSet",

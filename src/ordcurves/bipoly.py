@@ -435,13 +435,6 @@ class PlaneCurve:
         return self.representative.text()
 
 
-def _degree_in(p: BivariatePolynomial, var: str) -> int:
-    if p.is_zero:
-        return -1
-    idx = 0 if var == "x" else 1
-    return max(mon[idx] for mon, _ in p.terms)
-
-
 def rational_points_on_curve(curve: PlaneCurve, count: int, avoid=()) -> list:
     """Distinct exact rational points on a catalog curve.
 
@@ -451,60 +444,37 @@ def rational_points_on_curve(curve: PlaneCurve, count: int, avoid=()) -> list:
     """
     p = curve.radical
     avoid_set = {(Fraction(a[0]), Fraction(a[1])) for a in avoid}
-
-    def sweep(solve):
-        found = []
-        t = 0
-        steps = 0
-        while len(found) < count:
-            steps += 1
-            if steps > 40 * (count + len(avoid_set) + 4):
-                raise InvariantViolation(
-                    "parameter sweep exhausted on a parametrizable curve",
-                    {"curve": p.text(), "count": count},
-                )
-            tq = Fraction(t)
-            t = -t if t > 0 else -t + 1
-            pt = solve(tq)
-            if pt is None or pt in avoid_set:
-                continue
+    # the position k of a coordinate z, y tried first, with p = u*z + w and
+    # u, w polynomials in the other coordinate, the parameter
+    k = next((k for k in (1, 0) if max((mon[k] for mon, _ in p.terms), default=-1) == 1), None)
+    if k is None:
+        raise HypothesisViolation(
+            "parametrizable curve (radical linear in x or in y)",
+            f"curve {p.text()} is not in the parametrizable catalog",
+        )
+    u, w = {}, {}
+    for mon, c in p.terms:
+        (u if mon[k] else w)[mon[1 - k]] = c
+    found = []
+    t = 0
+    steps = 0
+    while len(found) < count:
+        steps += 1
+        if steps > 40 * (count + len(avoid_set) + 4):
+            raise InvariantViolation(
+                "parameter sweep exhausted on a parametrizable curve",
+                {"curve": p.text(), "count": count},
+            )
+        tq = Fraction(t)
+        t = -t if t > 0 else -t + 1
+        den = sum(c * tq**n for n, c in u.items())
+        if den == 0:
+            continue
+        z = -sum(c * tq**n for n, c in w.items()) / den
+        pt = (tq, z) if k else (z, tq)
+        if pt not in avoid_set:
             found.append(pt)
-        return found
-
-    if _degree_in(p, "y") == 1:
-        u = BivariatePolynomial.from_dict(
-            {(n, 0): c for (n, m), c in p.terms if m == 1}
-        )
-        w = BivariatePolynomial.from_dict(
-            {(n, 0): c for (n, m), c in p.terms if m == 0}
-        )
-
-        def solve_y(t):
-            den = u.evaluate((t, 0))
-            if den == 0:
-                return None
-            return (t, -w.evaluate((t, 0)) / den)
-
-        return sweep(solve_y)
-    if _degree_in(p, "x") == 1:
-        u = BivariatePolynomial.from_dict(
-            {(0, m): c for (n, m), c in p.terms if n == 1}
-        )
-        w = BivariatePolynomial.from_dict(
-            {(0, m): c for (n, m), c in p.terms if n == 0}
-        )
-
-        def solve_x(t):
-            den = u.evaluate((0, t))
-            if den == 0:
-                return None
-            return (-w.evaluate((0, t)) / den, t)
-
-        return sweep(solve_x)
-    raise HypothesisViolation(
-        "parametrizable curve (radical linear in x or in y)",
-        f"curve {p.text()} is not in the parametrizable catalog",
-    )
+    return found
 
 
 def sigma_fiber_count(component_degrees, d: int) -> int:

@@ -109,7 +109,7 @@ def default_carrier(d: int) -> PlaneCurve:
 def construct_theorem8(
     d: int, n: int, m: int, seed: int = 0, carrier: PlaneCurve | None = None
 ) -> Construction:
-    """Carrier-heavy set: m-1 points on the carrier y = x^d plus one off.
+    """Carrier-heavy set: m-1 points on the carrier y = x^d plus (0, 1) off it.
 
     A `carrier` argument must be that curve (any polynomial of it).
 
@@ -177,15 +177,7 @@ def construct_theorem8(
                 "carrier sweep exhausted beyond the counting budget",
                 {"step": step, "budget": budget, "d": d, "m": m},
             )
-    off = None
-    for c in range(1, 100):
-        cand = (Fraction(0), Fraction(c))
-        if not carrier.contains(cand):
-            off = cand
-            break
-    if off is None:
-        raise InvariantViolation("no off-carrier point on the vertical axis", {})
-    pts = [off] + chosen
+    pts = [(Fraction(0), Fraction(1))] + chosen
     config = PointConfiguration.from_points(pts, d)
     contained, witness = contained_in_curve(config, d)
     if contained:
@@ -263,28 +255,26 @@ class _SpanGuard:
 def sample_configuration(kind: str, seed: int = 0, **params) -> Construction:
     """Deterministic configuration samplers.
 
-    kind 'grid': integer grid, params width/height (or side), d.
-    kind 'random_general': params count, d, genericity (max degree whose
-    lifted subsets of every admissible size must stay affinely independent;
-    0 disables), span (coordinate bound).
+    kind 'grid': the side x side integer grid, params side (3 when
+    missing), d.  kind 'random_general': params count, d, genericity (max
+    degree whose lifted subsets of every admissible size must stay affinely
+    independent; 0 disables); integer coordinates bounded by 6 * count + 8.
     """
     if kind == "grid":
         d = int(params.get("d", 1))
         side = params.get("side")
-        side = 3 if side is None else side
-        width = int(params.get("width", side))
-        height = int(params.get("height", side))
-        pts = [(Fraction(x), Fraction(y)) for y in range(height) for x in range(width)]
+        side = 3 if side is None else int(side)
+        pts = [(Fraction(x), Fraction(y)) for y in range(side) for x in range(side)]
         return Construction(
             PointConfiguration.from_points(pts, d),
-            {"kind": "grid", "width": width, "height": height, "d": d, "seed": seed},
+            {"kind": "grid", "width": side, "height": side, "d": d, "seed": seed},
         )
     if kind != "random_general":
         raise HypothesisViolation("known sampler kind", f"kind={kind}")
     count = int(params["count"])
     d = int(params.get("d", 1))
     g = int(params.get("genericity", d))
-    span = int(params.get("span", 6 * count + 8))
+    span = 6 * count + 8
     rng = random.Random(seed)
     pts: list = []
     guards = [_SpanGuard(comb(e + 2, 2)) for e in range(1, g + 1)]

@@ -1,11 +1,12 @@
 """Bases in curve-general position: membership verifier and chain grower.
 
-A basis candidate is a subset B of A with C(d+2,2)-3 points.  Membership in
-the good family asks four things of B: affinely independent degree-d lifts,
-no degree-e curve (1 <= e < d) meeting B in C(d+2,2)-C(d-e+2,2) or more
-points, and a dimension dichotomy on the complement of every maximal curve
-section.  Sections of B by exact-degree-e curves coincide with sections by
-curves of degree at most e (pad with a far-away line), and a subset S is
+A basis is a subset B of A with C(d+2,2)-3 points, given as a sequence of
+indices into the configuration A.  Membership in the good family asks four
+things of B: affinely independent degree-d lifts, no degree-e curve
+(1 <= e < d) meeting B in C(d+2,2)-C(d-e+2,2) or more points, and a
+dimension dichotomy on the complement of every maximal curve section.
+Sections of B by exact-degree-e curves coincide with sections by curves of
+degree at most e (pad with a far-away line), and a subset S is
 such a section exactly when its vanishing space at degree e has a
 nonconstant element whose dimension strictly drops when any point of B\\S
 is adjoined; over an infinite field that guarantees a curve through S
@@ -25,7 +26,8 @@ inside it meets it in at most 2d^2 points.
 Points enter as indices, and each degree e of a point as its integer row
 Z^e * (1, lift) (`integer_lift`, a positive multiple of the homogeneous
 row).  A configuration's rows come from its cache; points given outside one
-(a bare point list, the carrier sample) are lifted once per call.
+(the carrier sample, `nd_quantities`'s point lists) are lifted once per
+call.
 Vanishing dimensions and affine dimensions are ranks of those rows, and a
 point lies in a flat when its row is orthogonal to the flat's integer
 normals.  A forbidden region U_e(B, D) depends on D only through the span
@@ -63,22 +65,6 @@ from .linalg import (
     row_span,
 )
 from .veronese import ambient_dim, as_point, integer_lift
-
-
-@dataclass(frozen=True)
-class BasisCandidate:
-    points: tuple
-    d: int
-
-    def __post_init__(self):
-        expected = comb(self.d + 2, 2) - 3
-        if len(set(self.points)) != len(self.points):
-            raise HypothesisViolation("distinct basis points", "duplicate point in B")
-        if len(self.points) != expected:
-            raise HypothesisViolation(
-                "|B| = C(d+2,2)-3",
-                f"got {len(self.points)}, expected {expected} at d={self.d}",
-            )
 
 
 @dataclass(frozen=True)
@@ -180,40 +166,22 @@ class NdVerifyResult:
         return self.ok
 
 
-def _basis_rows(A: PointConfiguration | None, B, d: int):
-    """B as a BasisCandidate, its indices into A (None without A) and its
-    integer rows by degree 1..d, one tuple per degree.
-
-    B is a BasisCandidate, a point list, or an index list into A, which
-    needs A.
-    """
-    if isinstance(B, BasisCandidate):
-        B = B.points
-    B = list(B)
-    indices = None
-    if B and all(isinstance(b, int) for b in B):
-        if A is None:
-            raise HypothesisViolation(
-                "index basis needs a configuration", f"B = {B} is an index list and A is None"
-            )
-        bad = [i for i in B if not 0 <= i < len(A)]
-        if bad:
-            raise HypothesisViolation("basis index in range", f"index {bad[0]} outside [0, {len(A)})")
-        indices = B
-        pts = A.subset(B)
-    else:
-        pts = tuple(as_point(b) for b in B)
-    basis = BasisCandidate(pts, d)  # validates size and distinctness
-    if A is None:
-        return basis, None, _degree_rows(pts, d)
-    if indices is None:
-        position = {p: i for i, p in enumerate(A.points)}
-        missing = [p for p in pts if p not in position]
-        if missing:
-            raise HypothesisViolation("B subset of A", f"{missing[0]} not in A")
-        indices = [position[p] for p in pts]
+def _basis_rows(A: PointConfiguration, B, d: int):
+    """B as a tuple of indices into A, checked, and its integer rows by
+    degree 1..d, one tuple per degree."""
+    B = tuple(B)
+    bad = [i for i in B if not (isinstance(i, int) and 0 <= i < len(A))]
+    if bad:
+        raise HypothesisViolation("basis index in range", f"index {bad[0]!r} outside [0, {len(A)})")
+    if len(set(B)) != len(B):
+        raise HypothesisViolation("distinct basis points", "duplicate point in B")
+    expected = comb(d + 2, 2) - 3
+    if len(B) != expected:
+        raise HypothesisViolation(
+            "|B| = C(d+2,2)-3", f"got {len(B)}, expected {expected} at d={d}"
+        )
     R = _degree_rows(A, d)
-    return basis, indices, {e: tuple(R[e][i] for i in indices) for e in R}
+    return B, {e: tuple(R[e][i] for i in B) for e in R}
 
 
 def _verdict(d: int, n_b: int, dim_b: int, walk) -> NdVerifyResult:
@@ -263,30 +231,27 @@ def _keep(A: PointConfiguration, key, verdict: NdVerifyResult) -> None:
     A._verdict[key] = verdict
 
 
-def nd_verify(A: PointConfiguration | None, B, d: int | None = None) -> NdVerifyResult:
+def nd_verify(A: PointConfiguration, B, d: int | None = None) -> NdVerifyResult:
     """Check the four basis conditions; early exit on the first failure.
 
-    B may be a BasisCandidate, a point list, or an index list into A.  The
-    walk is the rank of B's degree-d rows, then for each e its
+    B is a sequence of indices into A, and d defaults to A.d.  The walk is
+    the rank of B's degree-d rows, then for each e its
     `realizable_sections`, each with the node of the rest of B from the
     `prefix_kernels` node function of its degree-(d-e) rows; `_verdict`
-    reads the conditions off it.  On a
-    configuration a passing verdict, all tuples, is kept with the basis's
-    index tuple and d, as the last grow keeps its own, so asking again for
-    the same basis walks nothing.  A failing verdict's record is a dict for
-    the JSON report, which a caller could change, so it is not kept, and
-    without a configuration nothing is.
+    reads the conditions off it.  A passing verdict, all tuples, is kept on
+    A with the basis's index tuple and d, as the last grow keeps its own,
+    so asking again for the same basis walks nothing.  A failing verdict's
+    record is a dict for the JSON report, which a caller could change, so
+    it is not kept.
     """
-    if d is None:
-        d = B.d if isinstance(B, BasisCandidate) else (A.d if A is not None else None)
-    if d is None or d < 2:
+    d = A.d if d is None else d
+    if d < 2:
         raise HypothesisViolation("d >= 2", f"d={d}")
-    basis, indices, rows = _basis_rows(A, B, d)
-    if A is not None:
-        key = (tuple(indices), d)
-        if key in A._verdict:
-            return A._verdict[key]
-    n_b = len(basis.points)
+    B, rows = _basis_rows(A, B, d)
+    key = (B, d)
+    if key in A._verdict:
+        return A._verdict[key]
+    n_b = len(B)
 
     def sections(e):
         rest_node = prefix_kernels(rows[d - e], comb(d - e + 2, 2))
@@ -295,7 +260,7 @@ def nd_verify(A: PointConfiguration | None, B, d: int | None = None) -> NdVerify
 
     walk = ((e, sections(e)) for e in range(1, d))
     verdict = _verdict(d, n_b, rank(rows[d]) - 1, walk)
-    if A is not None and verdict.ok:
+    if verdict.ok:
         _keep(A, key, verdict)
     return verdict
 
@@ -432,7 +397,6 @@ def _forbidden(R, d: int, i: int, v_d, tests) -> bool:
 @dataclass(frozen=True)
 class GrowthResult:
     success: bool
-    basis: BasisCandidate | None
     chain: tuple[int, ...]
     blocked: tuple
     guard_trace: tuple[int, ...] = ()
@@ -478,7 +442,7 @@ def grow_nd_chain(
     target = comb(d + 2, 2) - 3
     if len(A) < target:
         return GrowthResult(
-            False, None, tuple(b0_indices),
+            False, tuple(b0_indices),
             ({"step": 0, "reason": f"|A|={len(A)} below target {target}"},),
         )
 
@@ -559,13 +523,11 @@ def grow_nd_chain(
                 {"step": step, "have": len(chain), "rejected": rejected,
                  "reason": "candidate pool exhausted inside forbidden regions"}
             )
-            return GrowthResult(False, None, tuple(chain), tuple(blocked), tuple(guard_trace))
+            return GrowthResult(False, tuple(chain), tuple(blocked), tuple(guard_trace))
         walk = _extend_walk(walk, R, d, len(chain), chosen)
         chain.append(chosen)
         v_d, tests, worst = _regions(A, chain, d, sample, walk, step)
         guard_trace.append(worst)
-
-    basis = BasisCandidate(A.subset(chain), d)
 
     def sections(e, found):
         return _section_order((idx, vecs, co) for idx, (vecs, _, co) in found.items())
@@ -581,5 +543,5 @@ def grow_nd_chain(
             {"chain": chain, "failures": list(verdict.failures)},
         )
     _keep(A, (tuple(chain), d), verdict)
-    return GrowthResult(True, basis, tuple(chain), tuple(blocked), tuple(guard_trace))
+    return GrowthResult(True, tuple(chain), tuple(blocked), tuple(guard_trace))
 

@@ -72,7 +72,7 @@ from .linalg import (
     rank,
     row_span,
 )
-from .ndfamilies import BasisCandidate, _basis_rows, nd_verify
+from .ndfamilies import _basis_rows, nd_verify
 from .veronese import ambient_dim, spanned_curve
 
 
@@ -177,8 +177,9 @@ def curve_lift_rows(e: int, vec, d: int) -> tuple:
     return equation_rows(ambient_dim(d), eqs)
 
 
-def exceptional_catalog(A: PointConfiguration | None, B, d: int):
-    """Curves of each degree e < d meeting B in C(d+2,2)-C(d-e+2,2)-1 points.
+def exceptional_catalog(A: PointConfiguration, B, d: int):
+    """Curves of each degree e < d meeting B, a sequence of indices into A,
+    in C(d+2,2)-C(d-e+2,2)-1 points.
 
     For a verified basis the section flat of such a curve is a hyperplane
     in degree-e lift space, so candidates are the sections whose vanishing
@@ -222,8 +223,8 @@ def exceptional_catalog(A: PointConfiguration | None, B, d: int):
 
 @dataclass(frozen=True)
 class ProjectionPipelineState:
-    config: PointConfiguration
-    basis: BasisCandidate
+    basis: tuple[int, ...]
+    d: int
     center: AffineFlat
     projector: HyperprojectionMap
     catalog: tuple
@@ -231,7 +232,6 @@ class ProjectionPipelineState:
     e_indices: tuple[int, ...]
     s_points: tuple[tuple[int, ...], ...]
     t_points: tuple[tuple[int, ...], ...]
-    fibers: dict
     delta: int
     n: int
     trace: dict
@@ -241,9 +241,10 @@ class ProjectionPipelineState:
 
 
 def build_pipeline(A: PointConfiguration, B, d: int | None = None) -> ProjectionPipelineState:
-    """Classify A relative to the basis B and project the surviving points."""
+    """Classify A relative to the basis B, a sequence of indices into A, and
+    project the surviving points; d defaults to A.d."""
     d = A.d if d is None else d
-    basis, b, basis_rows = _basis_rows(A, B, d)
+    b, basis_rows = _basis_rows(A, B, d)
     contained, witness = contained_in_curve(A, d)
     if contained:
         raise HypothesisViolation(
@@ -297,12 +298,10 @@ def build_pipeline(A: PointConfiguration, B, d: int | None = None) -> Projection
     t_points = tuple(sorted(t_points, key=normalized_key))
 
     e_indices = tuple(sorted(exceptional))
-    fibers: dict[tuple[int, ...], list[int]] = {}
-    for i, image in enumerate(images):
-        if i not in exceptional:
-            fibers.setdefault(image, []).append(i)
+    # the fiber sizes of the surviving images
+    fibers = Counter(image for i, image in enumerate(images) if i not in exceptional)
     s_points = tuple(sorted(fibers, key=normalized_key))
-    delta = max((len(v) for v in fibers.values()), default=0)
+    delta = max(fibers.values(), default=0)
 
     forbidden = set(t_points)
     for image in s_points:
@@ -327,8 +326,8 @@ def build_pipeline(A: PointConfiguration, B, d: int | None = None) -> Projection
         "emitted": None,
     }
     return ProjectionPipelineState(
-        config=A,
-        basis=basis,
+        basis=b,
+        d=d,
         center=center,
         projector=projector,
         catalog=catalog,
@@ -336,7 +335,6 @@ def build_pipeline(A: PointConfiguration, B, d: int | None = None) -> Projection
         e_indices=e_indices,
         s_points=s_points,
         t_points=t_points,
-        fibers={k: tuple(v) for k, v in fibers.items()},
         delta=delta,
         n=n_threshold,
         trace=trace,
@@ -391,7 +389,7 @@ def curves_from_basis(A: PointConfiguration, B, d: int | None = None,
     """
     if state is None:
         state = build_pipeline(A, B, d)
-    d = state.basis.d
+    d = state.d
     trace = state.trace
     # the image points are collinear when their triples have rank <= 2
     if not state.s_points or rank(state.s_points) <= 2:

@@ -275,7 +275,7 @@ def _pipeline_instance_d2(k: int):
     base = sample_configuration("random_general", seed=4000 + k, count=7, d=2, genericity=2)
     res = grow_nd_chain(base.config, [], None, 2, seed=k)
     assert res.success
-    basis_pts = list(res.basis.points)
+    basis_pts = list(base.config.subset(res.chain))
     pts = list(base.config.points)
     if k % 2 == 0:
         # drop extra points onto the line through the first two basis points
@@ -389,7 +389,7 @@ def test_criterion_9_grower_succeeds_with_guard():
             )
             res = grow_nd_chain(built.config, [], None, 2, seed=k)
             assert res.success, f"instance {k}"
-            assert nd_verify(built.config, res.basis, 2).ok, f"instance {k}"
+            assert nd_verify(built.config, res.chain, 2).ok, f"instance {k}"
             assert all(v <= bound for v in res.guard_trace), f"instance {k}"
             assert res.guard_trace[-1] < bound, f"instance {k}"
 

@@ -17,7 +17,6 @@ from ordcurves.linalg import (
     AffineFlat, affine_rank, kernel, kernel_root, primitive, rank, row_span,
 )
 from ordcurves.ndfamilies import (
-    BasisCandidate,
     NdQuantities,
     _active_flats,
     _degree_rows,
@@ -272,8 +271,8 @@ def test_nd_verify_examples():
     verdict = nd_verify(collinear, [0, 1, 2], 2)
     assert not verdict.ok
     assert verdict.failures[0]["condition"] == "ii"
-    with pytest.raises(HypothesisViolation):
-        BasisCandidate(((0, 0), (0, 0), (1, 1)), 2)
+    with pytest.raises(HypothesisViolation, match="distinct basis points"):
+        nd_verify(A, [0, 0, 1], 2)
     with pytest.raises(HypothesisViolation):
         nd_verify(A, [0, 1], 2)
 
@@ -290,7 +289,7 @@ def test_grow_d2_success_and_guard_profile():
     A = PointConfiguration.from_points(OCTET, 2)
     res = grow_nd_chain(A, [], None, 2, seed=7)
     assert res.success
-    assert nd_verify(A, res.basis, 2).ok
+    assert nd_verify(A, res.chain, 2).ok
     bound = comb(4, 2)
     assert all(v <= bound for v in res.guard_trace[:-1])
     assert res.guard_trace[-1] < bound
@@ -305,7 +304,7 @@ def test_grow_d3_strict_guard():
     res = grow_nd_chain(A, [], None, 3, seed=0)
     if res.success:
         assert all(v < comb(5, 2) for v in res.guard_trace)
-        assert nd_verify(A, res.basis, 3).ok
+        assert nd_verify(A, res.chain, 3).ok
 
 
 def test_grow_with_carrier_cubic():
@@ -314,7 +313,7 @@ def test_grow_with_carrier_cubic():
     A = PointConfiguration.from_points(pts, 3)
     res = grow_nd_chain(A, [len(pts) - 1], c0, 3, seed=0)
     assert res.success
-    assert nd_verify(A, res.basis, 3).ok
+    assert nd_verify(A, res.chain, 3).ok
     # everything grown beyond the seed lies on the carrier
     for i in res.chain[1:]:
         assert c0.contains(A.points[i])
@@ -420,7 +419,7 @@ def test_section_bound_for_curves_through_carrier():
     A = PointConfiguration.from_points(B0 + pts, d)
     res = grow_nd_chain(A, [0, 1, 2], c0, d, seed=1)
     assert res.success
-    B = list(res.basis.points)
+    B = list(A.subset(res.chain))
     # e = deg C0 = 2, the containing curve C = C0 itself
     count = sum(1 for b in B if c0.contains(b))
     assert count < comb(d + 2, 2) - comb(d - 2 + 2, 2) - 2

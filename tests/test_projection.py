@@ -299,7 +299,7 @@ def test_two_point_lines_examples():
 def test_curves_from_basis_sound_d2(check_hyperplanes):
     A = PointConfiguration.from_points(OCTET, 2)
     res = grow_nd_chain(A, [], None, 2, seed=7)
-    curves, state = curves_from_basis(A, res.basis, 2)
+    curves, state = curves_from_basis(A, res.chain, 2)
     assert len(curves) >= 1
     ords = ordinary_curves(A, state.n)
     assert curves.radicals() <= ords.radicals()
@@ -318,7 +318,7 @@ def test_curves_from_basis_sound_d3(check_hyperplanes):
     res = grow_nd_chain(A, [], None, 3, seed=4)
     if not res.success:
         pytest.skip("no basis on this draw")
-    curves, state = curves_from_basis(A, res.basis, 3)
+    curves, state = curves_from_basis(A, res.chain, 3)
     ords = ordinary_curves(A, state.n)
     assert curves.radicals() <= ords.radicals()
     assert state.trace["filtered"] == 0
