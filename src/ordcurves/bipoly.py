@@ -26,7 +26,6 @@ The global coordinate order used for Veronese vectors and file formats lists
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -63,11 +62,22 @@ def _monomial_text(n: int, m: int) -> str:
     return f"{x}*{y}" if x and y else x or y
 
 
-@dataclass(frozen=True)
 class BivariatePolynomial:
-    """Immutable sparse polynomial; `terms` is sorted by monomial and zero-free."""
+    """Sparse polynomial, immutable by convention; `terms` is sorted by
+    monomial and zero-free, and polynomials compare and hash by it."""
 
-    terms: tuple[tuple[Monomial, Fraction], ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[Monomial, Fraction], ...]):
+        self.terms = terms
+
+    def __eq__(self, other):
+        if type(other) is not BivariatePolynomial:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(self.terms)
 
     @staticmethod
     def from_dict(coeffs: dict) -> "BivariatePolynomial":
@@ -397,7 +407,6 @@ def squarefree_radical(p: BivariatePolynomial) -> BivariatePolynomial:
     return _sparse(_quo(a, g))
 
 
-@dataclass(frozen=True)
 class PlaneCurve:
     """Projective class of a nonzero polynomial of degree >= 1.
 
@@ -405,8 +414,11 @@ class PlaneCurve:
     package-wide curve identity.
     """
 
-    representative: BivariatePolynomial
-    radical: BivariatePolynomial
+    __slots__ = ("representative", "radical")
+
+    def __init__(self, representative: BivariatePolynomial, radical: BivariatePolynomial):
+        self.representative = representative
+        self.radical = radical
 
     @staticmethod
     def from_poly(p: BivariatePolynomial) -> "PlaneCurve":

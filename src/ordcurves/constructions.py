@@ -11,7 +11,6 @@ requested lifted general position.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from operator import mul
@@ -23,10 +22,12 @@ from .linalg import hyperplane_leaves, kernel_root, kernel_step
 from .veronese import integer_lift
 
 
-@dataclass(frozen=True)
 class Construction:
-    config: PointConfiguration
-    provenance: dict
+    __slots__ = ("config", "provenance")
+
+    def __init__(self, config: PointConfiguration, provenance: dict):
+        self.config = config
+        self.provenance = provenance
 
     def to_json_obj(self):
         return {

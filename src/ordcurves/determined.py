@@ -49,7 +49,6 @@ all subsets of A is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
 from math import comb
@@ -60,18 +59,29 @@ from .linalg import kernel, normalized_key, rank, spanned_vectors
 from .veronese import Point, as_point, integer_lift, spanned_curve, vector_to_curve
 
 
-@dataclass(frozen=True)
 class PointConfiguration:
-    """Distinct rational plane points with a working degree d."""
+    """Distinct rational plane points with a working degree d; compares and
+    hashes by (points, d), whatever its caches hold."""
 
-    points: tuple[Point, ...]
-    d: int
-    # degree -> rows; per instance, so a configuration is freed with its rows
-    _rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # {(basis index tuple, d): verdict} of the last basis `ndfamilies`
-    # verified or grew on this configuration with success; one entry, so a
-    # grow, its verify and the projection's catalog walk the basis once
-    _verdict: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    __slots__ = ("points", "d", "_rows", "_verdict", "__weakref__")
+
+    def __init__(self, points: tuple[Point, ...], d: int):
+        self.points = points
+        self.d = d
+        # degree -> rows; per instance, so a configuration is freed with its rows
+        self._rows = {}
+        # {(basis index tuple, d): verdict} of the last basis `ndfamilies`
+        # verified or grew on this configuration with success; one entry, so a
+        # grow, its verify and the projection's catalog walk the basis once
+        self._verdict = {}
+
+    def __eq__(self, other):
+        if type(other) is not PointConfiguration:
+            return NotImplemented
+        return self.points == other.points and self.d == other.d
+
+    def __hash__(self):
+        return hash((self.points, self.d))
 
     @staticmethod
     def from_points(points, d: int) -> "PointConfiguration":
@@ -120,24 +130,37 @@ def contained_in_curve(config: PointConfiguration, e: int):
     return True, vector_to_curve(basis[0], e)
 
 
-@dataclass(frozen=True)
 class CurveRecord:
     """A degree-d curve's incidence with A and the primitive vectors of its hyperplanes.
 
     Every hyperplane is spanned, so the curve is read off the first one
     (`spanned_curve`, no radical) when first asked for and kept; callers
-    that need only incidences and counts build no polynomial.
+    that need only incidences and counts build no polynomial.  Records
+    compare and hash by (d, incidence, hyperplanes), whether or not the
+    curve has been built.
     """
 
-    d: int
-    incidence: frozenset[int]
-    hyperplanes: tuple[tuple[int, ...], ...]
-    _curve: PlaneCurve | None = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("d", "incidence", "hyperplanes", "_curve")
+
+    def __init__(self, d: int, incidence: frozenset[int], hyperplanes: tuple[tuple[int, ...], ...]):
+        self.d = d
+        self.incidence = incidence
+        self.hyperplanes = hyperplanes
+        self._curve = None
+
+    def __eq__(self, other):
+        if type(other) is not CurveRecord:
+            return NotImplemented
+        return (self.d, self.incidence, self.hyperplanes) == (
+            other.d, other.incidence, other.hyperplanes)
+
+    def __hash__(self):
+        return hash((self.d, self.incidence, self.hyperplanes))
 
     @property
     def curve(self) -> PlaneCurve:
         if self._curve is None:
-            object.__setattr__(self, "_curve", spanned_curve(self.hyperplanes[0], self.d))
+            self._curve = spanned_curve(self.hyperplanes[0], self.d)
         return self._curve
 
     def to_json_obj(self):
@@ -151,11 +174,13 @@ class CurveRecord:
         }
 
 
-@dataclass(frozen=True)
 class DeterminedCurveSet:
-    d: int
-    n: int | None
-    records: tuple[CurveRecord, ...]
+    __slots__ = ("d", "n", "records")
+
+    def __init__(self, d: int, n: int | None, records: tuple[CurveRecord, ...]):
+        self.d = d
+        self.n = n
+        self.records = records
 
     def __len__(self):
         return len(self.records)
@@ -214,9 +239,10 @@ def enumerate_determined(config: PointConfiguration) -> DeterminedCurveSet:
             f"witness curve {witness}",
         )
     records = []
+    least = comb(d + 2, 2) - 1
     for vec, incidence in spanned_hyperplanes(config):
         rec = CurveRecord(d, incidence, (vec,))
-        if len(rec.incidence) < comb(d + 2, 2) - 1:
+        if len(rec.incidence) < least:
             raise InvariantViolation(
                 "determined curve with fewer than C(d+2,2)-1 incidences",
                 {"d": d, "curve": rec.curve.representative.text(),
@@ -291,12 +317,15 @@ def _exact_str(q: Fraction) -> str:
     return text if q.denominator == 1 else f"{text}/{_decimal(q.denominator)}"
 
 
-@dataclass(frozen=True)
 class RegularityReport:
-    is_regular: bool
-    ratio: Fraction
-    threshold: Fraction
-    witness: tuple[int, ...]
+    __slots__ = ("is_regular", "ratio", "threshold", "witness")
+
+    def __init__(self, is_regular: bool, ratio: Fraction, threshold: Fraction,
+                 witness: tuple[int, ...]):
+        self.is_regular = is_regular
+        self.ratio = ratio
+        self.threshold = threshold
+        self.witness = witness
 
     def to_json_obj(self):
         return {

@@ -42,7 +42,6 @@ with those equations.  Flats follow the convention dim(empty) = -1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import chain
@@ -464,7 +463,6 @@ def vec_dot(a: Vector, b: Vector) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), _ZERO)
 
 
-@dataclass(frozen=True)
 class AffineFlat:
     """Affine subspace of Q^n as integer homogeneous data; empty if no rows.
 
@@ -472,12 +470,24 @@ class AffineFlat:
     flat, and they span it.  `normals` is a kernel basis of them: z lies in
     the flat exactly when (1, z) is orthogonal to every normal.  `row_span`
     takes the primitive one (`kernel`), which depends on the flat only, so
-    flats compare by it.
+    flats compare and hash by (ambient_dim, normals), whatever their rows.
     """
 
-    ambient_dim: int
-    rows: tuple[tuple[int, ...], ...] = field(compare=False)
-    normals: tuple[tuple[int, ...], ...]
+    __slots__ = ("ambient_dim", "rows", "normals")
+
+    def __init__(self, ambient_dim: int, rows: tuple[tuple[int, ...], ...],
+                 normals: tuple[tuple[int, ...], ...]):
+        self.ambient_dim = ambient_dim
+        self.rows = rows
+        self.normals = normals
+
+    def __eq__(self, other):
+        if type(other) is not AffineFlat:
+            return NotImplemented
+        return self.ambient_dim == other.ambient_dim and self.normals == other.normals
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.normals))
 
     @property
     def dim(self) -> int:

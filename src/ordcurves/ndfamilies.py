@@ -53,7 +53,6 @@ the last basis verified or grown on it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import comb
 from operator import mul
 
@@ -67,17 +66,20 @@ from .linalg import (
 from .veronese import ambient_dim, as_point, integer_lift
 
 
-@dataclass(frozen=True)
 class NdQuantities:
-    d: int
-    e: int
-    v_e: AffineFlat
-    w_e: AffineFlat
-    alpha: int
-    beta: int
-    gamma: int
-    mu: int
-    tau: int
+    __slots__ = ("d", "e", "v_e", "w_e", "alpha", "beta", "gamma", "mu", "tau")
+
+    def __init__(self, d: int, e: int, v_e: AffineFlat, w_e: AffineFlat,
+                 alpha: int, beta: int, gamma: int, mu: int, tau: int):
+        self.d = d
+        self.e = e
+        self.v_e = v_e
+        self.w_e = w_e
+        self.alpha = alpha
+        self.beta = beta
+        self.gamma = gamma
+        self.mu = mu
+        self.tau = tau
 
 
 def _degree_rows(source, d: int) -> dict:
@@ -150,7 +152,6 @@ def realizable_sections(rows, e: int):
     return _section_order(flats(rows, monomials, monomials - 1).items())
 
 
-@dataclass(frozen=True)
 class NdVerifyResult:
     """Verdict of `nd_verify`.  On success `sections` holds the
     (e, section, basis) triples of size C(d+2,2)-C(d-e+2,2)-1 that condition
@@ -158,9 +159,12 @@ class NdVerifyResult:
     tuple into B with the kernel basis of its degree-e rows
     (`realizable_sections`)."""
 
-    ok: bool
-    failures: tuple
-    sections: tuple = ()
+    __slots__ = ("ok", "failures", "sections")
+
+    def __init__(self, ok: bool, failures: tuple, sections: tuple = ()):
+        self.ok = ok
+        self.failures = failures
+        self.sections = sections
 
     def __bool__(self):
         return self.ok
@@ -394,12 +398,15 @@ def _forbidden(R, d: int, i: int, v_d, tests) -> bool:
     )
 
 
-@dataclass(frozen=True)
 class GrowthResult:
-    success: bool
-    chain: tuple[int, ...]
-    blocked: tuple
-    guard_trace: tuple[int, ...] = ()
+    __slots__ = ("success", "chain", "blocked", "guard_trace")
+
+    def __init__(self, success: bool, chain: tuple[int, ...], blocked: tuple,
+                 guard_trace: tuple[int, ...] = ()):
+        self.success = success
+        self.chain = chain
+        self.blocked = blocked
+        self.guard_trace = guard_trace
 
     def to_json_obj(self):
         return {

@@ -10,7 +10,6 @@ an independent plain Gauss over Fraction written for this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -205,12 +204,14 @@ def oracle_nd(A: PointConfiguration | None, B, d: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class OracleReport:
-    instance: str
-    quantity: str
-    oracle_value: object
-    main_value: object
+    __slots__ = ("instance", "quantity", "oracle_value", "main_value")
+
+    def __init__(self, instance: str, quantity: str, oracle_value: object, main_value: object):
+        self.instance = instance
+        self.quantity = quantity
+        self.oracle_value = oracle_value
+        self.main_value = main_value
 
     @property
     def agree(self) -> bool:

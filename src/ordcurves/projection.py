@@ -51,7 +51,6 @@ incidence filter gives one record.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 from math import lcm
 from operator import mul
@@ -96,7 +95,6 @@ def line_through(p, q) -> tuple[int, ...]:
     return primitive((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
 
 
-@dataclass(frozen=True)
 class HyperprojectionMap:
     """Projection of lift space from a codimension-3 flat onto P^2.
 
@@ -106,8 +104,11 @@ class HyperprojectionMap:
     spanning the same one-higher flat with the center.
     """
 
-    center: AffineFlat
-    forms: tuple
+    __slots__ = ("center", "forms")
+
+    def __init__(self, center: AffineFlat, forms: tuple):
+        self.center = center
+        self.forms = forms
 
     @staticmethod
     def from_flat(center: AffineFlat) -> "HyperprojectionMap":
@@ -221,20 +222,26 @@ def exceptional_catalog(A: PointConfiguration, B, d: int):
     return tuple(sorted(catalog, key=lambda pair: (pair[0], normalized_key(pair[1]))))
 
 
-@dataclass(frozen=True)
 class ProjectionPipelineState:
-    basis: tuple[int, ...]
-    d: int
-    center: AffineFlat
-    projector: HyperprojectionMap
-    catalog: tuple
-    d_indices: tuple[int, ...]
-    e_indices: tuple[int, ...]
-    s_points: tuple[tuple[int, ...], ...]
-    t_points: tuple[tuple[int, ...], ...]
-    delta: int
-    n: int
-    trace: dict
+    __slots__ = ("basis", "d", "center", "projector", "catalog", "d_indices", "e_indices",
+                 "s_points", "t_points", "delta", "n", "trace")
+
+    def __init__(self, basis: tuple[int, ...], d: int, center: AffineFlat,
+                 projector: HyperprojectionMap, catalog: tuple, d_indices: tuple[int, ...],
+                 e_indices: tuple[int, ...], s_points: tuple[tuple[int, ...], ...],
+                 t_points: tuple[tuple[int, ...], ...], delta: int, n: int, trace: dict):
+        self.basis = basis
+        self.d = d
+        self.center = center
+        self.projector = projector
+        self.catalog = catalog
+        self.d_indices = d_indices
+        self.e_indices = e_indices
+        self.s_points = s_points
+        self.t_points = t_points
+        self.delta = delta
+        self.n = n
+        self.trace = trace
 
     def to_json_obj(self):
         return dict(self.trace)

@@ -18,7 +18,6 @@ dictionary's Fraction view for library callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
@@ -139,7 +138,6 @@ def poly_to_vector(p: BivariatePolynomial, d: int) -> tuple[int, ...]:
     return primitive([coeffs.get((0, 0), 0)] + [coeffs.get(nm, 0) for nm in monomial_order(d)])
 
 
-@dataclass(frozen=True)
 class HyperplaneForm:
     """Affine hyperplane in lift space: constant + coeffs . z = 0.
 
@@ -147,9 +145,12 @@ class HyperplaneForm:
     first nonzero entry of (constant,) + coeffs is 1.
     """
 
-    d: int
-    constant: Fraction
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("d", "constant", "coeffs")
+
+    def __init__(self, d: int, constant: Fraction, coeffs: tuple[Fraction, ...]):
+        self.d = d
+        self.constant = constant
+        self.coeffs = coeffs
 
     @staticmethod
     def from_vector(d: int, vec) -> "HyperplaneForm":
