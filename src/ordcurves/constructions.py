@@ -242,7 +242,7 @@ class _SpanGuard:
             self.node = node or self.node
             new = 1 if node else 0
         else:
-            planes = [v for v, _, _ in hyperplane_leaves([z, *self.rows], 0)]
+            planes = [leaf[0] for leaf in hyperplane_leaves([z, *self.rows], 0)]
             self.planes += planes
             new = len(planes)
         if new != comb(k, min(k, size - 1)):

@@ -20,10 +20,12 @@ of three vectors; each later row's three dots with it are taken once, and
 each pair of later rows gives that leaf's one kernel vector as a
 combination of the net by a cross product of their dots, made primitive:
 the subset's hyperplane, the same vector a subset-by-subset elimination
-gives.  One walk over the subtrees of every first index whose suffix can
-complete an N-subset fills one map from vector to incidence
-(`linalg.spanned_vectors`); when the rows have rank N they all lie on one
-hyperplane, the fold's last kernel vector, and no subtree is walked.
+gives.  One walk over the subtrees of every first index whose suffix has
+full rank fills one map from vector to incidence
+(`linalg.spanned_vectors`).  An N-subset with a later least index lies in a
+suffix of rank N, so it spans that suffix's one hyperplane, the fold's
+kernel vector where the rank first reached N, which is added once if the
+walk did not find it; when the rows have rank N no subtree is walked.
 
 The primitive vector is the hyperplane's only representation.  It is also
 the identity of the hyperplane's curve: the polynomial of a spanned
@@ -31,15 +33,26 @@ hyperplane is squarefree (the lemma at `veronese.spanned_curve`), so it is
 its own radical, and two distinct primitive vectors are two distinct curves.
 Dedup on the vectors is therefore dedup on curves, each `CurveRecord` holds
 one vector, and a record's polynomial and `PlaneCurve` are built only when a
-caller asks for them.  A curve's incidence is read off the same net, once
-per distinct vector, at the net that found it first: the vector's dot
-with a row is the cross product's dot with the row's three net dots, so it
-vanishes on a row exactly when those three products sum to 0.  The rows
-of the net's prefix are on every vector of the net; each other row before
-the net's later rows is dotted with each new vector directly.
-Each is an exact evaluation of the curve at the point, never inferred from
-which subsets spanned the hyperplane, so coincident lifts cannot be double
-counted, and no curve is evaluated again at every point.
+caller asks for them.  A curve's incidence is read off the leaf that found
+its vector first, once per distinct vector, by this lemma: that leaf's
+rows are the greedy basis of the rows on the hyperplane (Edmonds 1971;
+Oxley, Matroid Theory, ch. 1), so a row outside the leaf is on the
+hyperplane exactly when it lies in the span of the leaf rows below it.
+Proof sketch: leaves come in lexicographic order of their subsets, the
+walk cuts no prefix that can still be completed, and a skipped first
+index gives only the fold's vector, so the first leaf of a vector is the
+lexicographically first independent N-subset of the rows on it; greedy
+takes a row exactly when it is outside the span of the rows taken before,
+so each row it leaves out is in the span of the basis rows below it, and a
+row in that span is on the hyperplane.  The walk already holds each case:
+before the leaf's first row, only zero rows; between its prefix rows, the
+rows the walk tried there and found dependent; among the net's later rows
+before the leaf's last row b, those whose three net dots D_t are 0 or, past
+its row a, parallel to D_a, exactly the pairs (a, t) that gave no leaf;
+after b, the rows t with c.D_t = 0, which is the vector's dot with row t.
+Each membership is an exact integer test, never a count of the subsets
+that spanned the hyperplane, and no curve is evaluated again at every
+point.
 
 Curve richness (the largest section of A on a curve of degree <= e) falls
 out of the same scan at degree e: a richest section is the zero set of one
@@ -230,17 +243,22 @@ def enumerate_determined(config: PointConfiguration) -> DeterminedCurveSet:
     incidence is the one the scan read off its pencil (`spanned_hyperplanes`),
     with no second pass over the points.  Records come in the order of
     their vectors' `normalized` forms.
+
+    The scan also decides the requirement: the rows have rank below
+    C(d+2,2) exactly when it finds no hyperplane (rank below N) or one
+    through every row (rank N), and only then is `contained_in_curve` run,
+    for its witness.
     """
     d = config.d
-    contained, witness = contained_in_curve(config, d)
-    if contained:
+    pairs = spanned_hyperplanes(config)
+    if not pairs or (len(pairs) == 1 and len(pairs[0][1]) == len(config)):
         raise HypothesisViolation(
             "configuration not contained in a degree-<=d curve",
-            f"witness curve {witness}",
+            f"witness curve {contained_in_curve(config, d)[1]}",
         )
     records = []
     least = comb(d + 2, 2) - 1
-    for vec, incidence in spanned_hyperplanes(config):
+    for vec, incidence in pairs:
         rec = CurveRecord(d, incidence, (vec,))
         if len(rec.incidence) < least:
             raise InvariantViolation(
@@ -266,9 +284,10 @@ def max_curve_richness(config: PointConfiguration, e: int):
     """Largest |A & C| over curves C of degree <= e, with a witness subset.
 
     If the degree-e rows of A have rank below C(e+2,2), all of A lies on one
-    curve, and the scan says so: below N = C(e+2,2)-1 its suffix ranks give
-    it no subtree and it finds no vector, and at N it finds the one vector
-    through every row.  Otherwise let I be a richest section.  Its
+    curve, and the scan says so with no subtree walked: below N =
+    C(e+2,2)-1 its rank fold never reaches N and it finds no vector, and at
+    N every suffix from the first on has rank N, so it gives the fold's one
+    vector, through every row.  Otherwise let I be a richest section.  Its
     vanishing space is one-dimensional: were it larger, passing through a
     point of A outside I (one exists, as A lies on no curve) is one linear
     condition and would leave a nonzero polynomial, a curve through more

@@ -15,9 +15,11 @@ the leaves, whose bases have three vectors: each later row is dotted with
 them once, and each pair of later rows gives its leaf's kernel vector by a
 cross product of those dots, with no further elimination.
 `spanned_vectors`, the determined-curve scan, is one such walk from every
-first index that can complete an N-subset, into one map from each curve's
-primitive vector to its incidence, both read off the nets; the samplers'
-span guard walks only the leaves through its new row.
+first index whose suffix has full rank, into one map from each curve's
+primitive vector to its incidence, both read off the leaf that first gave
+the vector, whose rows are the greedy basis of the rows on its hyperplane;
+the one hyperplane of the suffixes of rank N comes from the rank fold.  The
+samplers' span guard walks only the leaves through its new row.
 `flats` walks the same tree over the independent subsets, each kernel
 vector carrying its dots with every row, and reads off each flat of the row
 matroid (Oxley, Matroid Theory, ch. 1) with the raw kernel basis of the
@@ -276,7 +278,8 @@ def prefix_kernels(rows, n_cols: int):
 
 def hyperplane_leaves(rows, first: int, ranks=None):
     """The kernel vector of each independent N-subset of the rows whose
-    least index is `first`, N one less than the row length, as (v, c, net).
+    least index is `first`, N one less than the row length, as (v, c, net,
+    b, on).
 
     A lexicographic prefix-tree DFS on `kernel_step` (Knuth, TAOCP 4A
     7.2.1.3) from the node of rows[first] down to the nets, the nodes of N-2
@@ -289,19 +292,24 @@ def hyperplane_leaves(rows, first: int, ranks=None):
 
     A net's basis is three vectors (k0, k1, k2), and each later row t is
     dotted with them once, D_t = (k0.row_t, k1.row_t, k2.row_t).  A pair
-    r < s of later rows completes the net to a leaf whose kernel vectors are
-    the combinations c0 k0 + c1 k1 + c2 k2 with c orthogonal to D_r and D_s,
-    so c = D_r x D_s: the leaf is dependent exactly when c = 0, and
+    a < b of later rows completes the net to a leaf whose kernel vectors are
+    the combinations c0 k0 + c1 k1 + c2 k2 with c orthogonal to D_a and D_b,
+    so c = D_a x D_b: the leaf is dependent exactly when c = 0, and
     otherwise v = c0 k0 + c1 k1 + c2 k2, not made primitive.  v.row = c.D
     for every row, so a later row t lies on v's hyperplane exactly when
     c.D_t = 0.  No `kernel_step` runs below the nets.  net is (prefix, j,
-    basis, dots): the net's row indices, the first later row j, the net's
-    basis and the D_t of rows[j:].
+    basis, dots, dependent): the net's row indices, the first later row j,
+    the net's basis, the D_t of rows[j:], and for each node on the net's
+    path that has children, the list of rows it found dependent.  b is the
+    leaf's last row, and `on` holds a and the later rows before b in the
+    span of the leaf rows below them: those with D_t = 0 or, past a, with
+    D_t parallel to D_a.  Both are offsets from j, and `on` is only valid
+    until the next leaf.
 
-    At N = 2 the net is the root, the identity basis with no prefix, and r
-    is `first`.  At N = 1 the leaf is the row (a, b) at `first` itself:
-    v = (-b, a), read off the basis (e0, e1, 0) with c = (-b, a, 0), and
-    j = len(rows).  Leaves come in lexicographic order of their index
+    At N = 2 the net is the root, the identity basis with no prefix, and a
+    is `first`.  At N = 1 the leaf is the row (x, y) at `first` itself:
+    v = (-y, x), read off the basis (e0, e1, 0) with c = (-y, x, 0), j =
+    first + 1 and b = -1.  Leaves come in lexicographic order of their index
     subsets.
     """
     n_rows, n_cols = len(rows), len(rows[0])
@@ -311,51 +319,65 @@ def hyperplane_leaves(rows, first: int, ranks=None):
     if ranks[first] < size:
         return
     if size == 1:
-        a, b = rows[first]
-        if a or b:
-            yield [-b, a], (-b, a, 0), ((first,), n_rows, ([1, 0], [0, 1], [0, 0]), [])
+        x, y = rows[first]
+        if x or y:
+            dots = [(*row, 0) for row in rows[first + 1:]]
+            net = (first,), first + 1, ([1, 0], [0, 1], [0, 0]), dots, ()
+            yield [-y, x], (-y, x, 0), net, -1, []
         return
     # last[k]: the last index whose suffix still has rank k
     last = [max(i for i, r in enumerate(ranks) if r >= k) for k in range(size + 1)]
-    for prefix, j, basis in _nets(rows, first, size, last):
+    for prefix, j, basis, dependent in _nets(rows, first, size, last):
         k0, k1, k2 = basis
         dots = [
             (sum(map(mul, k0, row)), sum(map(mul, k1, row)), sum(map(mul, k2, row)))
             for row in rows[j:]
         ]
-        net = prefix, j, basis, dots
+        net = prefix, j, basis, dots, dependent
+        zero = []
         for a in range(1 if size == 2 else last[2] - j + 1):
             x0, x1, x2 = dots[a]
             if not (x0 or x1 or x2):
+                zero.append(a)
                 continue
-            for y0, y1, y2 in dots[a + 1:]:
+            on = [*zero, a]
+            for b in range(a + 1, len(dots)):
+                y0, y1, y2 = dots[b]
                 c0, c1, c2 = x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0
                 if c0 or c1 or c2:
                     v = [c0 * p + c1 * q + c2 * w for p, q, w in zip(k0, k1, k2)]
-                    yield v, (c0, c1, c2), net
+                    yield v, (c0, c1, c2), net, b, on
+                else:
+                    on.append(b)
 
 
 def _nets(rows, first: int, size: int, last):
-    """The `hyperplane_leaves` DFS: (prefix, j, basis) for each independent
-    prefix of size-2 rows starting at `first`, j its last index plus one;
-    the root with no prefix and j = first when size is 2.  A child of a node
-    of k rows takes its row from rows[:last[size - k] + 1]."""
+    """The `hyperplane_leaves` DFS: (prefix, j, basis, dependent) for each
+    independent prefix of size-2 rows starting at `first`, j its last index
+    plus one; the root with no prefix and j = first when size is 2.  A child
+    of a node of k rows takes its row from rows[:last[size - k] + 1].  Each
+    node with children adds to `dependent` the list of the rows it tried
+    and found in its span, filled before any child is walked."""
     root = kernel_root(len(rows[0]))
     if size == 2:
-        yield (), first, root[0]
+        yield (), first, root[0], ()
         return
     node = kernel_step(root, rows[first])
-    stack = [(node, first + 1, (first,))] if node else []
+    stack = [(node, first + 1, (first,), ())] if node else []
     while stack:
-        node, start, prefix = stack.pop()
+        node, start, prefix, dependent = stack.pop()
         depth = len(prefix)
         if depth == size - 2:
-            yield prefix, start, node[0]
+            yield prefix, start, node[0], dependent
             continue
+        spanned = []
+        dependent += (spanned,)
         for i in range(last[size - depth], start - 1, -1):
             child = kernel_step(node, rows[i])
-            if child is not None:
-                stack.append((child, i + 1, prefix + (i,)))
+            if child is None:
+                spanned.append(i)
+            else:
+                stack.append((child, i + 1, prefix + (i,), dependent))
 
 
 def spanned_vectors(rows) -> dict:
@@ -364,15 +386,26 @@ def spanned_vectors(rows) -> dict:
     the indices of the rows it is orthogonal to.
 
     rank(rows[i:]) for every i comes from one fold from the end, which
-    stops once the basis is empty.  Rows of rank N all lie on one
-    hyperplane, which every N-subset would give again: the fold's last
-    basis is its one vector, mapped to every index.  Otherwise the leaves
-    of `hyperplane_leaves` from each first index whose suffix has rank N,
-    with the ranks, are made primitive, and a vector not found before gets
-    its incidence from its leaf's net: the net's prefix rows, each later
-    row t with c.D_t = 0 (rows in the prefix's span count too) and each
-    earlier row outside the prefix whose integer dot product with the
-    vector is 0.
+    stops once the basis is empty.  Every N-subset with a least index whose
+    suffix has rank exactly N lies in that suffix, so it spans the one
+    hyperplane of the fold node where the rank first reached N.  So the
+    leaves of `hyperplane_leaves`, with the ranks, are walked only from the
+    first indices whose suffix has full rank, and that one vector is added
+    after them when they did not find it: on it lie every row from the
+    first rank-N index on and each earlier row whose dot product with it is
+    0.  Rows of rank N walk nothing and give it with every index.
+
+    Each leaf's vector is made primitive, and a vector not found before
+    gets its incidence from its leaf.  Leaves come in lexicographic order,
+    the walk cuts no prefix that can be completed, and a skipped first index
+    gives only the fold's vector, so the first leaf of a vector is the
+    lexicographically first independent N-subset of the rows on its
+    hyperplane, their greedy basis (Edmonds 1971; Oxley, Matroid Theory,
+    ch. 1).  A row outside the leaf then lies on the hyperplane exactly when
+    it is in the span of the leaf rows below it: before the leaf's first
+    row, the zero rows; between its prefix rows, the rows the walk found
+    dependent on its path; past the prefix and before the leaf's last row b,
+    the leaf's `on` rows; after b, each row t with c.D_t = 0.
     """
     n_rows, n_cols = len(rows), len(rows[0])
     ranks = [n_cols] * n_rows + [0]
@@ -382,25 +415,30 @@ def spanned_vectors(rows) -> dict:
             break
         node = kernel_step(node, rows[i]) or node
         ranks[i] = n_cols - len(node[0])
-    if ranks[0] == n_cols - 1:
-        return {_primitive(node[0][0]): frozenset(range(n_rows))}
+        if ranks[i] == n_cols - 1:
+            plane = node[0][0]
+    full = ranks.count(n_cols)
+    zeros = [r for r, row in enumerate(rows) if not any(row)]
     found = {}
     seen = None
-    # a first index whose suffix has rank below N yields no leaf
-    leaves = chain.from_iterable(hyperplane_leaves(rows, i, ranks) for i in range(n_rows))
-    for v, (c0, c1, c2), net in leaves:
+    leaves = chain.from_iterable(hyperplane_leaves(rows, i, ranks) for i in range(full))
+    for v, (c0, c1, c2), net, b, on in leaves:
         v = _primitive(v)
         if v in found:
             continue
         if net is not seen:
             seen = net
-            prefix, j, _, dots = net
-            earlier = [r for r in range(j) if r not in prefix]
-        found[v] = frozenset(chain(
-            prefix,
-            [r for r in earlier if not sum(map(mul, v, rows[r]))],
-            [j + t for t, (x, y, z) in enumerate(dots) if not c0 * x + c1 * y + c2 * z],
-        ))
+            prefix, j, _, dots, dependent = net
+            below = [*zeros, *prefix]
+            for spanned, p in zip(dependent, prefix[1:]):
+                below += [r for r in spanned if r < p]
+        found[v] = frozenset(chain(below, [j + t for t in on], [j + b], [
+            j + t for t, (x, y, z) in enumerate(dots[b + 1:], b + 1)
+            if not c0 * x + c1 * y + c2 * z
+        ]))
+    if ranks[full] == n_cols - 1 and (v := _primitive(plane)) not in found:
+        on = [r for r in range(full) if not sum(map(mul, v, rows[r]))]
+        found[v] = frozenset(chain(on, range(full, n_rows)))
     return found
 
 

@@ -87,9 +87,18 @@ def test_enumerate_determined_examples():
 
 
 def test_enumerate_determined_precondition():
-    collinear = PointConfiguration.from_points([(0, 0), (1, 0), (2, 0)], 1)
-    with pytest.raises(HypothesisViolation):
-        enumerate_determined(collinear)
+    # the scan finds one hyperplane through every row (rank N), or none
+    for points, d in [
+        ([(0, 0), (1, 0), (2, 0)], 1),
+        ([(0, 0), (1, 1)], 1),
+        ([(0, 0), (1, 1), (-1, 1), (2, 4), (3, 9), (-2, 4)], 2),
+        ([(0, 0), (1, 1), (2, 4)], 2),
+    ]:
+        config = PointConfiguration.from_points(points, d)
+        with pytest.raises(HypothesisViolation) as err:
+            enumerate_determined(config)
+        assert err.value.name == "configuration not contained in a degree-<=d curve"
+        assert err.value.detail == f"witness curve {contained_in_curve(config, d)[1]}"
 
 
 def test_ordinary_examples():
@@ -343,13 +352,19 @@ def _adversarial_set(seed, curve, k, free):
 def _bareiss_scan(rows):
     """The subset-by-subset scan: every N-subset's own `kernel` (checked
     against Gauss-Jordan in test_linalg), kept when it is one vector (N one
-    less than the row length)."""
+    less than the row length).  Each vector maps to the rows it is
+    orthogonal to, by a dot product with every row, in the order of first
+    appearance over the subsets in lexicographic order; with the count of
+    independent subsets."""
     n_cols = len(rows[0])
-    vectors, full_rank = set(), 0
+    vectors, full_rank = {}, 0
     for idx in combinations(range(len(rows)), n_cols - 1):
         basis = kernel([rows[i] for i in idx], n_cols)
         if len(basis) == 1:
-            vectors.add(basis[0])
+            v = basis[0]
+            if v not in vectors:
+                vectors[v] = frozenset(
+                    i for i, row in enumerate(rows) if not sum(map(mul, v, row)))
             full_rank += 1
     return vectors, full_rank
 
@@ -379,7 +394,7 @@ def test_prefix_tree_matches_bareiss_scan(d, curve, k, free):
     assert any(p[0].denominator > 1 for p in config.points)
     rows = config.homogeneous_lifts(d)
     expected, full_rank = _bareiss_scan(rows)
-    assert _checked_scan(config) == expected
+    assert _checked_scan(config) == expected.keys()
     # one leaf per independent subset: none lost, no dependent one kept
     assert _leaf_counts(rows) == [full_rank, full_rank]
 
@@ -468,8 +483,85 @@ def test_prefix_tree_prunes_and_stays_exact(build, d):
     expected, full_rank = _bareiss_scan(rows)
     assert full_rank < comb(len(rows), n_cols - 1)
     assert _dependent_prefix(rows, n_cols - 1)
-    assert _checked_scan(config) == expected
+    assert _checked_scan(config) == expected.keys()
     assert _leaf_counts(rows) == [full_rank, full_rank]
+
+
+def _dependent_rows(seed):
+    """Small integer rows of 2 to 6 columns with forced dependencies: zero,
+    repeated and proportional rows, integer combinations of earlier rows,
+    and, for odd seeds, a tail of rows in the span of N - 1 or N fixed
+    ones (N one less than the row length)."""
+    rng = random.Random(seed)
+    n_cols = rng.randint(2, 6)
+    rows = []
+    while len(rows) < n_cols + 3:
+        kind = rng.choice(["free", "free", "zero", "repeat", "multiple", "span"])
+        if kind == "free" or not rows:
+            row = [rng.randint(-3, 3) for _ in range(n_cols)]
+        elif kind == "zero":
+            row = [0] * n_cols
+        elif kind == "repeat":
+            row = rng.choice(rows)
+        elif kind == "multiple":
+            row = [rng.choice([-2, 2, 3]) * x for x in rng.choice(rows)]
+        else:
+            picks = rng.sample(rows, min(len(rows), 3))
+            row = [sum(rng.randint(-2, 2) * r[c] for r in picks) for c in range(n_cols)]
+        rows.append(tuple(row))
+    if seed % 2:
+        base = [[rng.randint(-3, 3) for _ in range(n_cols)] for _ in range(n_cols - rng.randint(1, 2))]
+        for _ in range(rng.randint(n_cols - 1, n_cols + 1)):
+            coeffs = [rng.randint(-1, 2) for _ in base]
+            rows.append(tuple(sum(k * b[c] for k, b in zip(coeffs, base)) for c in range(n_cols)))
+    return rows
+
+
+def test_spanned_vectors_match_subset_scan_on_dependent_rows():
+    # a new vector's incidence comes from its leaf, the greedy basis of the
+    # rows on its hyperplane: these rows put zero, repeated, proportional
+    # and spanned rows before, between and after the rows of that basis,
+    # and the low-rank tails leave first indices whose suffix has rank N
+    for seed in range(30):
+        rows = _dependent_rows(seed)
+        expected, _ = _bareiss_scan(rows)
+        assert list(spanned_vectors(rows).items()) == list(expected.items()), rows
+
+
+def _carrier_tail(seed, d, free, on_curve, tail_last):
+    """Points of height up to 10^6: `free` random ones and `on_curve` on a
+    rational conic (d = 2) or cubic (d = 3), the curve's points last when
+    `tail_last`, first otherwise."""
+    rng = random.Random(seed)
+    on = sorted(_on_curve_points(rng, {2: "conic", 3: "cubic"}[d], on_curve))
+    free_pts = [(_rational(rng), _rational(rng)) for _ in range(free)]
+    pts = free_pts + on if tail_last else on + free_pts
+    return PointConfiguration.from_points(pts, d)
+
+
+@pytest.mark.parametrize("build, rank_n", [
+    (lambda: construct_theorem8(3, 9, 11, seed=11).config, 2),
+    (lambda: _carrier_tail(400, 2, 3, 6, True), 2),
+    (lambda: _carrier_tail(401, 2, 3, 6, False), 1),
+    (lambda: _carrier_tail(402, 3, 1, 10, True), 2),
+    (lambda: _carrier_tail(403, 3, 2, 9, False), 1),
+], ids=["theorem8-d3", "conic-last-e2", "conic-first-e2", "cubic-last-d3", "cubic-first-d3"])
+def test_carrier_tails_match_oracle(build, rank_n):
+    config = build()
+    d = config.d
+    rows = config.homogeneous_lifts(d)
+    n_cols = len(rows[0])
+    # the scan walks no first index whose suffix has rank N: the carrier's
+    # own rows when they come last, the last N rows when they come first
+    ranks = [rank(rows[i:]) for i in range(len(rows))]
+    assert ranks[0] == n_cols and ranks.count(n_cols - 1) == rank_n
+    expected, _ = _bareiss_scan(rows)
+    assert list(spanned_vectors(rows).items()) == list(expected.items())
+    records = enumerate_determined(config).records
+    assert frozenset(rec.curve.radical for rec in records) == oracle_determined(config)
+    for rec in records:
+        assert rec.incidence == config.incidence_of(rec.curve)
+    _checked_scan(config)
 
 
 def test_pruned_enumeration_matches_oracle():
@@ -544,20 +636,33 @@ def _count_steps(monkeypatch):
 
 def test_line_heavy_scan_skips_what_cannot_complete(monkeypatch):
     # theorem6 at d=4, m=21: 4,950 independent 14-subsets give 340 curves;
-    # the scan stepped 151,727 times when it walked every independent prefix
+    # the scan stepped 151,727 times when it walked every independent
+    # prefix, and 1,310 times when it also walked the first indices whose
+    # suffix has rank N, which give only the fold's one hyperplane
     config = construct_theorem6(4, 21, seed=21).config
     steps = _count_steps(monkeypatch)
     assert len(spanned_hyperplanes(config)) == 340
-    assert len(steps) == 1310
+    assert len(steps) == 1182
+
+
+def test_carrier_heavy_scan_skips_the_rank_n_suffixes(monkeypatch):
+    # theorem8 at d=3, m=12: the carrier's 11 rows come last, and first
+    # indices 1..3 have suffixes of rank N = 9; walking them took 341 steps
+    config = construct_theorem8(3, 9, 12, seed=12).config
+    steps = _count_steps(monkeypatch)
+    assert len(spanned_hyperplanes(config)) == 166
+    assert len(steps) == 222
 
 
 def test_sweep_steps_below_the_nets_only(monkeypatch):
     # the seed-1 sweep at d=2, |A| = 8..12: the samplers' guards and the
     # scans stepped 1,908 + 1,256 times when both eliminated down to one
-    # level above their leaves
+    # level above their leaves, and 850 times while the enumeration folded
+    # the lifts once more for containment (30) and the scans walked the
+    # first indices whose suffix has rank N (15)
     steps = _count_steps(monkeypatch)
     for size in range(8, 13):
         built = sample_configuration("random_general", seed=1 + size, count=size, d=2,
                                      genericity=2)
         enumerate_determined(built.config)
-    assert len(steps) == 850
+    assert len(steps) == 805
