@@ -50,7 +50,7 @@ from .projection import (
     exceptional_catalog,
     two_point_lines,
 )
-from .veronese import HyperplaneForm, lift, pad_degree, tau, tau_inverse
+from .veronese import HyperplaneForm, lift, tau, tau_inverse
 
 __all__ = [
     "AffineFlat",
@@ -84,7 +84,6 @@ __all__ = [
     "oracle_max_richness",
     "oracle_nd",
     "ordinary_curves",
-    "pad_degree",
     "parse_poly",
     "poly_gcd",
     "rank",

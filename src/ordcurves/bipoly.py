@@ -214,13 +214,6 @@ def constant(c) -> BivariatePolynomial:
     return BivariatePolynomial.from_dict({(0, 0): Fraction(c)})
 
 
-def monomial(n: int, m: int, c=1) -> BivariatePolynomial:
-    return BivariatePolynomial.from_dict({(n, m): Fraction(c)})
-
-
-X = monomial(1, 0)
-Y = monomial(0, 1)
-
 _TERM_RE = re.compile(
     r"^(?P<coef>\d+(?:/\d+)?)?"
     r"(?P<xpart>\*?x(?:\^(?P<xn>\d+))?)?"
@@ -447,7 +440,7 @@ class PlaneCurve:
         return self.representative.text()
 
 
-def rational_points_on_curve(curve: PlaneCurve, count: int, avoid=()) -> list:
+def rational_points_on_curve(curve: PlaneCurve, count: int) -> list:
     """Distinct exact rational points on a catalog curve.
 
     Supported carriers are curves whose radical is linear in one variable
@@ -455,7 +448,6 @@ def rational_points_on_curve(curve: PlaneCurve, count: int, avoid=()) -> list:
     these have one point per parameter value, swept over 0, 1, -1, 2, ...
     """
     p = curve.radical
-    avoid_set = {(Fraction(a[0]), Fraction(a[1])) for a in avoid}
     # the position k of a coordinate z, y tried first, with p = u*z + w and
     # u, w polynomials in the other coordinate, the parameter
     k = next((k for k in (1, 0) if max((mon[k] for mon, _ in p.terms), default=-1) == 1), None)
@@ -472,7 +464,7 @@ def rational_points_on_curve(curve: PlaneCurve, count: int, avoid=()) -> list:
     steps = 0
     while len(found) < count:
         steps += 1
-        if steps > 40 * (count + len(avoid_set) + 4):
+        if steps > 40 * (count + 4):
             raise InvariantViolation(
                 "parameter sweep exhausted on a parametrizable curve",
                 {"curve": p.text(), "count": count},
@@ -483,9 +475,7 @@ def rational_points_on_curve(curve: PlaneCurve, count: int, avoid=()) -> list:
         if den == 0:
             continue
         z = -sum(c * tq**n for n, c in w.items()) / den
-        pt = (tq, z) if k else (z, tq)
-        if pt not in avoid_set:
-            found.append(pt)
+        found.append((tq, z) if k else (z, tq))
     return found
 
 

@@ -192,8 +192,7 @@ def _cmd_construct(args, out):
     if args.kind == "theorem6":
         built = construct_theorem6(args.d, args.m, seed=args.seed)
     elif args.kind == "theorem8":
-        built = construct_theorem8(args.d, args.n, args.m, seed=args.seed,
-                                   carrier=_carrier(args.carrier))
+        built = construct_theorem8(args.d, args.n, args.m, seed=args.seed)
     elif args.kind in ("random_general", "grid"):
         params = {"d": args.d}
         if args.count is not None:
@@ -345,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--genericity", type=int, default=None)
     p.add_argument("--side", type=int, default=None)
-    p.add_argument("--carrier", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_construct)
 

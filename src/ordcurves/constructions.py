@@ -69,8 +69,8 @@ def construct_theorem6(d: int, m: int, seed: int = 0) -> Construction:
         block.append(cand)
         if len(block) < block_size:
             continue
-        probe = PointConfiguration.from_points(block, max(d - 1, 1))
-        if d - 1 >= 1 and contained_in_curve(probe, d - 1)[0]:
+        probe = PointConfiguration.from_points(block, d - 1)
+        if contained_in_curve(probe, d - 1)[0]:
             block.pop(rng.randrange(len(block)))
             continue
         break
@@ -107,12 +107,8 @@ def default_carrier(d: int) -> PlaneCurve:
     return PlaneCurve.from_poly(parse_poly(f"y - x^{d}") if d > 1 else parse_poly("y - x"))
 
 
-def construct_theorem8(
-    d: int, n: int, m: int, seed: int = 0, carrier: PlaneCurve | None = None
-) -> Construction:
+def construct_theorem8(d: int, n: int, m: int, seed: int = 0) -> Construction:
     """Carrier-heavy set: m-1 points on the carrier y = x^d plus (0, 1) off it.
-
-    A `carrier` argument must be that curve (any polynomial of it).
 
     Carrier points are chosen greedily so every lifted subset of size up to
     C(d+2,2)-1 stays affinely independent; each step's obstruction flats are
@@ -135,10 +131,6 @@ def construct_theorem8(
         raise HypothesisViolation(
             "m > 2n+1-C(d+2,2)", f"m={m} at n={n}, d={d}"
         )
-    carrier = default_carrier(d) if carrier is None else carrier
-    if carrier != default_carrier(d):
-        # the sweep places points (t, t^d), finitely many of them on any other curve
-        raise HypothesisViolation("carrier y = x^d", f"carrier {carrier} at d={d}")
     rng = random.Random(seed)
     window = list(range(-3 * m - 4, 3 * m + 5))
     rng.shuffle(window)
@@ -194,7 +186,7 @@ def construct_theorem8(
             "n": n,
             "m": m,
             "seed": seed,
-            "carrier": carrier.representative.text(),
+            "carrier": default_carrier(d).representative.text(),
             "off_index": 0,
             "carrier_indices": list(range(1, m)),
             "certificates": {"lifted_general_position_in_hyperplane": True},

@@ -52,8 +52,6 @@ from operator import mul
 
 Vector = tuple[Fraction, ...]
 
-_ZERO = Fraction(0)
-
 
 def _integer_row(row) -> list[int]:
     """The rational row times the lcm of its denominators."""
@@ -495,10 +493,6 @@ def normalized_key(v):
     """
     i, f = next((i, x) for i, x in enumerate(v) if x)
     return -i, (v[i + 1] << 64) // f if i + 1 < len(v) else 0, _exact_key(v)
-
-
-def vec_dot(a: Vector, b: Vector) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), _ZERO)
 
 
 class AffineFlat:

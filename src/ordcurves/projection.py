@@ -223,16 +223,15 @@ def exceptional_catalog(A: PointConfiguration, B, d: int):
 
 
 class ProjectionPipelineState:
-    __slots__ = ("basis", "d", "center", "projector", "catalog", "d_indices", "e_indices",
+    __slots__ = ("basis", "d", "projector", "catalog", "d_indices", "e_indices",
                  "s_points", "t_points", "delta", "n", "trace")
 
-    def __init__(self, basis: tuple[int, ...], d: int, center: AffineFlat,
-                 projector: HyperprojectionMap, catalog: tuple, d_indices: tuple[int, ...],
+    def __init__(self, basis: tuple[int, ...], d: int, projector: HyperprojectionMap,
+                 catalog: tuple, d_indices: tuple[int, ...],
                  e_indices: tuple[int, ...], s_points: tuple[tuple[int, ...], ...],
                  t_points: tuple[tuple[int, ...], ...], delta: int, n: int, trace: dict):
         self.basis = basis
         self.d = d
-        self.center = center
         self.projector = projector
         self.catalog = catalog
         self.d_indices = d_indices
@@ -335,7 +334,6 @@ def build_pipeline(A: PointConfiguration, B, d: int | None = None) -> Projection
     return ProjectionPipelineState(
         basis=b,
         d=d,
-        center=center,
         projector=projector,
         catalog=catalog,
         d_indices=d_indices,
@@ -349,22 +347,17 @@ def build_pipeline(A: PointConfiguration, B, d: int | None = None) -> Projection
 
 
 def two_point_lines(S, T):
-    """Lines through exactly two points of S and no point of T."""
+    """Lines through exactly two points of S and no point of T.
+
+    A line through k points of S is the line of C(k, 2) pairs, so the lines
+    of exactly one pair are the two-point lines.
+    """
     S = list(S)
     if len(set(S)) != len(S):
         raise HypothesisViolation("distinct points", "S has repeated points")
-    out = []
-    seen = set()
-    for i, j in combinations(range(len(S)), 2):
-        line = line_through(S[i], S[j])
-        if line in seen:
-            continue
-        seen.add(line)
-        if sum(1 for p in S if _dot(line, p) == 0) != 2:
-            continue
-        if any(_dot(line, t) == 0 for t in T):
-            continue
-        out.append(line)
+    pairs = Counter(line_through(p, q) for p, q in combinations(S, 2))
+    out = [line for line, count in pairs.items()
+           if count == 1 and not any(_dot(line, t) == 0 for t in T)]
     return tuple(sorted(out, key=normalized_key))
 
 
@@ -410,7 +403,7 @@ def curves_from_basis(A: PointConfiguration, B, d: int | None = None,
     vectors = []
     records = []
     rows = A.homogeneous_lifts(d)
-    basis_rows = state.center.rows  # the center is spanned by the basis rows
+    basis_rows = state.projector.center.rows  # the center is spanned by the basis rows
     for line in lines:
         vec = state.projector.pull_back_line(line)
         vectors.append(vec)

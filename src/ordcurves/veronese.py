@@ -22,8 +22,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
 
-from .bipoly import BivariatePolynomial, PlaneCurve, X, _term_key, constant, monomial_order
-from .linalg import Vector, normalized, primitive, vec_dot
+from .bipoly import BivariatePolynomial, PlaneCurve, _term_key, monomial_order
+from .linalg import Vector, normalized, primitive
 
 Point = tuple[Fraction, Fraction]
 
@@ -164,12 +164,6 @@ class HyperplaneForm:
     def augmented(self) -> Vector:
         return (self.constant,) + self.coeffs
 
-    def contains_lifted(self, z: Vector) -> bool:
-        return self.constant + vec_dot(self.coeffs, z) == 0
-
-    def contains_point(self, point) -> bool:
-        return self.contains_lifted(lift(point, self.d))
-
 
 def tau(p: BivariatePolynomial, d: int) -> HyperplaneForm:
     """Hyperplane of the class [p]; requires 1 <= deg p <= d."""
@@ -179,24 +173,3 @@ def tau(p: BivariatePolynomial, d: int) -> HyperplaneForm:
 def tau_inverse(h: HyperplaneForm) -> PlaneCurve:
     """Curve whose polynomial is read off the hyperplane coefficients."""
     return vector_to_curve(h.augmented(), h.d)
-
-
-def pad_degree(p: BivariatePolynomial, d: int, avoid) -> BivariatePolynomial:
-    """Raise deg p to exactly d by vertical-line factors missing `avoid`.
-
-    The returned q = p * (x - c)^(d - deg p) satisfies Z(q) & avoid =
-    Z(p) & avoid; c is the first integer >= 0 that is no avoid point's
-    x-coordinate.
-    """
-    if p.is_zero or p.is_constant:
-        raise ValueError("pad_degree requires a nonconstant polynomial")
-    if p.degree > d:
-        raise ValueError(f"degree {p.degree} exceeds d={d}")
-    if p.degree == d:
-        return p
-    taken = {Fraction(a[0]) for a in avoid}
-    c = 0
-    while Fraction(c) in taken:
-        c += 1
-    line = X - constant(c)
-    return (p * line.pow(d - p.degree)).canonical()

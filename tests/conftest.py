@@ -1,10 +1,10 @@
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 import pytest
 
 from ordcurves.bipoly import squarefree_radical
-from ordcurves.linalg import vec_dot
 from ordcurves.veronese import lift
 
 _lift = lru_cache(maxsize=None)(lift)
@@ -22,7 +22,8 @@ def _check_hyperplanes(rec, points, d):
     for vec in rec.hyperplanes:
         assert all(type(x) is int for x in vec) and gcd(*vec) == 1
         assert next(x for x in vec if x) > 0
-        zeros = {i for i, p in enumerate(points) if vec[0] + vec_dot(vec[1:], _lift(p, d)) == 0}
+        zeros = {i for i, p in enumerate(points)
+                 if vec[0] + sum(map(mul, vec[1:], _lift(p, d))) == 0}
         assert zeros == rec.incidence
 
 

@@ -108,7 +108,7 @@ CASES = [
     (OracleReport, {"instance": "i", "quantity": "q", "oracle_value": 1, "main_value": 1}),
     (HyperprojectionMap, {"center": FLAT, "forms": ((0, 1),)}),
     (ProjectionPipelineState, {
-        "basis": (0,), "d": 2, "center": FLAT, "projector": None, "catalog": (),
+        "basis": (0,), "d": 2, "projector": None, "catalog": (),
         "d_indices": (), "e_indices": (), "s_points": (), "t_points": (), "delta": 0,
         "n": 1, "trace": {}}),
     (HyperplaneForm, {"d": 1, "constant": Fraction(0), "coeffs": (Fraction(1), Fraction(0))}),

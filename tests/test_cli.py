@@ -210,14 +210,14 @@ def test_point_index_out_of_range_exit_2(octet, capsys, argv, bad):
     (["nd-grow", "--input", "{octet}", "--d", "3", "--carrier", "5", "--b0", "0"], 2,
      "--carrier"),
     (["construct", "--kind", "theorem8", "--d", "3", "--n", "9", "--m", "12", "--carrier", "7"],
-     2, "--carrier"),
+     2, "unrecognized arguments: --carrier"),
     (["sweep", "--d", "2", "--n", "5", "--sizes", "9:8"], 2, "--sizes"),
     (["sweep", "--d", "2", "--n", "5", "--sizes", "8-9"], 2, "--sizes"),
     (["construct", "--kind", "grid", "--d", "2", "--side", "0"], 3, "nonempty configuration"),
     (["construct", "--kind", "grid", "--d", "2", "--side", "-1"], 3, "nonempty configuration"),
 ], ids=["theorem6-no-m", "theorem8-no-m-n", "random-no-count", "threshold-abc",
         "threshold-1/0", "degrees-empty", "degrees-0", "carrier-circle", "nd-grow-carrier-constant",
-        "theorem8-carrier-constant", "sweep-sizes-reversed", "sweep-sizes-malformed",
+        "construct-carrier-unrecognized", "sweep-sizes-reversed", "sweep-sizes-malformed",
         "grid-side-0", "grid-side-negative"])
 def test_rejected_option_exits_with_name(octet, capsys, argv, code, name):
     # malformed input exits 2 and a violated hypothesis 3, with no traceback
@@ -263,6 +263,18 @@ def test_construct_output_feeds_back(tmp_path, capsys):
     code, out, _ = run(["ordinary", "--input", path, "--n", "5"], capsys)
     assert code == 0
     assert len(json.loads(out)["curves"]) <= 6
+
+
+def test_construct_theorem8_bytes(capsys):
+    # the points and the provenance, carrier text x^3 - y included, pinned
+    # by digest
+    code, out, err = run(["construct", "--kind", "theorem8", "--d", "3", "--n", "9", "--m", "12",
+                          "--seed", "11"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["provenance"]["carrier"] == "x^3 - y"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "74b2ca59e7ff3b77e1db0a612b6b7bb88c972aca48a9cdff23a132ecbe1b7fa9"
+    )
 
 
 def test_sigma_count(capsys):

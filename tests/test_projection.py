@@ -258,7 +258,7 @@ def test_exceptional_set_matches_spanned_joins():
     joins = 0
     for A, basis in _join_cases():
         state = build_pipeline(A, basis, A.d)
-        center, rows = state.center, A.homogeneous_lifts(A.d)
+        center, rows = state.projector.center, A.homogeneous_lifts(A.d)
         exceptional, images = set(state.d_indices), set()
         for e, vec in state.catalog:
             curve_rows = curve_lift_rows(e, vec, A.d)
@@ -294,6 +294,27 @@ def test_two_point_lines_examples():
     t = [pts5[3]]
     filtered = two_point_lines(pts5, t)
     assert set(filtered) == {ln for ln in expected if sum(map(mul, ln, t[0])) != 0}
+    # seeded: a 5-point line y = 0, a 4-point line x = 0 and a 3-point line
+    # y = x, plus random points off those three, with T on two of the
+    # two-point lines and on the 4-point line
+    rng = random.Random(28)
+    raw = {(1, t, 0) for t in range(5)} | {(1, 0, s) for s in range(4)} | {(1, 1, 1), (1, 2, 2)}
+    while len(raw) < 16:
+        v = (rng.randint(1, 3), rng.randint(-3, 3), rng.randint(-3, 3))
+        if v[1] and v[2] and v[1] != v[2]:
+            raw.add(v)
+    pts = sorted({primitive(v) for v in raw})
+    rich = {}
+    for p, q in combinations(pts, 2):
+        line = line_through(p, q)
+        rich[line] = sum(1 for s in pts if sum(map(mul, line, s)) == 0)
+    assert {3, 4, 5} <= set(rich.values())
+    two = sorted((ln for ln, k in rich.items() if k == 2), key=normalized_key)
+    assert two_point_lines(pts, []) == tuple(two)
+    t = [line_through(two[0], (1, 2, 3)), line_through(two[-1], (3, 1, 2)), (0, 0, 1)]
+    expected = [ln for ln in two if all(sum(map(mul, ln, p)) for p in t)]
+    assert 0 < len(expected) < len(two)
+    assert two_point_lines(pts, t) == tuple(expected)
 
 
 def test_curves_from_basis_sound_d2(check_hyperplanes):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import mul
 
 import pytest
 
@@ -12,7 +13,6 @@ from ordcurves.veronese import (
     integer_lift,
     lift,
     _vector_poly,
-    pad_degree,
     spanned_curve,
     tau,
     tau_inverse,
@@ -70,7 +70,8 @@ def test_dictionary_vanishing_iff_on_hyperplane():
             h = tau(p, d)
             for _ in range(25):
                 a = (rng.randint(-6, 6), rng.randint(-6, 6))
-                assert (p.evaluate(a) == 0) == h.contains_point(a)
+                on_h = sum(map(mul, h.augmented(), (1, *lift(a, d)))) == 0
+                assert (p.evaluate(a) == 0) == on_h
 
 
 def test_tau_examples():
@@ -149,30 +150,3 @@ def test_spanned_curve_refuses_constant_vectors(d):
 def test_hyperplane_form_requires_nonconstant():
     with pytest.raises(ValueError):
         HyperplaneForm.from_vector(1, (1, 0, 0))
-
-
-def test_pad_degree_identity():
-    p = parse_poly("x + y")
-    assert pad_degree(p, 1, []) is p
-
-
-def test_pad_degree_example():
-    q = pad_degree(parse_poly("x + y"), 2, [(0, 0)])
-    assert q.terms == (parse_poly("x + y") * parse_poly("x - 1")).canonical().terms
-    # the line factor x - 1 misses the avoid set, so vanishing there is unchanged
-    assert parse_poly("x - 1").evaluate((0, 0)) != 0
-    assert (q.evaluate((0, 0)) == 0) == (parse_poly("x + y").evaluate((0, 0)) == 0)
-
-
-def test_pad_degree_preserves_vanishing_on_avoid():
-    rng = random.Random(23)
-    p = parse_poly("y - x^2")
-    avoid = [(0, 0), (1, 1), (2, 4), (3, 5), (-1, 2)]
-    q = pad_degree(p, 4, avoid)
-    assert q.degree == 4
-    for a in avoid:
-        assert (p.evaluate(a) == 0) == (q.evaluate(a) == 0)
-    for _ in range(20):
-        a = (rng.randint(-5, 5), rng.randint(-5, 5))
-        if p.evaluate(a) == 0:
-            assert q.evaluate(a) == 0
