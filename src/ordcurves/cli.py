@@ -22,10 +22,10 @@ from .bipoly import PlaneCurve, parse_poly, sigma_fiber_count
 from .constructions import construct_theorem6, construct_theorem8, sample_configuration
 from .determined import (
     PointConfiguration,
+    determined_pairs,
     enumerate_determined,
     ordinary_curves,
     regularity_report,
-    richest,
 )
 from .errors import HypothesisViolation, InputFormatError, InvariantViolation
 from .ndfamilies import grow_nd_chain, nd_verify
@@ -243,15 +243,12 @@ def _cmd_sweep(args, out):
             genericity=min(args.d, 2),
         )
         start = time.perf_counter()
-        determined = enumerate_determined(built.config)
-        ordinary = [r for r in determined.records if len(r.incidence) <= args.n]
+        # the row needs only incidence sizes, so it reads the unsorted scan;
         # the richest degree-<=d section is a determined curve's incidence
-        richness, _ = richest(r.incidence for r in determined.records)
+        sizes = [len(incidence) for _, incidence in determined_pairs(built.config)]
+        ordinary = sum(k <= args.n for k in sizes)
         elapsed_ms = 0 if args.no_timing else int((time.perf_counter() - start) * 1000)
-        out.write(
-            f"{size},{args.d},{args.n},{len(determined)},{len(ordinary)},"
-            f"{richness},{elapsed_ms}\n"
-        )
+        out.write(f"{size},{args.d},{args.n},{len(sizes)},{ordinary},{max(sizes)},{elapsed_ms}\n")
 
 
 def _cmd_oracle_check(args, out):
@@ -282,7 +279,49 @@ def _cmd_oracle_check(args, out):
         )
 
 
-def build_parser() -> argparse.ArgumentParser:
+_SEED = ("--seed", {"type": int, "default": 0})
+_BASIS = ("--basis", {"required": True, "help": "comma-separated point indices"})
+
+# command -> (help, handler, reads --input, its own arguments as (flag, keywords))
+_COMMANDS = {
+    "lift": ("Veronese lift of the input points", _cmd_lift, True, ()),
+    "determined": ("curves determined by the input set", _cmd_determined, True, ()),
+    "ordinary": ("determined curves with small incidence", _cmd_ordinary, True,
+                 (("--n", {"type": int, "required": True}),)),
+    "richness": ("largest curve section and regularity", _cmd_richness, True, (
+        ("--e", {"type": int, "default": None}),
+        ("--threshold", {"default": None, "help": "rational threshold p/q"}))),
+    "nd-verify": ("check the basis conditions for B", _cmd_nd_verify, True, (_BASIS,)),
+    "nd-grow": ("grow a basis by forbidden-region avoidance", _cmd_nd_grow, True, (
+        ("--b0", {"default": "", "help": "seed point indices"}),
+        ("--carrier", {"default": None, "help": "carrier curve polynomial"}),
+        ("--order", {"default": None, "help": "explicit candidate order"}),
+        _SEED)),
+    "project": ("hyperprojection pipeline from a basis", _cmd_project, True, (_BASIS,)),
+    "construct": ("generate a configuration", _cmd_construct, False, (
+        ("--kind", {"required": True,
+                    "choices": ["theorem6", "theorem8", "random_general", "grid"]}),
+        *((f"--{name}", {"type": int, "default": None})
+          for name in ("m", "n", "count", "genericity", "side")),
+        _SEED)),
+    "sigma-count": ("polynomial classes sharing a zero set", _cmd_sigma_count, False, (
+        ("--degrees", {"required": True, "help": "component degrees, comma-separated"}),)),
+    "sweep": ("CSV growth report over instance sizes", _cmd_sweep, False, (
+        ("--n", {"type": int, "required": True}),
+        ("--sizes", {"required": True, "help": "size range lo:hi"}),
+        _SEED,
+        ("--no-timing", {"action": "store_true",
+                         "help": "zero the runtime column for byte-stable output"}))),
+    "oracle-check": ("cross-validate against brute force", _cmd_oracle_check, True, (
+        ("--nd-size", {"type": int, "default": None,
+                       "help": "also compare basis verdicts on all subsets of this size"}),)),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command; given `command`, only that command's
+    arguments are added, while every command stays registered with its help,
+    so usage, --help and an invalid choice still list them all."""
     parser = argparse.ArgumentParser(
         prog="ordcurves",
         description="Exact enumeration of determined and ordinary plane curves",
@@ -291,81 +330,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="accepted for compatibility and ignored: the scan runs in "
                              "one process (must be at least 1; default 1)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_input=True):
+    for name, (text, func, needs_input, extra) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        if command not in (None, name):
+            continue
         if needs_input:
             p.add_argument("--input", required=True, help="point-set JSON file")
         p.add_argument("--d", type=int, default=None, help="override degree d")
         p.add_argument("--output", default="-", help="output path (default stdout)")
-
-    p = sub.add_parser("lift", help="Veronese lift of the input points")
-    common(p)
-    p.set_defaults(func=_cmd_lift)
-
-    p = sub.add_parser("determined", help="curves determined by the input set")
-    common(p)
-    p.set_defaults(func=_cmd_determined)
-
-    p = sub.add_parser("ordinary", help="determined curves with small incidence")
-    common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_ordinary)
-
-    p = sub.add_parser("richness", help="largest curve section and regularity")
-    common(p)
-    p.add_argument("--e", type=int, default=None)
-    p.add_argument("--threshold", default=None, help="rational threshold p/q")
-    p.set_defaults(func=_cmd_richness)
-
-    p = sub.add_parser("nd-verify", help="check the basis conditions for B")
-    common(p)
-    p.add_argument("--basis", required=True, help="comma-separated point indices")
-    p.set_defaults(func=_cmd_nd_verify)
-
-    p = sub.add_parser("nd-grow", help="grow a basis by forbidden-region avoidance")
-    common(p)
-    p.add_argument("--b0", default="", help="seed point indices")
-    p.add_argument("--carrier", default=None, help="carrier curve polynomial")
-    p.add_argument("--order", default=None, help="explicit candidate order")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_nd_grow)
-
-    p = sub.add_parser("project", help="hyperprojection pipeline from a basis")
-    common(p)
-    p.add_argument("--basis", required=True, help="comma-separated point indices")
-    p.set_defaults(func=_cmd_project)
-
-    p = sub.add_parser("construct", help="generate a configuration")
-    common(p, needs_input=False)
-    p.add_argument("--kind", required=True,
-                   choices=["theorem6", "theorem8", "random_general", "grid"])
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--genericity", type=int, default=None)
-    p.add_argument("--side", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_construct)
-
-    p = sub.add_parser("sigma-count", help="polynomial classes sharing a zero set")
-    common(p, needs_input=False)
-    p.add_argument("--degrees", required=True, help="component degrees, comma-separated")
-    p.set_defaults(func=_cmd_sigma_count)
-
-    p = sub.add_parser("sweep", help="CSV growth report over instance sizes")
-    common(p, needs_input=False)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--sizes", required=True, help="size range lo:hi")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-timing", action="store_true",
-                   help="zero the runtime column for byte-stable output")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("oracle-check", help="cross-validate against brute force")
-    common(p)
-    p.add_argument("--nd-size", type=int, default=None,
-                   help="also compare basis verdicts on all subsets of this size")
-    p.set_defaults(func=_cmd_oracle_check)
+        for flag, keywords in extra:
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -382,7 +357,9 @@ def _repro(exc: InvariantViolation, argv, config) -> dict:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    # the command is the first token naming one: only --workers N and -h
+    # come before it, and a --workers value naming one fails as an int first
+    parser = build_parser(next((tok for tok in argv if tok in _COMMANDS), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -210,9 +210,10 @@ class DeterminedCurveSet:
 
 
 def richest(sections) -> tuple[int, tuple[int, ...]]:
-    """Largest section size, with the lexicographically first sorted section of that size."""
-    best = min((sorted(s) for s in sections), key=lambda s: (-len(s), s))
-    return len(best), tuple(best)
+    """Largest section size, with the lexicographically first sorted section
+    of that size; `sections` is a nonempty collection, read twice."""
+    top = max(map(len, sections))
+    return top, min(tuple(sorted(s)) for s in sections if len(s) == top)
 
 
 def spanned_hyperplanes(config: PointConfiguration):
@@ -223,31 +224,23 @@ def spanned_hyperplanes(config: PointConfiguration):
     lifted points, so scanning N-subsets with full affine rank is complete.
     The incidence is the set of indices of the points whose lifts lie on
     the hyperplane, read off the scan (`linalg.spanned_vectors`).  The pairs
-    come sorted by their vectors' `normalized` forms.
+    come in scan order, unsorted.
     """
-    found = spanned_vectors(config.homogeneous_lifts(config.d))
-    return sorted(found.items(), key=lambda item: normalized_key(item[0]))
+    return list(spanned_vectors(config.homogeneous_lifts(config.d)).items())
 
 
-def enumerate_determined(config: PointConfiguration) -> DeterminedCurveSet:
-    """All curves of degree d determined by the configuration, one per spanned hyperplane.
+def determined_pairs(config: PointConfiguration):
+    """The (primitive vector, incidence) pairs of the curves of degree d
+    determined by the configuration, in scan order (`spanned_hyperplanes`).
 
     Requires that no curve of degree <= d contains the whole set; then the
     determined curves are exactly the pullbacks of the spanned hyperplanes.
-
-    Each spanned hyperplane's polynomial spans the vanishing space of an
-    N-subset, N = C(d+2,2)-1, with independent rows, a space of dimension
-    1; by the lemma at `veronese.spanned_curve` it is squarefree, so it is
-    its own radical up to a scalar, distinct primitive vectors are distinct
-    curves, and every curve has exactly one hyperplane.  Each record's
-    incidence is the one the scan read off its pencil (`spanned_hyperplanes`),
-    with no second pass over the points.  Records come in the order of
-    their vectors' `normalized` forms.
-
     The scan also decides the requirement: the rows have rank below
     C(d+2,2) exactly when it finds no hyperplane (rank below N) or one
     through every row (rank N), and only then is `contained_in_curve` run,
-    for its witness.
+    for its witness.  A curve with fewer than N incidences breaks the
+    enumeration's invariant; the first such curve in `normalized` order is
+    named, and it is looked for only when one exists.
     """
     d = config.d
     pairs = spanned_hyperplanes(config)
@@ -256,18 +249,33 @@ def enumerate_determined(config: PointConfiguration) -> DeterminedCurveSet:
             "configuration not contained in a degree-<=d curve",
             f"witness curve {contained_in_curve(config, d)[1]}",
         )
-    records = []
     least = comb(d + 2, 2) - 1
-    for vec, incidence in pairs:
-        rec = CurveRecord(d, incidence, (vec,))
-        if len(rec.incidence) < least:
-            raise InvariantViolation(
-                "determined curve with fewer than C(d+2,2)-1 incidences",
-                {"d": d, "curve": rec.curve.representative.text(),
-                 "incidence": sorted(rec.incidence)},
-            )
-        records.append(rec)
-    return DeterminedCurveSet(d, None, tuple(records))
+    short = [pair for pair in pairs if len(pair[1]) < least]
+    if short:
+        vec, incidence = min(short, key=lambda pair: normalized_key(pair[0]))
+        raise InvariantViolation(
+            "determined curve with fewer than C(d+2,2)-1 incidences",
+            {"d": d, "curve": spanned_curve(vec, d).representative.text(),
+             "incidence": sorted(incidence)},
+        )
+    return pairs
+
+
+def enumerate_determined(config: PointConfiguration) -> DeterminedCurveSet:
+    """All curves of degree d determined by the configuration, one per spanned hyperplane.
+
+    The checked pairs of `determined_pairs`, as records in the order of
+    their vectors' `normalized` forms.  Each spanned hyperplane's
+    polynomial spans the vanishing space of an N-subset, N = C(d+2,2)-1,
+    with independent rows, a space of dimension 1; by the lemma at
+    `veronese.spanned_curve` it is squarefree, so it is its own radical up
+    to a scalar, distinct primitive vectors are distinct curves, and every
+    curve has exactly one hyperplane.  Each record's incidence is the one
+    the scan read off its pencil, with no second pass over the points.
+    """
+    d = config.d
+    pairs = sorted(determined_pairs(config), key=lambda pair: normalized_key(pair[0]))
+    return DeterminedCurveSet(d, None, tuple(CurveRecord(d, inc, (vec,)) for vec, inc in pairs))
 
 
 def ordinary_curves(config: PointConfiguration, n: int, workers: int = 1) -> DeterminedCurveSet:

@@ -350,11 +350,12 @@ def two_point_lines(S, T):
     """Lines through exactly two points of S and no point of T.
 
     A line through k points of S is the line of C(k, 2) pairs, so the lines
-    of exactly one pair are the two-point lines.
+    of exactly one pair are the two-point lines.  Points are compared as
+    points of P^2, by their primitive forms, so proportional triples repeat.
     """
     S = list(S)
-    if len(set(S)) != len(S):
-        raise HypothesisViolation("distinct points", "S has repeated points")
+    if len(set(map(primitive, S))) != len(S):
+        raise HypothesisViolation("distinct points", "S has repeated points of P^2")
     pairs = Counter(line_through(p, q) for p, q in combinations(S, 2))
     out = [line for line, count in pairs.items()
            if count == 1 and not any(_dot(line, t) == 0 for t in T)]

@@ -13,7 +13,8 @@ import pytest
 from ordcurves import cli, determined, ndfamilies, projection
 from ordcurves.bipoly import sigma_fiber_count
 from ordcurves.cli import main
-from ordcurves.determined import default_regularity_threshold
+from ordcurves.constructions import sample_configuration
+from ordcurves.determined import default_regularity_threshold, enumerate_determined
 
 
 def write(tmp_path, name, obj):
@@ -368,6 +369,105 @@ def test_sweep_richness_independent_of_n(capsys):
     code, out, _ = run(args, capsys)
     assert code == 0
     assert out.strip().splitlines()[2:] == ["6,2,4,6,0,5,0", "7,2,4,21,0,5,0"]
+
+
+# (argv, exit code, sha256 of stdout, of stderr) with COLUMNS=80, recorded
+# before the parser built only the invoked command's arguments
+EMPTY = hashlib.sha256(b"").hexdigest()
+PARSER_RUNS = [
+    (["--help"], 0, "5f13cb0e73d9efbf0adbf5f8ad3ba47a25c1b3c49a1df98b6add577620908278", EMPTY),
+] + [
+    ([command, "--help"], 0, digest, EMPTY) for command, digest in (
+        ("lift", "7f1d5c5ee001e1ed1de50e50e40a912b93f74b9d9cd8edbb90ccbe463ad0fdf9"),
+        ("determined", "4c43e9c828833a10c96da710d02f41de9c80c06c20d16c7d4c0020992fd6140b"),
+        ("ordinary", "365da029d4619ce56ede5131c9dd61f29d42bea9748456519a32d51fda434c73"),
+        ("richness", "f5bf7a65ae65ca813509ce06eff3c629254516a3348ddad49b4ecddd78cc0ea0"),
+        ("nd-verify", "582465b32a8f580f92b5734dae0a876b36e70b81224d417d5abea7720632cc88"),
+        ("nd-grow", "312c5ce814c939c92c52f3fbb75977494cba5fae79f1418d7a014643c4ac35cc"),
+        ("project", "1fd402cf9e940fd9f46e2e07f1e035e67328438d164060bb20a1055e83944d82"),
+        ("construct", "c55500cbdcb71da15c5bd8f525d8e891c40d1072d3663c3191082b6fbb26bf18"),
+        ("sigma-count", "cffafab85859410c1a513ee7a688d735057e4631c93f4cc841801c9b30586069"),
+        ("sweep", "dbe45622d608bd892ccaf5f90ea6b17c19fada5e815465527b9053c8cbaad1aa"),
+        ("oracle-check", "a73dbb55a49501f08d445d6e04144c3f0350e7eda7c110cffd4bf306c66e53ff"),
+    )
+] + [
+    (["sweep", "--d", "2", "--sizes", "8:8"], 2, EMPTY,
+     "9f2157bf35238e1f803140c6e71db34137309df57bc96cba1467f5f1eb26ecf2"),
+    (["sweep", "--d", "2", "--n", "5", "--sizes", "8:8", "--bogus"], 2, EMPTY,
+     "003f0a977d592458ac8ff40091b442879758bc0a4cadf134fa31ce8dcd4d70e1"),
+    (["bogus"], 2, EMPTY,
+     "691422586997d76d1ca764fbc95757a344dd2ebc5d0c713f6d4aeea020972bc0"),
+    (["--workers", "x"], 2, EMPTY,
+     "ff13176522b52fabab6a890a2123ec97d639ee8469819d4eceb0f0dd38d34a46"),
+    (["--workers", "sweep", "sweep"], 2, EMPTY,
+     "ea264f512a9e1dd239d033d111421b655965122cfb57f3fd87f9c7202fd6921a"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out_sha, err_sha", PARSER_RUNS,
+                         ids=[" ".join(argv) for argv, *_ in PARSER_RUNS])
+def test_parser_text_and_exit_pinned(argv, code, out_sha, err_sha, monkeypatch, capsys):
+    # every command stays listed in usage, help and an invalid choice, and a
+    # --workers value naming a command fails as an int before its subparser
+    monkeypatch.setenv("COLUMNS", "80")
+    got, out, err = run(argv, capsys)
+    digests = [hashlib.sha256(text.encode()).hexdigest() for text in (out, err)]
+    assert [got, *digests] == [code, out_sha, err_sha]
+
+
+@pytest.mark.parametrize("d, sizes", [(1, "3:5"), (2, "6:8"), (3, "10:11")])
+def test_sweep_row_matches_enumeration(d, sizes, capsys):
+    # n below, at and above N = C(d+2,2)-1: below it no determined curve is
+    # ordinary, so the two counts differ
+    least = comb(d + 2, 2) - 1
+    lo, hi = map(int, sizes.split(":"))
+    for n in (least - 1, least, least + 1):
+        code, out, err = run(["sweep", "--d", str(d), "--n", str(n), "--sizes", sizes,
+                              "--seed", "2", "--no-timing"], capsys)
+        assert (code, err) == (0, "")
+        expected = []
+        for size in range(lo, hi + 1):
+            built = sample_configuration("random_general", seed=2 + size, count=size, d=d,
+                                         genericity=min(d, 2))
+            records = enumerate_determined(built.config).records
+            ordinary = sum(len(rec.incidence) <= n for rec in records)
+            assert (ordinary < len(records)) == (n < least)
+            richness = max(len(rec.incidence) for rec in records)
+            expected.append(f"{size},{d},{n},{len(records)},{ordinary},{richness},0")
+        assert out.splitlines()[2:] == expected
+
+
+def test_sweep_on_a_conic_exits_3(capsys):
+    # four points lie on a conic: refused by name with the witness, no rows
+    code, out, err = run(["sweep", "--d", "2", "--n", "5", "--sizes", "4:5", "--seed", "1"],
+                         capsys)
+    assert (code, out) == (3, "")
+    assert err == (
+        "hypothesis violated: configuration not contained in a degree-<=d curve -- "
+        "witness curve 44*x^2 + 31*x*y + 371*x + 31*y + 327\n"
+    )
+
+
+def test_sweep_invariant_dump_names_the_determined_curve(tmp_path, monkeypatch, capsys):
+    # the sweep reads the unsorted scan; its dump names the first offender in
+    # normalized order, recorded when the sweep read the sorted records, and
+    # the curve `determined` names on the same set
+    monkeypatch.setattr(determined, "spanned_hyperplanes",
+                        _shrunk_incidences(determined.spanned_hyperplanes))
+    argv = ["sweep", "--d", "2", "--n", "5", "--sizes", "6:7", "--seed", "1"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (4, "")
+    swept = json.loads(err.splitlines()[-1])["repro"]
+    assert swept == {"argv": argv, "d": 2, "incidence": [0], "curve": (
+        "125600606*x^2 + 57128603*x*y - 118150605*y^2 + 3246367608*x + 3351298625*y "
+        "- 4626268070")}
+    built = sample_configuration("random_general", seed=7, count=6, d=2, genericity=2)
+    path = write(tmp_path, "six.json", built.to_json_obj())
+    code, out, err = run(["determined", "--input", path], capsys)
+    assert (code, out) == (4, "")
+    repro = json.loads(err.splitlines()[-1])["repro"]
+    assert [swept[key] for key in ("d", "curve", "incidence")] == [
+        repro[key] for key in ("d", "curve", "incidence")]
 
 
 def test_command_output_deterministic_bytes(octet, capsys):

@@ -23,11 +23,13 @@ from ordcurves.determined import (
     max_curve_richness,
     ordinary_curves,
     regularity_report,
+    richest,
     spanned_hyperplanes,
 )
 from ordcurves.errors import HypothesisViolation
 from ordcurves.linalg import (
-    flats, hyperplane_leaves, kernel, prefix_kernels, primitive, rank, spanned_vectors,
+    flats, hyperplane_leaves, kernel, normalized_key, prefix_kernels, primitive, rank,
+    spanned_vectors,
 )
 from ordcurves.ndfamilies import grow_nd_chain
 from ordcurves.oracle import oracle_determined, oracle_max_richness
@@ -197,6 +199,26 @@ def test_max_curve_richness_examples():
     assert max_curve_richness(small, 2)[0] == 4
 
 
+def test_richest_witness_among_tied_sections():
+    # the witness is the lexicographically first section of the top size,
+    # wherever it comes among the sections; the eight 3-point lines of a
+    # shuffled 3x3 grid tie at the top size
+    assert richest([{7, 2}, {9, 4, 5}, {8, 1, 3}, {0, 6}]) == (3, (1, 3, 8))
+    grid = [(x, y) for x in range(3) for y in range(3)]
+    random.Random(5).shuffle(grid)
+    config = PointConfiguration.from_points(grid, 1)
+    lines = {frozenset(i for i, p in enumerate(grid) if _on_line(p, q, r))
+             for q, r in combinations(grid, 2)}
+    top = sorted(tuple(sorted(line)) for line in lines if len(line) == 3)
+    assert len(top) == 8
+    assert max_curve_richness(config, 1) == (3, top[0]) == oracle_max_richness(config, 1)
+    assert regularity_report(config, 1, Fraction(1, 2)).witness == top[0]
+
+
+def _on_line(p, q, r):
+    return (q[0] - p[0]) * (r[1] - p[1]) == (q[1] - p[1]) * (r[0] - p[0])
+
+
 @pytest.mark.parametrize("points, e, found", [
     ([(0, 0), (1, 1), (-1, 1), (2, 4), (3, 9)], 2, 1),
     ([(0, 0), (1, 2), (3, 6)], 1, 1),
@@ -269,8 +291,8 @@ def test_deterministic_output_order():
 def _checked_scan(config):
     """The scan's vectors, after checking that each hyperplane's incidence
     is its vector's zero rows by an independent evaluation at every row,
-    that the records carry the same pairs, and that richness is the
-    oracle's top-down scan's."""
+    that the records carry the same pairs in `normalized` order, and that
+    richness is the oracle's top-down scan's."""
     d = config.d
     rows = config.homogeneous_lifts(d)
     pairs = spanned_hyperplanes(config)
@@ -278,7 +300,8 @@ def _checked_scan(config):
         assert incidence == {i for i, row in enumerate(rows) if sum(map(mul, vec, row)) == 0}
     if not contained_in_curve(config, d)[0]:
         records = enumerate_determined(config).records
-        assert [(rec.hyperplanes[0], rec.incidence) for rec in records] == pairs
+        assert [(rec.hyperplanes[0], rec.incidence) for rec in records] == sorted(
+            pairs, key=lambda pair: normalized_key(pair[0]))
     assert max_curve_richness(config, d) == oracle_max_richness(config, d)
     return {vec for vec, _ in pairs}
 

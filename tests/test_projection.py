@@ -317,6 +317,19 @@ def test_two_point_lines_examples():
     assert two_point_lines(pts, t) == tuple(expected)
 
 
+@pytest.mark.parametrize("S", [
+    [(1, 0, 0), (2, 0, 0)],
+    [(1, 0, 0), (-1, 0, 0)],
+    [(0, 1, 1), (1, 1, 0), (0, -3, -3)],
+    [(1, 2, 3), (-2, -4, -6), (1, 0, 0)],
+], ids=["proportional", "sign-flipped", "proportional-negative", "scaled-among-three"])
+def test_two_point_lines_refuses_repeated_projective_points(S):
+    # the same point of P^2 twice is refused by name, not by a zero line
+    with pytest.raises(HypothesisViolation) as exc:
+        two_point_lines(S, [])
+    assert exc.value.name == "distinct points"
+
+
 def test_curves_from_basis_sound_d2(check_hyperplanes):
     A = PointConfiguration.from_points(OCTET, 2)
     res = grow_nd_chain(A, [], None, 2, seed=7)
