@@ -193,17 +193,9 @@ def _cmd_construct(args, out):
         built = construct_theorem6(args.d, args.m, seed=args.seed)
     elif args.kind == "theorem8":
         built = construct_theorem8(args.d, args.n, args.m, seed=args.seed)
-    elif args.kind in ("random_general", "grid"):
-        params = {"d": args.d}
-        if args.count is not None:
-            params["count"] = args.count
-        if args.genericity is not None:
-            params["genericity"] = args.genericity
-        if args.side is not None:
-            params["side"] = args.side
-        built = sample_configuration(args.kind, seed=args.seed, **params)
-    else:
-        raise InputFormatError(f"unknown construction kind {args.kind!r}")
+    else:  # argparse's choices leave random_general and grid
+        built = sample_configuration(args.kind, seed=args.seed, d=args.d, count=args.count,
+                                     genericity=args.genericity, side=args.side)
     dump_json(built.to_json_obj(), out)
 
 

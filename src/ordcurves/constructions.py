@@ -245,17 +245,18 @@ class _SpanGuard:
         self.rows.append(z)
 
 
-def sample_configuration(kind: str, seed: int = 0, **params) -> Construction:
-    """Deterministic configuration samplers.
+def sample_configuration(kind: str, seed: int = 0, d: int = 1, count: int | None = None,
+                         genericity: int | None = None, side: int | None = None) -> Construction:
+    """Deterministic configuration samplers; each reads only its own inputs.
 
-    kind 'grid': the side x side integer grid, params side (3 when
-    missing), d.  kind 'random_general': params count, d, genericity (max
-    degree whose lifted subsets of every admissible size must stay affinely
-    independent; 0 disables); integer coordinates bounded by 6 * count + 8.
+    kind 'grid': the side x side integer grid (side 3 when None).  kind
+    'random_general': count points, required, with integer coordinates
+    bounded by 6 * count + 8; genericity (d when None) is the max degree
+    whose lifted subsets of every admissible size must stay affinely
+    independent, 0 disables.
     """
+    d = int(d)
     if kind == "grid":
-        d = int(params.get("d", 1))
-        side = params.get("side")
         side = 3 if side is None else int(side)
         pts = [(Fraction(x), Fraction(y)) for y in range(side) for x in range(side)]
         return Construction(
@@ -264,9 +265,10 @@ def sample_configuration(kind: str, seed: int = 0, **params) -> Construction:
         )
     if kind != "random_general":
         raise HypothesisViolation("known sampler kind", f"kind={kind}")
-    count = int(params["count"])
-    d = int(params.get("d", 1))
-    g = int(params.get("genericity", d))
+    if count is None:
+        raise HypothesisViolation("random_general count given", "count is None")
+    count = int(count)
+    g = d if genericity is None else int(genericity)
     span = 6 * count + 8
     rng = random.Random(seed)
     pts: list = []

@@ -46,8 +46,11 @@ over the walk reads each region's quantities off the lengths of the V_e
 and W_e kernel bases and keeps those raw bases as its membership tests,
 since a region only tests points by zero dot products.  Every region holds
 V_d(B), so a candidate is tested against V_d(B) once, and a region with
-alpha < 0 holds nothing more.  A configuration keeps only the verdict of
-the last basis verified or grown on it.
+alpha < 0 holds nothing more.  A passing verdict records each section
+that condition (iii) examined with the one primitive vector of its kernel,
+the exceptional catalog's curve: once (ii) has passed, such a section is a
+hyperplane of the matroid of B's rows (`NdVerifyResult`).  A configuration
+keeps only the verdict of the last basis verified or grown on it.
 """
 
 from __future__ import annotations
@@ -60,8 +63,8 @@ from .bipoly import PlaneCurve, rational_points_on_curve
 from .determined import PointConfiguration
 from .errors import HypothesisViolation, InvariantViolation
 from .linalg import (
-    AffineFlat, flats, flats_root, flats_step, kernel_root, kernel_step, prefix_kernels, rank,
-    row_span,
+    AffineFlat, flats, flats_root, flats_step, kernel_root, kernel_step, prefix_kernels,
+    primitive, rank, row_span,
 )
 from .veronese import ambient_dim, as_point, integer_lift
 
@@ -154,10 +157,24 @@ def realizable_sections(rows, e: int):
 
 class NdVerifyResult:
     """Verdict of `nd_verify`.  On success `sections` holds the
-    (e, section, basis) triples of size C(d+2,2)-C(d-e+2,2)-1 that condition
-    (iii) examined: every realizable section of B of that size, as an index
-    tuple into B with the kernel basis of its degree-e rows
-    (`realizable_sections`)."""
+    (e, section, vector) triples of size cut-1, cut = C(d+2,2)-C(d-e+2,2),
+    that condition (iii) examined: every realizable section of B of that
+    size, as an index tuple into B with the primitive vector spanning the
+    kernel of its degree-e rows.
+
+    Lemma: once (ii) has passed at e, every realizable section S of size
+    cut-1 is a hyperplane of the matroid of B's degree-e rows (Oxley,
+    Matroid Theory, ch. 1), so that kernel is one vector, and it vanishes
+    on exactly the rows of S.  Proof: C(d-e+2,2) >= 3, so |B| >= cut, and
+    if B's rows did not span, B itself would be a section of at least cut
+    points and fail (ii).  So they span, and a flat S of rank below
+    C(e+2,2)-1 lies in a strictly larger hyperplane H, a flat of B's rows
+    reached by adding points of B outside S; H is a realizable section of
+    at least cut points, and `_section_order` puts it before S, so (ii)
+    fails before S is reached.  A flat is its own closure, so its vector
+    vanishes on no other row of B.  `_verdict` unpacks the one vector, so a
+    breach raises.
+    """
 
     __slots__ = ("ok", "failures", "sections")
 
@@ -197,7 +214,8 @@ def _verdict(d: int, n_b: int, dim_b: int, walk) -> NdVerifyResult:
     `_section_order`, each as (index tuple, kernel basis, kernel node of the
     rest of B's degree-(d-e) rows)); a lazy walk stops at the first failure
     too.  A basis may carry further columns, such as the grower's dots; a
-    condition-(iii) section keeps only its first C(e+2,2), as tuples.
+    condition-(iii) section keeps only the first C(e+2,2) of its one
+    vector, made primitive.
     """
 
     def failure(condition, e, section, measured, threshold) -> NdVerifyResult:
@@ -223,7 +241,8 @@ def _verdict(d: int, n_b: int, dim_b: int, walk) -> NdVerifyResult:
             if size == cut - 1:
                 if dim_rest != rest_target:
                     return failure("iii", e, idx, dim_rest, rest_target)
-                sections.append((e, idx, tuple(tuple(k[:monomials]) for k in vecs)))
+                (vec,) = vecs  # one vector by the lemma at `NdVerifyResult`
+                sections.append((e, idx, primitive(vec[:monomials])))
             elif dim_rest <= rest_target:
                 return failure("iv", e, idx, dim_rest, rest_target)
     return NdVerifyResult(True, (), tuple(sections))
@@ -423,7 +442,7 @@ def grow_nd_chain(
     c0: PlaneCurve | None,
     d: int,
     order=None,
-    seed: int | None = None,
+    seed: int = 0,
 ) -> GrowthResult:
     """Greedy basis construction by forbidden-region avoidance.
 
@@ -431,7 +450,8 @@ def grow_nd_chain(
     irreducible carrier C0 of degree d-f, grows a seed B0 of C(f+2,2)
     indices into A, points off C0 (not on any curve of degree <= f), using
     candidates on C0 only.  Candidate order is an explicit index sequence
-    of distinct indices or a seeded shuffle, so failures reproduce exactly.
+    of distinct indices or a shuffle seeded by `seed` (0 by default, as
+    `nd-grow --seed`), so failures reproduce exactly.
 
     The walk starts at `_root_walk` and gains each seed point, then each
     chosen point, by `_extend_walk`; after each, `_regions` reads the

@@ -1,16 +1,17 @@
 """Hyperprojection pipeline: from a verified basis to ordinary curves.
 
 The lifted span of a verified basis B is a codimension-3 flat F in lift
-space, so the three independent affine forms vanishing on F define a
-projection of the complement onto the projective plane; hyperplanes through
-F correspond bijectively to projective lines.  Points of A whose lift lands
-in F are collected as D; the exceptional catalog consists of the lower
-degree curves meeting B in one point fewer than the forbidden threshold,
-and each such curve C must span with B a flat exactly one above F — that
-pins every point of C outside D to a single image point, the forbidden set
-T.  Lines through exactly two surviving image points and no forbidden point
-pull back to spanned hyperplanes and hence to determined curves whose
-incidence with A is controlled by twice the maximal fiber size plus |D & A|.
+space, so the three independent affine forms vanishing on F, the kernel of
+B's degree-d rows, define a projection of the complement onto the
+projective plane; hyperplanes through F correspond bijectively to
+projective lines.  Points of A whose lift lands in F are collected as D;
+the exceptional catalog consists of the lower degree curves meeting B in
+one point fewer than the forbidden threshold, and each such curve C must
+span with B a flat exactly one above F — that pins every point of C
+outside D to a single image point, the forbidden set T.  Lines through
+exactly two surviving image points and no forbidden point pull back to
+spanned hyperplanes and hence to determined curves whose incidence with A
+is controlled by twice the maximal fiber size plus |D & A|.
 
 Every point and every exceptional join is read off the three forms.  Each
 point's three values are taken once: D is the set of points where all
@@ -23,18 +24,18 @@ point those values give, and its points of A off D are the points with
 that image.
 
 Points are indices into A, lifted as its cached integer rows Z^d * (1, lift)
-(`PointConfiguration.homogeneous_lifts`).  Flats are spanned by those rows,
-membership is integer dot products with a flat's normals, and the projector
-evaluates integer forms on the rows: a positive multiple of (1, z) has the
+(`PointConfiguration.homogeneous_lifts`).  The center is spanned by B's
+rows and cut out by their kernel, no flat object is built, and the
+projector evaluates integer forms on the rows: a positive multiple of (1, z) has the
 same image as z.  Image points and lines of P^2 are bare primitive integer
 triples, sorted in the order of their first-nonzero-is-1 forms
 (`linalg.normalized_key`); a point lies on a line when their dot product is
 0.  Hyperplanes and curves are primitive integer vectors throughout: a
-catalog curve is (e, its degree-e vector), read off the kernel basis that
-the verifier's flats walk built for its section, and its lift flat is cut
-out by that vector's monomial shifts; a line pulls back to the primitive
-vector of its combination of the forms, which is checked on the basis rows,
-and whose zero rows are the emitted curve's incidence with A.  A curve's
+catalog curve is (e, its degree-e vector), the primitive vector the
+verifier recorded for its section, and its lift flat is cut out by that
+vector's monomial shifts; a line pulls back to the primitive vector of its
+combination of the forms, which is checked on the basis rows, and whose
+zero rows are the emitted curve's incidence with A.  A curve's
 polynomial is built only to name it in an `InvariantViolation`.
 
 Every curve the pipeline emits is spanned, so by the lemma at
@@ -63,14 +64,7 @@ from .determined import (
     contained_in_curve,
 )
 from .errors import HypothesisViolation, InvariantViolation
-from .linalg import (
-    AffineFlat,
-    equation_rows,
-    normalized_key,
-    primitive,
-    rank,
-    row_span,
-)
+from .linalg import equation_rows, kernel, normalized_key, primitive, rank
 from .ndfamilies import _basis_rows, nd_verify
 from .veronese import ambient_dim, spanned_curve
 
@@ -104,33 +98,31 @@ class HyperprojectionMap:
     spanning the same one-higher flat with the center.
     """
 
-    __slots__ = ("center", "forms")
+    __slots__ = ("forms",)
 
-    def __init__(self, center: AffineFlat, forms: tuple):
-        self.center = center
+    def __init__(self, forms: tuple):
         self.forms = forms
 
     @staticmethod
-    def from_flat(center: AffineFlat) -> "HyperprojectionMap":
-        """The center's normals, each divided by the first nonzero entry of
-        its c and all multiplied by one positive integer, so the three forms
-        share one positive first linear entry; the image coordinates depend
-        on these ratios."""
-        if center.is_empty:
-            raise HypothesisViolation("nonempty center", "projection center is empty")
-        if center.dim != center.ambient_dim - 3:
+    def from_normals(normals) -> "HyperprojectionMap":
+        """The map from a center with the three given independent normals
+        (c0, *c), such as `kernel` of its spanning rows: each divided by the
+        first nonzero entry of its c and all multiplied by one positive
+        integer, so the three forms share one positive first linear entry;
+        the image coordinates depend on these ratios.  A normal with c = 0
+        is the equation c0 = 0 of an empty center."""
+        firsts = [next(filter(None, normal[1:]), 0) for normal in normals]
+        if len(firsts) != 3 or not all(firsts):
             raise HypothesisViolation(
-                "center has codimension 3",
-                f"dim {center.dim} in Q^{center.ambient_dim}",
+                "three normals with nonzero linear parts",
+                f"{len(firsts)} normals, {firsts.count(0)} with c = 0",
             )
-        # a normal's c is never zero on a nonempty flat
-        firsts = [next(filter(None, normal[1:])) for normal in center.normals]
         scale = lcm(*firsts)
         forms = tuple(
             tuple(x * (scale // first) for x in normal)
-            for normal, first in zip(center.normals, firsts)
+            for normal, first in zip(normals, firsts)
         )
-        return HyperprojectionMap(center, forms)
+        return HyperprojectionMap(forms)
 
     def values(self, row) -> list[int]:
         """The three forms' values on a homogeneous row, all 0 exactly when
@@ -186,12 +178,10 @@ def exceptional_catalog(A: PointConfiguration, B, d: int):
     in degree-e lift space, so candidates are the sections whose vanishing
     space is one-dimensional and realized exactly: the primitive vector
     spanning it vanishes on no other row of B.  `nd_verify` has already
-    listed the realizable sections of that size with the kernel bases of
-    their rows (`NdVerifyResult.sections`), and a realizable section's
-    vanishing space loses dimension at every other point of B, so a
-    one-dimensional one is realized exactly.  Its one basis vector, made
-    primitive, is the curve.  A curve's section is its whole incidence with
-    B, so each section gives a different curve.
+    listed the realizable sections of that size, each with that vector
+    (`NdVerifyResult.sections`, whose lemma shows every one is such a
+    hyperplane), and the vector is the curve.  A curve's section is its
+    whole incidence with B, so each section gives a different curve.
 
     Returns (e, primitive degree-e vector) pairs ordered by e, then by
     `normalized_key`.
@@ -201,18 +191,14 @@ def exceptional_catalog(A: PointConfiguration, B, d: int):
         raise HypothesisViolation(
             "B satisfies the basis conditions", str(verdict.failures)
         )
-    catalog = []
-    for e, _, vecs in verdict.sections:
-        if len(vecs) != 1:
-            continue
-        vec = primitive(vecs[0])
+    catalog = [(e, vec) for e, _, vec in verdict.sections]
+    for e, vec in catalog:
         # the last e+1 entries are the degree-e monomials
         if not any(vec[-(e + 1):]):
             raise InvariantViolation(
                 "exceptional curve with unexpected degree",
                 {"e": e, "curve": _curve_text(e, vec)},
             )
-        catalog.append((e, vec))
     bound = 2 ** (2 ** (d + 2))
     for e, count in Counter(e for e, _ in catalog).items():
         if count >= bound:
@@ -260,13 +246,14 @@ def build_pipeline(A: PointConfiguration, B, d: int | None = None) -> Projection
     # not walked again, its verdict is kept on A
     catalog = exceptional_catalog(A, b, d)
     n_amb = ambient_dim(d)
-    center = row_span(n_amb, basis_rows[d])
-    if center.dim != n_amb - 3:
+    # the center is the span of B's rows, cut out by their kernel
+    normals = kernel(basis_rows[d], n_amb + 1)
+    if len(normals) != 3:
         raise InvariantViolation(
             "basis span is not codimension 3",
-            {"dim": center.dim, "expected": n_amb - 3},
+            {"dim": n_amb - len(normals), "expected": n_amb - 3},
         )
-    projector = HyperprojectionMap.from_flat(center)
+    projector = HyperprojectionMap.from_normals(normals)
 
     # each point's three form values, taken once: D is where all three are
     # 0, and every other point's image is their primitive triple
@@ -404,11 +391,10 @@ def curves_from_basis(A: PointConfiguration, B, d: int | None = None,
     vectors = []
     records = []
     rows = A.homogeneous_lifts(d)
-    basis_rows = state.projector.center.rows  # the center is spanned by the basis rows
     for line in lines:
         vec = state.projector.pull_back_line(line)
         vectors.append(vec)
-        if any(_dot(vec, row) for row in basis_rows):
+        if any(_dot(vec, rows[i]) for i in state.basis):
             raise InvariantViolation(
                 "pulled-back hyperplane misses the basis",
                 {"line": [str(c) for c in line]},

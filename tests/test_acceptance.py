@@ -321,7 +321,13 @@ def _pipeline_instance_d4():
     return built.config, list(res.chain)
 
 
-def test_criterion_7_pipeline_soundness(check_hyperplanes):
+# the (iii) sections of criterion 7's bases: three lines through two points
+# of each d=2 basis, two 3-point lines on each handcrafted d=3 basis, none on
+# the grown d=3 and d=4 ones
+SECTIONS_CRITERION_7 = 12 * 3 + 2 * 2
+
+
+def test_criterion_7_pipeline_soundness(check_hyperplanes, check_sections):
     with criterion("7 (projection pipeline soundness)", 900):
         instances = []
         k = 0
@@ -338,13 +344,16 @@ def test_criterion_7_pipeline_soundness(check_hyperplanes):
             k += 1
         assert len(instances) == 20
         instances.append(_pipeline_instance_d4())
+        sections = 0
         for cfg, basis_idx in instances:
             d = cfg.d
             # the verdict kept from the grow or the instance check equals
-            # one walk of the basis on a fresh configuration
+            # one walk of the basis on a fresh configuration, and each of
+            # its sections is one primitive kernel vector
             kept = nd_verify(cfg, basis_idx, d)
             fresh = nd_verify(PointConfiguration.from_points(cfg.points, d), basis_idx, d)
             assert kept.ok and (kept.failures, kept.sections) == (fresh.failures, fresh.sections)
+            sections += check_sections(cfg, basis_idx, kept)
             # build_pipeline asserts the single-image, image-avoidance and
             # fiber-bound invariants internally; reaching the result means
             # they held exactly
@@ -357,6 +366,7 @@ def test_criterion_7_pipeline_soundness(check_hyperplanes):
             for rec in curves.records:
                 assert set(basis_idx) <= rec.incidence
                 check_hyperplanes(rec, cfg.points, d)
+        assert sections == SECTIONS_CRITERION_7
 
 
 def test_criterion_8_basis_verifier_agreement():

@@ -103,10 +103,10 @@ CASES = [
     (AffineFlat, {"ambient_dim": 1, "rows": ((1, 0),), "normals": ((0, 1),)}),
     (NdQuantities, {"d": 3, "e": 1, "v_e": FLAT, "w_e": FLAT, "alpha": 0, "beta": 1,
                     "gamma": 2, "mu": 3, "tau": 4}),
-    (NdVerifyResult, {"ok": True, "failures": (), "sections": ((1, (0,), ()),)}),
+    (NdVerifyResult, {"ok": True, "failures": (), "sections": ((1, (0, 1), (0, 1, -1)),)}),
     (GrowthResult, {"success": True, "chain": (0, 1), "blocked": (), "guard_trace": (2,)}),
     (OracleReport, {"instance": "i", "quantity": "q", "oracle_value": 1, "main_value": 1}),
-    (HyperprojectionMap, {"center": FLAT, "forms": ((0, 1),)}),
+    (HyperprojectionMap, {"forms": ((0, 1),)}),
     (ProjectionPipelineState, {
         "basis": (0,), "d": 2, "projector": None, "catalog": (),
         "d_indices": (), "e_indices": (), "s_points": (), "t_points": (), "delta": 0,

@@ -13,7 +13,7 @@ import pytest
 from ordcurves import cli, determined, ndfamilies, projection
 from ordcurves.bipoly import sigma_fiber_count
 from ordcurves.cli import main
-from ordcurves.constructions import sample_configuration
+from ordcurves.constructions import construct_theorem6, sample_configuration
 from ordcurves.determined import default_regularity_threshold, enumerate_determined
 
 
@@ -437,6 +437,21 @@ def test_sweep_row_matches_enumeration(d, sizes, capsys):
         assert out.splitlines()[2:] == expected
 
 
+def test_sweep_max_richness_on_a_structured_set(monkeypatch, capsys):
+    # every random_general curve meets its set in N points, so the archived
+    # sweep cannot tell the richest curve from any other; theorem 6's set at
+    # d=2, m=10 has curves of 5 to 9 points
+    built = construct_theorem6(2, 10, seed=0)
+    monkeypatch.setattr(cli, "sample_configuration", lambda *args, **kwargs: built)
+    code, out, err = run(["sweep", "--d", "2", "--n", "5", "--sizes", "10:10",
+                          "--no-timing"], capsys)
+    assert (code, err) == (0, "")
+    sizes = [len(rec.incidence) for rec in enumerate_determined(built.config).records]
+    assert (min(sizes), max(sizes)) == (5, 9)
+    row = f"10,2,5,{len(sizes)},{sum(k <= 5 for k in sizes)},{max(sizes)},0"
+    assert out.splitlines()[2:] == [row] == ["10,2,5,24,21,9,0"]
+
+
 def test_sweep_on_a_conic_exits_3(capsys):
     # four points lie on a conic: refused by name with the witness, no rows
     code, out, err = run(["sweep", "--d", "2", "--n", "5", "--sizes", "4:5", "--seed", "1"],
@@ -632,6 +647,19 @@ def test_stdout_matches_golden(name, points, argv, capsysbinary):
     captured = capsysbinary.readouterr()
     assert code == 0, captured.err
     assert captured.out == (GOLDEN / name).read_bytes()
+
+
+def test_project_golden_sections_are_hyperplanes(check_sections):
+    # the project goldens' bases: three lines through two points of each
+    # d=2 basis, no section on the d=3 ones
+    counts = []
+    for _, points, argv in GOLDEN_RUNS:
+        if argv[0] == "project":
+            d = int(argv[argv.index("--d") + 1])
+            config = cli.load_config(str(GOLDEN / points), d)
+            basis = cli._point_indices(argv[argv.index("--basis") + 1], config)
+            counts.append(check_sections(config, basis, ndfamilies.nd_verify(config, basis, d)))
+    assert counts == [3, 0, 0, 3]
 
 
 def _shrunk_incidences(real):

@@ -128,6 +128,20 @@ def test_sample_unknown_kind():
         sample_configuration("mystery", count=3)
 
 
+@pytest.mark.parametrize("unknown", ["span", "width", "height"])
+def test_sample_refuses_inputs_it_does_not_read(unknown):
+    # the samplers take their inputs by name, so one they do not read is
+    # refused instead of ignored
+    with pytest.raises(TypeError, match=unknown):
+        sample_configuration("random_general", count=5, d=2, **{unknown: 10})
+
+
+def test_sample_random_general_requires_count():
+    with pytest.raises(HypothesisViolation) as exc:
+        sample_configuration("random_general", seed=1, d=2, genericity=2)
+    assert exc.value.name == "random_general count given"
+
+
 def _points_digest(built):
     points = [[str(x), str(y)] for x, y in built.config.points]
     return hashlib.sha256(json.dumps(points).encode()).hexdigest()

@@ -638,6 +638,9 @@ GROWN_PINS = [((6, 7, 2), (6, 6, 6, 5), ())] + [
     ((8, 9, 1, 2, 5, 3, 7), (9,) * 7 + (8,), ()),
     ((6, 8, 10, 7, 5, 3, 0), (9,) * 7 + (8,), ()),
 ] * 8 + [((15, 1, 10, 9, 5, 3, 4), (9,) * 6 + (8,), ())]
+# the (iii) sections of those grows: the octet's three lines through two of
+# its chain points
+SECTIONS_GROWN = 3
 
 
 def test_grown_instances_are_pinned():
@@ -645,10 +648,11 @@ def test_grown_instances_are_pinned():
     assert grown == GROWN_PINS
 
 
-def test_grown_verdict_equals_fresh_verify():
+def test_grown_verdict_equals_fresh_verify(check_sections):
     # the verdict the grower read off its last step's walk, kept on A, is
-    # the one a fresh configuration's own walk gives
-    grown = 0
+    # the one a fresh configuration's own walk gives, and each of its
+    # sections is one primitive kernel vector
+    grown = sections = 0
     for A, res in _grown_instances():
         if not res.success:
             continue
@@ -658,7 +662,9 @@ def test_grown_verdict_equals_fresh_verify():
         fresh = nd_verify(PointConfiguration.from_points(A.points, A.d), list(res.chain), A.d)
         assert (kept.ok, kept.failures) == (fresh.ok, fresh.failures) == (True, ())
         assert kept.sections == fresh.sections
+        sections += check_sections(A, res.chain, kept)
     assert grown == 18
+    assert sections == SECTIONS_GROWN
 
 
 def _count_calls(monkeypatch, name="flats"):
@@ -686,6 +692,15 @@ def test_chain_walks_its_basis_once(monkeypatch):
     # no whole walk: one extend step per degree e < d at each chain point
     assert walks == []
     assert len(steps) == (3 - 1) * len(res.chain)
+
+
+def test_grow_defaults_to_seed_0():
+    # with neither an order nor a seed the shuffle is seed 0's, the default
+    # of `nd-grow --seed`, so a default grow reproduces
+    A = sample_configuration("random_general", seed=3000, count=11, d=3, genericity=3).config
+    seeded = [grow_nd_chain(A, [], None, 3, seed=seed).to_json_obj() for seed in (0, 1)]
+    assert seeded[0] != seeded[1]
+    assert grow_nd_chain(A, [], None, 3).to_json_obj() == seeded[0]
 
 
 def test_verdict_memo_keeps_one_basis(monkeypatch):

@@ -217,7 +217,7 @@ def test_oracle_imports_no_fast_path_module():
     (ordcurves.ndfamilies, {"combinations"}),
     (ordcurves.projection, {"vector_to_curve", "squarefree_radical",
                             "Fraction", "fractions", "normalized",
-                            "PlaneCurve", "poly_to_vector", "kernel"}),
+                            "PlaneCurve", "poly_to_vector", "AffineFlat", "row_span"}),
     (ordcurves.determined, set()),
 ], ids=["ndfamilies", "projection", "determined"])
 def test_row_layers_import_no_fraction_lift(module, forbidden):
@@ -226,7 +226,8 @@ def test_row_layers_import_no_fraction_lift(module, forbidden):
     # rows and hold each hyperplane as its primitive integer vector; every
     # curve the projection emits is spanned, so it computes no radical; the
     # verifier and the grower walk flats, not subsets; the projection holds
-    # catalog curves as vectors and takes their kernels from the verifier
+    # catalog curves as the verifier's vectors and builds no flat object
+    # (its one kernel, the center's, is counted in test_projection)
     fraction_path = {"lift", "flat_span", "HyperplaneForm", "tau", "tau_inverse"} | forbidden
     imported = _imported_names(module)
     assert not imported & fraction_path, sorted(imported & fraction_path)

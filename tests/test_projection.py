@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from ordcurves import projection
 from ordcurves.bipoly import PlaneCurve, parse_poly, rational_points_on_curve
 from ordcurves.constructions import sample_configuration
 from ordcurves.determined import PointConfiguration, ordinary_curves
@@ -32,14 +33,16 @@ OCTET = [(0, 0), (1, 0), (0, 1), (3, 5), (2, 7), (5, 1), (1, 4), (6, 2)]
 TRIPLE = [(0, 0), (1, 0), (0, 1)]
 
 
+def make_center():
+    return row_span(ambient_dim(2), [integer_lift(p, 2) for p in TRIPLE])
+
+
 def make_projector():
-    center = flat_span([lift(p, 2) for p in TRIPLE], ambient_dim(2))
-    return HyperprojectionMap.from_flat(center)
+    return HyperprojectionMap.from_normals(make_center().normals)
 
 
 def test_projection_collapses_flat_lines():
-    pm = make_projector()
-    center = pm.center
+    pm, center = make_projector(), make_center()
     z = lift((4, 7), 2)
     assert not center.contains(z)
     image = pm.project_row(_integer_row((1, *z)))
@@ -60,7 +63,7 @@ def test_projection_collapses_flat_lines():
 
 def test_projection_of_rows_matches_points():
     # built from its fields, as the exported constructor allows
-    pm = HyperprojectionMap(make_projector().center, make_projector().forms)
+    pm = HyperprojectionMap(make_projector().forms)
     for p in [(4, 7), (Fraction(1, 2), Fraction(-5, 3)), (-2, 9)]:
         row = integer_lift(p, 2)
         image = pm.project_row(_integer_row((1, *lift(p, 2))))
@@ -75,9 +78,14 @@ def test_projection_rejects_center_points():
 
 
 def test_projection_requires_codim3():
-    small = flat_span([lift(p, 2) for p in TRIPLE[:2]], ambient_dim(2))
-    with pytest.raises(HypothesisViolation):
-        HyperprojectionMap.from_flat(small)
+    # four normals (the span of two points), two, none, and three of which
+    # one, (1, 0, ...), is the equation 1 = 0 of an empty center
+    line = row_span(ambient_dim(2), [integer_lift(p, 2) for p in TRIPLE[:2]])
+    normals = make_center().normals
+    for bad in (line.normals, normals[:2], (), ((1, 0, 0, 0, 0, 0), *normals[:2])):
+        with pytest.raises(HypothesisViolation) as exc:
+            HyperprojectionMap.from_normals(bad)
+        assert exc.value.name == "three normals with nonzero linear parts"
 
 
 def test_curve_lift_flat_dimensions():
@@ -198,6 +206,23 @@ def test_curve_lift_flat_matches_point_span():
             != row_span(ambient_dim(3), curve_lift_rows(1, (0, 0, 1), 3)))
 
 
+def test_pipeline_solves_only_the_center_kernel(monkeypatch):
+    # the catalog curves' vectors come from the verifier; the pipeline's one
+    # kernel is that of B's degree-d rows, the center's normals
+    calls = []
+
+    def counted(rows, n_cols):
+        calls.append((tuple(rows), n_cols))
+        return kernel(rows, n_cols)
+
+    monkeypatch.setattr(projection, "kernel", counted)
+    A = PointConfiguration.from_points(HANDCRAFTED_D3 + HANDCRAFTED_EXTRAS[0], 3)
+    state = build_pipeline(A, list(range(7)), 3)
+    assert len(state.catalog) == 2
+    rows = A.homogeneous_lifts(3)
+    assert calls == [(rows[:7], ambient_dim(3) + 1)]
+
+
 def test_build_pipeline_d2_classification():
     A = PointConfiguration.from_points(OCTET, 2)
     state = build_pipeline(A, [0, 1, 2], 2)
@@ -258,7 +283,8 @@ def test_exceptional_set_matches_spanned_joins():
     joins = 0
     for A, basis in _join_cases():
         state = build_pipeline(A, basis, A.d)
-        center, rows = state.projector.center, A.homogeneous_lifts(A.d)
+        rows = A.homogeneous_lifts(A.d)
+        center = row_span(ambient_dim(A.d), [rows[i] for i in state.basis])
         exceptional, images = set(state.d_indices), set()
         for e, vec in state.catalog:
             curve_rows = curve_lift_rows(e, vec, A.d)
@@ -399,7 +425,7 @@ def test_from_flat_forms_follow_the_equations(index):
     center = flat_span(lifted, dim)
     if center.dim != dim - 3:
         pytest.skip("the sampled points do not span a codimension-3 flat")
-    pm = HyperprojectionMap.from_flat(center)
+    pm = HyperprojectionMap.from_normals(center.normals)
     firsts = [next(filter(None, form[1:])) for form in pm.forms]
     # one common positive first linear entry across the three forms
     assert firsts[0] > 0 and firsts.count(firsts[0]) == 3
