@@ -362,6 +362,9 @@ def main(argv=None) -> int:
     if args.workers < 1:
         print(f"--workers must be at least 1, got {args.workers}", file=sys.stderr)
         return 2
+    if getattr(args, "nd_size", None) is not None and args.nd_size < 0:
+        print(f"--nd-size must be at least 0, got {args.nd_size}", file=sys.stderr)
+        return 2
     buffer = io.StringIO()
     args.config = None
     try:

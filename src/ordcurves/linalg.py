@@ -20,20 +20,20 @@ primitive vector to its incidence, both read off the leaf that first gave
 the vector, whose rows are the greedy basis of the rows on its hyperplane;
 the one hyperplane of the suffixes of rank N comes from the rank fold.  The
 samplers' span guard walks only the leaves through its new row.
-`flats` walks the same tree over the independent subsets, each kernel
-vector carrying its dots with every row, and reads off each flat of the row
-matroid (Oxley, Matroid Theory, ch. 1) with the raw kernel basis of the
-node that reached it; the basis verifier's sections and the exceptional
-catalog are built on it.  For a growing row list, `flats_step` turns the
-walk of the rows so far into the walk with one more row in one pass over
-its flats, the same flats with the same bases, each flat also carrying the
-kernel node of its complement's rows in a second row list; the grower
-reads its forbidden regions off those kernel bases.  `prefix_kernels`
-gives the kernel node of any index tuple, one step from the memoized node
-of its prefix; the verifier's complement spans are built on it.  `nullspace` is the Fraction
-view of `kernel`, through `normalized`, the package's one
-first-nonzero-is-1 scaling; `normalized_key` sorts primitive vectors in the
-order of their normalized forms by integer arithmetic.
+The basis verifier reads a basis's hyperplanes off the same scan.
+`flats_step` is the package's one walk of all the flats of a row matroid
+(Oxley, Matroid Theory, ch. 1): it turns the walk of the rows so far into
+the walk with one more row in one pass over its flats, each flat keeping
+the raw kernel basis of its greedy basis, each vector carrying its dots
+with every row, and the kernel node of its complement's rows in a second
+row list.  The grower reads its forbidden regions off those kernel bases,
+and the verifier walks the flats inside its condition-(iii) sections with
+it.  `prefix_kernels` gives the kernel node of any index tuple, one step
+from the memoized node of its prefix; the verifier's complement spans are
+built on it.  `nullspace` is the Fraction view of `kernel`, through
+`normalized`, the package's one first-nonzero-is-1 scaling;
+`normalized_key` sorts primitive vectors in the order of their normalized
+forms by integer arithmetic.
 
 An affine flat of Q^n is held as integer homogeneous data: spanning rows,
 each a positive multiple of (1, z) for a point z of the flat, and a kernel
@@ -166,46 +166,6 @@ def _eliminate(basis, pivot, dots):
     ], sp
 
 
-def flats(rows, n_cols: int, max_rank: int) -> dict:
-    """The flats of rank at most max_rank of the row matroid of integer rows:
-    each flat's closure, an ascending index tuple, maps to the kernel basis
-    of the node that reached it, as `kernel_step` left it, as a tuple of
-    tuples so that callers sharing it cannot change it.
-
-    A lexicographic DFS over the independent row subsets on the kernel-side
-    elimination.  Each kernel vector carries its dots with every row as
-    extra columns, updated by the same formula (`_eliminate`), so a node's
-    closure, the rows orthogonal to every vector of its basis, is a zero
-    test on the carried dots, and a child's dots s_i are read off them.
-    Only rows outside the closure extend the node.  The elimination takes
-    the first free column with a nonzero dot, so the basis keeps the
-    echelon form's free columns: each vector made primitive, it is `kernel`
-    of the closure's rows.  The first independent set with a given closure
-    in lexicographic order is the closure's greedy basis, and a prefix of a
-    greedy basis is a greedy basis too, so the subtree of a node whose
-    closure was already reached holds no new flat and is skipped.
-    """
-    n_rows = len(rows)
-    identity, _ = kernel_root(n_cols)
-    root = [k + [row[c] for row in rows] for c, k in enumerate(identity)]
-    out: dict = {}
-    stack = [((root, 1), 0, 0)]
-    while stack:
-        (basis, pivot), start, depth = stack.pop()
-        dots = [k[n_cols:] for k in basis]
-        outside = [any(col) for col in zip(*dots)] if basis else [False] * n_rows
-        closure = tuple(j for j, x in enumerate(outside) if not x)
-        if closure in out:
-            continue
-        out[closure] = tuple(tuple(k[:n_cols]) for k in basis)
-        if depth < max_rank:
-            for i in range(n_rows - 1, start - 1, -1):
-                if outside[i]:
-                    child = _eliminate(basis, pivot, [s[i] for s in dots])
-                    stack.append((child, i + 1, depth + 1))
-    return out
-
-
 def flats_root(n_cols: int, co_cols: int) -> dict:
     """The flats walk of no rows, to be grown one row at a time by
     `flats_step`: the empty closure with the identity basis, pivot 1 and
@@ -218,18 +178,24 @@ def flats_step(walk: dict, m: int, row, co_row) -> dict:
     """The flats walk of rows[:m] extended by row = rows[m].
 
     A walk maps each flat, an ascending index tuple, to its node (basis,
-    pivot, co-node): the basis is the one `flats` gives the closure with
-    max_rank the column count, each vector carrying its dots with every row
-    so far, and the co-node is the `kernel_step` node of the complement's
-    co-rows in index order.  The new row is dotted with every basis and the
-    dot appended to each vector, in place, so the given walk is spent.  A
-    flat whose dots are all 0 gains m.  Any other flat stays, its co-node
-    stepped by co_row, and its `_eliminate` child by the row is a new flat
-    exactly when the child's closure less m is the flat itself, with the
-    flat's co-node from before the step.  That flat is the prefix of the
-    new flat's greedy basis, as m comes last (the greedy-basis argument at
-    `flats`), so every flat of rows[:m+1] arises once, with the basis and
-    co-node `flats` and `prefix_kernels` give it.
+    pivot, co-node).  The basis is the kernel node of the flat's greedy
+    basis, its lexicographically first independent subset, stepped in index
+    order (`kernel_step`), each vector carrying its dots with every row so
+    far as extra columns, which `_eliminate` carries exactly; so the flat is
+    the set of rows whose dots are all 0.  The step eliminates the first
+    free column with a nonzero dot, so the basis keeps the echelon form's
+    free columns: made primitive, it is `kernel` of the flat's rows.  The
+    co-node is the `kernel_step` node of the complement's co-rows in index
+    order, as `prefix_kernels` gives it.
+
+    The new row is dotted with every basis and the dot appended to each
+    vector, in place, so the given walk is spent.  A flat whose dots are
+    all 0 gains m.  Any other flat stays, its co-node stepped by co_row,
+    and its `_eliminate` child by the row is a new flat exactly when the
+    child's closure less m is the flat itself, with the flat's co-node from
+    before the step.  A prefix of a greedy basis is a greedy basis of its
+    own closure, and m comes last, so that flat is the closure of the new
+    flat's greedy basis less m: every flat of rows[:m+1] arises once.
     """
     n_cols = len(row)
     out = {}

@@ -11,7 +11,7 @@ such a section exactly when its vanishing space at degree e has a
 nonconstant element whose dimension strictly drops when any point of B\\S
 is adjoined; over an infinite field that guarantees a curve through S
 avoiding the rest of B.  So the sections are the flats of rank below
-C(e+2,2) of the matroid of B's degree-e rows (`linalg.flats`).
+C(e+2,2) of the matroid of B's degree-e rows.
 
 The chain grower extends a seed set one point at a time, always picking the
 first candidate outside the union of forbidden pullback regions attached to
@@ -35,22 +35,26 @@ V_e of its degree-e rows, so the grower takes one region per flat of B's
 degree-e rows, with V_e and B & V_e read off the flats walk.  The rest of
 B, outside a flat or a section, is an ascending index tuple, and its span
 (W_e, and the complement dimension of conditions (iii) and (iv)) is read
-off the kernel node of its degree-(d-e) rows.  The verifier walks a fixed B
-once with `linalg.flats` and takes each complement's node from
+off the kernel node of its degree-(d-e) rows.  The package has one flats
+walk, `linalg.flats_step`, folded one row at a time.  The grower's B gains
+one point a step, so it keeps its walk between steps and extends it by the
+new point: one pass over the flats of each degree e, each flat carrying
+its complement's node, and V_d(B)'s node gains one `kernel_step`.  The
+verifier needs fewer flats (proof at `nd_verify`): B's hyperplanes, read
+off the span scan `linalg.spanned_vectors` with their incidences, and the
+flats inside each condition-(iii) section, folded by `realizable_sections`
+on that section's rows; it takes each complement's node from
 `linalg.prefix_kernels`, one `kernel_step` on the node of its prefix.  The
-grower's B gains one point a step, so it keeps its walk between steps and
-extends it by the new point (`linalg.flats_step`): one pass over the flats
-of each degree e, each flat carrying its complement's node, and V_d(B)'s
-node gains one `kernel_step`.  The grower builds no region object: one pass
-over the walk reads each region's quantities off the lengths of the V_e
-and W_e kernel bases and keeps those raw bases as its membership tests,
-since a region only tests points by zero dot products.  Every region holds
-V_d(B), so a candidate is tested against V_d(B) once, and a region with
-alpha < 0 holds nothing more.  A passing verdict records each section
-that condition (iii) examined with the one primitive vector of its kernel,
-the exceptional catalog's curve: once (ii) has passed, such a section is a
-hyperplane of the matroid of B's rows (`NdVerifyResult`).  A configuration
-keeps only the verdict of the last basis verified or grown on it.
+grower builds no region object: one pass over the walk reads each region's
+quantities off the lengths of the V_e and W_e kernel bases and keeps those
+raw bases as its membership tests, since a region only tests points by
+zero dot products.  Every region holds V_d(B), so a candidate is tested
+against V_d(B) once, and a region with alpha < 0 holds nothing more.  A
+passing verdict records each section that condition (iii) examined with
+the one primitive vector of its kernel, the exceptional catalog's curve:
+once (ii) has passed, such a section is a hyperplane of the matroid of B's
+rows (`NdVerifyResult`).  A configuration keeps only the verdict of the
+last basis verified or grown on it.
 """
 
 from __future__ import annotations
@@ -63,8 +67,8 @@ from .bipoly import PlaneCurve, rational_points_on_curve
 from .determined import PointConfiguration
 from .errors import HypothesisViolation, InvariantViolation
 from .linalg import (
-    AffineFlat, flats, flats_root, flats_step, kernel_root, kernel_step, prefix_kernels,
-    primitive, rank, row_span,
+    AffineFlat, flats_root, flats_step, kernel_root, kernel_step, prefix_kernels, primitive,
+    rank, row_span, spanned_vectors,
 )
 from .veronese import ambient_dim, as_point, integer_lift
 
@@ -146,13 +150,42 @@ def realizable_sections(rows, e: int):
     """Subsets S of B occurring as C & B for a curve C of degree exactly e.
 
     `rows` are B's degree-e integer rows (`integer_lift`).  The sections are
-    the flats of rank below C(e+2,2) (module docstring), as (index tuple
-    into B, kernel basis from `linalg.flats`) pairs in `_section_order`.
-    The basis spans the section's vanishing space; its vectors are not made
+    the flats of rank below C(e+2,2) (module docstring), folded one row at a
+    time by `linalg.flats_step`, as (index tuple into B, kernel basis of the
+    flat's node without its carried dots) pairs in `_section_order`.  The
+    basis spans the section's vanishing space; its vectors are not made
     primitive.
     """
     monomials = comb(e + 2, 2)
-    return _section_order(flats(rows, monomials, monomials - 1).items())
+    walk = flats_root(monomials, 0)
+    for m, row in enumerate(rows):
+        walk = flats_step(walk, m, row, ())
+    return _section_order((idx, tuple(tuple(k[:monomials]) for k in basis))
+                          for idx, (basis, _, _) in walk.items())
+
+
+def _deciding_sections(rows, e: int, size: int) -> list:
+    """The realizable sections of B at degree e that decide its verdict
+    (proof at `nd_verify`), as (index tuple, kernel basis) pairs in
+    `_section_order`; `rows` are B's degree-e rows and `size`, cut - 1, is
+    the size of a condition-(iii) section.
+
+    When the rows span, these are B's hyperplanes, each with its one
+    primitive vector, read off the span scan, and the `realizable_sections`
+    of each hyperplane of `size` points, mapped back into B.  When they do
+    not, the scan finds no hyperplane or one through every row, and B
+    itself is the one section: it fails (ii) on its size, so it carries no
+    basis.
+    """
+    n_b = len(rows)
+    scan = spanned_vectors(rows)
+    if all(len(on) == n_b for on in scan.values()):
+        return [(tuple(range(n_b)), ())]
+    found = {tuple(sorted(on)): (vec,) for vec, on in scan.items()}
+    for idx in [idx for idx in found if len(idx) == size]:
+        for sub, basis in realizable_sections([rows[i] for i in idx], e):
+            found.setdefault(tuple(idx[i] for i in sub), basis)
+    return _section_order(found.items())
 
 
 class NdVerifyResult:
@@ -212,10 +245,11 @@ def _verdict(d: int, n_b: int, dim_b: int, walk) -> NdVerifyResult:
     dim_b is the dimension of the span of B's degree-d rows.  `walk` yields,
     for e = 1..d-1 in turn, (e, B's realizable sections at degree e in
     `_section_order`, each as (index tuple, kernel basis, kernel node of the
-    rest of B's degree-(d-e) rows)); a lazy walk stops at the first failure
-    too.  A basis may carry further columns, such as the grower's dots; a
-    condition-(iii) section keeps only the first C(e+2,2) of its one
-    vector, made primitive.
+    rest of B's degree-(d-e) rows)), or only those that decide the verdict
+    (`nd_verify`); a lazy walk stops at the first failure too.  Only a
+    condition-(iii) section's basis is read.  A basis may carry further
+    columns, such as the grower's dots; a condition-(iii) section keeps
+    only the first C(e+2,2) of its one vector, made primitive.
     """
 
     def failure(condition, e, section, measured, threshold) -> NdVerifyResult:
@@ -258,14 +292,35 @@ def nd_verify(A: PointConfiguration, B, d: int | None = None) -> NdVerifyResult:
     """Check the four basis conditions; early exit on the first failure.
 
     B is a sequence of indices into A, and d defaults to A.d.  The walk is
-    the rank of B's degree-d rows, then for each e its
-    `realizable_sections`, each with the node of the rest of B from the
+    the rank of B's degree-d rows, then for each e B's
+    `_deciding_sections`, each with the node of the rest of B from the
     `prefix_kernels` node function of its degree-(d-e) rows; `_verdict`
     reads the conditions off it.  A passing verdict, all tuples, is kept on
     A with the basis's index tuple and d, as the last grow keeps its own,
     so asking again for the same basis walks nothing.  A failing verdict's
     record is a dict for the JSON report, which a caller could change, so
     it is not kept.
+
+    Why the first failure is that of every realizable section (Oxley,
+    Matroid Theory, ch. 1), with cut = C(d+2,2)-C(d-e+2,2):
+
+    - When B's degree-e rows do not span, B itself is a section, the
+      largest, of |B| >= cut points (the lemma at `NdVerifyResult`), so it
+      comes first and fails (ii).  The scan shows this: it finds no
+      hyperplane, or one through every row.
+    - Otherwise every flat of rank below C(e+2,2)-1 lies in a strictly
+      larger hyperplane, so the largest sections are hyperplanes and the
+      first (ii) witness is one.  Once (ii) has passed, every section of
+      cut-1 points is a hyperplane, so the (iii) sections are among the
+      hyperplanes too.
+    - Take a flat F inside no (iii) section.  It lies in a hyperplane H
+      with |H| < cut-1.  If H passes (iv), so does F, since B \\ F contains
+      B \\ H and so spans at least as much.  Otherwise H fails (iv), and
+      it comes before F, since |H| > |F|.  So F is never the first
+      failure.
+
+    So the hyperplanes and the flats inside the (iii) sections give the
+    same first failure, and the same (iii) sections, as every flat.
     """
     d = A.d if d is None else d
     if d < 2:
@@ -277,8 +332,9 @@ def nd_verify(A: PointConfiguration, B, d: int | None = None) -> NdVerifyResult:
     n_b = len(B)
 
     def sections(e):
-        rest_node = prefix_kernels(rows[d - e], comb(d - e + 2, 2))
-        for idx, vecs in realizable_sections(rows[e], e):
+        monomials_rest = comb(d - e + 2, 2)
+        rest_node = prefix_kernels(rows[d - e], monomials_rest)
+        for idx, vecs in _deciding_sections(rows[e], e, comb(d + 2, 2) - monomials_rest - 1):
             yield idx, vecs, rest_node(tuple(i for i in range(n_b) if i not in idx))
 
     walk = ((e, sections(e)) for e in range(1, d))
@@ -457,10 +513,9 @@ def grow_nd_chain(
     chosen point, by `_extend_walk`; after each, `_regions` reads the
     step's regions off it and `_forbidden` tests the candidates.  The four
     basis conditions are checked on the last step's walk: its flats of rank
-    below C(e+2,2) are B's realizable sections with the same kernel bases
-    `realizable_sections` finds (the walks of both ranks agree on the flats
-    below the lower one), its complement nodes give conditions (iii) and
-    (iv) and V_d(B) condition (i).  A mismatch is an internal defect; a
+    below C(e+2,2) are B's realizable sections with the kernel bases
+    `realizable_sections` finds, its complement nodes give conditions (iii)
+    and (iv) and V_d(B) condition (i).  A mismatch is an internal defect; a
     success is kept on A as the verdict `nd_verify` returns for the chain.
     """
     if d < 2:

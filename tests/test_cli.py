@@ -573,6 +573,20 @@ def test_oracle_check(square, octet, capsys):
     assert all(r["agree"] for r in reports)
 
 
+@pytest.mark.parametrize("size", ["-1", "-7"])
+def test_negative_nd_size_exit_2(octet, capsys, monkeypatch, size):
+    # refused before any work, with the option named, not left to raise
+    # from `combinations`
+    from ordcurves import cli
+
+    scans = []
+    monkeypatch.setattr(cli, "enumerate_determined", scans.append)
+    code, out, err = run(["oracle-check", "--input", octet, "--nd-size", size], capsys)
+    assert code == 2 and out == ""
+    assert f"--nd-size must be at least 0, got {size}" in err
+    assert scans == []
+
+
 def test_output_to_file(square, tmp_path, capsys):
     target = tmp_path / "out.json"
     code, out, _ = run(["lift", "--input", square, "--output", str(target)], capsys)

@@ -28,13 +28,14 @@ from ordcurves.determined import (
 )
 from ordcurves.errors import HypothesisViolation
 from ordcurves.linalg import (
-    flats, hyperplane_leaves, kernel, normalized_key, prefix_kernels, primitive, rank,
-    spanned_vectors,
+    hyperplane_leaves, kernel, normalized_key, prefix_kernels, primitive, rank, spanned_vectors,
 )
 from ordcurves.ndfamilies import grow_nd_chain
 from ordcurves.oracle import oracle_determined, oracle_max_richness
 from ordcurves.projection import curves_from_basis
 from ordcurves.veronese import spanned_curve
+
+from flats_reference import flats
 
 SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
 THREE_PLUS_ONE = [(0, 0), (1, 0), (2, 0), (0, 1)]

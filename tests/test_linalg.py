@@ -12,7 +12,6 @@ from ordcurves.linalg import (
     affine_rank,
     equation_rows,
     flat_span,
-    flats,
     flats_root,
     flats_step,
     kernel,
@@ -29,6 +28,8 @@ from ordcurves.linalg import (
 from ordcurves.ndfamilies import grow_nd_chain
 from ordcurves.oracle import _gauss, _monomials_upto, _row, _vanishing_basis
 from ordcurves.veronese import integer_lift
+
+from flats_reference import flats
 
 rationals = st.fractions(
     min_value=-6, max_value=6, max_denominator=5

@@ -11,26 +11,34 @@ import pytest
 from ordcurves import ndfamilies
 from ordcurves.bipoly import PlaneCurve, parse_poly, rational_points_on_curve
 from ordcurves.constructions import sample_configuration
-from ordcurves.determined import PointConfiguration, contained_in_curve, vanishing_dim
+from ordcurves.determined import (
+    PointConfiguration, contained_in_curve, ordinary_curves, vanishing_dim,
+)
 from ordcurves.errors import HypothesisViolation
 from ordcurves.linalg import (
-    AffineFlat, affine_rank, kernel, kernel_root, primitive, rank, row_span,
+    AffineFlat, affine_rank, kernel_root, kernel_step, prefix_kernels, primitive, rank, row_span,
 )
 from ordcurves.ndfamilies import (
     NdQuantities,
     _active_flats,
+    _basis_rows,
     _degree_rows,
     _extend_walk,
     _forbidden,
     _regions,
     _root_walk,
+    _section_order,
+    _verdict,
     grow_nd_chain,
     nd_quantities,
     nd_verify,
     realizable_sections,
 )
+from ordcurves.oracle import oracle_nd
 from ordcurves.projection import build_pipeline, curves_from_basis
-from ordcurves.veronese import ambient_dim, integer_lift, lift
+from ordcurves.veronese import ambient_dim, integer_lift, lift, poly_to_vector
+
+from flats_reference import flats
 
 OCTET = [(0, 0), (1, 0), (0, 1), (3, 5), (2, 7), (5, 1), (1, 4), (6, 2)]
 TRIPLE = [(0, 0), (1, 0), (0, 1)]
@@ -197,18 +205,24 @@ def test_realizable_sections_collinear():
 def _sections_by_subset_scan(rows, e):
     """Realizable sections by their definition: every subset in decreasing
     size, then in `combinations` order, kept when its vanishing dimension at
-    degree e is positive and drops when any other point is adjoined."""
+    degree e is positive and drops when any other point is adjoined, each
+    with the primitive kernel of its rows."""
     monomials, n = comb(e + 2, 2), len(rows)
-    dims = {}
+    nodes = {(): kernel_root(monomials)}
+
+    def node(key):
+        # the kernel of the rows of an ascending index tuple, one step from
+        # that of the tuple without its last index
+        if key not in nodes:
+            parent = node(key[:-1])
+            nodes[key] = kernel_step(parent, rows[key[-1]]) or parent
+        return nodes[key]
 
     def vdim(idx):
-        key = frozenset(idx)
-        if key not in dims:
-            dims[key] = monomials - rank([rows[i] for i in key])
-        return dims[key]
+        return len(node(tuple(sorted(idx)))[0])
 
     return [
-        idx
+        (idx, [primitive(k) for k in node(idx)[0]])
         for size in range(n, -1, -1)
         for idx in combinations(range(n), size)
         if vdim(idx) and all(vdim(idx + (j,)) < vdim(idx) for j in range(n) if j not in idx)
@@ -256,12 +270,90 @@ def test_realizable_sections_match_subset_scan(d, points, condition):
     assert (verdict.failures[0]["condition"] if verdict.failures else None) == condition
     for e in range(1, d):
         rows = A.homogeneous_lifts(e)
-        sections = realizable_sections(rows, e)
-        assert [idx for idx, _ in sections] == _sections_by_subset_scan(rows, e)
         # each section comes with the kernel of its rows, once made primitive
-        for idx, basis in sections:
-            expected = kernel([rows[i] for i in idx], comb(e + 2, 2))
-            assert [primitive(k) for k in basis] == expected
+        sections = [
+            (idx, [primitive(k) for k in basis]) for idx, basis in realizable_sections(rows, e)
+        ]
+        assert sections == _sections_by_subset_scan(rows, e)
+
+
+# a d=3 basis with a condition-(iii) section at e = 2: six points of the
+# conic x^2 - y - 1 = 0, then one point off it; then four more points of A
+CONIC_SECTION = _on_conic(6) + [
+    (Fraction(7, 5), Fraction(-9, 4)), (Fraction(-11), Fraction(2, 7)),
+    (Fraction(1, 3), Fraction(5, 7)), (Fraction(5, 9), Fraction(13, 2)),
+    (Fraction(-8, 7), Fraction(-5)),
+]
+
+
+def test_conic_section_basis(monkeypatch, check_sections):
+    A = PointConfiguration.from_points(CONIC_SECTION, 3)
+    basis = list(range(7))
+    inner = _count_calls(monkeypatch, "realizable_sections")
+    verdict = nd_verify(A, basis, 3)
+    # the six conic points are the one (iii) section, and the verifier walks
+    # the flats inside it
+    conic = primitive(poly_to_vector(parse_poly("x^2 - y - 1"), 2))
+    assert verdict.sections == ((2, (0, 1, 2, 3, 4, 5), conic),)
+    assert check_sections(A, basis, verdict) == 1
+    assert inner == ["_deciding_sections"]
+    assert oracle_nd(A, basis, 3)
+    # the conic is the exceptional catalog, with one forbidden image point,
+    # and each emitted curve is an ordinary curve of the pipeline's n
+    state = build_pipeline(A, basis, 3)
+    assert state.catalog == ((2, conic),)
+    assert state.t_points == ((0, 0, 1),)
+    assert state.n == 9
+    curves, _ = curves_from_basis(A, basis, 3, state=state)
+    ordinary = {rec.curve.radical for rec in ordinary_curves(A, 9).records}
+    assert len(curves.records) == 6
+    assert all(rec.curve.radical in ordinary for rec in curves.records)
+
+
+def _reference_verdict(A, B, d):
+    """The verdict on every realizable section of B: at each degree e the
+    DFS `flats` of rank below C(e+2,2) in `_section_order`, each with the
+    `prefix_kernels` node of the rest of B, read by `_verdict`."""
+    B, rows = _basis_rows(A, B, d)
+    n_b = len(B)
+
+    def sections(e):
+        monomials = comb(e + 2, 2)
+        rest_node = prefix_kernels(rows[d - e], comb(d - e + 2, 2))
+        for idx, vecs in _section_order(flats(rows[e], monomials, monomials - 1).items()):
+            yield idx, vecs, rest_node(tuple(i for i in range(n_b) if i not in idx))
+
+    return _verdict(d, n_b, rank(rows[d]) - 1, ((e, sections(e)) for e in range(1, d)))
+
+
+_GRID4 = [(x, y) for x in range(4) for y in range(4)]
+# (name, points, d, bases, first failing condition -> count of bases, count
+# of (iii) sections over the passing bases)
+EQUIVALENCE_CASES = [
+    ("grid4-d2", _GRID4, 2, list(combinations(range(16), 3)), {None: 516, "ii": 44}, 1548),
+    ("conic-d3", CONIC_SECTION, 3, list(combinations(range(11), 7)), {None: 330}, 5),
+] + [
+    (f"section-{i}", points, d, [tuple(range(len(points)))], {condition: 1}, 3 * (i == 0))
+    for i, (d, points, condition) in enumerate(SECTION_BASES)
+]
+
+
+@pytest.mark.parametrize("name, points, d, bases, outcomes, sections", EQUIVALENCE_CASES,
+                         ids=[case[0] for case in EQUIVALENCE_CASES])
+def test_verdict_equals_every_flat_reference(name, points, d, bases, outcomes, sections):
+    # the hyperplanes and the flats inside the (iii) sections decide as
+    # every flat does: the same verdict, first failure and sections
+    A = PointConfiguration.from_points(points, d)
+    seen, examined = {}, 0
+    for basis in bases:
+        verdict = nd_verify(A, basis, d)
+        expected = _reference_verdict(A, basis, d)
+        assert (verdict.ok, verdict.failures, verdict.sections) == (
+            expected.ok, expected.failures, expected.sections), basis
+        condition = verdict.failures[0]["condition"] if verdict.failures else None
+        seen[condition] = seen.get(condition, 0) + 1
+        examined += len(verdict.sections)
+    assert (seen, examined) == (outcomes, sections)
 
 
 def test_nd_verify_examples():
@@ -667,7 +759,7 @@ def test_grown_verdict_equals_fresh_verify(check_sections):
     assert sections == SECTIONS_GROWN
 
 
-def _count_calls(monkeypatch, name="flats"):
+def _count_calls(monkeypatch, name="spanned_vectors"):
     # every call of a walk function, as the name of the function that made it
     callers = []
     real = getattr(ndfamilies, name)
@@ -682,16 +774,20 @@ def _count_calls(monkeypatch, name="flats"):
 
 def test_chain_walks_its_basis_once(monkeypatch):
     A = sample_configuration("random_general", seed=3000, count=11, d=3, genericity=3).config
-    walks = _count_calls(monkeypatch)
+    scans = _count_calls(monkeypatch)
     steps = _count_calls(monkeypatch, "flats_step")
     res = grow_nd_chain(A, [], None, 3, seed=0)
     assert res.success
     assert nd_verify(A, list(res.chain), 3).ok
     state = build_pipeline(A, list(res.chain), 3)
     curves_from_basis(A, list(res.chain), 3, state=state)
-    # no whole walk: one extend step per degree e < d at each chain point
-    assert walks == []
+    # no scan after the grow: one extend step per degree e < d at each
+    # chain point
+    assert scans == []
     assert len(steps) == (3 - 1) * len(res.chain)
+    # a fresh configuration's verify scans once per degree e < d
+    assert nd_verify(PointConfiguration.from_points(A.points, 3), list(res.chain), 3).ok
+    assert scans == ["_deciding_sections"] * (3 - 1)
 
 
 def test_grow_defaults_to_seed_0():
@@ -712,5 +808,8 @@ def test_verdict_memo_keeps_one_basis(monkeypatch):
     callers = _count_calls(monkeypatch)
     for b in (b1, b2, b1):
         assert nd_verify(fresh, b, 3).ok
-    # B2 takes B1's place, so the second B1 walks again
-    assert callers == ["realizable_sections"] * 3 * (3 - 1)
+    # one scan per degree e < d and fresh verify, none on a memo hit; B2
+    # takes B1's place, so the second B1 scans again
+    assert callers == ["_deciding_sections"] * 3 * (3 - 1)
+    assert nd_verify(fresh, b1, 3).ok
+    assert len(callers) == 3 * (3 - 1)
