@@ -253,7 +253,7 @@ def sample_configuration(kind: str, seed: int = 0, d: int = 1, count: int | None
     'random_general': count points, required, with integer coordinates
     bounded by 6 * count + 8; genericity (d when None) is the max degree
     whose lifted subsets of every admissible size must stay affinely
-    independent, 0 disables.
+    independent, 0 disables; a negative one is refused.
     """
     d = int(d)
     if kind == "grid":
@@ -268,6 +268,8 @@ def sample_configuration(kind: str, seed: int = 0, d: int = 1, count: int | None
     if count is None:
         raise HypothesisViolation("random_general count given", "count is None")
     count = int(count)
+    if genericity is not None and int(genericity) < 0:
+        raise HypothesisViolation("genericity >= 0", f"genericity={genericity}")
     g = d if genericity is None else int(genericity)
     span = 6 * count + 8
     rng = random.Random(seed)

@@ -23,17 +23,16 @@ samplers' span guard walks only the leaves through its new row.
 The basis verifier reads a basis's hyperplanes off the same scan.
 `flats_step` is the package's one walk of all the flats of a row matroid
 (Oxley, Matroid Theory, ch. 1): it turns the walk of the rows so far into
-the walk with one more row in one pass over its flats, each flat keeping
-the raw kernel basis of its greedy basis, each vector carrying its dots
-with every row, and the kernel node of its complement's rows in a second
-row list.  The grower reads its forbidden regions off those kernel bases,
-and the verifier walks the flats inside its condition-(iii) sections with
-it.  `prefix_kernels` gives the kernel node of any index tuple, one step
-from the memoized node of its prefix; the verifier's complement spans are
-built on it.  `nullspace` is the Fraction view of `kernel`, through
-`normalized`, the package's one first-nonzero-is-1 scaling;
-`normalized_key` sorts primitive vectors in the order of their normalized
-forms by integer arithmetic.
+a new walk with one more row in one pass over its flats, each flat mapped
+to the plain kernel node of its greedy basis.  The grower reads its
+forbidden regions off those kernel bases, and the verifier walks the
+flats inside its condition-(iii) sections with it.  `prefix_kernels`
+gives the kernel node of any index tuple, one step from the memoized node
+of its prefix; the verifier's complement spans are built on it.
+`nullspace` is the Fraction view of `kernel`, through `normalized`, the
+package's one first-nonzero-is-1 scaling; `normalized_key` sorts
+primitive vectors in the order of their normalized forms by integer
+arithmetic.
 
 An affine flat of Q^n is held as integer homogeneous data: spanning rows,
 each a positive multiple of (1, z) for a point z of the flat, and a kernel
@@ -166,53 +165,38 @@ def _eliminate(basis, pivot, dots):
     ], sp
 
 
-def flats_root(n_cols: int, co_cols: int) -> dict:
-    """The flats walk of no rows, to be grown one row at a time by
-    `flats_step`: the empty closure with the identity basis, pivot 1 and
-    the `kernel_root` of the co-rows."""
-    basis, pivot = kernel_root(n_cols)
-    return {(): (basis, pivot, kernel_root(co_cols))}
+def flats_step(walk: dict, rows, m: int) -> dict:
+    """The flats walk of rows[:m] extended by rows[m], as a new walk; the
+    given walk is left as it is.
 
+    A walk maps each flat, an ascending index tuple, to its kernel node
+    (basis, pivot): that of the flat's greedy basis, its lexicographically
+    first independent subset, stepped in index order (`kernel_step`).  The
+    step eliminates the first free column with a nonzero dot, so the basis
+    keeps the echelon form's free columns: made primitive, it is `kernel`
+    of the flat's rows.  The walk of no rows is {(): kernel_root(n_cols)}.
 
-def flats_step(walk: dict, m: int, row, co_row) -> dict:
-    """The flats walk of rows[:m] extended by row = rows[m].
-
-    A walk maps each flat, an ascending index tuple, to its node (basis,
-    pivot, co-node).  The basis is the kernel node of the flat's greedy
-    basis, its lexicographically first independent subset, stepped in index
-    order (`kernel_step`), each vector carrying its dots with every row so
-    far as extra columns, which `_eliminate` carries exactly; so the flat is
-    the set of rows whose dots are all 0.  The step eliminates the first
-    free column with a nonzero dot, so the basis keeps the echelon form's
-    free columns: made primitive, it is `kernel` of the flat's rows.  The
-    co-node is the `kernel_step` node of the complement's co-rows in index
-    order, as `prefix_kernels` gives it.
-
-    The new row is dotted with every basis and the dot appended to each
-    vector, in place, so the given walk is spent.  A flat whose dots are
-    all 0 gains m.  Any other flat stays, its co-node stepped by co_row,
-    and its `_eliminate` child by the row is a new flat exactly when the
-    child's closure less m is the flat itself, with the flat's co-node from
-    before the step.  A prefix of a greedy basis is a greedy basis of its
-    own closure, and m comes last, so that flat is the closure of the new
-    flat's greedy basis less m: every flat of rows[:m+1] arises once.
+    A flat whose basis is orthogonal to rows[m] gains m with its node.  Any
+    other flat stays, and its `kernel_step` child by the row is a new flat
+    exactly when it spans no other earlier row: each row before m outside
+    the flat has a nonzero dot with some child vector.  A prefix of a
+    greedy basis is a greedy basis of its own closure, and m comes last,
+    so that flat is the closure of the new flat's greedy basis less m:
+    every flat of rows[:m+1] arises once.
     """
-    n_cols = len(row)
+    row = rows[m]
     out = {}
-    for closure, (basis, pivot, co_node) in walk.items():
-        # map stops at the row's end, so the carried dots are left out
+    for closure, (basis, pivot) in walk.items():
         dots = [sum(map(mul, k, row)) for k in basis]
-        for k, s in zip(basis, dots):
-            k.append(s)
         if not any(dots):
-            out[closure + (m,)] = basis, pivot, co_node
+            out[closure + (m,)] = basis, pivot
             continue
-        out[closure] = basis, pivot, kernel_step(co_node, co_row) or co_node
-        child, sp = _eliminate(basis, pivot, dots)
-        # the child's closure holds the flat and m, and no more exactly
-        # when each of the other m - |closure| rows has a nonzero dot
-        if sum(map(any, zip(*[k[n_cols:] for k in child]))) == m - len(closure):
-            out[closure + (m,)] = child, sp, co_node
+        out[closure] = basis, pivot
+        child = _eliminate(basis, pivot, dots)
+        inside = set(closure)
+        if all(any(sum(map(mul, k, rows[j])) for k in child[0])
+               for j in range(m) if j not in inside):
+            out[closure + (m,)] = child
     return out
 
 

@@ -36,19 +36,22 @@ degree-e rows, with V_e and B & V_e read off the flats walk.  The rest of
 B, outside a flat or a section, is an ascending index tuple, and its span
 (W_e, and the complement dimension of conditions (iii) and (iv)) is read
 off the kernel node of its degree-(d-e) rows.  The package has one flats
-walk, `linalg.flats_step`, folded one row at a time.  The grower's B gains
-one point a step, so it keeps its walk between steps and extends it by the
-new point: one pass over the flats of each degree e, each flat carrying
-its complement's node, and V_d(B)'s node gains one `kernel_step`.  The
-verifier needs fewer flats (proof at `nd_verify`): B's hyperplanes, read
-off the span scan `linalg.spanned_vectors` with their incidences, and the
-flats inside each condition-(iii) section, folded by `realizable_sections`
-on that section's rows; it takes each complement's node from
-`linalg.prefix_kernels`, one `kernel_step` on the node of its prefix.  The
-grower builds no region object: one pass over the walk reads each region's
-quantities off the lengths of the V_e and W_e kernel bases and keeps those
-raw bases as its membership tests, since a region only tests points by
-zero dot products.  Every region holds V_d(B), so a candidate is tested
+walk, `linalg.flats_step`, folded one row at a time, which maps each flat
+to a plain kernel node and knows nothing of the complements.  The grower's
+B gains one point a step, so it keeps its walk between steps and extends
+it by the new point: one pass over the flats of each degree e, then each
+flat's complement node, kept beside the walk, is taken over or stepped by
+the point's degree-(d-e) row, and V_d(B)'s node gains one `kernel_step`.
+The verifier needs fewer flats (proof at `nd_verify`): B's hyperplanes,
+read off the span scan `linalg.spanned_vectors` with their incidences, and
+the flats inside each condition-(iii) section that has a point whose
+degree-(d-e) row lies in the span of the rest of B, folded by
+`realizable_sections` on that section's rows; it takes each complement's
+node from `linalg.prefix_kernels`, one `kernel_step` on the node of its
+prefix.  The grower builds no region object: one pass over the walk reads
+each region's quantities off the lengths of the V_e and W_e kernel bases
+and keeps those raw bases as its membership tests, since a region only
+tests points by zero dot products.  Every region holds V_d(B), so a candidate is tested
 against V_d(B) once, and a region with alpha < 0 holds nothing more.  A
 passing verdict records each section that condition (iii) examined with
 the one primitive vector of its kernel, the exceptional catalog's curve:
@@ -67,8 +70,8 @@ from .bipoly import PlaneCurve, rational_points_on_curve
 from .determined import PointConfiguration
 from .errors import HypothesisViolation, InvariantViolation
 from .linalg import (
-    AffineFlat, flats_root, flats_step, kernel_root, kernel_step, prefix_kernels, primitive,
-    rank, row_span, spanned_vectors,
+    AffineFlat, flats_step, kernel_root, kernel_step, prefix_kernels, primitive, rank, row_span,
+    spanned_vectors,
 )
 from .veronese import ambient_dim, as_point, integer_lift
 
@@ -152,40 +155,51 @@ def realizable_sections(rows, e: int):
     `rows` are B's degree-e integer rows (`integer_lift`).  The sections are
     the flats of rank below C(e+2,2) (module docstring), folded one row at a
     time by `linalg.flats_step`, as (index tuple into B, kernel basis of the
-    flat's node without its carried dots) pairs in `_section_order`.  The
+    flat's node, as a tuple of tuples) pairs in `_section_order`.  The
     basis spans the section's vanishing space; its vectors are not made
     primitive.
     """
-    monomials = comb(e + 2, 2)
-    walk = flats_root(monomials, 0)
-    for m, row in enumerate(rows):
-        walk = flats_step(walk, m, row, ())
-    return _section_order((idx, tuple(tuple(k[:monomials]) for k in basis))
-                          for idx, (basis, _, _) in walk.items())
+    walk = {(): kernel_root(comb(e + 2, 2))}
+    for m in range(len(rows)):
+        walk = flats_step(walk, rows, m)
+    return _section_order((idx, tuple(map(tuple, basis))) for idx, (basis, _) in walk.items())
 
 
-def _deciding_sections(rows, e: int, size: int) -> list:
+def _deciding_sections(rows, e: int, d: int):
     """The realizable sections of B at degree e that decide its verdict
-    (proof at `nd_verify`), as (index tuple, kernel basis) pairs in
-    `_section_order`; `rows` are B's degree-e rows and `size`, cut - 1, is
-    the size of a condition-(iii) section.
+    (proof at `nd_verify`), in `_section_order`, each as (index tuple,
+    kernel basis, kernel node of the rest of B's degree-(d-e) rows);
+    `rows` holds B's rows by degree.
 
-    When the rows span, these are B's hyperplanes, each with its one
-    primitive vector, read off the span scan, and the `realizable_sections`
-    of each hyperplane of `size` points, mapped back into B.  When they do
-    not, the scan finds no hyperplane or one through every row, and B
-    itself is the one section: it fails (ii) on its size, so it carries no
-    basis.
+    When the degree-e rows span, these are B's hyperplanes, each with its
+    one primitive vector, read off the span scan, and the
+    `realizable_sections` of each condition-(iii) section S, a hyperplane
+    of C(d+2,2)-C(d-e+2,2)-1 points, mapped back into B, when a point of S
+    has its degree-(d-e) row in W, the span of the rows of B \\ S.  When
+    they do not span, the scan finds no hyperplane or one through every
+    row, and B itself is the one section: it fails (ii) on its size, so it
+    carries no basis.  Each rest node is one `kernel_step` from that of its
+    prefix (`prefix_kernels`).
     """
-    n_b = len(rows)
-    scan = spanned_vectors(rows)
+    n_b, co_rows = len(rows[e]), rows[d - e]
+    size = comb(d + 2, 2) - comb(d - e + 2, 2) - 1
+    node = prefix_kernels(co_rows, comb(d - e + 2, 2))
+
+    def rest(idx):
+        return node(tuple(i for i in range(n_b) if i not in idx))
+
+    scan = spanned_vectors(rows[e])
     if all(len(on) == n_b for on in scan.values()):
-        return [(tuple(range(n_b)), ())]
+        yield tuple(range(n_b)), (), node(())
+        return
     found = {tuple(sorted(on)): (vec,) for vec, on in scan.items()}
     for idx in [idx for idx in found if len(idx) == size]:
-        for sub, basis in realizable_sections([rows[i] for i in idx], e):
-            found.setdefault(tuple(idx[i] for i in sub), basis)
-    return _section_order(found.items())
+        w = rest(idx)[0]
+        if any(_holds(w, co_rows[i]) for i in idx):
+            for sub, basis in realizable_sections([rows[e][i] for i in idx], e):
+                found.setdefault(tuple(idx[i] for i in sub), basis)
+    for idx, vecs in _section_order(found.items()):
+        yield idx, vecs, rest(idx)
 
 
 class NdVerifyResult:
@@ -247,9 +261,8 @@ def _verdict(d: int, n_b: int, dim_b: int, walk) -> NdVerifyResult:
     `_section_order`, each as (index tuple, kernel basis, kernel node of the
     rest of B's degree-(d-e) rows)), or only those that decide the verdict
     (`nd_verify`); a lazy walk stops at the first failure too.  Only a
-    condition-(iii) section's basis is read.  A basis may carry further
-    columns, such as the grower's dots; a condition-(iii) section keeps
-    only the first C(e+2,2) of its one vector, made primitive.
+    condition-(iii) section's basis is read: its one vector, made
+    primitive.
     """
 
     def failure(condition, e, section, measured, threshold) -> NdVerifyResult:
@@ -265,7 +278,6 @@ def _verdict(d: int, n_b: int, dim_b: int, walk) -> NdVerifyResult:
     for e, found in walk:
         monomials_rest = comb(d - e + 2, 2)
         cut = comb(d + 2, 2) - monomials_rest
-        monomials = comb(e + 2, 2)
         rest_target = monomials_rest - 3
         for idx, vecs, rest_node in found:
             size = len(idx)
@@ -276,7 +288,7 @@ def _verdict(d: int, n_b: int, dim_b: int, walk) -> NdVerifyResult:
                 if dim_rest != rest_target:
                     return failure("iii", e, idx, dim_rest, rest_target)
                 (vec,) = vecs  # one vector by the lemma at `NdVerifyResult`
-                sections.append((e, idx, primitive(vec[:monomials])))
+                sections.append((e, idx, primitive(vec)))
             elif dim_rest <= rest_target:
                 return failure("iv", e, idx, dim_rest, rest_target)
     return NdVerifyResult(True, (), tuple(sections))
@@ -293,8 +305,7 @@ def nd_verify(A: PointConfiguration, B, d: int | None = None) -> NdVerifyResult:
 
     B is a sequence of indices into A, and d defaults to A.d.  The walk is
     the rank of B's degree-d rows, then for each e B's
-    `_deciding_sections`, each with the node of the rest of B from the
-    `prefix_kernels` node function of its degree-(d-e) rows; `_verdict`
+    `_deciding_sections`, each with the node of the rest of B; `_verdict`
     reads the conditions off it.  A passing verdict, all tuples, is kept on
     A with the basis's index tuple and d, as the last grow keeps its own,
     so asking again for the same basis walks nothing.  A failing verdict's
@@ -318,9 +329,17 @@ def nd_verify(A: PointConfiguration, B, d: int | None = None) -> NdVerifyResult:
       B \\ H and so spans at least as much.  Otherwise H fails (iv), and
       it comes before F, since |H| > |F|.  So F is never the first
       failure.
+    - Take a (iii) section S and W the span of the degree-(d-e) rows of
+      B \\ S.  If S fails (iii), it comes before every flat inside it.
+      Otherwise dim W is the (iv) threshold.  A flat F strictly inside S
+      has B \\ F = (B \\ S) + (S \\ F) with S \\ F nonempty, so its rest
+      spans W exactly when every point of S \\ F has its row in W, and
+      more otherwise.  So F can fail (iv) only when some point of S has
+      its row in W, and the flats inside S are walked only then.
 
-    So the hyperplanes and the flats inside the (iii) sections give the
-    same first failure, and the same (iii) sections, as every flat.
+    So the hyperplanes and the flats inside the (iii) sections that have a
+    point in W give the same first failure, and the same (iii) sections,
+    as every flat.
     """
     d = A.d if d is None else d
     if d < 2:
@@ -329,16 +348,8 @@ def nd_verify(A: PointConfiguration, B, d: int | None = None) -> NdVerifyResult:
     key = (B, d)
     if key in A._verdict:
         return A._verdict[key]
-    n_b = len(B)
-
-    def sections(e):
-        monomials_rest = comb(d - e + 2, 2)
-        rest_node = prefix_kernels(rows[d - e], monomials_rest)
-        for idx, vecs in _deciding_sections(rows[e], e, comb(d + 2, 2) - monomials_rest - 1):
-            yield idx, vecs, rest_node(tuple(i for i in range(n_b) if i not in idx))
-
-    walk = ((e, sections(e)) for e in range(1, d))
-    verdict = _verdict(d, n_b, rank(rows[d]) - 1, walk)
+    walk = ((e, _deciding_sections(rows, e, d)) for e in range(1, d))
+    verdict = _verdict(d, len(B), rank(rows[d]) - 1, walk)
     if verdict.ok:
         _keep(A, key, verdict)
     return verdict
@@ -349,29 +360,36 @@ GUARD_NAME = "growth guard max(tau, mu) < C(d+2,2)"
 
 def _root_walk(d: int):
     """The grower's walk of the empty chain: V_d's `kernel_root`, and for
-    each e = 1..d-1 the `linalg.flats_root` of degree e with the degree-(d-e)
-    rows as co-rows."""
-    walks = {e: flats_root(comb(e + 2, 2), comb(d - e + 2, 2)) for e in range(1, d)}
-    return kernel_root(comb(d + 2, 2)), walks
+    each e = 1..d-1 the flats walk of no degree-e rows beside the map of
+    its one flat to its complement node, the `kernel_root` of degree d-e;
+    both are the walk of no rows of their degree."""
+    roots = {e: {(): kernel_root(comb(e + 2, 2))} for e in range(d + 1)}
+    return roots[d][()], {e: (roots[e], roots[d - e]) for e in range(1, d)}
 
 
-def _extend_walk(walk, R, d: int, m: int, i: int):
-    """The grower's walk of a chain of m points extended by point i: V_d's
-    node by one `kernel_step`, and each degree's flats by one
-    `linalg.flats_step` on point i's degree-e row, its degree-(d-e) row
-    stepping the complement nodes.  The given walk is spent."""
+def _extend_walk(walk, R, d: int, chain):
+    """The grower's walk of the chain from the walk of the chain less its
+    last point i, as a new walk: V_d's node by one `kernel_step`, each
+    degree's flats by one `linalg.flats_step`, and each flat's complement
+    node, that of its complement's degree-(d-e) rows.  A flat that gained
+    i takes the complement node of the flat without it; any other flat's
+    is stepped by point i's degree-(d-e) row."""
     d_node, walks = walk
-    walks = {
-        e: flats_step(found, m, R[e][i], R[d - e][i])
-        for e, found in walks.items()
-    }
-    return kernel_step(d_node, R[d][i]) or d_node, walks
+    m, i = len(chain) - 1, chain[-1]
+    out = {}
+    for e, (found, co) in walks.items():
+        found = flats_step(found, [R[e][j] for j in chain], m)
+        co_row = R[d - e][i]
+        out[e] = found, {
+            idx: co[idx[:-1]] if m in idx else kernel_step(co[idx], co_row) or co[idx]
+            for idx in found
+        }
+    return kernel_step(d_node, R[d][i]) or d_node, out
 
 
 def _holds(basis, row) -> bool:
     """Whether the flat with the raw kernel basis holds the point with the
-    homogeneous row: every dot product is 0.  `map` stops at the row's end,
-    so a basis still carrying its dots with rows needs no copy.
+    homogeneous row: every dot product is 0.
 
     A flat of no points (V_e of the empty flat, W_e when D = B, V_d of the
     empty chain) has the identity as its basis, and no `integer_lift` row
@@ -388,23 +406,23 @@ def _active_flats(walk, n_b: int, d: int, sample):
     `walk` is the walk of a chain of n_b points (`_extend_walk`).  Each
     flat of B's degree-e rows gives one region U_e(B, D) (module
     docstring): D is the flat, the points of B in V_e, as positions in the
-    chain; V_e's basis is the flat's kernel basis, still carrying its dots,
-    and W_e's the kernel basis of the flat's complement node, so their
-    dimensions are read off the lengths of those bases.  `sample` holds the
-    carrier sample's rows by degree, and a region holding every sample
-    point is inactive.  Every region holds V_d(B), so only the sample
-    points outside V_d(B) are tested against the rest of a region: alpha
-    >= 0 and (V_e, or beta >= 0 and W_e).  With no carrier (C0 = the whole
-    plane, `sample` None) every region is active, as a region is covered
-    by at most three curves.
+    chain; V_e's basis is the flat's kernel basis and W_e's the kernel
+    basis of the flat's complement node, so their dimensions are read off
+    the lengths of those bases.  `sample` holds the carrier sample's rows
+    by degree, and a region holding every sample point is inactive.  Every
+    region holds V_d(B), so only the sample points outside V_d(B) are
+    tested against the rest of a region: alpha >= 0 and (V_e, or beta >= 0
+    and W_e).  With no carrier (C0 = the whole plane, `sample` None) every
+    region is active, as a region is covered by at most three curves.
     """
     d_node, walks = walk
     outside = None if sample is None else [
         k for k, row in enumerate(sample[d]) if not _holds(d_node[0], row)
     ]
-    for e, found in walks.items():
+    for e, (found, co) in walks.items():
         n_v, n_w = comb(e + 2, 2), comb(d - e + 2, 2)
-        for idx, (v, _, (w, _)) in found.items():
+        for idx, (v, _) in found.items():
+            w = co[idx][0]
             gamma = len(idx)
             alpha, beta, mu, tau = _quantities(
                 n_b, n_v - 1 - len(v), n_w - 1 - len(w), gamma, e, d
@@ -582,8 +600,8 @@ def grow_nd_chain(
     chain = []
     walk = _root_walk(d)
     for i in b0_indices:
-        walk = _extend_walk(walk, R, d, len(chain), i)
         chain.append(i)
+        walk = _extend_walk(walk, R, d, chain)
     blocked = []
     v_d, tests, worst = _regions(A, chain, d, sample, walk, 0)
     guard_trace = [worst]
@@ -606,18 +624,16 @@ def grow_nd_chain(
                  "reason": "candidate pool exhausted inside forbidden regions"}
             )
             return GrowthResult(False, tuple(chain), tuple(blocked), tuple(guard_trace))
-        walk = _extend_walk(walk, R, d, len(chain), chosen)
         chain.append(chosen)
+        walk = _extend_walk(walk, R, d, chain)
         v_d, tests, worst = _regions(A, chain, d, sample, walk, step)
         guard_trace.append(worst)
-
-    def sections(e, found):
-        return _section_order((idx, vecs, co) for idx, (vecs, _, co) in found.items())
 
     d_node, walks = walk
     verdict = _verdict(
         d, len(chain), comb(d + 2, 2) - 1 - len(d_node[0]),
-        ((e, sections(e, found)) for e, found in walks.items()),
+        ((e, _section_order((idx, basis, co[idx]) for idx, (basis, _) in found.items()))
+         for e, (found, co) in walks.items()),
     )
     if not verdict.ok:
         raise InvariantViolation(

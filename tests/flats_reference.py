@@ -1,5 +1,9 @@
 """The depth-first walk of a row matroid's flats, kept as the tests'
-reference for the package's one flats walk, the `linalg.flats_step` fold."""
+reference for the package's one flats walk, the `linalg.flats_step` fold,
+and the heavy point sets the fold and the grower's walk are checked on."""
+
+import random
+from fractions import Fraction
 
 from ordcurves.linalg import _eliminate, kernel_root
 
@@ -42,3 +46,25 @@ def flats(rows, n_cols: int, max_rank: int) -> dict:
                     child = _eliminate(basis, pivot, [s[i] for s in dots])
                     stack.append((child, i + 1, depth + 1))
     return out
+
+
+def _big(rng):
+    return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+
+
+def heavy_points(seed, curve, k, free):
+    """k points of height up to 10^6 on one rational line, parabola (a
+    conic) or cubic y = q(x), then `free` random points, shuffled so the
+    curve's points are spread through the row order."""
+    rng = random.Random(seed)
+    degree = {"line": 1, "conic": 2, "cubic": 3}[curve]
+    coeffs = [_big(rng) for _ in range(degree + 1)]
+    pts = set()
+    while len(pts) < k:
+        t = _big(rng)
+        pts.add((t, sum(c * t**i for i, c in enumerate(coeffs))))
+    while len(pts) < k + free:
+        pts.add((_big(rng), _big(rng)))
+    pts = sorted(pts)
+    rng.shuffle(pts)
+    return pts

@@ -266,6 +266,15 @@ def test_construct_output_feeds_back(tmp_path, capsys):
     assert len(json.loads(out)["curves"]) <= 6
 
 
+def test_construct_refuses_negative_genericity(capsys):
+    # exit 3 and no configuration, not genericity -1 written as the
+    # certificate's degree
+    code, out, err = run(["construct", "--kind", "random_general", "--d", "2", "--count", "3",
+                          "--genericity", "-1"], capsys)
+    assert (code, out) == (3, "")
+    assert "genericity >= 0" in err
+
+
 def test_construct_theorem8_bytes(capsys):
     # the points and the provenance, carrier text x^3 - y included, pinned
     # by digest

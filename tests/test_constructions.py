@@ -136,6 +136,19 @@ def test_sample_refuses_inputs_it_does_not_read(unknown):
         sample_configuration("random_general", count=5, d=2, **{unknown: 10})
 
 
+@pytest.mark.parametrize("genericity", [-1, -5])
+def test_sample_random_general_refuses_negative_genericity(genericity, monkeypatch):
+    # refused by name before any point is drawn, instead of recorded as the
+    # certificate's degree
+    def never(*args):
+        raise AssertionError("refused before any sampling")
+
+    monkeypatch.setattr(constructions, "_rand_point", never)
+    with pytest.raises(HypothesisViolation) as exc:
+        sample_configuration("random_general", seed=0, count=3, d=2, genericity=genericity)
+    assert exc.value.name == "genericity >= 0"
+
+
 def test_sample_random_general_requires_count():
     with pytest.raises(HypothesisViolation) as exc:
         sample_configuration("random_general", seed=1, d=2, genericity=2)

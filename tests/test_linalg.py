@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from math import comb, gcd
@@ -12,7 +13,6 @@ from ordcurves.linalg import (
     affine_rank,
     equation_rows,
     flat_span,
-    flats_root,
     flats_step,
     kernel,
     kernel_root,
@@ -20,7 +20,6 @@ from ordcurves.linalg import (
     normalized,
     normalized_key,
     nullspace,
-    prefix_kernels,
     primitive,
     rank,
     row_span,
@@ -29,7 +28,7 @@ from ordcurves.ndfamilies import grow_nd_chain
 from ordcurves.oracle import _gauss, _monomials_upto, _row, _vanishing_basis
 from ordcurves.veronese import integer_lift
 
-from flats_reference import flats
+from flats_reference import flats, heavy_points
 
 rationals = st.fractions(
     min_value=-6, max_value=6, max_denominator=5
@@ -428,63 +427,37 @@ def test_normalized_key_matches_fraction_order():
     assert sorted(vectors, key=normalized_key) == sorted(vectors, key=normalized)
 
 
-def _big(rng):
-    return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+def walk_bases(walk: dict) -> dict:
+    """The `flats` map of a `flats_step` walk: each closure to its basis as
+    a tuple of tuples."""
+    return {closure: tuple(map(tuple, basis)) for closure, (basis, _) in walk.items()}
 
 
-def _heavy_points(seed, curve, k, free):
-    """k points of height up to 10^6 on one rational line, parabola (a
-    conic) or cubic y = q(x), then `free` random points, shuffled so the
-    curve's points are spread through the row order."""
-    rng = random.Random(seed)
-    degree = {"line": 1, "conic": 2, "cubic": 3}[curve]
-    coeffs = [_big(rng) for _ in range(degree + 1)]
-    pts = set()
-    while len(pts) < k:
-        t = _big(rng)
-        pts.add((t, sum(c * t**i for i, c in enumerate(coeffs))))
-    while len(pts) < k + free:
-        pts.add((_big(rng), _big(rng)))
-    pts = sorted(pts)
-    rng.shuffle(pts)
-    return pts
-
-
-def walk_bases(walk: dict, n_cols: int) -> dict:
-    """The `flats` map of a `flats_step` walk: each closure to its basis
-    without the carried dots, as a tuple of tuples."""
-    return {
-        closure: tuple(tuple(k[:n_cols]) for k in basis)
-        for closure, (basis, _, _) in walk.items()
-    }
-
-
-def _assert_fold_matches_flats(rows, co_rows, n_cols, co_cols):
+def _assert_fold_matches_flats(rows, n_cols):
     """At every prefix of the rows, the `flats_step` fold is `flats` with
-    max_rank the column count, with the same raw bases; its flats with a
-    nonempty basis, the realizable sections, are those of `flats` with
-    max_rank one less; and each flat's co-node is the `prefix_kernels` node
-    of its complement's co-rows."""
-    co_node = prefix_kernels(co_rows, co_cols)
-    walk = flats_root(n_cols, co_cols)
-    for m, (row, co_row) in enumerate(zip(rows, co_rows)):
-        walk = flats_step(walk, m, row, co_row)
-        got = walk_bases(walk, n_cols)
+    max_rank the column count, with the same raw bases of n_cols entries
+    each; its flats with a nonempty basis, the realizable sections, are
+    those of `flats` with max_rank one less; and each step leaves the walk
+    it was given as it was."""
+    walk = {(): kernel_root(n_cols)}
+    for m in range(len(rows)):
+        before = copy.deepcopy(walk)
+        stepped = flats_step(walk, rows, m)
+        assert walk == before
+        walk = stepped
+        assert all(len(k) == n_cols for basis, _ in walk.values() for k in basis)
+        got = walk_bases(walk)
         assert got == flats(rows[:m + 1], n_cols, n_cols)
         below = flats(rows[:m + 1], n_cols, n_cols - 1)
         assert {c: b for c, b in got.items() if b} == {c: b for c, b in below.items() if b}
-        for closure, (_, _, node) in walk.items():
-            assert node == co_node(tuple(j for j in range(m + 1) if j not in closure))
 
 
 @pytest.mark.parametrize("e", [1, 2, 3])
 @pytest.mark.parametrize("curve, k, free", [("line", 5, 4), ("conic", 7, 2), ("cubic", 10, 0)])
 def test_flats_fold_matches_flats(e, curve, k, free):
-    pts = _heavy_points(500 + 10 * e + k, curve, k, free)
+    pts = heavy_points(500 + 10 * e + k, curve, k, free)
     assert any(x.denominator > 1 for p in pts for x in p)
-    rows = [integer_lift(p, e) for p in pts]
-    co_rows = [integer_lift(p, 4 - e) for p in pts]
-    _assert_fold_matches_flats(rows, co_rows, comb(e + 2, 2), comb(4 - e + 2, 2))
+    _assert_fold_matches_flats([integer_lift(p, e) for p in pts], comb(e + 2, 2))
 
 
 def test_flats_fold_matches_flats_on_grown_d4_chain():
@@ -493,5 +466,4 @@ def test_flats_fold_matches_flats_on_grown_d4_chain():
     assert res.success
     for e in range(1, 4):
         rows = [A.homogeneous_lifts(e)[i] for i in res.chain]
-        co_rows = [A.homogeneous_lifts(4 - e)[i] for i in res.chain]
-        _assert_fold_matches_flats(rows, co_rows, comb(e + 2, 2), comb(4 - e + 2, 2))
+        _assert_fold_matches_flats(rows, comb(e + 2, 2))

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 import sys
@@ -38,7 +39,7 @@ from ordcurves.oracle import oracle_nd
 from ordcurves.projection import build_pipeline, curves_from_basis
 from ordcurves.veronese import ambient_dim, integer_lift, lift, poly_to_vector
 
-from flats_reference import flats
+from flats_reference import flats, heavy_points
 
 OCTET = [(0, 0), (1, 0), (0, 1), (3, 5), (2, 7), (5, 1), (1, 4), (6, 2)]
 TRIPLE = [(0, 0), (1, 0), (0, 1)]
@@ -245,10 +246,17 @@ def _on_conic(k):
     return [(_q(t, 2), _q(t * t, 4) - 1) for t in range(1, k + 1)]
 
 
+# the 3x3 grid {0,1,2} x {0,1,3} less (2,3), the grid's ninth point, then
+# (2,3) and three more points of the line 3y = x + 7 through it
+_NINTH = [(x, y) for x in (0, 1, 2) for y in (0, 1, 3) if (x, y) != (2, 3)]
+_NINTH += [(2, 3), (5, 4), (-1, 2), (8, 5)]
+
 # (d, points, first failing condition or None); B is all of the points.  At
 # d = 2 and 3 only condition (ii) can fail first.  At d = 4 the line meets B
 # in 5, 4 or 3 points, and the conic's 8 points make the line's complement
-# dependent at degree 3.
+# dependent at degree 3.  In the last basis every cubic through the eight
+# other grid points passes through (2,3), so the line's four points are a
+# (iii) section at e = 1 with a point in W.
 SECTION_BASES = [
     (2, OCTET[:3], None),
     (2, _on_line(3, _q(1, 2), 0), "ii"),
@@ -259,6 +267,7 @@ SECTION_BASES = [
     (4, _on_line(5, _q(1, 2), -2) + _FREE + [(_q(2, 11), _q(-7, 2))], "ii"),
     (4, _on_line(4, -2, 1) + _on_conic(8), "iii"),
     (4, _on_line(3, -2, 1) + _on_conic(8) + _FREE[:1], "iv"),
+    (4, _NINTH, None),
 ]
 
 
@@ -291,12 +300,14 @@ def test_conic_section_basis(monkeypatch, check_sections):
     basis = list(range(7))
     inner = _count_calls(monkeypatch, "realizable_sections")
     verdict = nd_verify(A, basis, 3)
-    # the six conic points are the one (iii) section, and the verifier walks
-    # the flats inside it
+    # the six conic points are the one (iii) section
     conic = primitive(poly_to_vector(parse_poly("x^2 - y - 1"), 2))
     assert verdict.sections == ((2, (0, 1, 2, 3, 4, 5), conic),)
     assert check_sections(A, basis, verdict) == 1
-    assert inner == ["_deciding_sections"]
+    # no point of the conic has its degree-1 row in the span W of the
+    # other points' rows, so no flat inside it can fail (iv), and the
+    # verifier walks none (proof at `nd_verify`)
+    assert inner == []
     assert oracle_nd(A, basis, 3)
     # the conic is the exceptional catalog, with one forbidden image point,
     # and each emitted curve is an ordinary curve of the pipeline's n
@@ -308,6 +319,19 @@ def test_conic_section_basis(monkeypatch, check_sections):
     ordinary = {rec.curve.radical for rec in ordinary_curves(A, 9).records}
     assert len(curves.records) == 6
     assert all(rec.curve.radical in ordinary for rec in curves.records)
+
+
+def test_ninth_point_section_walks_inside(monkeypatch, check_sections):
+    # (2,3), on the line, is the ninth base point of the cubic pencil
+    # through the other eight grid points, so its degree-3 row lies in the
+    # span W of the rest of B: the verifier walks the flats inside the line
+    A = PointConfiguration.from_points(_NINTH, 4)
+    inner = _count_calls(monkeypatch, "realizable_sections")
+    verdict = nd_verify(A, list(range(12)), 4)
+    assert verdict.ok
+    assert verdict.sections == ((1, (8, 9, 10, 11), (7, 1, -3)),)
+    assert check_sections(A, range(12), verdict) == 1
+    assert inner == ["_deciding_sections"]
 
 
 def _reference_verdict(A, B, d):
@@ -333,7 +357,8 @@ EQUIVALENCE_CASES = [
     ("grid4-d2", _GRID4, 2, list(combinations(range(16), 3)), {None: 516, "ii": 44}, 1548),
     ("conic-d3", CONIC_SECTION, 3, list(combinations(range(11), 7)), {None: 330}, 5),
 ] + [
-    (f"section-{i}", points, d, [tuple(range(len(points)))], {condition: 1}, 3 * (i == 0))
+    (f"section-{i}", points, d, [tuple(range(len(points)))], {condition: 1},
+     {0: 3, 9: 1}.get(i, 0))
     for i, (d, points, condition) in enumerate(SECTION_BASES)
 ]
 
@@ -588,12 +613,51 @@ def _carrier_grow():
 
 def _walks_along(R, chain, d):
     """The grower's walk of every prefix of the chain, the empty one first,
-    as (prefix, walk) pairs; each walk is spent by the next step."""
+    as (prefix, walk) pairs."""
     walk = _root_walk(d)
     yield (), walk
-    for m, i in enumerate(chain):
-        walk = _extend_walk(walk, R, d, m, i)
+    for m in range(len(chain)):
+        walk = _extend_walk(walk, R, d, chain[:m + 1])
         yield tuple(chain[:m + 1]), walk
+
+
+def _assert_grower_walk(A, chain, d, degrees):
+    """Along the chain, with the flats of each degree e in `degrees`: the
+    grower's complement node of each flat is the `prefix_kernels` node of
+    the flat's complement's degree-(d-e) rows, every vector has as many
+    entries as there are monomials of its degree, and each step leaves the
+    walk it was given as it was."""
+    R = _degree_rows(A, d)
+    d_node, walks = _root_walk(d)
+    walk = d_node, {e: walks[e] for e in degrees}
+    nodes = {e: prefix_kernels([R[d - e][j] for j in chain], comb(d - e + 2, 2)) for e in degrees}
+    for m in range(len(chain)):
+        before = copy.deepcopy(walk)
+        stepped = _extend_walk(walk, R, d, chain[:m + 1])
+        assert walk == before
+        walk = stepped
+        for e, (found, co) in walk[1].items():
+            assert list(co) == list(found)
+            for closure, co_node in co.items():
+                assert co_node == nodes[e](tuple(j for j in range(m + 1) if j not in closure))
+            assert all(len(k) == comb(e + 2, 2) for basis, _ in found.values() for k in basis)
+            assert all(len(k) == comb(d - e + 2, 2) for basis, _ in co.values() for k in basis)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+@pytest.mark.parametrize("curve, k, free", [("line", 5, 4), ("conic", 7, 2), ("cubic", 10, 0)])
+def test_grower_co_nodes_match_prefix_kernels(e, curve, k, free):
+    # the points `test_flats_fold_matches_flats` folds at degree e, as a
+    # d=4 chain in their order
+    A = PointConfiguration.from_points(heavy_points(500 + 10 * e + k, curve, k, free), 4)
+    _assert_grower_walk(A, list(range(len(A))), 4, [e])
+
+
+def test_grower_co_nodes_match_prefix_kernels_on_grown_d4_chain():
+    A = sample_configuration("random_general", seed=3000, count=14, d=4, genericity=4).config
+    res = grow_nd_chain(A, [], None, 4, seed=0)
+    assert res.success
+    _assert_grower_walk(A, list(res.chain), 4, range(1, 4))
 
 
 @pytest.mark.parametrize("grow", [_octet_grow, _random_general_grow, _carrier_grow],
@@ -611,7 +675,7 @@ def test_grow_regions_match_subset_scan(grow):
         # one active flat per region of the scan; the grower's normals are
         # raw kernel vectors, and made primitive they are the scan's
         flats = [
-            (e, idx, tuple(primitive(k[:comb(e + 2, 2)]) for k in v),
+            (e, idx, tuple(primitive(k) for k in v),
              tuple(primitive(k) for k in w), *quantities)
             for e, idx, v, w, *quantities in _active_flats(walk, len(b), d, sample)
         ]
