@@ -26,6 +26,12 @@ full rank fills one map from vector to incidence
 suffix of rank N, so it spans that suffix's one hyperplane, the fold's
 kernel vector where the rank first reached N, which is added once if the
 walk did not find it; when the rows have rank N no subtree is walked.
+At d >= 2, rows that span with at most two rows beyond their C(d+2,2)
+columns, such as the carrier-heavy sets at m = N+1..N+3 and a basis's
+degree-(d-1) rows up to d = 4, walk no tree at all: every N-subset is read in the
+coordinates of one basis of the rows, its vector and incidence from a
+cross product of at most two coordinate rows (the coordinates lemma in
+`linalg`), with the same map in the same order.
 
 The primitive vector is the hyperplane's only representation.  It is also
 the identity of the hyperplane's curve: the polynomial of a spanned
@@ -33,11 +39,12 @@ hyperplane is squarefree (the lemma at `veronese.spanned_curve`), so it is
 its own radical, and two distinct primitive vectors are two distinct curves.
 Dedup on the vectors is therefore dedup on curves, each `CurveRecord` holds
 one vector, and a record's polynomial and `PlaneCurve` are built only when a
-caller asks for them.  A curve's incidence is read off the leaf that found
-its vector first, once per distinct vector, by this lemma: that leaf's
-rows are the greedy basis of the rows on the hyperplane (Edmonds 1971;
-Oxley, Matroid Theory, ch. 1), so a row outside the leaf is on the
-hyperplane exactly when it lies in the span of the leaf rows below it.
+caller asks for them.  On the prefix tree, a curve's incidence is read off
+the leaf that found its vector first, once per distinct vector, by this
+lemma: that leaf's rows are the greedy basis of the rows on the hyperplane
+(Edmonds 1971; Oxley, Matroid Theory, ch. 1), so a row outside the leaf is
+on the hyperplane exactly when it lies in the span of the leaf rows below
+it.
 Proof sketch: leaves come in lexicographic order of their subsets, the
 walk cuts no prefix that can still be completed, and a skipped first
 index gives only the fold's vector, so the first leaf of a vector is the
@@ -224,7 +231,9 @@ def spanned_hyperplanes(config: PointConfiguration):
     lifted points, so scanning N-subsets with full affine rank is complete.
     The incidence is the set of indices of the points whose lifts lie on
     the hyperplane, read off the scan (`linalg.spanned_vectors`).  The pairs
-    come in scan order, unsorted.
+    come in scan order, unsorted: the order of their greedy bases, the
+    lexicographically first N-subset that spans each, along either of the
+    scan's paths.
     """
     return list(spanned_vectors(config.homogeneous_lifts(config.d)).items())
 

@@ -14,13 +14,45 @@ rows left to complete it.  It stops at the nets, the nodes two levels above
 the leaves, whose bases have three vectors: each later row is dotted with
 them once, and each pair of later rows gives its leaf's kernel vector by a
 cross product of those dots, with no further elimination.
-`spanned_vectors`, the determined-curve scan, is one such walk from every
-first index whose suffix has full rank, into one map from each curve's
-primitive vector to its incidence, both read off the leaf that first gave
-the vector, whose rows are the greedy basis of the rows on its hyperplane;
-the one hyperplane of the suffixes of rank N comes from the rank fold.  The
-samplers' span guard walks only the leaves through its new row.
-The basis verifier reads a basis's hyperplanes off the same scan.
+`spanned_vectors`, the determined-curve scan, maps each curve's primitive
+vector to its incidence, in the order of their greedy bases (a vector's
+greedy basis is the lexicographically first independent N-subset of the
+rows on its hyperplane), along one of two paths.  Rows of full rank n >= 4
+with at most s = 2 rows beyond their n columns are read in the coordinates
+of one basis (`_coordinate_vectors`).  Neither bound is a tuned value: s
+is the size of the cross product below, of at most two coordinate rows,
+and at n = 3 (N = 2) the tree's root is its net, so it takes no kernel
+step past the rank fold and the coordinates have no steps to save.  Any
+other rows take one such walk from every first index whose suffix has
+full rank, each vector and its incidence read off the leaf that first
+gave the vector, whose rows are its greedy basis; the one hyperplane of
+the suffixes of rank N comes from the rank fold.  The
+samplers' span guard walks only the leaves through its new row.  The
+basis verifier reads a basis's hyperplanes off the same scan.
+
+The coordinates lemma.  Let B be n independent rows and A_u vectors with
+B_k.A_u = D_u [k = u], each D_u != 0, and put mu_j[u] = row_j.A_u for
+each other row j.  An N-subset (B \\ U) + T, T among the other rows and
+|U| = |T| + 1, is independent exactly when y != 0, y the cross product of
+its |T| coordinate rows mu_j restricted to U (y = 1 for T empty, (b, -a)
+for one row (a, b)); its kernel vector is then the sum of y_u A_u over U,
+B_k is on its hyperplane exactly when k is outside U or y_k = 0, and row j
+exactly when the sum of mu_j[u] y_u is 0.  Proof: the A_u are a basis, and
+B_k.(sum x_u A_u) = D_k x_k, so the vectors orthogonal to B \\ U are those
+with x supported on U, and row j has the dot sum mu_j[u] x_u with them.
+So the subset's kernel is the kernel of the |T| x |U| matrix of its
+coordinate rows, one line exactly when that matrix has rank |T|, that is
+when its maximal minors, the entries of y up to sign, are not all 0; then
+y spans it, as each coordinate row's dot with y is a determinant with that
+row twice.  The incidence is the same dots.  The subset's complement
+U + (others \\ T) is any s+1 of the m = n + s rows, so counting by t = |T|
+gives sum_t C(s,t) C(n,t+1) = C(m, s+1) = C(m, N)
+(Vandermonde), every subset once.  A subset comes before another in
+lexicographic order exactly when the least row where they differ is in it,
+that is in the other's complement, so the subsets come in lexicographic
+order as their complements come in reverse, and the first subset of each
+hyperplane is its greedy basis: the scan keeps that order with no sort.
+
 `flats_step` is the package's one walk of all the flats of a row matroid
 (Oxley, Matroid Theory, ch. 1): it turns the walk of the rows so far into
 a new walk with one more row in one pass over its flats, each flat mapped
@@ -45,7 +77,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import chain
+from itertools import chain, combinations
 from math import gcd, lcm
 from operator import mul
 
@@ -330,34 +362,39 @@ def _nets(rows, first: int, size: int, last):
 
 def spanned_vectors(rows) -> dict:
     """The distinct primitive kernel vectors of the independent N-subsets of
-    the rows, N one less than the row length, each mapped to its incidence:
-    the indices of the rows it is orthogonal to.
+    the rows, N one less than the row length n, each mapped to its
+    incidence, the indices of the rows it is orthogonal to, in the order of
+    their greedy bases, the first subset that gives each.
 
-    rank(rows[i:]) for every i comes from one fold from the end, which
-    stops once the basis is empty.  Every N-subset with a least index whose
-    suffix has rank exactly N lies in that suffix, so it spans the one
-    hyperplane of the fold node where the rank first reached N.  So the
-    leaves of `hyperplane_leaves`, with the ranks, are walked only from the
-    first indices whose suffix has full rank, and that one vector is added
-    after them when they did not find it: on it lie every row from the
-    first rank-N index on and each earlier row whose dot product with it is
-    0.  Rows of rank N walk nothing and give it with every index.
-
-    Each leaf's vector is made primitive, and a vector not found before
-    gets its incidence from its leaf.  Leaves come in lexicographic order,
-    the walk cuts no prefix that can be completed, and a skipped first index
-    gives only the fold's vector, so the first leaf of a vector is the
-    lexicographically first independent N-subset of the rows on its
-    hyperplane, their greedy basis (Edmonds 1971; Oxley, Matroid Theory,
-    ch. 1).  A row outside the leaf then lies on the hyperplane exactly when
-    it is in the span of the leaf rows below it: before the leaf's first
-    row, the zero rows; between its prefix rows, the rows the walk found
-    dependent on its path; past the prefix and before the leaf's last row b,
-    the leaf's `on` rows; after b, each row t with c.D_t = 0.
+    rank(rows[i:]) for every i comes from one fold from the end
+    (`_suffix_ranks`).  Rows of rank n >= 4 with s = m - n <= 2 for m rows
+    are scanned in the coordinates of the basis B where the fold's rank
+    rises (`_coordinate_vectors`, the coordinates lemma in the module
+    docstring): one elimination over n rows, then the C(m, N) = C(m, s+1)
+    subsets with a cross product of at most two coordinate rows each, where
+    the prefix tree steps N-2 levels for every few leaves.  Any other rows
+    walk the prefix tree (`_leaf_vectors`): with more rows beyond the
+    basis, y would be the maximal minors of a larger coordinate matrix
+    while the tree skips every dependent prefix; at n = 3 the tree steps no
+    level at all; and rows that do not span have no basis.  Both paths give
+    the same map in the same order.
     """
+    ranks, plane = _suffix_ranks(rows)
+    n_cols = len(rows[0])
+    if ranks[0] == n_cols > 3 and len(rows) - n_cols <= 2:
+        return _coordinate_vectors(rows, [i for i in range(len(rows)) if ranks[i] > ranks[i + 1]])
+    return _leaf_vectors(rows, ranks, plane)
+
+
+def _suffix_ranks(rows):
+    """rank(rows[i:]) for every i up to len(rows), where it is 0, from one
+    fold from the end that stops once the basis is empty, with the fold's
+    one kernel vector where the rank first reached N (None if it did not);
+    the ranks before the index where it stopped are n, the row length."""
     n_rows, n_cols = len(rows), len(rows[0])
     ranks = [n_cols] * n_rows + [0]
     node = kernel_root(n_cols)
+    plane = None
     for i in range(n_rows - 1, -1, -1):
         if not node[0]:
             break
@@ -365,6 +402,33 @@ def spanned_vectors(rows) -> dict:
         ranks[i] = n_cols - len(node[0])
         if ranks[i] == n_cols - 1:
             plane = node[0][0]
+    return ranks, plane
+
+
+def _leaf_vectors(rows, ranks, plane) -> dict:
+    """`spanned_vectors` by the prefix tree, given `_suffix_ranks`, for
+    rows of any shape.
+
+    Every N-subset with a least index whose suffix has rank exactly N lies
+    in that suffix, so it spans the one hyperplane of the fold node where
+    the rank first reached N.  So the leaves of `hyperplane_leaves`, with
+    the ranks, are walked only from the first indices whose suffix has full
+    rank, and that one vector is added after them when they did not find
+    it: on it lie every row from the first rank-N index on and each earlier
+    row whose dot product with it is 0.  Rows of rank N walk nothing and
+    give it with every index.
+
+    Each leaf's vector is made primitive, and a vector not found before
+    gets its incidence from its leaf.  Leaves come in lexicographic order,
+    the walk cuts no prefix that can be completed, and a skipped first index
+    gives only the fold's vector, so the first leaf of a vector is its
+    greedy basis.  A row outside the leaf then lies on the hyperplane
+    exactly when it is in the span of the leaf rows below it: before the
+    leaf's first row, the zero rows; between its prefix rows, the rows the
+    walk found dependent on its path; past the prefix and before the leaf's
+    last row b, the leaf's `on` rows; after b, each row t with c.D_t = 0.
+    """
+    n_rows, n_cols = len(rows), len(rows[0])
     full = ranks.count(n_cols)
     zeros = [r for r, row in enumerate(rows) if not any(row)]
     found = {}
@@ -387,6 +451,64 @@ def spanned_vectors(rows) -> dict:
     if ranks[full] == n_cols - 1 and (v := _primitive(plane)) not in found:
         on = [r for r in range(full) if not sum(map(mul, v, rows[r]))]
         found[v] = frozenset(chain(on, range(full, n_rows)))
+    return found
+
+
+def _coordinate_vectors(rows, basis) -> dict:
+    """`spanned_vectors` of rows of rank n with at most two rows besides
+    the basis B = rows[basis], an ascending index list of n rows, by the
+    coordinates lemma.
+
+    The A_u come from one `kernel_node` over the rows (B_k, -e_k), n rows
+    of length 2n.  Its free columns are the last n: the step pivots on the
+    first free column with a nonzero dot, and while the first n columns
+    left free give a kernel basis of the rows B_1..B_k, the next row, being
+    outside their span, has a nonzero dot with one of them.  So its vectors
+    are (A_u, D e_u), the pivot D on the free column, and B_k.A_u = D [k = u].
+    Each A_u is then made primitive, which keeps the lemma and shrinks every
+    later product: A_u is D, det B up to sign, times column u of B^-1, and
+    most of D is common to its entries.
+
+    The subsets come with their complements in reverse lexicographic order.
+    A hyperplane with more than N rows on it is the hyperplane of each
+    independent N-subset of those rows, so once found it marks their
+    complements, and those subsets are skipped.
+    """
+    n_rows, n = len(rows), len(basis)
+    dual, _ = kernel_node([[*rows[b], *(-int(u == k) for u in range(n))]
+                           for k, b in enumerate(basis)], 2 * n)
+    dual = [_primitive(a[:n]) for a in dual]
+    where = {b: k for k, b in enumerate(basis)}
+    others = [j for j in range(n_rows) if j not in where]
+    mu = {j: [sum(map(mul, rows[j], a)) for a in dual] for j in others}
+    basis_set = frozenset(basis)
+    skip = set()
+    found = {}
+    for out in sorted(combinations(range(n_rows), n_rows - n + 1), reverse=True):
+        if out in skip:
+            continue
+        U = [where[r] for r in out if r in where]
+        T = [mu[j] for j in others if j not in out]
+        if not T:
+            y, v = [1], dual[U[0]]
+        elif len(T) == 1:
+            (u0, u1), (t,) = U, T
+            c0, c1 = y = [t[u1], -t[u0]]
+            v = [c0 * p + c1 * q for p, q in zip(dual[u0], dual[u1])]
+        else:
+            u0, u1, u2 = U
+            (x0, x1, x2), (z0, z1, z2) = ([t[u] for u in U] for t in T)
+            c0, c1, c2 = y = [x1 * z2 - x2 * z1, x2 * z0 - x0 * z2, x0 * z1 - x1 * z0]
+            v = [c0 * p + c1 * q + c2 * r for p, q, r in zip(dual[u0], dual[u1], dual[u2])]
+        if not any(y):
+            continue
+        on = basis_set.difference(basis[u] for u, c in zip(U, y) if c).union(
+            j for j in others if not sum(map(mul, y, [mu[j][u] for u in U])))
+        found[_primitive(v)] = on
+        if len(on) >= n:
+            off = tuple(r for r in range(n_rows) if r not in on)
+            skip.update(tuple(sorted(off + extra))
+                        for extra in combinations(sorted(on), len(on) - n + 1))
     return found
 
 

@@ -552,6 +552,129 @@ def test_spanned_vectors_match_subset_scan_on_dependent_rows():
         assert list(spanned_vectors(rows).items()) == list(expected.items()), rows
 
 
+def _tree_scan(rows):
+    """`spanned_vectors` by the prefix tree alone, whatever the rows' shape:
+    the reference for the scan in basis coordinates."""
+    from ordcurves import linalg
+
+    return linalg._leaf_vectors(rows, *linalg._suffix_ranks(rows))
+
+
+def _coordinate_scans(monkeypatch):
+    """The rows of every scan read in basis coordinates."""
+    from ordcurves import linalg
+
+    calls = []
+    real = linalg._coordinate_vectors
+
+    def counted(rows, basis):
+        calls.append(rows)
+        return real(rows, basis)
+
+    monkeypatch.setattr(linalg, "_coordinate_vectors", counted)
+    return calls
+
+
+def _near_square_rows(seed, s, deficiency):
+    """n + s integer rows of n = 2 to 6 columns and rank n - deficiency:
+    that many independent rows, with zero, repeated, proportional and
+    spanned rows, and at full rank free ones, each put before, between or
+    after the rows placed so far."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    r = max(n - deficiency, 0)
+    base = []
+    while len(base) < r:
+        row = tuple(rng.randint(-3, 3) for _ in range(n))
+        if rank([*base, row]) > len(base):
+            base.append(row)
+    rows = list(base)
+    kinds = ["zero", "repeat", "multiple", "span"] + ["free"] * (deficiency == 0)
+    while len(rows) < n + s:
+        kind = rng.choice(kinds) if base else "zero"
+        if kind == "zero":
+            row = (0,) * n
+        elif kind == "repeat":
+            row = rng.choice(base)
+        elif kind == "multiple":
+            k = rng.choice([-2, 2, 3])
+            row = tuple(k * x for x in rng.choice(base))
+        elif kind == "span":
+            coeffs = {b: rng.randint(-2, 2) for b in rng.sample(base, min(len(base), 3))}
+            row = tuple(sum(k * b[c] for b, k in coeffs.items()) for c in range(n))
+        else:
+            row = tuple(rng.randint(-3, 3) for _ in range(n))
+        rows.insert(rng.choice([0, rng.randint(0, len(rows)), len(rows)]), row)
+    return rows
+
+
+@pytest.mark.parametrize("deficiency", [0, 1, 2], ids=["rank-n", "rank-N", "below-N"])
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_coordinate_scan_matches_tree_on_near_square_rows(monkeypatch, s, deficiency):
+    # rows of n >= 4 columns with at most two more rows than columns are
+    # read in the coordinates of one basis when they span, and any other
+    # rows walk the prefix tree: either way the same map, in the same
+    # order, as the tree and as the subset-by-subset scan
+    calls = _coordinate_scans(monkeypatch)
+    coordinate = 0
+    for seed in range(12):
+        rows = _near_square_rows(1000 * s + 100 * deficiency + seed, s, deficiency)
+        assert rank(rows) == max(len(rows[0]) - deficiency, 0)
+        got = list(spanned_vectors(rows).items())
+        assert got == list(_tree_scan(rows).items()), rows
+        assert got == list(_bareiss_scan(rows)[0].items()), rows
+        coordinate += deficiency == 0 and len(rows[0]) > 3
+    assert len(calls) == coordinate
+    assert coordinate or deficiency
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_coordinate_scan_matches_tree_on_carrier_heavy_sets(monkeypatch, d):
+    # theorem8 at m = N+1..N+3: 0 to 2 rows beyond the C(d+2,2) columns
+    calls = _coordinate_scans(monkeypatch)
+    N = comb(d + 2, 2) - 1
+    for m in range(N + 1, N + 4):
+        rows = construct_theorem8(d, N, m, seed=m).config.homogeneous_lifts(d)
+        got = list(spanned_vectors(rows).items())
+        assert got == list(_tree_scan(rows).items())
+        if d == 3:
+            assert got == list(_bareiss_scan(rows)[0].items())
+    assert len(calls) == 3
+
+
+def test_coordinate_scan_matches_tree_on_grid_subsets(monkeypatch):
+    # every 6-, 7- and 8-subset of the 3x3 grid at d=2: those on a conic
+    # (two of the grid's lines, say) do not span and walk the tree
+    calls = _coordinate_scans(monkeypatch)
+    grid = [(x, y) for x in range(3) for y in range(3)]
+    spanning = 0
+    for size in (6, 7, 8):
+        for idx in combinations(range(9), size):
+            rows = PointConfiguration.from_points([grid[i] for i in idx], 2).homogeneous_lifts(2)
+            got = list(spanned_vectors(rows).items())
+            assert got == list(_tree_scan(rows).items()), idx
+            assert got == list(_bareiss_scan(rows)[0].items()), idx
+            spanning += rank(rows) == 6
+    assert 0 < len(calls) == spanning < 84 + 36 + 9
+
+
+def test_rows_three_beyond_their_columns_or_of_three_columns_walk_the_tree(monkeypatch):
+    # in basis coordinates a subset's kernel is the cross product of at most
+    # two coordinate rows, so only rows at most two beyond their columns are
+    # read there: theorem8 at d=3, m=12 is, and m=13 walks the prefix tree;
+    # so do rows of three columns, whose tree steps no level past its root
+    calls = _coordinate_scans(monkeypatch)
+    lines = PointConfiguration.from_points([(0, 0), (1, 0), (0, 1), (2, 3)], 1)
+    for rows, coordinate in [
+        (construct_theorem8(3, 9, 12, seed=12).config.homogeneous_lifts(3), 1),
+        (construct_theorem8(3, 9, 13, seed=13).config.homogeneous_lifts(3), 0),
+        (lines.homogeneous_lifts(1), 0),
+    ]:
+        calls.clear()
+        assert list(spanned_vectors(rows).items()) == list(_tree_scan(rows).items())
+        assert len(calls) == coordinate
+
+
 def _carrier_tail(seed, d, free, on_curve, tail_last):
     """Points of height up to 10^6: `free` random ones and `on_curve` on a
     rational conic (d = 2) or cubic (d = 3), the curve's points last when
@@ -671,11 +794,21 @@ def test_line_heavy_scan_skips_what_cannot_complete(monkeypatch):
 
 def test_carrier_heavy_scan_skips_the_rank_n_suffixes(monkeypatch):
     # theorem8 at d=3, m=12: the carrier's 11 rows come last, and first
-    # indices 1..3 have suffixes of rank N = 9; walking them took 341 steps
+    # indices 1..3 have suffixes of rank N = 9; walking them took 341 steps,
+    # and the prefix tree from index 0 alone 222.  The rows span with two
+    # more than their 10 columns, so the scan reads every 9-subset in the
+    # coordinates of one basis: the rank fold's 12 steps and the 10 of the
+    # dual basis's elimination, and no net
+    from ordcurves import linalg
+
     config = construct_theorem8(3, 9, 12, seed=12).config
     steps = _count_steps(monkeypatch)
+    walks = []
+    real = linalg.hyperplane_leaves
+    monkeypatch.setattr(linalg, "hyperplane_leaves", lambda *a: walks.append(a) or real(*a))
     assert len(spanned_hyperplanes(config)) == 166
-    assert len(steps) == 222
+    assert len(steps) == 22
+    assert walks == []
 
 
 def test_sweep_steps_below_the_nets_only(monkeypatch):
@@ -683,10 +816,13 @@ def test_sweep_steps_below_the_nets_only(monkeypatch):
     # scans stepped 1,908 + 1,256 times when both eliminated down to one
     # level above their leaves, and 850 times while the enumeration folded
     # the lifts once more for containment (30) and the scans walked the
-    # first indices whose suffix has rank N (15)
+    # first indices whose suffix has rank N (15); 805 when the |A| = 8 scan
+    # still walked its prefix tree (37 steps), 780 since those 8 rows in 6
+    # columns are read in basis coordinates (12: the fold's and the dual
+    # basis's)
     steps = _count_steps(monkeypatch)
     for size in range(8, 13):
         built = sample_configuration("random_general", seed=1 + size, count=size, d=2,
                                      genericity=2)
         enumerate_determined(built.config)
-    assert len(steps) == 805
+    assert len(steps) == 780
