@@ -124,22 +124,12 @@ class BivariatePolynomial:
         return BivariatePolynomial(tuple((m, -c) for m, c in self.terms))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         out: dict = {}
         for (n1, m1), c1 in self.terms:
             for (n2, m2), c2 in other.terms:
                 key = (n1 + n2, m1 + m2)
                 out[key] = out.get(key, _ZERO) + c1 * c2
         return BivariatePolynomial.from_dict(out)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "BivariatePolynomial":
-        c = Fraction(c)
-        if c == 0:
-            return ZERO_POLY
-        return BivariatePolynomial(tuple((m, c * x) for m, x in self.terms))
 
     def pow(self, k: int) -> "BivariatePolynomial":
         out = constant(1)
@@ -205,9 +195,6 @@ class BivariatePolynomial:
 
     def __str__(self):
         return self.text()
-
-
-ZERO_POLY = BivariatePolynomial(())
 
 
 def constant(c) -> BivariatePolynomial:

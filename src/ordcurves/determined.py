@@ -42,21 +42,19 @@ one vector, and a record's polynomial and `PlaneCurve` are built only when a
 caller asks for them.  On the prefix tree, a curve's incidence is read off
 the leaf that found its vector first, once per distinct vector, by this
 lemma: that leaf's rows are the greedy basis of the rows on the hyperplane
-(Edmonds 1971; Oxley, Matroid Theory, ch. 1), so a row outside the leaf is
-on the hyperplane exactly when it lies in the span of the leaf rows below
-it.
+(Edmonds 1971; Oxley, Matroid Theory, ch. 1), so a row before the net's
+later rows is on the hyperplane exactly when it lies in the span of the
+net's rows, and a later row t exactly when c.D_t = 0, its dot with the
+vector, for the leaf's cross product c and the row's three net dots D_t.
 Proof sketch: leaves come in lexicographic order of their subsets, the
 walk cuts no prefix that can still be completed, and a skipped first
 index gives only the fold's vector, so the first leaf of a vector is the
 lexicographically first independent N-subset of the rows on it; greedy
 takes a row exactly when it is outside the span of the rows taken before,
-so each row it leaves out is in the span of the basis rows below it, and a
-row in that span is on the hyperplane.  The walk already holds each case:
-before the leaf's first row, only zero rows; between its prefix rows, the
-rows the walk tried there and found dependent; among the net's later rows
-before the leaf's last row b, those whose three net dots D_t are 0 or, past
-its row a, parallel to D_a, exactly the pairs (a, t) that gave no leaf;
-after b, the rows t with c.D_t = 0, which is the vector's dot with row t.
+so each row it leaves out before the net's later rows is in the span of
+the net's rows, and a row in that span is on the hyperplane.  The walk
+carries those rows with each net: the zero rows before its first index,
+the net's rows, and the rows its path found dependent.
 Each membership is an exact integer test, never a count of the subsets
 that spanned the hyperplane, and no curve is evaluated again at every
 point.

@@ -13,7 +13,8 @@ skipping every subtree with a dependent prefix or with too few independent
 rows left to complete it.  It stops at the nets, the nodes two levels above
 the leaves, whose bases have three vectors: each later row is dotted with
 them once, and each pair of later rows gives its leaf's kernel vector by a
-cross product of those dots, with no further elimination.
+cross product c of those dots, with no further elimination.  Each net
+carries, as `below`, the earlier rows in the span of its rows.
 `spanned_vectors`, the determined-curve scan, maps each curve's primitive
 vector to its incidence, in the order of their greedy bases (a vector's
 greedy basis is the lexicographically first independent N-subset of the
@@ -25,10 +26,11 @@ and at n = 3 (N = 2) the tree's root is its net, so it takes no kernel
 step past the rank fold and the coordinates have no steps to save.  Any
 other rows take one such walk from every first index whose suffix has
 full rank, each vector and its incidence read off the leaf that first
-gave the vector, whose rows are its greedy basis; the one hyperplane of
-the suffixes of rank N comes from the rank fold.  The
-samplers' span guard walks only the leaves through its new row.  The
-basis verifier reads a basis's hyperplanes off the same scan.
+gave the vector, whose rows are its greedy basis: the net's `below`, and
+the later rows whose dots have c.D = 0; the one hyperplane of the
+suffixes of rank N comes from the rank fold.  The samplers' span guard
+walks only the leaves through its new row.  The basis verifier reads a
+basis's hyperplanes off the same scan.
 
 The coordinates lemma.  Let B be n independent rows and A_u vectors with
 B_k.A_u = D_u [k = u], each D_u != 0, and put mu_j[u] = row_j.A_u for
@@ -258,8 +260,8 @@ def prefix_kernels(rows, n_cols: int):
 
 def hyperplane_leaves(rows, first: int, ranks=None):
     """The kernel vector of each independent N-subset of the rows whose
-    least index is `first`, N one less than the row length, as (v, c, net,
-    b, on).
+    least index is `first`, N one less than the row length, as (v, c, net)
+    with net = (j, dots, below).
 
     A lexicographic prefix-tree DFS on `kernel_step` (Knuth, TAOCP 4A
     7.2.1.3) from the node of rows[first] down to the nets, the nodes of N-2
@@ -268,29 +270,25 @@ def hyperplane_leaves(rows, first: int, ranks=None):
     depth k cannot be completed from the rows left when rank(rows[i:]) =
     ranks[i] is below N - k; either subtree is skipped.  `ranks` holds
     rank(rows[i:]) for every i up to len(rows), where it is 0; without it
-    only the count of rows left bounds the walk.
+    only the count of rows left bounds the walk.  Each path carries one
+    tuple, `below`: the zero rows before `first`, the path's rows, and the
+    rows each node on it tried and found in its span, all in the span of
+    the net's rows.
 
-    A net's basis is three vectors (k0, k1, k2), and each later row t is
-    dotted with them once, D_t = (k0.row_t, k1.row_t, k2.row_t).  A pair
-    a < b of later rows completes the net to a leaf whose kernel vectors are
-    the combinations c0 k0 + c1 k1 + c2 k2 with c orthogonal to D_a and D_b,
-    so c = D_a x D_b: the leaf is dependent exactly when c = 0, and
-    otherwise v = c0 k0 + c1 k1 + c2 k2, not made primitive.  v.row = c.D
-    for every row, so a later row t lies on v's hyperplane exactly when
-    c.D_t = 0.  No `kernel_step` runs below the nets.  net is (prefix, j,
-    basis, dots, dependent): the net's row indices, the first later row j,
-    the net's basis, the D_t of rows[j:], and for each node on the net's
-    path that has children, the list of rows it found dependent.  b is the
-    leaf's last row, and `on` holds a and the later rows before b in the
-    span of the leaf rows below them: those with D_t = 0 or, past a, with
-    D_t parallel to D_a.  Both are offsets from j, and `on` is only valid
-    until the next leaf.
+    A net's basis is three vectors (k0, k1, k2), and each later row, from j
+    one past the net's last row, is dotted with them once: `dots` holds
+    D_t = (k0.r, k1.r, k2.r) for r = rows[j + t].  A pair a < b of later
+    rows completes the net to a leaf whose kernel vectors are the
+    combinations c0 k0 + c1 k1 + c2 k2 with c orthogonal to D_a and D_b, so
+    c = D_a x D_b: the leaf is dependent exactly when c = 0, and otherwise
+    v = c0 k0 + c1 k1 + c2 k2, not made primitive.  v.rows[j + t] = c.D_t,
+    so that row lies on v's hyperplane exactly when c.D_t = 0.  No
+    `kernel_step` runs below the nets.
 
-    At N = 2 the net is the root, the identity basis with no prefix, and a
-    is `first`.  At N = 1 the leaf is the row (x, y) at `first` itself:
-    v = (-y, x), read off the basis (e0, e1, 0) with c = (-y, x, 0), j =
-    first + 1 and b = -1.  Leaves come in lexicographic order of their index
-    subsets.
+    At N = 2 the net is the root, the identity basis, with j = `first`.  At
+    N = 1 the leaf is the row (x, y) at `first` itself: v = (-y, x), read
+    off the basis (e0, e1, 0) with c = (-y, x, 0) and j = first + 1.  Leaves
+    come in lexicographic order of their index subsets.
     """
     n_rows, n_cols = len(rows), len(rows[0])
     size = n_cols - 1
@@ -298,66 +296,48 @@ def hyperplane_leaves(rows, first: int, ranks=None):
         ranks = range(n_rows, -1, -1)
     if ranks[first] < size:
         return
+    zeros = tuple(r for r in range(first) if not any(rows[r]))
     if size == 1:
         x, y = rows[first]
         if x or y:
             dots = [(*row, 0) for row in rows[first + 1:]]
-            net = (first,), first + 1, ([1, 0], [0, 1], [0, 0]), dots, ()
-            yield [-y, x], (-y, x, 0), net, -1, []
+            yield [-y, x], (-y, x, 0), (first + 1, dots, (*zeros, first))
         return
     # last[k]: the last index whose suffix still has rank k
     last = [max(i for i, r in enumerate(ranks) if r >= k) for k in range(size + 1)]
-    for prefix, j, basis, dependent in _nets(rows, first, size, last):
-        k0, k1, k2 = basis
+    root = kernel_root(n_cols)
+    if size == 2:
+        stack = [(root, first, 0, zeros)]
+    else:
+        node = kernel_step(root, rows[first])
+        stack = [(node, first + 1, 1, (*zeros, first))] if node else []
+    while stack:
+        node, j, depth, below = stack.pop()
+        if depth < size - 2:
+            children = []
+            for i in range(last[size - depth], j - 1, -1):
+                child = kernel_step(node, rows[i])
+                if child is None:
+                    below += (i,)
+                else:
+                    children.append((child, i))
+            stack += [(child, i + 1, depth + 1, below + (i,)) for child, i in children]
+            continue
+        k0, k1, k2 = node[0]
         dots = [
             (sum(map(mul, k0, row)), sum(map(mul, k1, row)), sum(map(mul, k2, row)))
             for row in rows[j:]
         ]
-        net = prefix, j, basis, dots, dependent
-        zero = []
+        net = j, dots, below
         for a in range(1 if size == 2 else last[2] - j + 1):
             x0, x1, x2 = dots[a]
             if not (x0 or x1 or x2):
-                zero.append(a)
                 continue
-            on = [*zero, a]
-            for b in range(a + 1, len(dots)):
-                y0, y1, y2 = dots[b]
+            for y0, y1, y2 in dots[a + 1:]:
                 c0, c1, c2 = x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0
                 if c0 or c1 or c2:
                     v = [c0 * p + c1 * q + c2 * w for p, q, w in zip(k0, k1, k2)]
-                    yield v, (c0, c1, c2), net, b, on
-                else:
-                    on.append(b)
-
-
-def _nets(rows, first: int, size: int, last):
-    """The `hyperplane_leaves` DFS: (prefix, j, basis, dependent) for each
-    independent prefix of size-2 rows starting at `first`, j its last index
-    plus one; the root with no prefix and j = first when size is 2.  A child
-    of a node of k rows takes its row from rows[:last[size - k] + 1].  Each
-    node with children adds to `dependent` the list of the rows it tried
-    and found in its span, filled before any child is walked."""
-    root = kernel_root(len(rows[0]))
-    if size == 2:
-        yield (), first, root[0], ()
-        return
-    node = kernel_step(root, rows[first])
-    stack = [(node, first + 1, (first,), ())] if node else []
-    while stack:
-        node, start, prefix, dependent = stack.pop()
-        depth = len(prefix)
-        if depth == size - 2:
-            yield prefix, start, node[0], dependent
-            continue
-        spanned = []
-        dependent += (spanned,)
-        for i in range(last[size - depth], start - 1, -1):
-            child = kernel_step(node, rows[i])
-            if child is None:
-                spanned.append(i)
-            else:
-                stack.append((child, i + 1, prefix + (i,), dependent))
+                    yield v, (c0, c1, c2), net
 
 
 def spanned_vectors(rows) -> dict:
@@ -419,38 +399,29 @@ def _leaf_vectors(rows, ranks, plane) -> dict:
     give it with every index.
 
     Each leaf's vector is made primitive, and a vector not found before
-    gets its incidence from its leaf.  Leaves come in lexicographic order,
-    the walk cuts no prefix that can be completed, and a skipped first index
-    gives only the fold's vector, so the first leaf of a vector is its
-    greedy basis.  A row outside the leaf then lies on the hyperplane
-    exactly when it is in the span of the leaf rows below it: before the
-    leaf's first row, the zero rows; between its prefix rows, the rows the
-    walk found dependent on its path; past the prefix and before the leaf's
-    last row b, the leaf's `on` rows; after b, each row t with c.D_t = 0.
+    gets its incidence from its leaf (v, c, (j, dots, below)): `below` and
+    the later rows j + t with c.D_t = 0.  Leaves come in lexicographic
+    order, the walk cuts no prefix that can be completed, and a skipped
+    first index gives only the fold's vector, so the first leaf of a vector
+    is its greedy basis.  A row before j is then on the hyperplane exactly
+    when it lies in the span of the leaf rows below it, and `below` holds
+    each such row and no row off the hyperplane; a row j + t exactly when
+    c.D_t, its dot with v, is 0.
     """
     n_rows, n_cols = len(rows), len(rows[0])
     full = ranks.count(n_cols)
-    zeros = [r for r, row in enumerate(rows) if not any(row)]
     found = {}
-    seen = None
     leaves = chain.from_iterable(hyperplane_leaves(rows, i, ranks) for i in range(full))
-    for v, (c0, c1, c2), net, b, on in leaves:
+    for v, c, net in leaves:
         v = _primitive(v)
-        if v in found:
-            continue
-        if net is not seen:
-            seen = net
-            prefix, j, _, dots, dependent = net
-            below = [*zeros, *prefix]
-            for spanned, p in zip(dependent, prefix[1:]):
-                below += [r for r in spanned if r < p]
-        found[v] = frozenset(chain(below, [j + t for t in on], [j + b], [
-            j + t for t, (x, y, z) in enumerate(dots[b + 1:], b + 1)
-            if not c0 * x + c1 * y + c2 * z
-        ]))
+        if v not in found:
+            (c0, c1, c2), (j, dots, below) = c, net
+            found[v] = frozenset(below).union([
+                t for t, (x, y, z) in enumerate(dots, j) if not c0 * x + c1 * y + c2 * z
+            ])
     if ranks[full] == n_cols - 1 and (v := _primitive(plane)) not in found:
-        on = [r for r in range(full) if not sum(map(mul, v, rows[r]))]
-        found[v] = frozenset(chain(on, range(full, n_rows)))
+        earlier = [r for r in range(full) if not sum(map(mul, v, rows[r]))]
+        found[v] = frozenset(chain(earlier, range(full, n_rows)))
     return found
 
 
@@ -502,13 +473,13 @@ def _coordinate_vectors(rows, basis) -> dict:
             v = [c0 * p + c1 * q + c2 * r for p, q, r in zip(dual[u0], dual[u1], dual[u2])]
         if not any(y):
             continue
-        on = basis_set.difference(basis[u] for u, c in zip(U, y) if c).union(
+        incidence = basis_set.difference(basis[u] for u, c in zip(U, y) if c).union(
             j for j in others if not sum(map(mul, y, [mu[j][u] for u in U])))
-        found[_primitive(v)] = on
-        if len(on) >= n:
-            off = tuple(r for r in range(n_rows) if r not in on)
+        found[_primitive(v)] = incidence
+        if len(incidence) >= n:
+            off = tuple(r for r in range(n_rows) if r not in incidence)
             skip.update(tuple(sorted(off + extra))
-                        for extra in combinations(sorted(on), len(on) - n + 1))
+                        for extra in combinations(sorted(incidence), len(incidence) - n + 1))
     return found
 
 

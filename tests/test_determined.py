@@ -515,30 +515,37 @@ def _dependent_rows(seed):
     """Small integer rows of 2 to 6 columns with forced dependencies: zero,
     repeated and proportional rows, integer combinations of earlier rows,
     and, for odd seeds, a tail of rows in the span of N - 1 or N fixed
-    ones (N one less than the row length)."""
+    ones (N one less than the row length).  Each factor and each set of
+    coefficients is drawn once per row.  Returns the rows and, for each
+    forced row, the row with the rows it was built from."""
     rng = random.Random(seed)
     n_cols = rng.randint(2, 6)
-    rows = []
+    rows, forced = [], []
     while len(rows) < n_cols + 3:
         kind = rng.choice(["free", "free", "zero", "repeat", "multiple", "span"])
         if kind == "free" or not rows:
-            row = [rng.randint(-3, 3) for _ in range(n_cols)]
-        elif kind == "zero":
-            row = [0] * n_cols
+            rows.append(tuple(rng.randint(-3, 3) for _ in range(n_cols)))
+            continue
+        if kind == "zero":
+            picks, coeffs = [], []
         elif kind == "repeat":
-            row = rng.choice(rows)
+            picks, coeffs = [rng.choice(rows)], [1]
         elif kind == "multiple":
-            row = [rng.choice([-2, 2, 3]) * x for x in rng.choice(rows)]
+            picks, coeffs = [rng.choice(rows)], [rng.choice([-2, 2, 3])]
         else:
             picks = rng.sample(rows, min(len(rows), 3))
-            row = [sum(rng.randint(-2, 2) * r[c] for r in picks) for c in range(n_cols)]
-        rows.append(tuple(row))
+            coeffs = [rng.randint(-2, 2) for _ in picks]
+        row = tuple(sum(k * r[c] for k, r in zip(coeffs, picks)) for c in range(n_cols))
+        rows.append(row)
+        forced.append((row, picks))
     if seed % 2:
         base = [[rng.randint(-3, 3) for _ in range(n_cols)] for _ in range(n_cols - rng.randint(1, 2))]
         for _ in range(rng.randint(n_cols - 1, n_cols + 1)):
             coeffs = [rng.randint(-1, 2) for _ in base]
-            rows.append(tuple(sum(k * b[c] for k, b in zip(coeffs, base)) for c in range(n_cols)))
-    return rows
+            row = tuple(sum(k * b[c] for k, b in zip(coeffs, base)) for c in range(n_cols))
+            rows.append(row)
+            forced.append((row, base))
+    return rows, forced
 
 
 def test_spanned_vectors_match_subset_scan_on_dependent_rows():
@@ -547,9 +554,51 @@ def test_spanned_vectors_match_subset_scan_on_dependent_rows():
     # and spanned rows before, between and after the rows of that basis,
     # and the low-rank tails leave first indices whose suffix has rank N
     for seed in range(30):
-        rows = _dependent_rows(seed)
+        rows, forced = _dependent_rows(seed)
+        # each forced row lies in the span of the rows it was built from
+        assert all(rank([row, *picks]) == rank(picks) for row, picks in forced), rows
         expected, _ = _bareiss_scan(rows)
         assert list(spanned_vectors(rows).items()) == list(expected.items()), rows
+
+
+def _check_leaf_protocol(rows):
+    """Each leaf (v, c, (j, dots, below)) of `hyperplane_leaves` against
+    v's own dots with the rows: the later rows j + t with c.D_t = 0 are
+    exactly the rows from j on that v is orthogonal to, and `below` lies on
+    v's hyperplane; at the first leaf of each vector, over the first indices
+    in order, the two together are every row on it, and so is the incidence
+    `spanned_vectors` gives.  Returns the number of leaves."""
+    ranks = [rank(rows[i:]) for i in range(len(rows))] + [0]
+    first_leaf, leaves = {}, 0
+    for first in range(len(rows)):
+        for v, c, (j, dots, below) in hyperplane_leaves(rows, first, ranks):
+            on = {r for r, row in enumerate(rows) if not sum(map(mul, v, row))}
+            later = {j + t for t, dot in enumerate(dots) if not sum(map(mul, c, dot))}
+            assert len(dots) == len(rows) - j
+            assert later == {r for r in on if r >= j}, (rows, first)
+            assert on.issuperset(below), (rows, first)
+            first_leaf.setdefault(primitive(v), (on, later.union(below)))
+            leaves += 1
+    scanned = spanned_vectors(rows)
+    assert scanned.keys() == first_leaf.keys()
+    for v, (on, read) in first_leaf.items():
+        assert read == on == scanned[v], (rows, v)
+    return leaves
+
+
+def test_each_leaf_reads_its_incidence_off_its_net():
+    # N = 1 and N = 2 (the root is the net) among the dependent rows and
+    # the lines through four points, then the line-heavy theorem6 set
+    columns = set()
+    for seed in range(30):
+        rows, _ = _dependent_rows(seed)
+        if _check_leaf_protocol(rows):
+            columns.add(len(rows[0]))
+    assert columns == {2, 3, 4, 5, 6}
+    lines = PointConfiguration.from_points([(0, 0), (1, 0), (0, 1), (2, 3)], 1)
+    assert _check_leaf_protocol(lines.homogeneous_lifts(1)) == 6
+    config = construct_theorem6(2, 14).config
+    assert _check_leaf_protocol(config.homogeneous_lifts(2))
 
 
 def _tree_scan(rows):
