@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 from math import comb
-from operator import mul
+from operator import itemgetter, mul
 
 from .bipoly import PlaneCurve, parse_poly
 from .determined import PointConfiguration, contained_in_curve
 from .errors import HypothesisViolation, InvariantViolation
-from .linalg import hyperplane_leaves, kernel_root, kernel_step
+from .linalg import dual_basis, kernel_root, kernel_step
 from .veronese import integer_lift
 
 
@@ -120,9 +122,9 @@ def construct_theorem8(d: int, n: int, m: int, seed: int = 0) -> Construction:
     d = 1), so the lifts span a subspace of the hyperplane where the two
     agree, and dropping the y column is injective there: a subset of lifts
     keeps its rank, and a lift lies in the span of others exactly when it
-    does without that column.  In these N columns, N-1 independent lifts
-    span a hyperplane, so the span guard's leaves are hyperplanes there, as
-    they are in the samplers.
+    does without that column.  So the span guard runs on rows of N
+    columns, testing spans of N-1 lifts, one less than the row length, as
+    it does on the samplers' full lifts.
     """
     N = comb(d + 2, 2) - 1
     if n < N:
@@ -195,54 +197,124 @@ def construct_theorem8(d: int, n: int, m: int, seed: int = 0) -> Construction:
 
 
 class _SpanGuard:
-    """The hyperplanes spanned by the accepted rows, N = n_cols - 1 at a time.
+    """Whether a row lies in the span of N = n - 1 accepted rows, n the
+    row length, or of all of them while there are fewer.
 
-    A row is accepted only when it lies in the span of no N accepted rows,
-    so by induction every subset of at most N + 1 accepted rows is
-    independent.  Once there are N rows, each N of them span a hyperplane,
-    so the test is one dot product with each hyperplane's kernel vector,
-    and it depends on the hyperplane only, not on the order of its rows.
-    An accepted row adds the hyperplanes through it and N-1 earlier rows:
-    the leaves of `linalg.hyperplane_leaves` over the row and the earlier
-    rows at first index 0, read off the nets two levels above them.  Below
-    N rows the one subset is every row, and a row steps its kernel node
-    once.  Either happens only when the next row is tested, so the last
-    accepted row costs nothing.
+    A row is accepted only when it does not, so by induction every subset
+    of at most n accepted rows is independent.  An accepted row that was
+    never tested and breaks this raises InvariantViolation when the next
+    row is tested, and nothing is done for the last accepted row until then.
+
+    Below n rows the one subset is every row, and a row lies in its span
+    exactly when it is orthogonal to their kernel node, stepped once per
+    accepted row.  The n-th accepted row makes the rows a basis B, with the
+    A_u of `linalg.dual_basis`, B_i.A_u = D_u [i = u], read off the kernel
+    nodes of B's prefixes with no further step, and each later row j is
+    kept only through mu_j = (row_j.A_u)_u.  Put lambda = (z.A_u)_u for
+    a candidate z.  Every N-subset of the accepted rows is (B \\ U) + T for
+    one set T of later rows and one set U of basis columns with
+    |U| = |T| + 1, and z lies in its span exactly when det [mu_T; lambda]
+    on the columns U is 0.  Proof: the subset is independent, so its span
+    is the hyperplane orthogonal to its kernel line.  By the coordinates
+    lemma (`linalg`) that line is spanned by the sum of y_u A_u over U, y
+    the signed maximal minors of mu_T on U, and z.(sum y_u A_u) =
+    sum y_u lambda_u is the Laplace expansion of det [mu_T; lambda] on U
+    along its last row.
+
+    So for each nonempty T the guard keeps the |T| x |T| minors of mu_T,
+    one per column set (mu_j itself for T = {j}), and a test expands
+    det [mu_T; lambda] along lambda on every U from them (`_laplace`): at
+    T empty the determinants are the lambda_u, and at |T| = n - 1 the one
+    determinant is the dot of mu_T's n minors with lambda's signed
+    cofactors, one dot per T.  That is sum_t C(k - n, t) C(n, t + 1) =
+    C(k, N) determinants for k rows (Vandermonde), one per N-subset.  Those
+    for |T| <= n - 2 are the minors of mu_{T + z}, so an accepted row keeps
+    what its own test computed, and no hyperplane is ever built.
     """
 
     def __init__(self, n_cols: int):
         self.rows: list = []
-        self.node = kernel_root(n_cols)
-        self.planes: list = []
+        self.nodes = [kernel_root(n_cols)]
+        self.dual: list = []
+        self.levels: list = []
         self.pending: list = []
+        self.tested = None
 
     def spans(self, z) -> bool:
         for row in self.pending:
             self._add(row)
         self.pending.clear()
-        if self.planes:
-            return any(not sum(map(mul, v, z)) for v in self.planes)
-        return not any(sum(map(mul, v, z)) for v in self.node[0])
+        self.tested = z, self._minors(z)
+        return self.tested[1] is None
 
     def accept(self, z) -> None:
         self.pending.append(z)
 
+    def _minors(self, z):
+        """None when z lies in the span of N accepted rows, or of all of
+        fewer; otherwise, from n rows on, the minors of mu_{T + z} for each
+        T of at most n - 2 later rows, listed by |T|."""
+        if not self.dual:
+            return None if not any(sum(map(mul, v, z)) for v in self.nodes[-1][0]) else []
+        lam = [sum(map(mul, a, z)) for a in self.dual]
+        if not all(lam):
+            return None
+        n = len(lam)
+        signed = lam + [-x for x in lam]
+        grown = [[lam]]
+        for size, level in enumerate(self.levels, 1):
+            if size == n - 1:
+                cofactors = [-x if k % 2 else x for k, x in enumerate(reversed(lam))]
+                return grown if all(sum(map(mul, m, cofactors)) for m in level) else None
+            table = _laplace(n, size)
+            coefs = [terms(signed) for _, terms in table]
+            new = [[sum(map(mul, c, get(minors))) for (get, _), c in zip(table, coefs)]
+                   for minors in level]
+            if not all(map(all, new)):
+                return None
+            grown.append(new)
+        return grown
+
     def _add(self, z) -> None:
-        k, size = len(self.rows), len(z) - 1
-        if k + 1 < size:
-            node = kernel_step(self.node, z)
-            self.node = node or self.node
-            new = 1 if node else 0
-        else:
-            planes = [leaf[0] for leaf in hyperplane_leaves([z, *self.rows], 0)]
-            self.planes += planes
-            new = len(planes)
-        if new != comb(k, min(k, size - 1)):
+        tested, grown = self.tested or (None, None)
+        self.tested = None
+        if tested is not z:
+            grown = self._minors(z)
+        if grown is None:
             raise InvariantViolation(
-                "an accepted row reduced a sampler prefix to zero",
+                "an accepted row lies in the span of N accepted rows",
                 {"rows": self.rows, "row": list(z)},
             )
         self.rows.append(z)
+        if len(self.rows) == len(z):
+            self.dual = dual_basis(self.rows, self.nodes)
+        elif not self.dual:
+            self.nodes.append(kernel_step(self.nodes[-1], z))
+        for size, new in enumerate(grown):
+            if size < len(self.levels):
+                self.levels[size] += new
+            else:
+                self.levels.append(new)
+
+
+@cache
+def _laplace(n: int, size: int) -> tuple:
+    """The Laplace expansion along a new last row lambda that takes the
+    maximal minors of a size x n matrix M to those of [M; lambda].
+
+    A maximal minor is listed by its column set, in the order of
+    `combinations(range(n), size)`.  One entry (get, terms) per column set U
+    of size + 1: `get` picks the minors of M on U less each of its columns
+    in turn, and `terms` picks lambda_u for each such column u with the
+    sign of its term, (-1)^(size + i) at position i, out of lambda followed
+    by -lambda.
+    """
+    index = {w: i for i, w in enumerate(combinations(range(n), size))}
+    return tuple(
+        (itemgetter(*(index[U[:i] + U[i + 1:]] for i in range(size + 1))),
+         itemgetter(*(u + n * ((size + i) % 2) for i, u in enumerate(U))))
+        for U in combinations(range(n), size + 1)
+    )
 
 
 def sample_configuration(kind: str, seed: int = 0, d: int = 1, count: int | None = None,

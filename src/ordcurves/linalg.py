@@ -28,9 +28,10 @@ other rows take one such walk from every first index whose suffix has
 full rank, each vector and its incidence read off the leaf that first
 gave the vector, whose rows are its greedy basis: the net's `below`, and
 the later rows whose dots have c.D = 0; the one hyperplane of the
-suffixes of rank N comes from the rank fold.  The samplers' span guard
-walks only the leaves through its new row.  The basis verifier reads a
-basis's hyperplanes off the same scan.
+suffixes of rank N comes from the rank fold.  The basis verifier reads a
+basis's hyperplanes off the same scan.  The samplers' span guard builds
+no hyperplane: it reads each candidate in the coordinates of one basis,
+whose A_u below come from `dual_basis`, as the near-square scan does.
 
 The coordinates lemma.  Let B be n independent rows and A_u vectors with
 B_k.A_u = D_u [k = u], each D_u != 0, and put mu_j[u] = row_j.A_u for
@@ -428,17 +429,7 @@ def _leaf_vectors(rows, ranks, plane) -> dict:
 def _coordinate_vectors(rows, basis) -> dict:
     """`spanned_vectors` of rows of rank n with at most two rows besides
     the basis B = rows[basis], an ascending index list of n rows, by the
-    coordinates lemma.
-
-    The A_u come from one `kernel_node` over the rows (B_k, -e_k), n rows
-    of length 2n.  Its free columns are the last n: the step pivots on the
-    first free column with a nonzero dot, and while the first n columns
-    left free give a kernel basis of the rows B_1..B_k, the next row, being
-    outside their span, has a nonzero dot with one of them.  So its vectors
-    are (A_u, D e_u), the pivot D on the free column, and B_k.A_u = D [k = u].
-    Each A_u is then made primitive, which keeps the lemma and shrinks every
-    later product: A_u is D, det B up to sign, times column u of B^-1, and
-    most of D is common to its entries.
+    coordinates lemma, with the A_u of `dual_basis`.
 
     The subsets come with their complements in reverse lexicographic order.
     A hyperplane with more than N rows on it is the hyperplane of each
@@ -446,9 +437,7 @@ def _coordinate_vectors(rows, basis) -> dict:
     complements, and those subsets are skipped.
     """
     n_rows, n = len(rows), len(basis)
-    dual, _ = kernel_node([[*rows[b], *(-int(u == k) for u in range(n))]
-                           for k, b in enumerate(basis)], 2 * n)
-    dual = [_primitive(a[:n]) for a in dual]
+    dual = dual_basis([rows[b] for b in basis])
     where = {b: k for k, b in enumerate(basis)}
     others = [j for j in range(n_rows) if j not in where]
     mu = {j: [sum(map(mul, rows[j], a)) for a in dual] for j in others}
@@ -481,6 +470,41 @@ def _coordinate_vectors(rows, basis) -> dict:
             skip.update(tuple(sorted(off + extra))
                         for extra in combinations(sorted(incidence), len(incidence) - n + 1))
     return found
+
+
+def dual_basis(basis, nodes=None) -> list:
+    """Vectors A_u with B_k.A_u = D_u [k = u], each D_u != 0, for n
+    independent integer rows B of length n: the A_u of the coordinates
+    lemma.  `nodes`, when given, are the kernel nodes of the prefixes
+    B_1..B_k for k < n, as `kernel_step` folds them from `kernel_root(n)`;
+    otherwise they are folded here.
+
+    Row k has a nonzero dot with some vector of its prefix's node, as it
+    lies outside the prefix's span; the first such, kp, is the vector the
+    step on row k pivots on.  A_k starts as kp, orthogonal to the rows
+    before k, and each later row steps the A_j as if they followed the
+    kernel vectors of its node (`_eliminate`), kp first: a multiple of kp
+    is added to make each orthogonal to the row, and B_j.A_j only scales,
+    since kp is orthogonal to B_j.  The divisions are exact: this is the
+    elimination of the rows (B_k, -e_k) of length 2n, one `kernel_step`
+    each, on its first n columns.  Its free columns end as the last n, and
+    the unit vector of column n + k, a pivot times e_(n+k) before row k,
+    leaves row k's step as (kp, s_p), after the prefix's kernel vectors and
+    the A_j before it.  Each A_u is then made primitive, which keeps the
+    lemma and shrinks every later product: A_u is D, det B up to sign,
+    times column u of B^-1, and most of D is common to its entries.
+    """
+    if nodes is None:
+        nodes = [kernel_root(len(basis))]
+        for row in basis[:-1]:
+            nodes.append(kernel_step(nodes[-1], row))
+    dual = []
+    for (vectors, pivot), row in zip(nodes, basis):
+        kp = next(v for v in vectors if sum(map(mul, v, row)))
+        if dual:
+            dual, _ = _eliminate([kp, *dual], pivot, [sum(map(mul, a, row)) for a in [kp, *dual]])
+        dual.append(kp)
+    return [_primitive(a) for a in dual]
 
 
 def nullspace(rows, n_cols=None) -> list[Vector]:

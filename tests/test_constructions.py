@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -275,3 +277,130 @@ def test_carrier_guard_is_the_subset_test(monkeypatch, d, m, seed):
     # and in the full lift's columns every N-subset of carrier points is independent
     rows = [integer_lift((Fraction(x), Fraction(y)), d) for x, y in walked["points"][1:]]
     assert all(rank(sub) == N for sub in combinations(rows, N))
+
+
+def _rational(rng, span, den):
+    return Fraction(rng.randint(-span, span), rng.randint(1, den))
+
+
+CURVES = {
+    # a line, the unit circle and the cubic y = x^3 - x/2, each from a
+    # rational parameter, so their points have non-integer coordinates
+    1: lambda s: (s, (2 * s - 1) / 3),
+    2: lambda s: ((1 - s * s) / (1 + s * s), 2 * s / (1 + s * s)),
+    3: lambda s: (s, s ** 3 - s / 2),
+}
+
+
+def _mixing_line(s):
+    return s, Fraction(1, 4) - 3 * s
+
+
+def _level_stream(e, level, seed):
+    """Candidate points for the degree-e guard, n = C(e+2, 2) columns, built
+    so that one is refused with `level` later rows in its least spanning
+    N-subset, N = n - 1: level + 1 points off the degree-e curve, then N + 1
+    points on it, N - level of them in the basis, the last on the curve
+    through the N before it, and one more.  The points off the curve start
+    with up to e + 1 points of another line and end with generic ones.  At
+    e <= 2 the points left of e + 2 on that line come last, e + 2 collinear
+    points being dependent at every degree; at e = 3 the rows they add
+    would take the subset reference seconds."""
+    rng = random.Random(seed)
+    n = comb(e + 2, 2)
+    params = iter(rng.sample([Fraction(a, b) for a in range(-40, 41) for b in (1, 2, 3, 5)],
+                             n + e + 4))
+    on_line = [_mixing_line(next(params)) for _ in range(e + 2)]
+    on_curve = [CURVES[e](next(params)) for _ in range(n + 1)]
+    used = min(level + 1, e + 1)
+    generic = [(_rational(rng, 60, 9), _rational(rng, 60, 9)) for _ in range(level + 1 - used)]
+    return on_line[:used] + generic + on_curve + (on_line[used:] if e < 3 else [])
+
+
+def _refusal_level(rows, z, n):
+    """The least number of rows past the first n among the N-subsets of
+    the accepted rows that span z, N = n - 1, by rank; None below n rows."""
+    if len(rows) < n:
+        return None
+    return min(sum(i >= n for i in sub) for sub in combinations(range(len(rows)), n - 1)
+               if rank([*(rows[i] for i in sub), z]) == n - 1)
+
+
+def _run_both(e, points):
+    """Each point's lift tested by `_SpanGuard` and `_SubsetGuard`, the
+    two answers compared, and the point accepted by both when neither
+    refuses it; the refusal levels seen."""
+    n = comb(e + 2, 2)
+    guard, reference = _SpanGuard(n), _SubsetGuard(n)
+    levels = []
+    for point in points:
+        z = integer_lift(point, e)
+        refused = guard.spans(z)
+        assert refused == reference.spans(z), (point, len(reference.rows))
+        if refused:
+            levels.append(_refusal_level(reference.rows, z, n))
+        else:
+            guard.accept(z)
+            reference.accept(z)
+    return levels
+
+
+@pytest.mark.parametrize("e, levels", [(1, range(3)), (2, range(6)), (3, range(3))])
+def test_span_guard_answers_as_the_subset_test_row_by_row(e, levels):
+    # every level |T| = 0..n-1 at e = 1 and 2; at e = 3 (n = 10) the
+    # subset reference reaches |T| <= 2 in reasonable time.  Each stream
+    # also runs in one seeded shuffle of its order
+    seen = set()
+    for level in levels:
+        points = _level_stream(e, level, seed=100 * e + level)
+        seen.update(_run_both(e, points))
+        random.Random(level).shuffle(points)
+        _run_both(e, points)
+    assert set(levels) <= seen
+
+
+def test_span_guard_reads_and_extends_the_cofactor_level():
+    # at e = 1 (n = 3) the cofactor level holds the pairs of rows past the
+    # basis: 14 generic points and three lines, two points of a line
+    # accepted and each third refused, more than 2n accepted rows in all
+    rng = random.Random(7)
+    lines = [lambda s, a=a: (s, a * s + Fraction(1, a + 7)) for a in (2, -3, 5)]
+    params = iter(rng.sample([Fraction(a, 7) for a in range(-200, 200)], 9))
+    points = [(_rational(rng, 80, 11), _rational(rng, 80, 11)) for _ in range(14)]
+    for k, line in enumerate(lines):
+        points[4 * k + 3:4 * k + 3] = [line(next(params)) for _ in range(3)]
+    levels = _run_both(1, points)
+    assert len(levels) >= 3 and 2 in levels
+    random.Random(8).shuffle(points)
+    _run_both(1, points)
+
+
+def test_span_guard_refuses_an_untested_dependent_row_past_the_basis():
+    guard = _SpanGuard(3)
+    rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3), (1, -1, 4)]
+    for row in rows:
+        assert not guard.spans(row)
+        guard.accept(row)
+    # an untested row off every span of two is kept without complaint
+    guard.accept((2, 5, -7))
+    assert guard.spans((1, 1, 0)) and not guard.spans((3, 1, 1))
+    # (2, 1, 7) = (1, 2, 3) + (1, -1, 4) lies in the span of two later rows
+    guard.accept((2, 1, 7))
+    with pytest.raises(InvariantViolation):
+        guard.spans((3, 1, 1))
+
+
+def test_samplers_build_no_hyperplane(monkeypatch):
+    from ordcurves import linalg
+
+    def refuse(*args):
+        raise AssertionError("hyperplane_leaves called")
+
+    # under every name the package holds it by
+    real = linalg.hyperplane_leaves
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ordcurves") and getattr(module, "hyperplane_leaves", None) is real:
+            monkeypatch.setattr(module, "hyperplane_leaves", refuse)
+    sample_configuration("random_general", seed=3, count=14, d=3)
+    construct_theorem8(3, 9, 12, seed=12)
+    construct_theorem8(4, 14, 17, seed=0)

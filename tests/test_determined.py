@@ -846,8 +846,9 @@ def test_carrier_heavy_scan_skips_the_rank_n_suffixes(monkeypatch):
     # indices 1..3 have suffixes of rank N = 9; walking them took 341 steps,
     # and the prefix tree from index 0 alone 222.  The rows span with two
     # more than their 10 columns, so the scan reads every 9-subset in the
-    # coordinates of one basis: the rank fold's 12 steps and the 10 of the
-    # dual basis's elimination, and no net
+    # coordinates of one basis: the rank fold's 12 steps and the 9 of the
+    # dual basis's prefix nodes (10 when its elimination also stepped the
+    # last basis row), and no net
     from ordcurves import linalg
 
     config = construct_theorem8(3, 9, 12, seed=12).config
@@ -856,7 +857,7 @@ def test_carrier_heavy_scan_skips_the_rank_n_suffixes(monkeypatch):
     real = linalg.hyperplane_leaves
     monkeypatch.setattr(linalg, "hyperplane_leaves", lambda *a: walks.append(a) or real(*a))
     assert len(spanned_hyperplanes(config)) == 166
-    assert len(steps) == 22
+    assert len(steps) == 21
     assert walks == []
 
 
@@ -868,10 +869,13 @@ def test_sweep_steps_below_the_nets_only(monkeypatch):
     # first indices whose suffix has rank N (15); 805 when the |A| = 8 scan
     # still walked its prefix tree (37 steps), 780 since those 8 rows in 6
     # columns are read in basis coordinates (12: the fold's and the dual
-    # basis's)
+    # basis's).  479 since the guards step only below n rows, 2 + 5 per
+    # sample at n = 3 and 6 columns, and their one dual elimination at the
+    # n-th row reads those prefix nodes and steps nothing (335 -> 35); the
+    # scans' dual basis steps its n - 1 prefixes, not n (445 -> 444)
     steps = _count_steps(monkeypatch)
     for size in range(8, 13):
         built = sample_configuration("random_general", seed=1 + size, count=size, d=2,
                                      genericity=2)
         enumerate_determined(built.config)
-    assert len(steps) == 780
+    assert len(steps) == 479
