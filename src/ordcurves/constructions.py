@@ -148,9 +148,10 @@ def construct_theorem8(d: int, n: int, m: int, seed: int = 0) -> Construction:
         placed = False
         while tried <= budget:
             if pos >= len(window):
-                extension = list(
-                    range(len(window) // 2 + 1, len(window) // 2 + budget + 2)
-                )
+                # fresh parameters, one past the window's largest, so that
+                # no refused parameter is tried again
+                top = max(window) + 1
+                extension = list(range(top, top + budget + 1))
                 rng.shuffle(extension)
                 window.extend(extension)
             t = Fraction(window[pos])

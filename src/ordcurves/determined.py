@@ -377,9 +377,12 @@ def regularity_report(config: PointConfiguration, d: int | None = None,
     The default threshold is astronomically small, so any nonempty desk-scale
     configuration reports not regular; pass a custom threshold to probe
     structure.  The default is refused for d > DEFAULT_THRESHOLD_MAX_E, before
-    any work: its denominator alone has 2,525,223 digits at e = 5.
+    any work: its denominator alone has 2,525,223 digits at e = 5.  A degree
+    below 1 is refused first, before the default is built.
     """
     d = config.d if d is None else d
+    if d < 1:
+        raise HypothesisViolation("e >= 1", f"e={d}")
     if threshold is None:
         if d > DEFAULT_THRESHOLD_MAX_E:
             raise HypothesisViolation(

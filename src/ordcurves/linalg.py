@@ -60,8 +60,8 @@ hyperplane is its greedy basis: the scan keeps that order with no sort.
 (Oxley, Matroid Theory, ch. 1): it turns the walk of the rows so far into
 a new walk with one more row in one pass over its flats, each flat mapped
 to the plain kernel node of its greedy basis.  The grower reads its
-forbidden regions off those kernel bases, and the verifier walks the
-flats inside its condition-(iii) sections with it.  `prefix_kernels`
+forbidden regions off those kernel bases; the verifier walks no flats, as
+it reads only a basis's hyperplanes off the span scan.  `prefix_kernels`
 gives the kernel node of any index tuple, one step from the memoized node
 of its prefix; the verifier's complement spans are built on it.
 `nullspace` is the Fraction view of `kernel`, through `normalized`, the

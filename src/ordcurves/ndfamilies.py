@@ -42,22 +42,22 @@ B gains one point a step, so it keeps its walk between steps and extends
 it by the new point: one pass over the flats of each degree e, then each
 flat's complement node, kept beside the walk, is taken over or stepped by
 the point's degree-(d-e) row, and V_d(B)'s node gains one `kernel_step`.
-The verifier needs fewer flats (proof at `nd_verify`): B's hyperplanes,
-read off the span scan `linalg.spanned_vectors` with their incidences, and
-the flats inside each condition-(iii) section that has a point whose
-degree-(d-e) row lies in the span of the rest of B, folded by
-`realizable_sections` on that section's rows; it takes each complement's
-node from `linalg.prefix_kernels`, one `kernel_step` on the node of its
-prefix.  The grower builds no region object: one pass over the walk reads
-each region's quantities off the lengths of the V_e and W_e kernel bases
-and keeps those raw bases as its membership tests, since a region only
-tests points by zero dot products.  Every region holds V_d(B), so a candidate is tested
-against V_d(B) once, and a region with alpha < 0 holds nothing more.  A
-passing verdict records each section that condition (iii) examined with
-the one primitive vector of its kernel, the exceptional catalog's curve:
-once (ii) has passed, such a section is a hyperplane of the matroid of B's
-rows (`NdVerifyResult`).  A configuration keeps only the verdict of the
-last basis verified or grown on it.
+The verifier walks no flats: once condition (i) holds, the first failing
+section at every degree is a hyperplane (proof at `nd_verify`), so it reads
+only B's hyperplanes, off the span scan `linalg.spanned_vectors` with their
+incidences, and takes each complement's node from `linalg.prefix_kernels`,
+one `kernel_step` on the node of its prefix.  `realizable_sections`, every
+flat of rank below C(e+2,2) by the same fold, is a library function the
+verifier does not call.  The grower builds no region object: one pass
+over the walk reads each region's quantities off the lengths of the V_e
+and W_e kernel bases and keeps those raw bases as its membership tests,
+since a region only tests points by zero dot products.  Every region holds
+V_d(B), so a candidate is tested against V_d(B) once, and a region with
+alpha < 0 holds nothing more.  A passing verdict records each section
+that condition (iii) examined with the one primitive vector of its kernel,
+the exceptional catalog's curve: once (ii) has passed, such a section is a
+hyperplane of the matroid of B's rows (`NdVerifyResult`).  A configuration
+keeps only the verdict of the last basis verified or grown on it.
 """
 
 from __future__ import annotations
@@ -157,7 +157,8 @@ def realizable_sections(rows, e: int):
     time by `linalg.flats_step`, as (index tuple into B, kernel basis of the
     flat's node, as a tuple of tuples) pairs in `_section_order`.  The
     basis spans the section's vanishing space; its vectors are not made
-    primitive.
+    primitive.  A library function: `nd_verify` needs only the
+    hyperplanes among these (proof there).
     """
     walk = {(): kernel_root(comb(e + 2, 2))}
     for m in range(len(rows)):
@@ -172,34 +173,21 @@ def _deciding_sections(rows, e: int, d: int):
     `rows` holds B's rows by degree.
 
     When the degree-e rows span, these are B's hyperplanes, each with its
-    one primitive vector, read off the span scan, and the
-    `realizable_sections` of each condition-(iii) section S, a hyperplane
-    of C(d+2,2)-C(d-e+2,2)-1 points, mapped back into B, when a point of S
-    has its degree-(d-e) row in W, the span of the rows of B \\ S.  When
-    they do not span, the scan finds no hyperplane or one through every
-    row, and B itself is the one section: it fails (ii) on its size, so it
-    carries no basis.  Each rest node is one `kernel_step` from that of its
-    prefix (`prefix_kernels`).
+    one primitive vector, read off the span scan.  When they do not span,
+    the scan finds no hyperplane or one through every row, and B itself is
+    the one section: it fails (ii) on its size, so it carries no basis.
+    Each rest node is one `kernel_step` from that of its prefix
+    (`prefix_kernels`).
     """
-    n_b, co_rows = len(rows[e]), rows[d - e]
-    size = comb(d + 2, 2) - comb(d - e + 2, 2) - 1
-    node = prefix_kernels(co_rows, comb(d - e + 2, 2))
-
-    def rest(idx):
-        return node(tuple(i for i in range(n_b) if i not in idx))
-
+    n_b = len(rows[e])
+    node = prefix_kernels(rows[d - e], comb(d - e + 2, 2))
     scan = spanned_vectors(rows[e])
     if all(len(on) == n_b for on in scan.values()):
         yield tuple(range(n_b)), (), node(())
         return
-    found = {tuple(sorted(on)): (vec,) for vec, on in scan.items()}
-    for idx in [idx for idx in found if len(idx) == size]:
-        w = rest(idx)[0]
-        if any(_holds(w, co_rows[i]) for i in idx):
-            for sub, basis in realizable_sections([rows[e][i] for i in idx], e):
-                found.setdefault(tuple(idx[i] for i in sub), basis)
-    for idx, vecs in _section_order(found.items()):
-        yield idx, vecs, rest(idx)
+    found = ((tuple(sorted(on)), (vec,)) for vec, on in scan.items())
+    for idx, vecs in _section_order(found):
+        yield idx, vecs, node(tuple(i for i in range(n_b) if i not in idx))
 
 
 class NdVerifyResult:
@@ -259,10 +247,10 @@ def _verdict(d: int, n_b: int, dim_b: int, walk) -> NdVerifyResult:
     dim_b is the dimension of the span of B's degree-d rows.  `walk` yields,
     for e = 1..d-1 in turn, (e, B's realizable sections at degree e in
     `_section_order`, each as (index tuple, kernel basis, kernel node of the
-    rest of B's degree-(d-e) rows)), or only those that decide the verdict
-    (`nd_verify`); a lazy walk stops at the first failure too.  Only a
-    condition-(iii) section's basis is read: its one vector, made
-    primitive.
+    rest of B's degree-(d-e) rows)), or only its hyperplanes, which decide
+    the verdict alike (`nd_verify`); a lazy walk stops at the first failure
+    too.  Only a condition-(iii) section's basis is read: its one vector,
+    made primitive.
     """
 
     def failure(condition, e, section, measured, threshold) -> NdVerifyResult:
@@ -312,34 +300,50 @@ def nd_verify(A: PointConfiguration, B, d: int | None = None) -> NdVerifyResult:
     record is a dict for the JSON report, which a caller could change, so
     it is not kept.
 
-    Why the first failure is that of every realizable section (Oxley,
-    Matroid Theory, ch. 1), with cut = C(d+2,2)-C(d-e+2,2):
+    Why the hyperplanes decide as every realizable section does (Oxley,
+    Matroid Theory, ch. 1), with c' = C(d-e+2,2), cut = C(d+2,2) - c' and
+    r_k(S) the rank of the degree-k rows of S.  Condition (i) is checked
+    first, and once it holds the polynomials of degree <= d that vanish on
+    B form a space of dimension C(d+2,2) - |B| = 3.  When B's degree-e rows
+    do not span, B itself is the largest section, of |B| >= cut points
+    (the lemma at `NdVerifyResult`), so it comes first and fails (ii); the
+    scan shows this, as it finds no hyperplane or one through every row.
 
-    - When B's degree-e rows do not span, B itself is a section, the
-      largest, of |B| >= cut points (the lemma at `NdVerifyResult`), so it
-      comes first and fails (ii).  The scan shows this: it finds no
-      hyperplane, or one through every row.
-    - Otherwise every flat of rank below C(e+2,2)-1 lies in a strictly
-      larger hyperplane, so the largest sections are hyperplanes and the
-      first (ii) witness is one.  Once (ii) has passed, every section of
-      cut-1 points is a hyperplane, so the (iii) sections are among the
-      hyperplanes too.
-    - Take a flat F inside no (iii) section.  It lies in a hyperplane H
-      with |H| < cut-1.  If H passes (iv), so does F, since B \\ F contains
-      B \\ H and so spans at least as much.  Otherwise H fails (iv), and
-      it comes before F, since |H| > |F|.  So F is never the first
-      failure.
-    - Take a (iii) section S and W the span of the degree-(d-e) rows of
-      B \\ S.  If S fails (iii), it comes before every flat inside it.
-      Otherwise dim W is the (iv) threshold.  A flat F strictly inside S
-      has B \\ F = (B \\ S) + (S \\ F) with S \\ F nonempty, so its rest
-      spans W exactly when every point of S \\ F has its row in W, and
-      more otherwise.  So F can fail (iv) only when some point of S has
-      its row in W, and the flats inside S are walked only then.
+    Lemma: if B passes (i) and its degree-e rows span, then in
+    `_section_order` the first flat of B's degree-e rows that fails (ii),
+    (iii) or (iv) is a hyperplane.
 
-    So the hyperplanes and the flats inside the (iii) sections that have a
-    point in W give the same first failure, and the same (iii) sections,
-    as every flat.
+    - A flat of at least cut points lies inside a larger hyperplane, which
+      comes first and fails (ii).  Once (ii) has passed, a flat of cut-1
+      points is a hyperplane (the lemma at `NdVerifyResult`).  So suppose
+      the first failure F is not a hyperplane.  Then F fails (iv):
+      r_{d-e}(B \\ F) <= c'-2.
+    - Every proper flat G strictly above F comes before F, so it passes.
+      Also r_{d-e}(B \\ G) <= r_{d-e}(B \\ F) <= c'-2, so G can pass
+      only as a (iii) section: |G| = cut-1, and the c'-2 points of B \\ G
+      have independent degree-(d-e) rows.  If F had corank 3 or more, two
+      nested proper flats above F would both have cut-1 points, which is
+      impossible.  So F has corank 2.
+    - The polynomials of degree <= e vanishing on F are therefore a pencil
+      <f, g>.  Take a hyperplane H strictly above F.  Then B \\ F contains
+      B \\ H, which forces r_{d-e}(B \\ F) = c'-2, so the polynomials of
+      degree <= d-e vanishing on B \\ F are a pencil <p, q>.
+    - The products fp, fq, gp and gq all vanish on B, and they lie in a
+      space of dimension 3.  So f u1 = g u2 for some nonzero u1, u2 in
+      <p, q>.  Write c = gcd(f, g), f = c f' and g = c g'.  Then
+      f' u1 = g' u2, where f' and g' are coprime and, as f and g are
+      independent, not both constant.  So u1 = g' t and u2 = f' t for some
+      t != 0 with deg t <= d-e-1.
+    - No point x of B \\ F is a common zero of f and g, because F is a
+      flat.  So c(x) != 0, f'(x) and g'(x) are not both 0, and hence
+      t(x) = 0.  The multiples t s with deg s <= d-e-deg t give at least 3
+      independent polynomials of degree <= d-e that vanish on B \\ H, so
+      r_{d-e}(B \\ H) <= c'-3.  This contradicts the independence of
+      B \\ H.
+
+    So the hyperplanes give the same first failure as every flat does, and
+    the (iii) sections, of cut-1 points, are hyperplanes already: the
+    verifier walks no flats.
     """
     d = A.d if d is None else d
     if d < 2:

@@ -27,8 +27,6 @@ from .linalg import Vector, normalized, primitive
 
 Point = tuple[Fraction, Fraction]
 
-_ONE = Fraction(1)
-
 
 def as_point(p) -> Point:
     return (Fraction(p[0]), Fraction(p[1]))
@@ -40,14 +38,10 @@ def ambient_dim(d: int) -> int:
 
 
 def lift(point, d: int) -> Vector:
-    """Veronese image (x^n y^m) over the global monomial order."""
-    x, y = Fraction(point[0]), Fraction(point[1])
-    xp = [_ONE]
-    yp = [_ONE]
-    for _ in range(d):
-        xp.append(xp[-1] * x)
-        yp.append(yp[-1] * y)
-    return tuple(xp[n] * yp[m] for n, m in monomial_order(d))
+    """Veronese image (x^n y^m) over the global monomial order, read off
+    `integer_lift`: each entry after the first over the first, Z^d."""
+    z, *row = integer_lift(point, d)
+    return tuple(Fraction(v, z) for v in row)
 
 
 def integer_lift(point, d: int) -> tuple[int, ...]:

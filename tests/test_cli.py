@@ -160,6 +160,14 @@ def test_richness_default_threshold_refused_past_e4(monkeypatch, capsys):
     assert "default threshold needs e <= 4" in err
 
 
+@pytest.mark.parametrize("e", ["-3", "-10"])
+def test_richness_negative_degree_exit_3(e, capsys):
+    golden = str(Path(__file__).resolve().parent / "golden" / "points.json")
+    code, out, err = run(["richness", "--input", golden, "--e", e], capsys)
+    assert (code, out) == (3, "")
+    assert "hypothesis violated: e >= 1" in err
+
+
 def test_richness_explicit_threshold_at_e5(octet, capsys):
     # eight points lie on a quintic, so the richest section is all of them
     code, out, err = run(["richness", "--input", octet, "--e", "5", "--threshold", "1/2"], capsys)

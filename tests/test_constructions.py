@@ -93,6 +93,28 @@ def test_theorem8_every_n_subset_on_at_most_one_curve():
         assert vanishing_dim([cfg.points[i] for i in idx], 3) == 1
 
 
+def test_theorem8_window_extensions_try_fresh_parameters(monkeypatch):
+    # a guard that refuses 120 tries at 7 accepted points and 200 at 8
+    # runs past the window twice; each extension starts one past the
+    # largest parameter placed, so no parameter is tried twice
+    refusals, tried = {7: 120, 8: 200}, []
+    real = _SpanGuard.spans
+
+    def spans(guard, z):
+        accepted = len(guard.rows) + len(guard.pending)
+        tried.append(tuple(z))
+        if refusals.get(accepted):
+            refusals[accepted] -= 1
+            return True
+        return real(guard, z)
+
+    monkeypatch.setattr(_SpanGuard, "spans", spans)
+    built = construct_theorem8(2, 5, 12, seed=12)
+    assert len(built.config) == 12 and refusals == {7: 0, 8: 0}
+    # past the 6m+9 = 81 window parameters and the first extension's 150
+    assert len(set(tried)) == len(tried) > 81 + 150
+
+
 def test_sample_grid():
     built = sample_configuration("grid", side=3, d=1)
     assert len(built.config) == 9

@@ -254,6 +254,14 @@ def test_regularity_threshold_positive():
         regularity_report(PointConfiguration.from_points(SQUARE, 1), 1, Fraction(0))
 
 
+@pytest.mark.parametrize("e", [0, -2, -3, -10])
+def test_regularity_degree_refused_first(e):
+    # below e = -2 the exponent 2^(3e+8) of the default threshold is not
+    # an integer, so the degree is refused before the default is built
+    with pytest.raises(HypothesisViolation, match="e >= 1"):
+        regularity_report(PointConfiguration.from_points(SQUARE, 1), e)
+
+
 def test_enumeration_independent_of_workers():
     config = PointConfiguration.from_points(OCTET, 2)
     serial = ordinary_curves(config, len(OCTET), workers=1)

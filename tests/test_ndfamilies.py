@@ -304,9 +304,7 @@ def test_conic_section_basis(monkeypatch, check_sections):
     conic = primitive(poly_to_vector(parse_poly("x^2 - y - 1"), 2))
     assert verdict.sections == ((2, (0, 1, 2, 3, 4, 5), conic),)
     assert check_sections(A, basis, verdict) == 1
-    # no point of the conic has its degree-1 row in the span W of the
-    # other points' rows, so no flat inside it can fail (iv), and the
-    # verifier walks none (proof at `nd_verify`)
+    # the verifier reads the hyperplanes only (proof at `nd_verify`)
     assert inner == []
     assert oracle_nd(A, basis, 3)
     # the conic is the exceptional catalog, with one forbidden image point,
@@ -321,17 +319,18 @@ def test_conic_section_basis(monkeypatch, check_sections):
     assert all(rec.curve.radical in ordinary for rec in curves.records)
 
 
-def test_ninth_point_section_walks_inside(monkeypatch, check_sections):
+def test_ninth_point_section_walks_no_flats(monkeypatch, check_sections):
     # (2,3), on the line, is the ninth base point of the cubic pencil
     # through the other eight grid points, so its degree-3 row lies in the
-    # span W of the rest of B: the verifier walks the flats inside the line
+    # span W of the rest of B; still no flat inside the line can be the
+    # first failure (the lemma at `nd_verify`), and the verifier walks none
     A = PointConfiguration.from_points(_NINTH, 4)
     inner = _count_calls(monkeypatch, "realizable_sections")
     verdict = nd_verify(A, list(range(12)), 4)
     assert verdict.ok
     assert verdict.sections == ((1, (8, 9, 10, 11), (7, 1, -3)),)
     assert check_sections(A, range(12), verdict) == 1
-    assert inner == ["_deciding_sections"]
+    assert inner == []
 
 
 def _reference_verdict(A, B, d):
@@ -351,6 +350,7 @@ def _reference_verdict(A, B, d):
 
 
 _GRID4 = [(x, y) for x in range(4) for y in range(4)]
+_GRID5 = [(x, y) for x in range(5) for y in range(5)]
 # (name, points, d, bases, first failing condition -> count of bases, count
 # of (iii) sections over the passing bases)
 EQUIVALENCE_CASES = [
@@ -360,6 +360,18 @@ EQUIVALENCE_CASES = [
     (f"section-{i}", points, d, [tuple(range(len(points)))], {condition: 1},
      {0: 3, 9: 1}.get(i, 0))
     for i, (d, points, condition) in enumerate(SECTION_BASES)
+] + [
+    # bases with a (iii) section one of whose points has its degree-(d-e)
+    # row in the span W of the rest of B, so that a flat inside the
+    # section could fail (iv); by the lemma at `nd_verify` none does first
+    (f"in-w-{name}", points, d, [basis], {condition: 1}, sections)
+    for name, points, d, basis, condition, sections in [
+        ("d4-ii", _GRID5, 4, (0, 1, 4, 6, 7, 9, 12, 13, 14, 19, 21, 24), "ii", 0),
+        ("d4-iv-e1", _GRID5, 4, (2, 3, 4, 7, 8, 12, 13, 14, 16, 18, 19, 22), "iv", 0),
+        ("d4-iv-e2", _GRID5, 4, (1, 2, 3, 4, 6, 7, 11, 15, 20, 21, 22, 24), "iv", 0),
+        ("d4-ok", _GRID5, 4, (0, 1, 4, 5, 6, 9, 10, 11, 13, 14, 17, 21), None, 3),
+        ("d3-ii", _GRID4, 3, (3, 4, 11, 12, 13, 14, 15), "ii", 0),
+    ]
 ]
 
 
@@ -379,6 +391,24 @@ def test_verdict_equals_every_flat_reference(name, points, d, bases, outcomes, s
         seen[condition] = seen.get(condition, 0) + 1
         examined += len(verdict.sections)
     assert (seen, examined) == (outcomes, sections)
+
+
+def test_verify_walks_no_flats(monkeypatch):
+    # the verifier reads B's hyperplanes off the span scan and calls no
+    # flats walk, with the same outcomes as every flat gives
+    def never(*args):
+        raise AssertionError("nd_verify walked flats")
+
+    monkeypatch.setattr(ndfamilies, "realizable_sections", never)
+    monkeypatch.setattr(ndfamilies, "flats_step", never)
+    for _, points, d, bases, outcomes, _ in EQUIVALENCE_CASES:
+        A = PointConfiguration.from_points(points, d)
+        seen = {}
+        for basis in bases:
+            verdict = nd_verify(A, basis, d)
+            condition = verdict.failures[0]["condition"] if verdict.failures else None
+            seen[condition] = seen.get(condition, 0) + 1
+        assert seen == outcomes
 
 
 def test_nd_verify_examples():

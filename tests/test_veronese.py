@@ -5,7 +5,7 @@ from operator import mul
 
 import pytest
 
-from ordcurves.bipoly import parse_poly
+from ordcurves.bipoly import monomial_order, parse_poly
 from ordcurves.linalg import affine_rank
 from ordcurves.veronese import (
     HyperplaneForm,
@@ -45,10 +45,14 @@ def test_integer_lift_is_scaled_homogeneous_row():
                     Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))))
     for p in pts:
         z = lcm(Fraction(p[0]).denominator, Fraction(p[1]).denominator)
+        x, y = Fraction(p[0]), Fraction(p[1])
         for d in (1, 2, 3, 4):
             row = integer_lift(p, d)
             assert all(type(c) is int for c in row)
-            assert row == tuple(z**d * c for c in (Fraction(1),) + lift(p, d))
+            # the lift, read off the integer row, is the monomials' values
+            monomials = tuple(x**n * y**m for n, m in monomial_order(d))
+            assert lift(p, d) == monomials
+            assert row == tuple(z**d * c for c in (Fraction(1),) + monomials)
     assert integer_lift((Fraction(1, 2), Fraction(1, 3)), 2) == (36, 18, 12, 9, 6, 4)
 
 
