@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -34,6 +35,22 @@ from .projection import build_pipeline, curves_from_basis
 from .veronese import lift
 
 
+# `Fraction` alone would also take decimals and exponents, and 1e999999
+# builds an integer of 3.3 million bits
+RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def parse_rational(text, where: str) -> Fraction:
+    """The rational that the string `text` writes as an integer or "p/q"
+    with q nonzero; anything else is malformed input at `where`."""
+    if not (isinstance(text, str) and RATIONAL.fullmatch(text)):
+        raise InputFormatError(f"{where}: bad rational {text!r} (expected an integer or p/q)")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputFormatError(f"{where}: bad rational {text!r} ({exc})") from exc
+
+
 def load_config(path: str, d_override=None) -> PointConfiguration:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -46,6 +63,9 @@ def load_config(path: str, d_override=None) -> PointConfiguration:
         raise InputFormatError(
             f"invalid JSON in {path}: {exc.msg}", line=exc.lineno, column=exc.colno
         ) from exc
+    except ValueError as exc:
+        # an integer literal past Python's int-to-str digit limit
+        raise InputFormatError(f"unreadable number in {path}: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("points"), list):
         raise InputFormatError(f"{path}: expected an object with a 'points' array")
     d = d_override if d_override is not None else data.get("d")
@@ -69,12 +89,10 @@ def load_config(path: str, d_override=None) -> PointConfiguration:
                 raise InputFormatError(
                     f"{path}: point {k} has a float coordinate; use exact strings"
                 )
-            try:
-                coords.append(Fraction(str(c)))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise InputFormatError(
-                    f"{path}: point {k}: bad rational {c!r} ({exc})"
-                ) from exc
+            if isinstance(c, int) and not isinstance(c, bool):
+                coords.append(Fraction(c))
+            else:
+                coords.append(parse_rational(c, f"{path}: point {k}"))
         points.append(tuple(coords))
     if len(set(points)) != len(points):
         raise InputFormatError(f"{path}: duplicate points rejected")
@@ -142,10 +160,7 @@ def _cmd_ordinary(args, out):
 def _cmd_richness(args, out):
     config = args.config
     e = args.e if args.e is not None else config.d
-    try:
-        threshold = None if args.threshold is None else Fraction(args.threshold)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputFormatError(f"--threshold: bad rational {args.threshold!r} ({exc})") from exc
+    threshold = None if args.threshold is None else parse_rational(args.threshold, "--threshold")
     report = regularity_report(config, e, threshold)
     # the report's witness is the richest subset max_curve_richness found
     payload = {

@@ -50,10 +50,12 @@ one `kernel_step` on the node of its prefix.  `realizable_sections`, every
 flat of rank below C(e+2,2) by the same fold, is a library function the
 verifier does not call.  The grower builds no region object: one pass
 over the walk reads each region's quantities off the lengths of the V_e
-and W_e kernel bases and keeps those raw bases as its membership tests,
+and W_e kernel bases and keeps the raw V_e bases as its membership tests,
 since a region only tests points by zero dot products.  Every region holds
 V_d(B), so a candidate is tested against V_d(B) once, and a region with
-alpha < 0 holds nothing more.  A passing verdict records each section
+alpha < 0 holds nothing more.  A region's W_e needs no test: a point in it
+lies in the V_{d-e} of an active region of degree d-e with alpha >= 0
+(proof at `_regions`).  A passing verdict records each section
 that condition (iii) examined with the one primitive vector of its kernel,
 the exceptional catalog's curve: once (ii) has passed, such a section is a
 hyperplane of the matroid of B's rows (`NdVerifyResult`).  A configuration
@@ -393,7 +395,9 @@ def _extend_walk(walk, R, d: int, chain):
 
 def _holds(basis, row) -> bool:
     """Whether the flat with the raw kernel basis holds the point with the
-    homogeneous row: every dot product is 0.
+    homogeneous row: every dot product is 0.  Candidates are tested
+    against V_d(B) and V_e bases, a carrier's sample points against W_e
+    bases too (`_active_flats`).
 
     A flat of no points (V_e of the empty flat, W_e when D = B, V_d of the
     empty chain) has the identity as its basis, and no `integer_lift` row
@@ -418,6 +422,9 @@ def _active_flats(walk, n_b: int, d: int, sample):
     tested against the rest of a region: alpha >= 0 and (V_e, or beta >= 0
     and W_e).  With no carrier (C0 = the whole plane, `sample` None) every
     region is active, as a region is covered by at most three curves.
+    The W_e basis serves beta (and so tau), this activeness and the final
+    verdict's complements; candidates are tested against V_e alone
+    (`_regions`).
     """
     d_node, walks = walk
     outside = None if sample is None else [
@@ -445,10 +452,28 @@ def _regions(A: PointConfiguration, chain, d: int, sample, walk, step: int):
     active flats (`_active_flats`), with the growth guard checked.
 
     Returns (V_d(B)'s kernel basis, tests, max(tau, mu)).  `tests` holds
-    (e, V_e basis, W_e basis, or None when beta < 0) for the active regions
-    with alpha >= 0; a region with alpha < 0 holds nothing beyond V_d(B).
-    With no active region nothing is forbidden, and V_d(B)'s basis is
-    None.
+    (e, V_e basis) for the active regions with alpha >= 0; a region with
+    alpha < 0 holds nothing beyond V_d(B).  With no active region nothing
+    is forbidden, and V_d(B)'s basis is None.
+
+    A region with beta >= 0 also holds its W_e, but no test of it is kept,
+    by this lemma, with c' = C(d-e+2,2) and r_k(S) the rank of the
+    degree-k rows of S.  Take an active region (e, D) with alpha >= 0 and
+    beta >= 0, put G = B \\ D, and let D' be the closure of G among B's
+    degree-(d-e) rows: a flat of the walk at degree d-e, where
+    1 <= d-e <= d-1.  Then a point whose degree-(d-e) row lies in W_e(D)
+    lies in V_{d-e}(D'), and (d-e, D') is an active region with alpha >= 0,
+    so the V test kept for it forbids the point already.
+
+    - V_{d-e}(D') = W_e(D), as a closure spans what the set it closes
+      spans.
+    - beta(e, D) >= 0 means r_{d-e}(G) <= c'-2, so alpha(d-e, D') =
+      c'-1-r_{d-e}(G) >= 1.
+    - Without a carrier every region is active.  With one, some sample
+      point s outside V_d(B) keeps (e, D) active, so s lies outside V_e(D)
+      and outside W_e(D).  B \\ D' lies in B \\ G = D, so W_{d-e}(D') =
+      V_e(B \\ D') lies in V_e(D).  So s lies outside V_{d-e}(D') = W_e(D)
+      and outside W_{d-e}(D'), and keeps (d-e, D') active.
 
     The strict bound max(tau, mu) < C(d+2,2) holds at every step for d >= 3
     and for completed sets at d = 2.  At d = 2 a growing set of fewer than
@@ -459,7 +484,7 @@ def _regions(A: PointConfiguration, chain, d: int, sample, walk, step: int):
     bound = comb(d + 2, 2)
     strict = d >= 3 or len(chain) >= bound - 3
     worst, tests = -1, []
-    for e, idx, v, w, alpha, beta, _, mu, tau in _active_flats(walk, len(chain), d, sample):
+    for e, idx, v, _, alpha, _, _, mu, tau in _active_flats(walk, len(chain), d, sample):
         value = max(tau, mu)
         if value > bound or (strict and value == bound):
             raise InvariantViolation(
@@ -478,20 +503,17 @@ def _regions(A: PointConfiguration, chain, d: int, sample, walk, step: int):
             )
         worst = max(worst, value)
         if alpha >= 0:
-            tests.append((e, v, w if beta >= 0 else None))
+            tests.append((e, v))
     return (walk[0][0] if worst >= 0 else None), tests, max(worst, 0)
 
 
 def _forbidden(R, d: int, i: int, v_d, tests) -> bool:
     """Whether point i lies in one of the step's regions (`_regions`):
-    V_d(B) is tested once, then each region's V_e and W_e.  R[k][i] is the
-    point's degree-k row."""
+    V_d(B) is tested once, then each kept region's V_e, and no W_e, which
+    a region of the other degree's V test covers (lemma at `_regions`).
+    R[k][i] is the point's degree-k row."""
     return v_d is not None and (
-        _holds(v_d, R[d][i])
-        or any(
-            _holds(v, R[e][i]) or (w is not None and _holds(w, R[d - e][i]))
-            for e, v, w in tests
-        )
+        _holds(v_d, R[d][i]) or any(_holds(v, R[e][i]) for e, v in tests)
     )
 
 

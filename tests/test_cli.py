@@ -70,6 +70,29 @@ def test_bad_rational_exit_2(tmp_path, capsys):
     assert code == 2 and "bad rational" in err
 
 
+SIX = [["0", "0"], ["1", "0"], ["0", "1"], ["2", "3"], ["5", "1"], ["3", "7"]]
+
+
+@pytest.mark.parametrize("coordinate", ["1e999999", "1.5", "1e5", "+3", " 3", "1_000"])
+def test_undocumented_rational_forms_exit_2(tmp_path, capsys, coordinate):
+    # only integers and p/q are rationals: `Fraction` would take these, and
+    # 1e999999 would build an integer of 3.3 million bits and hang the scan
+    path = write(tmp_path, "form.json", {"d": 2, "points": [[coordinate, "4"]] + SIX})
+    code, out, err = run(["determined", "--input", path], capsys)
+    assert (code, out) == (2, "")
+    assert f"point 0: bad rational {coordinate!r}" in err
+
+
+def test_integer_literal_past_digit_limit_exit_2(tmp_path, capsys):
+    # json.loads raises a ValueError, not a JSONDecodeError, on an integer
+    # past Python's int-to-str digit limit
+    path = tmp_path / "long.json"
+    path.write_text('{"d": 2, "points": [[1' + "0" * 5000 + ', 0], ' + json.dumps(SIX)[1:] + "}")
+    code, out, err = run(["determined", "--input", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: ") and "Traceback" not in err
+
+
 def test_duplicate_points_exit_2(tmp_path, capsys):
     path = write(tmp_path, "dup.json", {"d": 1, "points": [["1", "0"], ["1", "0"]]})
     code, _, err = run(["lift", "--input", path], capsys)
@@ -212,6 +235,7 @@ def test_point_index_out_of_range_exit_2(octet, capsys, argv, bad):
      "construct --kind random_general requires --count"),
     (["richness", "--input", "{octet}", "--threshold", "abc"], 2, "--threshold: bad rational"),
     (["richness", "--input", "{octet}", "--threshold", "1/0"], 2, "--threshold: bad rational"),
+    (["richness", "--input", "{octet}", "--threshold", "1e-3"], 2, "--threshold: bad rational"),
     (["sigma-count", "--d", "2", "--degrees", ""], 3, "at least one component degree"),
     (["sigma-count", "--d", "2", "--degrees", "0"], 3, "component degrees >= 1"),
     (["nd-grow", "--input", "{octet}", "--b0", "0", "--carrier", "x^2 + y^2 - 1"], 3,
@@ -225,8 +249,8 @@ def test_point_index_out_of_range_exit_2(octet, capsys, argv, bad):
     (["construct", "--kind", "grid", "--d", "2", "--side", "0"], 3, "nonempty configuration"),
     (["construct", "--kind", "grid", "--d", "2", "--side", "-1"], 3, "nonempty configuration"),
 ], ids=["theorem6-no-m", "theorem8-no-m-n", "random-no-count", "threshold-abc",
-        "threshold-1/0", "degrees-empty", "degrees-0", "carrier-circle", "nd-grow-carrier-constant",
-        "construct-carrier-unrecognized", "sweep-sizes-reversed", "sweep-sizes-malformed",
+        "threshold-1/0", "threshold-exponent", "degrees-empty", "degrees-0", "carrier-circle",
+        "nd-grow-carrier-constant", "construct-carrier-unrecognized", "sweep-sizes-reversed", "sweep-sizes-malformed",
         "grid-side-0", "grid-side-negative"])
 def test_rejected_option_exits_with_name(octet, capsys, argv, code, name):
     # malformed input exits 2 and a violated hypothesis 3, with no traceback

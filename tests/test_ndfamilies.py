@@ -726,18 +726,54 @@ def test_grow_regions_match_subset_scan(grow):
         if len(b) < len(res.chain):
             assert res.chain[len(b)] == next(i for i in order if i in candidates
                                              and i not in rejected)
-        # each region's own test on every point of A, V_d(B) put aside as
-        # the V_d of no points: the points of B outside V_e lie in W_e
-        # when beta >= 0
+        # each kept test on every point of A, V_d(B) put aside as the V_d
+        # of no points: the region's V_e alone, as its W_e is covered by a
+        # region of the other degree (lemma at `_regions`)
         no_points = kernel_root(comb(d + 2, 2))[0]
         kept = [regions[key] for key in flats if key[4] >= 0]
         assert len(kept) == len(tests)
         for q, test in zip(kept, tests):
             for i in range(len(A)):
-                assert _forbidden(R, d, i, no_points, [test]) == (
-                    q.v_e.contains_row(R[q.e][i])
-                    or (q.beta >= 0 and q.w_e.contains_row(R[d - q.e][i]))
-                )
+                assert _forbidden(R, d, i, no_points, [test]) == q.v_e.contains_row(R[q.e][i])
+
+
+# three points on y = 0, three on y = x^2 - 3 and one more, and candidates
+# on both curves and off them: here a region's W_e holds candidates, which
+# it never does on the grower's own chains
+W_CHAIN = [(-2, 0), (0, 0), (3, 0), (-1, -2), (1, -2), (2, 1), (5, 2)]
+W_CANDIDATES = [p for x in range(-4, 5) for p in [(x, 0), (x, x * x - 3), (x, x + 7)]
+                if p not in W_CHAIN]
+
+
+@pytest.mark.parametrize("d, size, carrier", [
+    (3, 6, None), (3, 6, "y + 2"), (4, 7, None), (4, 7, "y"),
+])
+def test_forbidden_needs_no_w_test(d, size, carrier):
+    # the grower keeps no W_e test (lemma at `_regions`), yet on a chain
+    # where W_e spans reach candidates outside V_e, it rejects exactly the
+    # candidates of the scan's regions with W_e; each carrier makes some
+    # region inactive
+    A = PointConfiguration.from_points(W_CHAIN[:size] + W_CANDIDATES, d)
+    R = _degree_rows(A, d)
+    sample = None if carrier is None else _degree_rows(
+        rational_points_on_curve(PlaneCurve.from_poly(parse_poly(carrier)), 2 * d * d + 1), d
+    )
+    b, walk = list(_walks_along(R, list(range(size)), d))[-1]
+    if sample is not None:
+        assert len(list(_active_flats(walk, size, d, sample))) < len(
+            list(_active_flats(walk, size, d, None)))
+    v_d, tests, _ = _regions(A, list(b), d, sample, walk, size)
+    v_d_b, regions = _regions_by_subset_scan(A, b, d, sample)
+    candidates = range(size, len(A))
+    assert any(
+        not v_d_b.contains_row(R[d][i]) and q.alpha >= 0 and q.beta >= 0
+        and q.w_e.contains_row(R[d - q.e][i]) and not q.v_e.contains_row(R[q.e][i])
+        for i in candidates for q in regions.values()
+    )
+    assert [i for i in candidates if _forbidden(R, d, i, v_d, tests)] == [
+        i for i in candidates
+        if any(_reference_holds(q, v_d_b, R, i) for q in regions.values())
+    ]
 
 
 def test_complement_spans_take_no_bareiss_per_section(monkeypatch):
